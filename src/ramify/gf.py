@@ -280,6 +280,8 @@ class Field:
         return out
 
     def __eq__(self, other):
+        if other is self:
+            return True
         return (isinstance(other, Field) and self.p == other.p
                 and self.a == other.a and self.modulus == other.modulus)
 

@@ -1,83 +1,293 @@
 """Finite-precision Laurent series with exact precision bookkeeping.
 
-A TruncatedSeries holds terms with exponents strictly below `prec`; anything
-at or above `prec` is unknown, so a series represents f + O(T^prec).  Every
-operation computes the precision of its result from the valuations of its
-inputs (product: min(p1 + v2, p2 + v1); inverse of valuation-v: p - 2v; ...),
-so results never claim more accuracy than the inputs support.  Coefficients
-are exact finite-field elements; there is no rounding anywhere, only honest
+A TruncatedSeries represents f + O(T^prec): its terms have exponents strictly
+below `prec`, and anything at or above `prec` is unknown.  Every operation
+computes the precision of its result from the valuations of its inputs
+(sum: min(p1, p2); product: min(p1 + v2, p2 + v1); inverse of valuation v:
+p - 2v; powers by square-and-multiply from T^0 at the base's precision), so
+results never claim more accuracy than the inputs support.  Coefficients are
+exact finite-field elements; there is no rounding anywhere, only honest
 truncation.
 
-ram_index records how the series variable relates to the coordinate downstairs
-(T^ram_index ~ base uniformizer, up to a unit); it is bookkeeping only and is
-carried through arithmetic unchanged.
+Storage is dense: a valuation `val` and a list `coeffs` of ints, coeffs[i]
+being the index (see Field.from_index, sum c_k p^k over the coefficient
+vector) of the coefficient of T^(val + i).  `terms` is a read-only
+{exponent: FieldElement} view, built on first use.
+
+All coefficient arithmetic runs through one kernel, _Ring, which multiplies
+by Kronecker substitution: an element of F_{p^a} is spread over 2a - 1 slots,
+one per power of z in the product of two such elements; the slots of a whole
+coefficient list are packed into one Python int; the ints are multiplied by
+CPython's big-integer product; and each slot of the result is reduced mod p
+and each block of 2a - 1 slots mod the field's modulus.  Slots are wide
+enough that no sum of slot products spills into its neighbour.  Sums are the
+same packing added instead of multiplied, and inverses come from Newton
+iteration on the packed product, doubling the number of known coefficients
+per step.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
+from itertools import chain
+from types import MappingProxyType
+
 from .errors import DomainError, PrecisionError
 from .gf import Field, FieldElement
 
+# array type code of each machine integer width, in bytes
+_CODES = {array(code).itemsize: code for code in "QLIHB"}
+_SWAP = sys.byteorder == "big"
+
+
+def _slot_bytes(bound: int) -> int:
+    """Bytes per slot to hold values up to bound: a power of two, so that
+    slots of up to eight bytes are read and written as a machine array."""
+    return 1 << (((bound.bit_length() + 7) >> 3) - 1).bit_length()
+
+
+class _Memo(dict):
+    """A dict that fills a missing key with fn(key)."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+def _spread(p: int, a: int, n: int) -> tuple:
+    """The 2a - 1 slots of the element with index n: its digits, then zeros."""
+    digits = []
+    for _ in range(a):
+        n, d = divmod(n, p)
+        digits.append(d)
+    return tuple(digits) + (0,) * (a - 1)
+
+
+def _fold(field: Field, slots: tuple) -> int:
+    """Index of sum slots[k] z^k reduced mod the modulus (slots already < p)."""
+    p, a = field.p, field.a
+    c = list(slots[:a])
+    for s, row in zip(slots[a:], field._redux):
+        if s:
+            for i in range(a):
+                c[i] += s * row[i]
+    n = 0
+    for x in reversed(c):
+        n = n * p + x % p
+    return n
+
+
+class _Ring:
+    """Arithmetic on lists of element indices of one field.
+
+    A list x stands for sum x[i] T^i; entries past its end are zero.  Every
+    method returns a list of exactly the length asked for.
+    """
+
+    __slots__ = ("field", "p", "a", "m", "spread", "fold")
+
+    def __init__(self, field: Field):
+        p, a = field.p, field.a
+        self.field = field
+        self.p, self.a, self.m = p, a, 2 * a - 1
+        # both memos fill lazily: at most q and p^(2a-1) keys, of which a
+        # computation touches few
+        self.spread = _Memo(lambda n: _spread(p, a, n))
+        self.fold = _Memo(lambda slots: _fold(field, slots))
+
+    def pack(self, x, w: int) -> int:
+        """x as one int, each element spread over m slots of w bytes."""
+        if self.a > 1:
+            x = chain.from_iterable(map(self.spread.__getitem__, x))
+        code = _CODES.get(w)
+        if code is None:
+            return int.from_bytes(b"".join(s.to_bytes(w, "little") for s in x),
+                                  "little")
+        buf = array(code, x)
+        if _SWAP:
+            buf.byteswap()
+        return int.from_bytes(buf.tobytes(), "little")
+
+    def unpack(self, v: int, n: int, w: int) -> list:
+        """The first n elements of a packed int, reduced into the field."""
+        size = n * self.m * w
+        raw = v.to_bytes(max(size, (v.bit_length() + 7) >> 3), "little")
+        code = _CODES.get(w)
+        if code is None:
+            slots = [int.from_bytes(raw[i:i + w], "little")
+                     for i in range(0, size, w)]
+        else:
+            slots = array(code)
+            slots.frombytes(raw[:size])
+            if _SWAP:
+                slots.byteswap()
+        p = self.p
+        res = [s % p for s in slots]
+        if self.a == 1:
+            return res
+        return list(map(self.fold.__getitem__, zip(*[iter(res)] * self.m)))
+
+    def mul(self, x, y, n: int) -> list:
+        """The first n coefficients of x * y."""
+        if n <= 0:
+            return []
+        square = x is y
+        x = x[:n]
+        y = x if square else y[:n]
+        if not x or not y:
+            return [0] * n
+        w = _slot_bytes(min(len(x), len(y)) * self.a * (self.p - 1) ** 2)
+        px = self.pack(x, w)
+        return self.unpack(px * (px if square else self.pack(y, w)), n, w)
+
+    def add(self, x, sx: int, y, sy: int, n: int) -> list:
+        """The first n coefficients of T^sx x + T^sy y (sx, sy >= 0)."""
+        w = _slot_bytes(2 * (self.p - 1))
+        step = 8 * w * self.m
+        v = (self.pack(x[:max(n - sx, 0)], w) << step * sx) \
+            + (self.pack(y[:max(n - sy, 0)], w) << step * sy)
+        return self.unpack(v, n, w)
+
+    def scale(self, x, c: int) -> list:
+        """c * x for the element index c."""
+        return self.mul(x, [c], len(x))
+
+    def neg(self, x) -> list:
+        return self.scale(x, self.p - 1)  # p - 1 is the index of -1
+
+    def inverse(self, u, n: int) -> list:
+        """The first n coefficients of 1/u, for u[0] != 0, by Newton.
+
+        With g = 1/u mod T^k, -u g = -1 + T^k r, and g - T^k g r = 1/u mod
+        T^2k; negating u once up front makes each step two products.
+        """
+        field = self.field
+        g = [field.index_of(field.from_index(u[0]).inverse())]
+        neg_u = self.neg(u[:n])
+        k = 1
+        while k < n:
+            k2 = min(2 * k, n)
+            g += self.mul(g, self.mul(neg_u, g, k2)[k:], k2 - k)
+            k = k2
+        return g
+
+    def power(self, x, e: int, n: int) -> list:
+        """The first n coefficients of x^e for x[0] != 0, by square-and-multiply
+        at the fixed length n (x^-e is (1/x)^e)."""
+        if n <= 0:
+            return []
+        if e < 0:
+            x, e = self.inverse(x, n), -e
+        result = [1] + [0] * (n - 1)
+        while e:
+            if e & 1:
+                result = self.mul(result, x, n)
+            e >>= 1
+            if e:
+                x = self.mul(x, x, n)
+        return result
+
+
+_RINGS: dict[Field, _Ring] = {}
+
+
+def _ring(field: Field) -> _Ring:
+    """The kernel of a field, built on first use and kept for the process,
+    like the fields that gf.field_create caches."""
+    ring = _RINGS.get(field)
+    if ring is None:
+        ring = _RINGS[field] = _Ring(field)
+    return ring
+
 
 class TruncatedSeries:
-    __slots__ = ("field", "terms", "prec", "ram_index")
+    __slots__ = ("field", "val", "coeffs", "prec", "_ring", "_terms")
 
-    def __init__(self, field: Field, terms, prec: int, ram_index: int = 1):
-        self.field = field
-        self.prec = int(prec)
-        self.ram_index = ram_index
+    def __init__(self, field: Field, terms, prec: int):
+        prec = int(prec)
         clean = {}
         if terms:
             for e, c in (terms.items() if isinstance(terms, dict) else terms):
-                if e < self.prec and c:
-                    clean[int(e)] = c
-        self.terms = clean
+                if e < prec and c:
+                    clean[int(e)] = field.index_of(c)
+        val = min(clean, default=prec)
+        coeffs = [0] * (max(clean, default=val - 1) - val + 1)
+        for e, c in clean.items():
+            coeffs[e - val] = c
+        self._set(_ring(field), val, coeffs, prec)
+
+    def _set(self, ring: _Ring, val: int, coeffs: list, prec: int):
+        """Store coeffs from T^val, dropping zeros at both ends and
+        everything at or past prec."""
+        hi = min(len(coeffs), prec - val)
+        lo = 0
+        while lo < hi and not coeffs[lo]:
+            lo += 1
+        while hi > lo and not coeffs[hi - 1]:
+            hi -= 1
+        self.field = ring.field
+        self._ring = ring
+        self.prec = prec
+        if lo >= hi:
+            self.val, self.coeffs = prec, []
+        else:
+            self.val = val + lo
+            self.coeffs = coeffs[lo:hi] if lo or hi < len(coeffs) else coeffs
+        self._terms = None
 
     @classmethod
-    def zero(cls, field: Field, prec: int, ram_index: int = 1):
-        return cls(field, {}, prec, ram_index)
+    def _make(cls, ring: _Ring, val: int, coeffs: list, prec: int):
+        obj = cls.__new__(cls)
+        obj._set(ring, val, coeffs, prec)
+        return obj
 
     @classmethod
-    def monomial(cls, field: Field, exp: int, prec: int, coeff=None,
-                 ram_index: int = 1):
-        c = field.one() if coeff is None else coeff
-        return cls(field, {exp: c}, prec, ram_index)
+    def zero(cls, field: Field, prec: int):
+        return cls._make(_ring(field), prec, [], prec)
 
     @classmethod
-    def constant(cls, field: Field, value: FieldElement, prec: int,
-                 ram_index: int = 1):
-        return cls(field, {0: value}, prec, ram_index)
+    def monomial(cls, field: Field, exp: int, prec: int, coeff=None):
+        c = 1 if coeff is None else field.index_of(coeff)
+        return cls._make(_ring(field), exp, [c], prec)
+
+    @classmethod
+    def constant(cls, field: Field, value: FieldElement, prec: int):
+        return cls._make(_ring(field), 0, [field.index_of(value)], prec)
 
     # -- structure -------------------------------------------------------------
 
+    @property
+    def terms(self):
+        """The nonzero terms as a read-only {exponent: FieldElement} map."""
+        if self._terms is None:
+            field, val = self.field, self.val
+            self._terms = MappingProxyType(
+                {val + i: field.from_index(c)
+                 for i, c in enumerate(self.coeffs) if c})
+        return self._terms
+
     def valuation(self) -> int | None:
         """Exact valuation, or None when the series is 0 + O(T^prec)."""
-        return min(self.terms) if self.terms else None
+        return self.val if self.coeffs else None
 
     def val_floor(self) -> int:
         """A lower bound for the valuation, usable even for apparent zeros."""
-        return min(self.terms) if self.terms else self.prec
-
-    def leading(self) -> tuple[int, FieldElement]:
-        v = self.valuation()
-        if v is None:
-            raise PrecisionError("valuation not determined at this precision")
-        return v, self.terms[v]
+        return self.val
 
     def is_zero_to_precision(self) -> bool:
-        return not self.terms
-
-    def same_terms(self, other: "TruncatedSeries") -> bool:
-        return self.terms == other.terms
-
-    def truncate(self, prec: int) -> "TruncatedSeries":
-        return TruncatedSeries(self.field, self.terms, min(self.prec, prec),
-                               self.ram_index)
+        return not self.coeffs
 
     # -- arithmetic --------------------------------------------------------------
 
     def _check(self, other):
-        if other.field != self.field:
+        if other._ring is not self._ring:
             raise DomainError("series over different fields")
 
     def __add__(self, other):
@@ -85,23 +295,17 @@ class TruncatedSeries:
             return NotImplemented
         self._check(other)
         prec = min(self.prec, other.prec)
-        t = dict(self.terms)
-        for e, c in other.terms.items():
-            s = t.get(e)
-            s = c if s is None else s + c
-            if s:
-                t[e] = s
-            else:
-                t.pop(e, None)
-        return TruncatedSeries(self.field, t, prec, self.ram_index)
+        val = min(self.val, other.val)
+        coeffs = self._ring.add(self.coeffs, self.val - val,
+                                other.coeffs, other.val - val, prec - val)
+        return TruncatedSeries._make(self._ring, val, coeffs, prec)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return TruncatedSeries(self.field,
-                               {e: -c for e, c in self.terms.items()},
-                               self.prec, self.ram_index)
+        return TruncatedSeries._make(self._ring, self.val,
+                                     self._ring.neg(self.coeffs), self.prec)
 
     def __mul__(self, other):
         if isinstance(other, FieldElement):
@@ -109,21 +313,10 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check(other)
-        prec = min(self.prec + other.val_floor(), other.prec + self.val_floor())
-        out: dict[int, FieldElement] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                if e >= prec:
-                    continue
-                c = c1 * c2
-                s = out.get(e)
-                s = c if s is None else s + c
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return TruncatedSeries(self.field, out, prec, self.ram_index)
+        prec = min(self.prec + other.val, other.prec + self.val)
+        val = self.val + other.val
+        coeffs = self._ring.mul(self.coeffs, other.coeffs, prec - val)
+        return TruncatedSeries._make(self._ring, val, coeffs, prec)
 
     def __rmul__(self, other):
         if isinstance(other, FieldElement):
@@ -131,20 +324,18 @@ class TruncatedSeries:
         return NotImplemented
 
     def scale(self, c: FieldElement) -> "TruncatedSeries":
-        if not c:
-            return TruncatedSeries.zero(self.field, self.prec, self.ram_index)
-        return TruncatedSeries(self.field,
-                               {e: co * c for e, co in self.terms.items()},
-                               self.prec, self.ram_index)
+        if c.field != self.field:
+            raise DomainError("elements of different fields")
+        coeffs = self._ring.scale(self.coeffs, self.field.index_of(c))
+        return TruncatedSeries._make(self._ring, self.val, coeffs, self.prec)
 
     def shift(self, k: int) -> "TruncatedSeries":
         """Multiply by T^k (exact)."""
-        return TruncatedSeries(self.field,
-                               {e + k: c for e, c in self.terms.items()},
-                               self.prec + k, self.ram_index)
+        return TruncatedSeries._make(self._ring, self.val + k, self.coeffs,
+                                     self.prec + k)
 
     def inverse(self) -> "TruncatedSeries":
-        """Series inverse by term recursion; needs a determined valuation.
+        """Series inverse; needs a determined valuation.
 
         A unit known to relative precision R keeps R correct coefficients in
         its inverse, so the absolute precision drops from p to p - 2v.
@@ -152,26 +343,13 @@ class TruncatedSeries:
         v = self.valuation()
         if v is None:
             raise PrecisionError("cannot invert an (apparent) zero series")
-        rel = self.prec - v  # number of known coefficients
-        lead_inv = self.terms[v].inverse()
-        # u = self / lead / T^v is 1 + higher; invert u by recursion
-        u = {e - v: c * lead_inv for e, c in self.terms.items()}
-        inv = {0: self.field.one()}
-        for n in range(1, rel):
-            acc = self.field.zero()
-            for k, ck in u.items():
-                if 0 < k <= n and (n - k) in inv:
-                    acc = acc + ck * inv[n - k]
-            if acc:
-                inv[n] = -acc
-        out = {e - v: c * lead_inv for e, c in inv.items()}
-        return TruncatedSeries(self.field, out, self.prec - 2 * v, self.ram_index)
+        coeffs = self._ring.inverse(self.coeffs, self.prec - v)
+        return TruncatedSeries._make(self._ring, -v, coeffs, self.prec - 2 * v)
 
     def __pow__(self, n: int) -> "TruncatedSeries":
         if n < 0:
             return self.inverse() ** (-n)
-        result = TruncatedSeries.monomial(self.field, 0, self.prec,
-                                          ram_index=self.ram_index)
+        result = TruncatedSeries._make(self._ring, 0, [1], self.prec)
         base = self
         while n:
             if n & 1:
@@ -181,9 +359,9 @@ class TruncatedSeries:
         return result
 
     def __repr__(self):
-        if not self.terms:
+        if not self.coeffs:
             return f"O(T^{self.prec})"
-        bits = [f"({self.terms[e]!r})T^{e}" for e in sorted(self.terms)]
+        bits = [f"({c!r})T^{e}" for e, c in sorted(self.terms.items())]
         return " + ".join(bits) + f" + O(T^{self.prec})"
 
 
@@ -191,19 +369,30 @@ def compose(f: TruncatedSeries, tau: TruncatedSeries) -> TruncatedSeries:
     """f(tau) for tau of positive valuation, by Horner over f's exponents.
 
     The tail of f beyond its precision contributes O(tau^f.prec), so the
-    result is capped at val(tau) * f.prec.
+    result is capped at val(tau) * f.prec.  Each power tau^gap is computed
+    once per call.
     """
     vt = tau.valuation()
     if vt is None or vt < 1:
         raise DomainError("composition needs a substitution of valuation >= 1")
     cap = vt * f.prec
-    field = f.field
-    if not f.terms:
-        return TruncatedSeries.zero(field, cap, f.ram_index)
-    exps = sorted(f.terms, reverse=True)
-    acc = TruncatedSeries.constant(field, f.terms[exps[0]], tau.prec)
+    if not f.coeffs:
+        return TruncatedSeries.zero(f.field, cap)
+    powers = {}
+
+    def power(n):
+        pw = powers.get(n)
+        if pw is None:
+            pw = powers[n] = tau ** n
+        return pw
+
+    ring = f._ring
+    exps = [f.val + i for i, c in enumerate(f.coeffs) if c][::-1]
+    acc = TruncatedSeries._make(ring, 0, [f.coeffs[exps[0] - f.val]], tau.prec)
     for e_prev, e in zip(exps, exps[1:]):
-        acc = acc * tau ** (e_prev - e)
-        acc = acc + TruncatedSeries.constant(field, f.terms[e], acc.prec)
-    acc = acc * tau ** exps[-1]
-    return TruncatedSeries(f.field, acc.terms, min(acc.prec, cap), f.ram_index)
+        acc = acc * power(e_prev - e)
+        acc = acc + TruncatedSeries._make(ring, 0, [f.coeffs[e - f.val]],
+                                          acc.prec)
+    acc = acc * power(exps[-1])
+    return TruncatedSeries._make(acc._ring, acc.val, acc.coeffs,
+                                 min(acc.prec, cap))

@@ -36,7 +36,7 @@ from .gf import Field, FieldElement, root_of_unity
 from .laurent import LaurentPoly, prime_to_p_degree
 from .ramfilt import LOWER, RamFiltration, jumps_with_multiplicity
 from .ascover import standard_form_poly
-from .series import TruncatedSeries, compose
+from .series import TruncatedSeries, _ring, compose
 
 # ---------------------------------------------------------------------------
 # Multivariate Laurent polynomials in the tower variables.
@@ -317,122 +317,53 @@ def _uniformizer_exponents(p: int, j: int) -> tuple[int, int]:
     return alpha, (alpha * p - 1) // j
 
 
-# Raw coefficient-dict arithmetic at a fixed exponent modulus.  The unit
-# iteration below is a T-adic contraction, so the accuracy of its fixed point
-# is limited only by the truncation of f, not by how precision rules compound
-# across iterations; working at one modulus keeps that accuracy.
-
-def _dmul(a, b, cap):
-    out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = e1 + e2
-            if e >= cap:
-                continue
-            c = c1 * c2
-            s = out.get(e)
-            s = c if s is None else s + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-    return out
-
-
-def _dinv(field, a, cap):
-    v = min(a)
-    lead_inv = a[v].inverse()
-    u = {e - v: c * lead_inv for e, c in a.items()}
-    rel = cap + v  # unit coefficients needed on [0, rel)
-    inv = {0: field.one()}
-    for n in range(1, max(rel, 1)):
-        acc = field.zero()
-        for k, ck in u.items():
-            if 0 < k <= n and (n - k) in inv:
-                acc = acc + ck * inv[n - k]
-        if acc:
-            inv[n] = -acc
-    return {e - v: c * lead_inv for e, c in inv.items() if e - v < cap}
-
-
-def _dpow(field, a, n, cap):
-    if n < 0:
-        return _dpow(field, _dinv(field, a, cap + 1), -n, cap)
-    result = {0: field.one()}
-    base = dict(a)
-    while n:
-        if n & 1:
-            result = _dmul(result, base, cap)
-        base = _dmul(base, base, cap)
-        n >>= 1
-    return result
-
-
-def _dtail_at(field, tail, tau, cap):
-    """Horner evaluation of a one-variable Laurent tail at tau, mod T^cap."""
-    exps = sorted(tail, reverse=True)
-    acc = {0: tail[exps[0]]}
-    for e_prev, e in zip(exps, exps[1:]):
-        acc = _dmul(acc, _dpow(field, tau, e_prev - e, cap), cap)
-        c = tail[e]
-        s = acc.get(0)
-        s = c if s is None else s + c
-        if s:
-            acc[0] = s
-        else:
-            acc.pop(0, None)
-    return _dmul(acc, _dpow(field, tau, exps[-1], cap), cap)
-
-
 def _solve_unit(f: TruncatedSeries, j: int, alpha: int, beta: int,
                 prec: int) -> TruncatedSeries:
     """The unit s making tau = T^p s^beta, eta = T^-j s^-alpha solve the step.
 
     The truncation of f contributes an error of O(T^(p*prec(f) + jp)) to the
     fixed-point equation, which bounds the honest precision of s.
+
+    With c the leading coefficient of f (at t^-j), g(t) = t^j f(t) - c, a
+    polynomial of positive valuation, and alpha*p - beta*j = 1, the
+    fixed-point form reads
+
+        s = c^-1 (1 - T^(j(p-1)) s^(alpha(p-1)) - s g(T^p s^beta)),
+
+    whose right side mod T^n depends on s only mod T^(n - gain), with
+    gain = min(j(p-1), p).  So s is lifted gain coefficients per pass, each
+    pass on coefficient lists at the length it can fill.  The iteration is a
+    T-adic contraction, so the accuracy of its fixed point is limited only by
+    the truncation of f, not by how precision rules compound across passes;
+    working at a fixed length keeps that accuracy.
     """
-    field = f.field
-    p = field.p
-    c = f.terms[-j]
-    cinv = c.inverse()
+    p = f.field.p
     cap = min(prec, p * f.prec + j * p)
     if cap < 1:
         raise PrecisionError("no usable precision left for the step solve")
-    tail = {e: co for e, co in f.terms.items() if e != -j}
-    s = {0: cinv}
-    for _ in range(cap + 8):
-        tau = {e + p: co for e, co in _dpow(field, s, beta, cap).items()
-               if e + p < cap}
-        bracket = {0: field.one()}
-        mid = _dpow(field, s, alpha * (p - 1), cap)
-        for e, co in mid.items():
-            e2 = e + j * (p - 1)
-            if e2 >= cap:
-                continue
-            cur = bracket.get(e2)
-            cur = -co if cur is None else cur - co
-            if cur:
-                bracket[e2] = cur
-            else:
-                bracket.pop(e2, None)
-        if tail:
-            top = _dmul(_dpow(field, s, alpha * p, cap),
-                        _dtail_at(field, tail, tau, cap), cap)
-            for e, co in top.items():
-                e2 = e + j * p
-                if e2 >= cap:
-                    continue
-                cur = bracket.get(e2)
-                cur = -co if cur is None else cur - co
-                if cur:
-                    bracket[e2] = cur
-                else:
-                    bracket.pop(e2, None)
-        s_new = {e: co * cinv for e, co in bracket.items()}
-        if s_new == s:
-            return TruncatedSeries(field, s, cap)
-        s = s_new
-    raise PrecisionError("unit iteration failed to converge")
+    ring = _ring(f.field)
+    # f.val == -j, so f.coeffs[i] is the coefficient of t^i in g; terms with
+    # p*i >= cap cannot reach T^cap through tau = T^p s^beta.
+    g = f.coeffs[:-(-cap // p)]
+    cinv = ring.inverse(f.coeffs, 1)[0]
+    minus_cinv = ring.neg([cinv])[0]
+    shift = j * (p - 1)
+    gain = min(shift, p)
+    s, n = [cinv], 1
+    while n < cap:
+        n = min(cap, n + gain)
+        # Horner for g(tau) = sum_i g[i] tau^i: the partial sum that tau^i
+        # multiplies is needed only mod T^(n - p*i).
+        acc = []
+        sigma = ring.power(s, beta, n - p) if len(g) > 1 else []
+        for i in range(len(g) - 1, 0, -1):
+            acc = [g[i]] + [0] * (p - 1) + ring.mul(sigma, acc, n - p * (i + 1))
+        g_tau = [0] * p + ring.mul(sigma, acc, n - p)
+        mid = ring.power(s, alpha * (p - 1), n - shift)
+        rest = ring.add(mid, shift, ring.mul(s, g_tau, n), 0, n)
+        s = ring.scale(rest, minus_cinv)
+        s[0] = cinv
+    return TruncatedSeries._make(ring, 0, s, cap)
 
 
 @dataclass(frozen=True)
@@ -478,10 +409,6 @@ def _expand_tower(tower: TowerSpec, prec: int):
         new_env[step.var] = y_series
         env = new_env
         charts.append(_StepChart(step.var, j, alpha, beta, peel_terms))
-    ram_index = p ** len(tower.steps)
-    for name in env:
-        env[name] = TruncatedSeries(field, env[name].terms, env[name].prec,
-                                    ram_index)
     return env, charts
 
 

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from ramify.cli import main
 
 QUATERNION_TOWER = {
@@ -222,3 +224,151 @@ def test_standard_form_with_tame_scalar(tmp_path):
     code, res = run(tmp_path, ["standard-form"], doc)
     assert code == 0
     assert res["conductor"] == 5
+
+
+# `verify --precision 256` standard output, byte for byte, for three towers
+# whose oracle runs end at working precision 256, 128 and 32.  The texts were
+# produced by the dict-of-coefficients series code that the packed kernel
+# replaced; any change in a series coefficient that reaches a jump, the
+# precision used or the genus shows here.
+GOLDEN_Z5_SQUARED = (
+    {"field": {"p": 5, "a": 1},
+     "m": 1,
+     "steps": [{"var": "v", "rhs": [[[1], {"x": -8}]]},
+               {"var": "w", "rhs": [[[2], {"x": -9}]]}],
+     "generators": [{"name": "s", "shifts": {"v": [[[1], {}]]}},
+                    {"name": "t", "shifts": {"w": [[[1], {}]]}}]},
+    '{\n'
+    '  "agree": false,\n'
+    '  "analytic_jumps": [\n'
+    '    8,\n'
+    '    9\n'
+    '  ],\n'
+    '  "filtration": {\n'
+    '    "breaks": [\n'
+    '      [\n'
+    '        8,\n'
+    '        1,\n'
+    '        25\n'
+    '      ],\n'
+    '      [\n'
+    '        13,\n'
+    '        1,\n'
+    '        5\n'
+    '      ]\n'
+    '    ],\n'
+    '    "numbering": "lower",\n'
+    '    "tame": 1,\n'
+    '    "total_order": 25\n'
+    '  },\n'
+    '  "genus": 94,\n'
+    '  "oracle_jumps": [\n'
+    '    8,\n'
+    '    13\n'
+    '  ],\n'
+    '  "p_rank": 0,\n'
+    '  "precision_used": 256\n'
+    '}\n'
+)
+GOLDEN_Z2_SQUARED = (
+    {"field": {"p": 2, "a": 1},
+     "m": 1,
+     "steps": [{"var": "v", "rhs": [[[1], {"x": -5}]]},
+               {"var": "w", "rhs": [[[1], {"x": -9}]]}],
+     "generators": [{"name": "s", "shifts": {"v": [[[1], {}]]}},
+                    {"name": "t", "shifts": {"w": [[[1], {}]]}}]},
+    '{\n'
+    '  "agree": false,\n'
+    '  "analytic_jumps": [\n'
+    '    5,\n'
+    '    9\n'
+    '  ],\n'
+    '  "filtration": {\n'
+    '    "breaks": [\n'
+    '      [\n'
+    '        5,\n'
+    '        1,\n'
+    '        4\n'
+    '      ],\n'
+    '      [\n'
+    '        13,\n'
+    '        1,\n'
+    '        2\n'
+    '      ]\n'
+    '    ],\n'
+    '    "numbering": "lower",\n'
+    '    "tame": 1,\n'
+    '    "total_order": 4\n'
+    '  },\n'
+    '  "genus": 10,\n'
+    '  "oracle_jumps": [\n'
+    '    5,\n'
+    '    13\n'
+    '  ],\n'
+    '  "p_rank": 0,\n'
+    '  "precision_used": 128\n'
+    '}\n'
+)
+GOLDEN_F16_QUATERNION = (
+    {"field": {"p": 2, "a": 4},
+     "m": 1,
+     "steps": [{"var": "v", "rhs": [[[1, 1, 0, 0], {"x": -1}]]},
+               {"var": "w",
+                "rhs": [[[1, 0, 0, 0], {"v": 1}], [[0, 1, 0, 0], {"x": -1}]]},
+               {"var": "y",
+                "rhs": [[[1, 0, 0, 0], {"w": 3}],
+                        [[1, 1, 1, 0], {"x": -1}]]}],
+     "generators": [{"name": "mu",
+                     "shifts": {"w": [[[1, 0, 0, 0], {}]],
+                                "y": [[[1, 0, 0, 0], {"w": 1}],
+                                      [[0, 1, 1, 0], {}]]}},
+                    {"name": "tau",
+                     "shifts": {"v": [[[1, 0, 0, 0], {}]],
+                                "w": [[[0, 1, 1, 0], {}]],
+                                "y": [[[1, 1, 1, 0], {"w": 1}],
+                                      [[0, 1, 1, 0], {}]]}}]},
+    '{\n'
+    '  "agree": false,\n'
+    '  "analytic_jumps": [\n'
+    '    1,\n'
+    '    1,\n'
+    '    3\n'
+    '  ],\n'
+    '  "filtration": {\n'
+    '    "breaks": [\n'
+    '      [\n'
+    '        1,\n'
+    '        1,\n'
+    '        8\n'
+    '      ],\n'
+    '      [\n'
+    '        5,\n'
+    '        1,\n'
+    '        2\n'
+    '      ]\n'
+    '    ],\n'
+    '    "numbering": "lower",\n'
+    '    "tame": 1,\n'
+    '    "total_order": 8\n'
+    '  },\n'
+    '  "genus": 2,\n'
+    '  "oracle_jumps": [\n'
+    '    1,\n'
+    '    1,\n'
+    '    5\n'
+    '  ],\n'
+    '  "p_rank": 0,\n'
+    '  "precision_used": 32\n'
+    '}\n'
+)
+
+
+@pytest.mark.parametrize("golden", [GOLDEN_Z5_SQUARED, GOLDEN_Z2_SQUARED,
+                                    GOLDEN_F16_QUATERNION],
+                         ids=["z5-squared", "z2-squared", "f16-quaternion"])
+def test_verify_golden_stdout(tmp_path, capsys, golden):
+    doc, expected = golden
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps(doc))
+    assert main(["verify", "--precision", "256", "--input", str(inp)]) == 0
+    assert capsys.readouterr().out == expected
