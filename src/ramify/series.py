@@ -21,44 +21,38 @@ coefficient list are packed into one Python int; the ints are multiplied by
 CPython's big-integer product; and each slot of the result is reduced mod p
 and each block of 2a - 1 slots mod the field's modulus.  Slots are wide
 enough that no sum of slot products spills into its neighbour.  Sums are the
-same packing added instead of multiplied, and inverses come from Newton
+same packing added instead of multiplied; inverses come from Newton
 iteration on the packed product, doubling the number of known coefficients
-per step.
+per step; and powers are square-and-multiply on it at the one length that
+the precision rule gives.  Each ring memoizes, within a fixed size, how
+elements spread into slots and how slot blocks fold back into elements.
 """
 
 from __future__ import annotations
 
-import sys
-from array import array
+import struct
+from functools import cache, lru_cache, partial
 from itertools import chain
 from types import MappingProxyType
 
 from .errors import DomainError, PrecisionError
 from .gf import Field, FieldElement
 
-# array type code of each machine integer width, in bytes
-_CODES = {array(code).itemsize: code for code in "QLIHB"}
-_SWAP = sys.byteorder == "big"
+# little-endian struct format of an unsigned slot of each width, in bytes
+_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+# entries kept by each of a ring's two element memos
+_MEMO_SIZE = 1 << 12
 
 
 def _slot_bytes(bound: int) -> int:
-    """Bytes per slot to hold values up to bound: a power of two, so that
-    slots of up to eight bytes are read and written as a machine array."""
-    return 1 << (((bound.bit_length() + 7) >> 3) - 1).bit_length()
-
-
-class _Memo(dict):
-    """A dict that fills a missing key with fn(key)."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
+    """Bytes per slot to hold values up to bound: 1, 2, 4 or 8, so that slots
+    are read and written as machine integers by struct.  A product's bound is
+    min(n1, n2) a (p - 1)^2, which fields below ORDER_CAP keep under 2^64
+    for any series shorter than 2^24 terms."""
+    w = 1 << (((bound.bit_length() + 7) >> 3) - 1).bit_length()
+    if w > 8:
+        raise DomainError("series too long for the packed product")
+    return w
 
 
 def _spread(p: int, a: int, n: int) -> tuple:
@@ -97,42 +91,29 @@ class _Ring:
         p, a = field.p, field.a
         self.field = field
         self.p, self.a, self.m = p, a, 2 * a - 1
-        # both memos fill lazily: at most q and p^(2a-1) keys, of which a
-        # computation touches few
-        self.spread = _Memo(lambda n: _spread(p, a, n))
-        self.fold = _Memo(lambda slots: _fold(field, slots))
+        # both memos fill lazily and keep the most recently used entries:
+        # small fields (F_16 has 16 and 2^7 keys) fit whole, large ones
+        # (2^31 fold keys for F_2^16) reuse few and must not grow
+        self.spread = lru_cache(_MEMO_SIZE)(partial(_spread, p, a))
+        self.fold = lru_cache(_MEMO_SIZE)(partial(_fold, field))
 
     def pack(self, x, w: int) -> int:
         """x as one int, each element spread over m slots of w bytes."""
         if self.a > 1:
-            x = chain.from_iterable(map(self.spread.__getitem__, x))
-        code = _CODES.get(w)
-        if code is None:
-            return int.from_bytes(b"".join(s.to_bytes(w, "little") for s in x),
-                                  "little")
-        buf = array(code, x)
-        if _SWAP:
-            buf.byteswap()
-        return int.from_bytes(buf.tobytes(), "little")
+            x = list(chain.from_iterable(map(self.spread, x)))
+        return int.from_bytes(struct.pack(f"<{len(x)}{_FORMATS[w]}", *x),
+                              "little")
 
     def unpack(self, v: int, n: int, w: int) -> list:
         """The first n elements of a packed int, reduced into the field."""
         size = n * self.m * w
         raw = v.to_bytes(max(size, (v.bit_length() + 7) >> 3), "little")
-        code = _CODES.get(w)
-        if code is None:
-            slots = [int.from_bytes(raw[i:i + w], "little")
-                     for i in range(0, size, w)]
-        else:
-            slots = array(code)
-            slots.frombytes(raw[:size])
-            if _SWAP:
-                slots.byteswap()
+        slots = struct.unpack_from(f"<{n * self.m}{_FORMATS[w]}", raw)
         p = self.p
         res = [s % p for s in slots]
         if self.a == 1:
             return res
-        return list(map(self.fold.__getitem__, zip(*[iter(res)] * self.m)))
+        return list(map(self.fold, zip(*[iter(res)] * self.m)))
 
     def mul(self, x, y, n: int) -> list:
         """The first n coefficients of x * y."""
@@ -185,26 +166,21 @@ class _Ring:
             return []
         if e < 0:
             x, e = self.inverse(x, n), -e
-        result = [1] + [0] * (n - 1)
+        result = [1]
         while e:
             if e & 1:
                 result = self.mul(result, x, n)
             e >>= 1
             if e:
                 x = self.mul(x, x, n)
-        return result
+        return result + [0] * (n - len(result))
 
 
-_RINGS: dict[Field, _Ring] = {}
-
-
+@cache
 def _ring(field: Field) -> _Ring:
     """The kernel of a field, built on first use and kept for the process,
     like the fields that gf.field_create caches."""
-    ring = _RINGS.get(field)
-    if ring is None:
-        ring = _RINGS[field] = _Ring(field)
-    return ring
+    return _Ring(field)
 
 
 class TruncatedSeries:
@@ -347,16 +323,18 @@ class TruncatedSeries:
         return TruncatedSeries._make(self._ring, -v, coeffs, self.prec - 2 * v)
 
     def __pow__(self, n: int) -> "TruncatedSeries":
+        """self^n with the precision of square-and-multiply from T^0 at
+        self.prec.  A product keeps the smaller relative precision (prec -
+        val) of its factors, so for n >= 1 the result has valuation n v and
+        relative precision self.prec - max(v, 0)."""
         if n < 0:
             return self.inverse() ** (-n)
-        result = TruncatedSeries._make(self._ring, 0, [1], self.prec)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        if n == 0:
+            return TruncatedSeries._make(self._ring, 0, [1], self.prec)
+        val = n * self.val
+        rel = self.prec - max(self.val, 0)
+        coeffs = self._ring.power(self.coeffs, n, rel)
+        return TruncatedSeries._make(self._ring, val, coeffs, val + rel)
 
     def __repr__(self):
         if not self.coeffs:
@@ -396,3 +374,42 @@ def compose(f: TruncatedSeries, tau: TruncatedSeries) -> TruncatedSeries:
     acc = acc * power(exps[-1])
     return TruncatedSeries._make(acc._ring, acc.val, acc.coeffs,
                                  min(acc.prec, cap))
+
+
+def step_unit(f: TruncatedSeries, alpha: int, beta: int,
+              cap: int) -> TruncatedSeries:
+    """The unit s mod T^cap solving one tower step (see tower._solve_unit).
+
+    f has valuation -j and leading coefficient c; with g(t) = t^j f(t) - c,
+    a polynomial of positive valuation, s solves
+
+        s = c^-1 (1 - T^(j(p-1)) s^(alpha(p-1)) - s g(T^p s^beta)),
+
+    whose right side mod T^n depends on s only mod T^(n - gain), with
+    gain = min(j(p-1), p).  So s is lifted gain coefficients per pass, each
+    pass on coefficient lists at the length it can fill.
+    """
+    ring = f._ring
+    p, j = ring.p, -f.val
+    # f.coeffs[i] is the coefficient of t^i in g; terms with p*i >= cap
+    # cannot reach T^cap through tau = T^p s^beta.
+    g = f.coeffs[:-(-cap // p)]
+    cinv = ring.inverse(f.coeffs, 1)[0]
+    minus_cinv = ring.neg([cinv])[0]
+    shift = j * (p - 1)
+    gain = min(shift, p)
+    s, n = [cinv], 1
+    while n < cap:
+        n = min(cap, n + gain)
+        # Horner for g(tau) = sum_i g[i] tau^i: the partial sum that tau^i
+        # multiplies is needed only mod T^(n - p*i).
+        acc = []
+        sigma = ring.power(s, beta, n - p) if len(g) > 1 else []
+        for i in range(len(g) - 1, 0, -1):
+            acc = [g[i]] + [0] * (p - 1) + ring.mul(sigma, acc, n - p * (i + 1))
+        g_tau = [0] * p + ring.mul(sigma, acc, n - p)
+        mid = ring.power(s, alpha * (p - 1), n - shift)
+        rest = ring.add(mid, shift, ring.mul(s, g_tau, n), 0, n)
+        s = ring.scale(rest, minus_cinv)
+        s[0] = cinv
+    return TruncatedSeries._make(ring, 0, s, cap)

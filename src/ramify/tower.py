@@ -36,7 +36,7 @@ from .gf import Field, FieldElement, root_of_unity
 from .laurent import LaurentPoly, prime_to_p_degree
 from .ramfilt import LOWER, RamFiltration, jumps_with_multiplicity
 from .ascover import standard_form_poly
-from .series import TruncatedSeries, _ring, compose
+from .series import TruncatedSeries, compose, step_unit
 
 # ---------------------------------------------------------------------------
 # Multivariate Laurent polynomials in the tower variables.
@@ -330,40 +330,16 @@ def _solve_unit(f: TruncatedSeries, j: int, alpha: int, beta: int,
 
         s = c^-1 (1 - T^(j(p-1)) s^(alpha(p-1)) - s g(T^p s^beta)),
 
-    whose right side mod T^n depends on s only mod T^(n - gain), with
-    gain = min(j(p-1), p).  So s is lifted gain coefficients per pass, each
-    pass on coefficient lists at the length it can fill.  The iteration is a
-    T-adic contraction, so the accuracy of its fixed point is limited only by
-    the truncation of f, not by how precision rules compound across passes;
-    working at a fixed length keeps that accuracy.
+    which series.step_unit lifts a few coefficients per pass.  The iteration
+    is a T-adic contraction, so the accuracy of its fixed point is limited
+    only by the truncation of f, not by how precision rules compound across
+    passes.
     """
     p = f.field.p
     cap = min(prec, p * f.prec + j * p)
     if cap < 1:
         raise PrecisionError("no usable precision left for the step solve")
-    ring = _ring(f.field)
-    # f.val == -j, so f.coeffs[i] is the coefficient of t^i in g; terms with
-    # p*i >= cap cannot reach T^cap through tau = T^p s^beta.
-    g = f.coeffs[:-(-cap // p)]
-    cinv = ring.inverse(f.coeffs, 1)[0]
-    minus_cinv = ring.neg([cinv])[0]
-    shift = j * (p - 1)
-    gain = min(shift, p)
-    s, n = [cinv], 1
-    while n < cap:
-        n = min(cap, n + gain)
-        # Horner for g(tau) = sum_i g[i] tau^i: the partial sum that tau^i
-        # multiplies is needed only mod T^(n - p*i).
-        acc = []
-        sigma = ring.power(s, beta, n - p) if len(g) > 1 else []
-        for i in range(len(g) - 1, 0, -1):
-            acc = [g[i]] + [0] * (p - 1) + ring.mul(sigma, acc, n - p * (i + 1))
-        g_tau = [0] * p + ring.mul(sigma, acc, n - p)
-        mid = ring.power(s, alpha * (p - 1), n - shift)
-        rest = ring.add(mid, shift, ring.mul(s, g_tau, n), 0, n)
-        s = ring.scale(rest, minus_cinv)
-        s[0] = cinv
-    return TruncatedSeries._make(ring, 0, s, cap)
+    return step_unit(f, alpha, beta, cap)
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,16 @@ fields F_2, F_3, F_5, the extensions F_4, F_9, F_16, F_{2^16} (above the
 log-table cap, 31 slots per element) and F_65521 (eight-byte slots).
 """
 
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramify import field_create
-from ramify.series import TruncatedSeries, _ring, compose
+from ramify.errors import DomainError
+from ramify.series import (_MEMO_SIZE, TruncatedSeries, _ring, _slot_bytes,
+                           compose)
 from ramify.tower import _solve_unit, _uniformizer_exponents
 
 import dict_series
@@ -105,11 +110,40 @@ def test_full_slots_match_reference():
         same(a * a, ref(a) * ref(a))
 
 
-def test_pack_round_trip_wider_than_a_machine_word():
+def test_pack_round_trip():
     ring = _ring(field_create(3, 2))
     xs = [0, 8, 1, 5, 7, 3]
-    for w in (1, 2, 4, 8, 16):
+    for w in (1, 2, 4, 8):
         assert ring.unpack(ring.pack(xs, w), len(xs), w) == xs
+
+
+def test_slots_wider_than_a_machine_word_are_refused():
+    assert _slot_bytes((1 << 64) - 1) == 8
+    with pytest.raises(DomainError):
+        _slot_bytes(1 << 64)
+
+
+def test_element_memos_stay_bounded():
+    """Over F_{2^16} nearly every product coefficient is a new fold key."""
+    field = field_create(2, 16)
+    ring = _ring(field)
+    rng = random.Random(3)
+    for _ in range(8):
+        a, b = ([rng.randrange(field.q) for _ in range(400)] for _ in "ab")
+        ring.mul(a, b, 800)
+    assert ring.fold.cache_info().currsize <= _MEMO_SIZE
+    assert ring.spread.cache_info().currsize <= _MEMO_SIZE
+    assert ring.fold.cache_info().misses > _MEMO_SIZE
+
+
+def test_pow_at_nonpositive_precision_matches_reference():
+    """T^0 at a precision <= 0 is itself an apparent zero."""
+    for field in FIELDS[:4]:
+        c = field.from_index(field.q - 1)
+        for prec in (-3, 0):
+            a = TruncatedSeries(field, {-5: c, -4: c}, prec)
+            for n in range(-2, 5):
+                same(a ** n, ref(a) ** n)
 
 
 @settings(max_examples=40, deadline=None)
