@@ -336,6 +336,44 @@ class TruncatedSeries:
         coeffs = self._ring.power(self.coeffs, n, rel)
         return TruncatedSeries._make(self._ring, val, coeffs, val + rel)
 
+    def step_unit(self, alpha: int, beta: int, cap: int) -> "TruncatedSeries":
+        """The unit s mod T^cap solving one tower step (see tower._solve_unit).
+
+        self has valuation -j and leading coefficient c; with g(t) = t^j
+        self(t) - c, a polynomial of positive valuation, s solves
+
+            s = c^-1 (1 - T^(j(p-1)) s^(alpha(p-1)) - s g(T^p s^beta)),
+
+        whose right side mod T^n depends on s only mod T^(n - gain), with
+        gain = min(j(p-1), p).  So s is lifted gain coefficients per pass,
+        each pass on coefficient lists at the length it can fill.
+        """
+        ring = self._ring
+        p, j = ring.p, -self.val
+        # coeffs[i] is the coefficient of t^i in g; terms with p*i >= cap
+        # cannot reach T^cap through tau = T^p s^beta.
+        g = self.coeffs[:-(-cap // p)]
+        cinv = ring.inverse(self.coeffs, 1)[0]
+        minus_cinv = ring.neg([cinv])[0]
+        shift = j * (p - 1)
+        gain = min(shift, p)
+        s, n = [cinv], 1
+        while n < cap:
+            n = min(cap, n + gain)
+            # Horner for g(tau) = sum_i g[i] tau^i: the partial sum that
+            # tau^i multiplies is needed only mod T^(n - p*i).
+            acc = []
+            sigma = ring.power(s, beta, n - p) if len(g) > 1 else []
+            for i in range(len(g) - 1, 0, -1):
+                acc = [g[i]] + [0] * (p - 1) + ring.mul(sigma, acc,
+                                                        n - p * (i + 1))
+            g_tau = [0] * p + ring.mul(sigma, acc, n - p)
+            mid = ring.power(s, alpha * (p - 1), n - shift)
+            rest = ring.add(mid, shift, ring.mul(s, g_tau, n), 0, n)
+            s = ring.scale(rest, minus_cinv)
+            s[0] = cinv
+        return TruncatedSeries._make(ring, 0, s, cap)
+
     def __repr__(self):
         if not self.coeffs:
             return f"O(T^{self.prec})"
@@ -375,41 +413,3 @@ def compose(f: TruncatedSeries, tau: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries._make(acc._ring, acc.val, acc.coeffs,
                                  min(acc.prec, cap))
 
-
-def step_unit(f: TruncatedSeries, alpha: int, beta: int,
-              cap: int) -> TruncatedSeries:
-    """The unit s mod T^cap solving one tower step (see tower._solve_unit).
-
-    f has valuation -j and leading coefficient c; with g(t) = t^j f(t) - c,
-    a polynomial of positive valuation, s solves
-
-        s = c^-1 (1 - T^(j(p-1)) s^(alpha(p-1)) - s g(T^p s^beta)),
-
-    whose right side mod T^n depends on s only mod T^(n - gain), with
-    gain = min(j(p-1), p).  So s is lifted gain coefficients per pass, each
-    pass on coefficient lists at the length it can fill.
-    """
-    ring = f._ring
-    p, j = ring.p, -f.val
-    # f.coeffs[i] is the coefficient of t^i in g; terms with p*i >= cap
-    # cannot reach T^cap through tau = T^p s^beta.
-    g = f.coeffs[:-(-cap // p)]
-    cinv = ring.inverse(f.coeffs, 1)[0]
-    minus_cinv = ring.neg([cinv])[0]
-    shift = j * (p - 1)
-    gain = min(shift, p)
-    s, n = [cinv], 1
-    while n < cap:
-        n = min(cap, n + gain)
-        # Horner for g(tau) = sum_i g[i] tau^i: the partial sum that tau^i
-        # multiplies is needed only mod T^(n - p*i).
-        acc = []
-        sigma = ring.power(s, beta, n - p) if len(g) > 1 else []
-        for i in range(len(g) - 1, 0, -1):
-            acc = [g[i]] + [0] * (p - 1) + ring.mul(sigma, acc, n - p * (i + 1))
-        g_tau = [0] * p + ring.mul(sigma, acc, n - p)
-        mid = ring.power(s, alpha * (p - 1), n - shift)
-        rest = ring.add(mid, shift, ring.mul(s, g_tau, n), 0, n)
-        s = ring.scale(rest, minus_cinv)
-        s[0] = cinv
-    return TruncatedSeries._make(ring, 0, s, cap)

@@ -36,7 +36,7 @@ from .gf import Field, FieldElement, root_of_unity
 from .laurent import LaurentPoly, prime_to_p_degree
 from .ramfilt import LOWER, RamFiltration, jumps_with_multiplicity
 from .ascover import standard_form_poly
-from .series import TruncatedSeries, compose, step_unit
+from .series import TruncatedSeries, compose
 
 # ---------------------------------------------------------------------------
 # Multivariate Laurent polynomials in the tower variables.
@@ -330,16 +330,16 @@ def _solve_unit(f: TruncatedSeries, j: int, alpha: int, beta: int,
 
         s = c^-1 (1 - T^(j(p-1)) s^(alpha(p-1)) - s g(T^p s^beta)),
 
-    which series.step_unit lifts a few coefficients per pass.  The iteration
-    is a T-adic contraction, so the accuracy of its fixed point is limited
-    only by the truncation of f, not by how precision rules compound across
-    passes.
+    which TruncatedSeries.step_unit lifts a few coefficients per pass.  The
+    iteration is a T-adic contraction, so the accuracy of its fixed point is
+    limited only by the truncation of f, not by how precision rules compound
+    across passes.
     """
     p = f.field.p
     cap = min(prec, p * f.prec + j * p)
     if cap < 1:
         raise PrecisionError("no usable precision left for the step solve")
-    return step_unit(f, alpha, beta, cap)
+    return f.step_unit(alpha, beta, cap)
 
 
 @dataclass(frozen=True)
