@@ -217,5 +217,8 @@ def cover_from_json(obj) -> ASCover:
         z = obj.get("z")
         zel = field.element(z) if z is not None else None
         return ASCover(q=int(obj["q"]), r=r, m=int(obj.get("m", 1)), z=zel)
-    except (KeyError, TypeError) as exc:
+    except DomainError:
+        raise  # a well-formed document with invalid content
+    except (KeyError, TypeError, ValueError, ZeroDivisionError,
+            IndexError) as exc:
         raise SchemaError(f"malformed cover document: {exc}") from exc

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import ascover, moduli, ramfilt, tower
 from .errors import DomainError, SchemaError
-from .gf import field_create
+from .gf import field_create, p_power_exponent
 from .ramfilt import RamFiltration, ReducedFiltration
 
 PROG = "ramify"
@@ -114,7 +114,7 @@ def cmd_dimension(doc) -> dict:
         rule = "reducible"
     elif kind == "ordinary":
         p = reduced.p
-        e = sum(_log_p(q, p) for q, _, _ in reduced.pieces)
+        e = sum(p_power_exponent(q, p) for q, _, _ in reduced.pieces)
         exact = moduli.dim_ordinary(p, e, reduced.tame)
         rule = "ordinary"
         if exact != moduli.dim_reducible(
@@ -125,14 +125,6 @@ def cmd_dimension(doc) -> dict:
         report = moduli.DimensionReport(report.n_list, report.lower_bound,
                                         report.upper_bound, exact, rule)
     return report.to_json()
-
-
-def _log_p(q: int, p: int) -> int:
-    b = 0
-    while q > 1:
-        q //= p
-        b += 1
-    return b
 
 
 def cmd_verify(doc, precision: int) -> dict:
@@ -163,7 +155,7 @@ def cmd_verify(doc, precision: int) -> dict:
 
 
 def _fiber_row(q_size: int, i1: int, a3_indices) -> list[dict]:
-    field = field_create(2, _log_p(q_size, 2))
+    field = field_create(2, p_power_exponent(q_size, 2))
     a1 = field.from_index(i1)
     rows = []
     for i2 in range(q_size):
@@ -178,10 +170,7 @@ def _fiber_row(q_size: int, i1: int, a3_indices) -> list[dict]:
 def cmd_quaternion_demo(field_size: int, sweep: bool, parallel: bool) -> dict:
     if field_size not in (2, 4, 16):
         raise SchemaError("field size must be one of 2, 4, 16")
-    a = _log_p(field_size, 2)
-    if 2 ** a != field_size:
-        raise SchemaError("field size must be a power of 2")
-    field = field_create(2, a)
+    field = field_create(2, p_power_exponent(field_size, 2))
     a3_indices = list(range(field_size)) if sweep else [0]
     rows: list[dict] = []
     worker_args = [(field_size, i1, a3_indices) for i1 in range(field_size)]

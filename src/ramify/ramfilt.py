@@ -90,10 +90,12 @@ class RamFiltration:
         try:
             breaks = tuple((Fraction(int(n), int(d)), int(o))
                            for n, d, o in obj["breaks"])
-            return cls(int(obj["total_order"]), int(obj["tame"]),
-                       str(obj["numbering"]), breaks)
-        except (KeyError, TypeError) as exc:
+            fields = (int(obj["total_order"]), int(obj["tame"]),
+                      str(obj["numbering"]), breaks)
+        except (KeyError, TypeError, ValueError, ZeroDivisionError,
+                IndexError) as exc:
             raise SchemaError(f"malformed filtration document: {exc}") from exc
+        return cls(*fields)
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,10 @@ iteration on the packed product, doubling the number of known coefficients
 per step; and powers are square-and-multiply on it at the one length that
 the precision rule gives.  Each ring memoizes, within a fixed size, how
 elements spread into slots and how slot blocks fold back into elements.
+
+Series never change once built, so each keeps its inverse and every power
+asked of it: a power, or a composition with the same tau, is computed once
+per series.
 """
 
 from __future__ import annotations
@@ -161,19 +165,23 @@ class _Ring:
 
     def power(self, x, e: int, n: int) -> list:
         """The first n coefficients of x^e for x[0] != 0, by square-and-multiply
-        at the fixed length n (x^-e is (1/x)^e)."""
+        at the fixed length n, started from the first factor (x^-e is
+        (1/x)^e)."""
         if n <= 0:
             return []
+        if e == 0:
+            return [1] + [0] * (n - 1)
         if e < 0:
             x, e = self.inverse(x, n), -e
-        result = [1]
-        while e:
+        x = x[:n]
+        result = None
+        while True:
             if e & 1:
-                result = self.mul(result, x, n)
+                result = x if result is None else self.mul(result, x, n)
             e >>= 1
-            if e:
-                x = self.mul(x, x, n)
-        return result + [0] * (n - len(result))
+            if not e:
+                return result + [0] * (n - len(result))
+            x = self.mul(x, x, n)
 
 
 @cache
@@ -184,7 +192,8 @@ def _ring(field: Field) -> _Ring:
 
 
 class TruncatedSeries:
-    __slots__ = ("field", "val", "coeffs", "prec", "_ring", "_terms")
+    __slots__ = ("field", "val", "coeffs", "prec", "_ring", "_terms", "_pows",
+                 "_inv")
 
     def __init__(self, field: Field, terms, prec: int):
         prec = int(prec)
@@ -217,6 +226,8 @@ class TruncatedSeries:
             self.val = val + lo
             self.coeffs = coeffs[lo:hi] if lo or hi < len(coeffs) else coeffs
         self._terms = None
+        self._pows = {}
+        self._inv = None
 
     @classmethod
     def _make(cls, ring: _Ring, val: int, coeffs: list, prec: int):
@@ -311,67 +322,91 @@ class TruncatedSeries:
                                      self.prec + k)
 
     def inverse(self) -> "TruncatedSeries":
-        """Series inverse; needs a determined valuation.
+        """Series inverse; needs a determined valuation.  Computed once per
+        series and kept on it.
 
         A unit known to relative precision R keeps R correct coefficients in
         its inverse, so the absolute precision drops from p to p - 2v.
         """
-        v = self.valuation()
-        if v is None:
-            raise PrecisionError("cannot invert an (apparent) zero series")
-        coeffs = self._ring.inverse(self.coeffs, self.prec - v)
-        return TruncatedSeries._make(self._ring, -v, coeffs, self.prec - 2 * v)
+        if self._inv is None:
+            v = self.valuation()
+            if v is None:
+                raise PrecisionError("cannot invert an (apparent) zero series")
+            coeffs = self._ring.inverse(self.coeffs, self.prec - v)
+            self._inv = TruncatedSeries._make(self._ring, -v, coeffs,
+                                              self.prec - 2 * v)
+        return self._inv
 
     def __pow__(self, n: int) -> "TruncatedSeries":
         """self^n with the precision of square-and-multiply from T^0 at
         self.prec.  A product keeps the smaller relative precision (prec -
         val) of its factors, so for n >= 1 the result has valuation n v and
-        relative precision self.prec - max(v, 0)."""
+        relative precision self.prec - max(v, 0).  Each power is computed
+        once per series and kept on it; self^-n is (1/self)^n."""
+        out = self._pows.get(n)
+        if out is not None:
+            return out
         if n < 0:
-            return self.inverse() ** (-n)
-        if n == 0:
-            return TruncatedSeries._make(self._ring, 0, [1], self.prec)
-        val = n * self.val
-        rel = self.prec - max(self.val, 0)
-        coeffs = self._ring.power(self.coeffs, n, rel)
-        return TruncatedSeries._make(self._ring, val, coeffs, val + rel)
+            out = self.inverse() ** (-n)
+        elif n == 0:
+            out = TruncatedSeries._make(self._ring, 0, [1], self.prec)
+        else:
+            val = n * self.val
+            rel = self.prec - max(self.val, 0)
+            coeffs = self._ring.power(self.coeffs, n, rel)
+            out = TruncatedSeries._make(self._ring, val, coeffs, val + rel)
+        self._pows[n] = out
+        return out
 
     def step_unit(self, alpha: int, beta: int, cap: int) -> "TruncatedSeries":
         """The unit s mod T^cap solving one tower step (see tower._solve_unit).
 
-        self has valuation -j and leading coefficient c; with g(t) = t^j
-        self(t) - c, a polynomial of positive valuation, s solves
+        self has valuation -j; u(t) = t^j self(t) is a polynomial with u(0) =
+        c != 0.  With tau = T^p s^beta, s is the root of
 
-            s = c^-1 (1 - T^(j(p-1)) s^(alpha(p-1)) - s g(T^p s^beta)),
+            F(s)  = s u(tau) + T^(j(p-1)) s^(alpha(p-1)) - 1,
+            F'(s) = h(tau) + alpha(p-1) T^(j(p-1)) s^(alpha(p-1)-1),
 
-        whose right side mod T^n depends on s only mod T^(n - gain), with
-        gain = min(j(p-1), p).  So s is lifted gain coefficients per pass,
-        each pass on coefficient lists at the length it can fill.
+        where h(t) = u(t) + beta t u'(t), since d tau/ds = beta tau/s.  F'(s)
+        is c plus terms of positive valuation, a unit, so a Newton step s -
+        F(s)/F'(s) takes s from n known coefficients to 2n: it needs F(s) mod
+        T^2n, whose first n coefficients are zero, and F'(s) mod T^n.  The
+        root mod T^cap is unique.
         """
-        ring = self._ring
+        ring, field = self._ring, self.field
         p, j = ring.p, -self.val
-        # coeffs[i] is the coefficient of t^i in g; terms with p*i >= cap
-        # cannot reach T^cap through tau = T^p s^beta.
-        g = self.coeffs[:-(-cap // p)]
-        cinv = ring.inverse(self.coeffs, 1)[0]
-        minus_cinv = ring.neg([cinv])[0]
-        shift = j * (p - 1)
-        gain = min(shift, p)
-        s, n = [cinv], 1
+        # coeffs[i] is the coefficient of t^i in u; terms with p*i >= cap
+        # cannot reach T^cap through tau.
+        u = self.coeffs[:-(-cap // p)]
+        h = [field.index_of(field.from_index(c) * field.element(1 + beta * i))
+             for i, c in enumerate(u)]
+        shift, e = j * (p - 1), alpha * (p - 1)
+        k = e % p  # the integer factor of the middle term of F'
+
+        def at_tau(poly, sigma, n):
+            """poly(T^p sigma) mod T^n by Horner: the partial sum that tau^i
+            multiplies is needed only mod T^(n - p*i)."""
+            top = min(len(poly), -(-n // p)) - 1
+            acc = [poly[top]]
+            for i in range(top - 1, -1, -1):
+                acc = [poly[i]] + [0] * (p - 1) + ring.mul(sigma, acc,
+                                                           n - p * (i + 1))
+            return acc
+
+        s, n = ring.inverse(u, 1), 1
         while n < cap:
-            n = min(cap, n + gain)
-            # Horner for g(tau) = sum_i g[i] tau^i: the partial sum that
-            # tau^i multiplies is needed only mod T^(n - p*i).
-            acc = []
-            sigma = ring.power(s, beta, n - p) if len(g) > 1 else []
-            for i in range(len(g) - 1, 0, -1):
-                acc = [g[i]] + [0] * (p - 1) + ring.mul(sigma, acc,
-                                                        n - p * (i + 1))
-            g_tau = [0] * p + ring.mul(sigma, acc, n - p)
-            mid = ring.power(s, alpha * (p - 1), n - shift)
-            rest = ring.add(mid, shift, ring.mul(s, g_tau, n), 0, n)
-            s = ring.scale(rest, minus_cinv)
-            s[0] = cinv
+            n2 = min(2 * n, cap)
+            m = n2 - n
+            sigma = ring.power(s, beta, n2 - p)
+            f_s = ring.mul(s, at_tau(u, sigma, n2), n2)
+            if n2 > shift:
+                f_s = ring.add(f_s, 0, ring.power(s, e, n2 - shift), shift, n2)
+            d_s = at_tau(h, sigma, m)
+            if k and m > shift:
+                mid = ring.scale(ring.power(s, e - 1, m - shift), k)
+                d_s = ring.add(d_s, 0, mid, shift, m)
+            s += ring.mul(ring.neg(f_s[n:]), ring.inverse(d_s, m), m)
+            n = n2
         return TruncatedSeries._make(ring, 0, s, cap)
 
     def __repr__(self):
@@ -385,8 +420,8 @@ def compose(f: TruncatedSeries, tau: TruncatedSeries) -> TruncatedSeries:
     """f(tau) for tau of positive valuation, by Horner over f's exponents.
 
     The tail of f beyond its precision contributes O(tau^f.prec), so the
-    result is capped at val(tau) * f.prec.  Each power tau^gap is computed
-    once per call.
+    result is capped at val(tau) * f.prec.  The powers tau^gap are kept on
+    tau, so every composition with the same tau shares them.
     """
     vt = tau.valuation()
     if vt is None or vt < 1:
@@ -394,22 +429,13 @@ def compose(f: TruncatedSeries, tau: TruncatedSeries) -> TruncatedSeries:
     cap = vt * f.prec
     if not f.coeffs:
         return TruncatedSeries.zero(f.field, cap)
-    powers = {}
-
-    def power(n):
-        pw = powers.get(n)
-        if pw is None:
-            pw = powers[n] = tau ** n
-        return pw
-
     ring = f._ring
     exps = [f.val + i for i, c in enumerate(f.coeffs) if c][::-1]
     acc = TruncatedSeries._make(ring, 0, [f.coeffs[exps[0] - f.val]], tau.prec)
     for e_prev, e in zip(exps, exps[1:]):
-        acc = acc * power(e_prev - e)
+        acc = acc * tau ** (e_prev - e)
         acc = acc + TruncatedSeries._make(ring, 0, [f.coeffs[e - f.val]],
                                           acc.prec)
-    acc = acc * power(exps[-1])
+    acc = acc * tau ** exps[-1]
     return TruncatedSeries._make(acc._ring, acc.val, acc.coeffs,
                                  min(acc.prec, cap))
-

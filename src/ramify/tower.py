@@ -15,8 +15,9 @@ fixed-point form
 
     s = lead(f)^-1 * (1 - T^(j(p-1)) s^(alpha(p-1)) - T^(jp) s^(alpha p) f_tail(tau))
 
-whose right side gains at least one order of T per iteration, so the unit is
-found by plain iteration with no root extractions.  Steps whose right-hand
+whose right side is a T-adic contraction in s, so the unit has a unique
+truncation at every precision; it is found by Newton iteration, doubling the
+known coefficients per pass, with no root extractions.  Steps whose right-hand
 side has a p-divisible pole are first reduced by subtracting d^p - d for
 monomial d (exact, since the coefficient field is perfect).
 
@@ -330,8 +331,9 @@ def _solve_unit(f: TruncatedSeries, j: int, alpha: int, beta: int,
 
         s = c^-1 (1 - T^(j(p-1)) s^(alpha(p-1)) - s g(T^p s^beta)),
 
-    which TruncatedSeries.step_unit lifts a few coefficients per pass.  The
-    iteration is a T-adic contraction, so the accuracy of its fixed point is
+    whose root TruncatedSeries.step_unit finds by Newton iteration, doubling
+    the known coefficients of s per pass.  The right side is a T-adic
+    contraction, so its fixed point mod T^cap is unique and its accuracy is
     limited only by the truncation of f, not by how precision rules compound
     across passes.
     """
@@ -431,7 +433,8 @@ def oracle_run(tower: TowerSpec, generators, precision: int = 200) -> OracleRun:
     """Lower jumps by direct valuation of g(T) - T for every group element.
 
     Starts with a small working precision and doubles on PrecisionError up to
-    the given cap.
+    the given cap.  The group closure does not depend on the precision, so
+    the first attempt that reaches it computes it for every retry.
     """
     gens = list(generators)
     if not tower.steps:
@@ -440,9 +443,10 @@ def oracle_run(tower: TowerSpec, generators, precision: int = 200) -> OracleRun:
     if not gens:
         raise DomainError("wild steps declared but no generators supplied")
     work = min(32, precision)
+    group = []
     while True:
         try:
-            return _oracle_attempt(tower, gens, work)
+            return _oracle_attempt(tower, gens, work, group)
         except PrecisionError as exc:
             if work >= precision:
                 raise DomainError(
@@ -450,13 +454,16 @@ def oracle_run(tower: TowerSpec, generators, precision: int = 200) -> OracleRun:
             work = min(2 * work, precision)
 
 
-def _oracle_attempt(tower, gens, work):
+def _oracle_attempt(tower, gens, work, group):
+    """One oracle pass at working precision work; group is the closed group,
+    or empty until an attempt first gets that far and fills it."""
     field = tower.field
     env, charts = _expand_tower(tower, work)
     pole_orders = tuple(c.pole_order for c in charts)
     _check_generators(tower, gens, env, work)
     work_prec = min(s.prec for s in env.values())
-    group = close_group(tower, gens)
+    if not group:
+        group.extend(close_group(tower, gens))
     ident = _identity(tower)
     t_series = _uniformizer_image(ident, env, charts, field, work_prec)
     check = t_series - TruncatedSeries.monomial(field, 1, t_series.prec)

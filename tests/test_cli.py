@@ -191,6 +191,43 @@ def test_exit_code_schema_error(tmp_path):
     assert code == 2
 
 
+FILTRATION = {"total_order": 8, "tame": 1, "numbering": "lower",
+              "breaks": [[1, 1, 8], [3, 1, 2]]}
+COVER = {"field": {"p": 2, "a": 1}, "q": 2, "m": 1, "z": None,
+         "r": {"terms": [[-1, [1]]]}}
+
+
+@pytest.mark.parametrize("args,doc", [
+    (["jumps", "--direction", "to-upper"],
+     dict(FILTRATION, breaks=[[1, 0, 8], [3, 1, 2]])),
+    (["jumps", "--direction", "to-upper"], dict(FILTRATION, total_order="x")),
+    (["jumps", "--direction", "to-upper"],
+     dict(FILTRATION, breaks=[[1, 8], [3, 1, 2]])),
+    (["standard-form"], dict(COVER, r={"terms": [[-1, ["a"]]]})),
+], ids=["zero-denominator", "total-order-string", "two-element-break",
+        "string-coefficient"])
+def test_malformed_field_is_a_schema_error(tmp_path, capsys, args, doc):
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps(doc))
+    code = main(args + ["--input", str(inp)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["code"] == 2 and error["type"] == "schema" and error["message"]
+    assert err == ""
+
+
+@pytest.mark.parametrize("args,doc", [
+    (["jumps", "--direction", "to-upper"],
+     dict(FILTRATION, breaks=[[3, 1, 2], [1, 1, 8]])),
+    (["standard-form"], dict(COVER, r={"terms": [[-1, [1, 1]]]})),
+], ids=["descending-jumps", "coefficient-vector-too-long"])
+def test_invalid_content_stays_a_domain_error(tmp_path, args, doc):
+    code, res = run(tmp_path, args, doc)
+    assert code == 1
+    assert res["error"]["type"] == "domain"
+
+
 def test_exit_code_domain_error(tmp_path):
     # conductor of a disconnected cover is a domain error at the dimension
     # level: ordinary structure that is not ordinary

@@ -8,6 +8,7 @@ from ramify import (DomainError, RamFiltration, TowerSpec, field_create,
                     evaluate_quaternion_fiber, genus_rh, jumps_with_multiplicity,
                     oracle_lower_jumps, oracle_run, p_rank_ds, quaternion_tower,
                     root_of_unity)
+from ramify import tower as tower_module
 from ramify.tower import (GeneratorAction, TowerStep, analytic_step_jumps,
                           close_group, vp_add, vp_const, vp_var)
 
@@ -266,6 +267,27 @@ def test_oracle_precision_retry():
     run = oracle_run(tower, gens, precision=200)
     assert jumps_with_multiplicity(run.filtration) == [31]
     assert run.precision > 32
+
+
+def test_group_closed_once_per_oracle_run(monkeypatch):
+    # (Z/2)^2 with upper jumps 3 and 11 (lower 3 and 3 + 2*8 = 19) retries
+    # twice, up to working precision 128
+    field = F2
+    tower = TowerSpec(field, 1, (TowerStep("v", vp_var(field, "x", -3)),
+                                 TowerStep("w", vp_var(field, "x", -11))))
+    gens = [GeneratorAction(tower, {"v": vp_const(field, field.one())}, "a"),
+            GeneratorAction(tower, {"w": vp_const(field, field.one())}, "b")]
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return close_group(*args)
+
+    monkeypatch.setattr(tower_module, "close_group", counting)
+    run = oracle_run(tower, gens, precision=200)
+    assert run.precision >= 128
+    assert len(calls) == 1
+    assert run.element_jumps == (3, 3, 19)
 
 
 def test_oracle_precision_cap_exhausted():
