@@ -20,8 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import DomainError
-from .gf import FieldElement, degree_over_prime, p_power_exponent
+from .errors import DomainError, SchemaError, json_int
+from .gf import (FieldElement, degree_over_prime, field_create, json_element,
+                 p_power_exponent)
 from .laurent import LaurentPoly, prime_to_p_degree
 
 
@@ -208,15 +209,14 @@ def modify_cover(q: int, r_phi: LaurentPoly, r_alpha: LaurentPoly, m: int,
 
 
 def cover_from_json(obj) -> ASCover:
-    from .errors import SchemaError
-    from .gf import field_create
-
     try:
-        field = field_create(int(obj["field"]["p"]), int(obj["field"]["a"]))
+        field = field_create(json_int(obj["field"]["p"]),
+                             json_int(obj["field"]["a"]))
         r = LaurentPoly.from_json(field, obj["r"])
         z = obj.get("z")
-        zel = field.element(z) if z is not None else None
-        return ASCover(q=int(obj["q"]), r=r, m=int(obj.get("m", 1)), z=zel)
+        zel = json_element(field, z) if z is not None else None
+        return ASCover(q=json_int(obj["q"]), r=r, m=json_int(obj.get("m", 1)),
+                       z=zel)
     except DomainError:
         raise  # a well-formed document with invalid content
     except (KeyError, TypeError, ValueError, ZeroDivisionError,

@@ -15,8 +15,9 @@ import sys
 from fractions import Fraction
 
 from . import ascover, moduli, ramfilt, tower
-from .errors import DomainError, SchemaError
+from .errors import DomainError, SchemaError, json_int
 from .gf import field_create, p_power_exponent
+from .laurent import LaurentPoly
 from .ramfilt import RamFiltration, ReducedFiltration
 
 PROG = "ramify"
@@ -83,7 +84,11 @@ def cmd_jumps(doc, direction: str) -> dict:
 
 
 def cmd_dimension(doc) -> dict:
+    if not isinstance(doc, dict):
+        raise SchemaError("a dimension document is a JSON object")
     structure = doc.get("structure") or {}
+    if not isinstance(structure, dict):
+        raise SchemaError("structure must be a JSON object")
     kind = structure.get("kind", "general")
     if kind not in ("general", "abelian", "reducible", "ordinary"):
         raise SchemaError(f"unknown structure kind {kind!r}")
@@ -94,8 +99,8 @@ def cmd_dimension(doc) -> dict:
     rule = None
     if kind == "abelian":
         try:
-            p = int(structure["p"])
-            factors = [[int(j) for j in f] for f in structure["factors"]]
+            p = json_int(structure["p"])
+            factors = [[json_int(j) for j in f] for f in structure["factors"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"abelian structure needs p and factors: {exc}")
         exact = moduli.dim_abelian(p, factors)
@@ -154,37 +159,14 @@ def cmd_verify(doc, precision: int) -> dict:
     return out
 
 
-def _fiber_row(q_size: int, i1: int, a3_indices) -> list[dict]:
-    field = field_create(2, p_power_exponent(q_size, 2))
-    a1 = field.from_index(i1)
-    rows = []
-    for i2 in range(q_size):
-        a2 = field.from_index(i2)
-        for i3 in a3_indices:
-            a3 = field.from_index(i3)
-            rep = tower.evaluate_quaternion_fiber(a1, a2, a3)
-            rows.append(rep.to_json())
-    return rows
-
-
-def cmd_quaternion_demo(field_size: int, sweep: bool, parallel: bool) -> dict:
+def cmd_quaternion_demo(field_size: int, sweep: bool) -> dict:
     if field_size not in (2, 4, 16):
         raise SchemaError("field size must be one of 2, 4, 16")
     field = field_create(2, p_power_exponent(field_size, 2))
-    a3_indices = list(range(field_size)) if sweep else [0]
-    rows: list[dict] = []
-    worker_args = [(field_size, i1, a3_indices) for i1 in range(field_size)]
-    if parallel:
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor() as pool:
-                for chunk in pool.map(_fiber_row_star, worker_args):
-                    rows.extend(chunk)
-        except OSError:
-            rows = []
-    if not rows:
-        for args in worker_args:
-            rows.extend(_fiber_row(*args))
+    elements = [field.from_index(i) for i in range(field_size)]
+    a3s = elements if sweep else elements[:1]
+    rows = [tower.evaluate_quaternion_fiber(a1, a2, a3).to_json()
+            for a1 in elements for a2 in elements for a3 in a3s]
     strata = {
         "disconnected": sum(1 for r in rows if not r["connected"]),
         "genus1": sum(1 for r in rows if r["genus"] == 1),
@@ -195,41 +177,30 @@ def cmd_quaternion_demo(field_size: int, sweep: bool, parallel: bool) -> dict:
             "strata": strata, "family": family}
 
 
-def _fiber_row_star(args):
-    return _fiber_row(*args)
-
-
 def _equiramified_family_check(field) -> dict:
     """The a2 = 0 two-parameter family: all fibers have jumps (1,1,3), and
     the varying steps (the first step cover and the top-step modifier, both
     covers of the base germ) distinguish every pair of fibers."""
-    from .ascover import ASCover, is_isomorphic
-    from .laurent import LaurentPoly
-
     one = field.one()
     zero = field.zero()
-    fibers = []
+    reps = []
+    keys = set()
     for i1 in range(field.q):
         a1 = field.from_index(i1)
         if a1 == one:
             continue  # disconnected column, not a deformation of the base fiber
         for i3 in range(field.q):
             a3 = field.from_index(i3)
-            rep = tower.evaluate_quaternion_fiber(a1, zero, a3)
-            v_cover = ASCover(2, LaurentPoly(field, {-1: one + a1}))
-            top_modifier = ASCover(2, LaurentPoly(field, {-1: a3}))
-            fibers.append(((i1, i3), rep, v_cover, top_modifier))
-    all_jumps = all(rep.connected and rep.jumps == (1, 1, 3)
-                    for _, rep, _, _ in fibers)
-    distinct = True
-    for i in range(len(fibers)):
-        for k in range(i + 1, len(fibers)):
-            same_v, _ = is_isomorphic(fibers[i][2], fibers[k][2])
-            same_t, _ = is_isomorphic(fibers[i][3], fibers[k][3])
-            if same_v and same_t:
-                distinct = False
-    return {"size": len(fibers), "all_jumps_1_1_3": all_jumps,
-            "pairwise_distinct": distinct}
+            reps.append(tower.evaluate_quaternion_fiber(a1, zero, a3))
+            v_cover = ascover.ASCover(2, LaurentPoly(field, {-1: one + a1}))
+            top_modifier = ascover.ASCover(2, LaurentPoly(field, {-1: a3}))
+            # q = 2 and F_2^* = {1}: two such covers are isomorphic exactly
+            # when their standard forms are equal
+            keys.add((ascover.standard_form(v_cover),
+                      ascover.standard_form(top_modifier)))
+    all_jumps = all(rep.connected and rep.jumps == (1, 1, 3) for rep in reps)
+    return {"size": len(reps), "all_jumps_1_1_3": all_jumps,
+            "pairwise_distinct": len(keys) == len(reps)}
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--field-size", type=int, default=16)
     sp.add_argument("--sweep", action="store_true",
                     help="sweep all parameter triples (else a3 = 0 plane)")
-    sp.add_argument("--parallel", action="store_true")
     io_args(sp, needs_input=False)
 
     return p
@@ -289,7 +259,7 @@ def main(argv=None) -> int:
         elif ns.cmd == "verify":
             result = cmd_verify(_read_document(ns.input), ns.precision)
         elif ns.cmd == "quaternion-demo":
-            result = cmd_quaternion_demo(ns.field_size, ns.sweep, ns.parallel)
+            result = cmd_quaternion_demo(ns.field_size, ns.sweep)
         else:  # pragma: no cover
             raise SchemaError(f"unknown command {ns.cmd}")
     except SchemaError as exc:

@@ -17,6 +17,17 @@ class SchemaError(ValueError):
     """
 
 
+def json_int(x) -> int:
+    """x itself if it is a JSON integer; SchemaError for anything else.
+
+    int() would truncate 1.5 to 1 and read true as 1, so a malformed document
+    would get an answer instead of a refusal.
+    """
+    if type(x) is int:  # bool is a subclass of int and is refused too
+        return x
+    raise SchemaError(f"expected an integer, got {x!r}")
+
+
 class PrecisionError(DomainError):
     """A series computation ran out of precision before a valuation was
     determined.  The tower oracle retries with doubled precision and only

@@ -15,7 +15,7 @@ factoring is ever required.
 
 from __future__ import annotations
 
-from .errors import DomainError
+from .errors import DomainError, json_int
 
 ORDER_CAP = 1 << 20
 _TABLE_CAP = 1 << 12
@@ -454,6 +454,14 @@ def degree_over_prime(x: FieldElement) -> int:
     return d
 
 
+def json_element(field: Field, c) -> FieldElement:
+    """Element from a JSON coefficient: an integer (prime-field shorthand) or
+    a list of integers; SchemaError for anything else."""
+    if isinstance(c, list):
+        return field.element([json_int(x) for x in c])
+    return field.element(json_int(c))
+
+
 def element_from_json(obj) -> FieldElement:
-    field = field_create(int(obj["p"]), int(obj["a"]))
-    return field.element(obj["coeffs"])
+    field = field_create(json_int(obj["p"]), json_int(obj["a"]))
+    return json_element(field, obj["coeffs"])

@@ -14,8 +14,8 @@ the associated degree-q cover once the equation is in standard form.
 
 from __future__ import annotations
 
-from .errors import DomainError
-from .gf import Field, FieldElement
+from .errors import DomainError, json_int
+from .gf import Field, FieldElement, json_element
 
 
 class LaurentPoly:
@@ -158,7 +158,8 @@ class LaurentPoly:
 
     @classmethod
     def from_json(cls, field: Field, obj) -> "LaurentPoly":
-        return cls(field, [(int(e), field.element(c)) for e, c in obj["terms"]])
+        return cls(field, [(json_int(e), json_element(field, c))
+                           for e, c in obj["terms"]])
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, SchemaError, json_int
 from .gf import prime_factors
 
 LOWER = "lower"
@@ -86,11 +86,10 @@ class RamFiltration:
 
     @classmethod
     def from_json(cls, obj) -> "RamFiltration":
-        from .errors import SchemaError
         try:
-            breaks = tuple((Fraction(int(n), int(d)), int(o))
+            breaks = tuple((Fraction(json_int(n), json_int(d)), json_int(o))
                            for n, d, o in obj["breaks"])
-            fields = (int(obj["total_order"]), int(obj["tame"]),
+            fields = (json_int(obj["total_order"]), json_int(obj["tame"]),
                       str(obj["numbering"]), breaks)
         except (KeyError, TypeError, ValueError, ZeroDivisionError,
                 IndexError) as exc:
@@ -143,16 +142,18 @@ class ReducedFiltration:
 
     @classmethod
     def from_json(cls, obj) -> "ReducedFiltration":
-        from .errors import SchemaError
         try:
-            pieces = tuple(
-                (int(pc["q"]),
-                 Fraction(int(pc["sigma"][0]), int(pc["sigma"][1])),
-                 int(pc["s_iota"]))
-                for pc in obj["pieces"])
-            return cls(int(obj["tame"]), pieces)
-        except (KeyError, TypeError, IndexError) as exc:
+            pieces = []
+            for pc in obj["pieces"]:
+                num, den = pc["sigma"]
+                pieces.append((json_int(pc["q"]),
+                               Fraction(json_int(num), json_int(den)),
+                               json_int(pc["s_iota"])))
+            tame = json_int(obj["tame"])
+        except (KeyError, TypeError, ValueError, ZeroDivisionError,
+                IndexError) as exc:
             raise SchemaError(f"malformed reduced filtration: {exc}") from exc
+        return cls(tame, tuple(pieces))
 
 
 # ---------------------------------------------------------------------------

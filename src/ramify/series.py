@@ -316,11 +316,6 @@ class TruncatedSeries:
         coeffs = self._ring.scale(self.coeffs, self.field.index_of(c))
         return TruncatedSeries._make(self._ring, self.val, coeffs, self.prec)
 
-    def shift(self, k: int) -> "TruncatedSeries":
-        """Multiply by T^k (exact)."""
-        return TruncatedSeries._make(self._ring, self.val + k, self.coeffs,
-                                     self.prec + k)
-
     def inverse(self) -> "TruncatedSeries":
         """Series inverse; needs a determined valuation.  Computed once per
         series and kept on it.

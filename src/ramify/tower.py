@@ -32,8 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, PrecisionError
-from .gf import Field, FieldElement, root_of_unity
+from .errors import DomainError, PrecisionError, SchemaError, json_int
+from .gf import Field, FieldElement, field_create, json_element, root_of_unity
 from .laurent import LaurentPoly, prime_to_p_degree
 from .ramfilt import LOWER, RamFiltration, jumps_with_multiplicity
 from .ascover import standard_form_poly
@@ -148,14 +148,16 @@ def vp_variables(a: VarPoly) -> set[str]:
 
 
 def vp_from_json(field: Field, expr) -> VarPoly:
-    from .errors import SchemaError
     out: VarPoly = {}
     try:
         for coeffs, exps in expr:
-            c = field.element(coeffs)
-            k = tuple(sorted((str(v), int(e)) for v, e in exps.items() if int(e)))
+            c = json_element(field, coeffs)
+            exps = {str(v): json_int(e) for v, e in exps.items()}
+            k = tuple(sorted((v, e) for v, e in exps.items() if e))
             out = vp_add(out, {k: c} if c else {})
-    except (TypeError, ValueError, KeyError) as exc:
+    except DomainError:
+        raise  # a well-formed expression with invalid content
+    except (TypeError, ValueError, KeyError, AttributeError) as exc:
         raise SchemaError(f"malformed expression: {exc}") from exc
     return out
 
@@ -689,13 +691,12 @@ def quaternion_oracle_jumps(field: Field, a1=None, a2=None, a3=None,
 # JSON ingestion.
 
 def tower_from_json(obj) -> tuple[TowerSpec, list[GeneratorAction]]:
-    from .errors import SchemaError
-    from .gf import field_create
     try:
-        field = field_create(int(obj["field"]["p"]), int(obj["field"]["a"]))
+        field = field_create(json_int(obj["field"]["p"]),
+                             json_int(obj["field"]["a"]))
         steps = tuple(TowerStep(str(s["var"]), vp_from_json(field, s["rhs"]))
                       for s in obj["steps"])
-        tower = TowerSpec(field, int(obj.get("m", 1)), steps)
+        tower = TowerSpec(field, json_int(obj.get("m", 1)), steps)
         gens = []
         for i, g in enumerate(obj.get("generators", [])):
             shifts = {str(v): vp_from_json(field, ex)
@@ -703,5 +704,7 @@ def tower_from_json(obj) -> tuple[TowerSpec, list[GeneratorAction]]:
             gens.append(GeneratorAction(tower, shifts,
                                         name=str(g.get("name", f"g{i}"))))
         return tower, gens
-    except (KeyError, TypeError) as exc:
+    except DomainError:
+        raise  # a well-formed document with invalid content
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise SchemaError(f"malformed tower document: {exc}") from exc

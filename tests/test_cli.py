@@ -1,10 +1,15 @@
 """End-to-end CLI behaviour: documents in, reports out, exit codes."""
 
+import hashlib
 import json
 
 import pytest
 
+from ramify import ascover, cli
 from ramify.cli import main
+from ramify.errors import SchemaError, json_int
+from ramify.gf import field_create
+from ramify.laurent import LaurentPoly
 
 QUATERNION_TOWER = {
     "field": {"p": 2, "a": 2},
@@ -195,6 +200,10 @@ FILTRATION = {"total_order": 8, "tame": 1, "numbering": "lower",
               "breaks": [[1, 1, 8], [3, 1, 2]]}
 COVER = {"field": {"p": 2, "a": 1}, "q": 2, "m": 1, "z": None,
          "r": {"terms": [[-1, [1]]]}}
+PIECES = {"tame": 1, "pieces": [{"q": 2, "sigma": [1, 1], "s_iota": 1}]}
+TOWER = {"field": {"p": 2, "a": 1}, "m": 1,
+         "steps": [{"var": "v", "rhs": [[[1], {"x": -3}]]}],
+         "generators": [{"name": "t", "shifts": {"v": [[[1], {}]]}}]}
 
 
 @pytest.mark.parametrize("args,doc", [
@@ -204,8 +213,33 @@ COVER = {"field": {"p": 2, "a": 1}, "q": 2, "m": 1, "z": None,
     (["jumps", "--direction", "to-upper"],
      dict(FILTRATION, breaks=[[1, 8], [3, 1, 2]])),
     (["standard-form"], dict(COVER, r={"terms": [[-1, ["a"]]]})),
+    (["dimension"],
+     dict(PIECES, pieces=[{"q": 2, "sigma": [1, 0], "s_iota": 1}])),
+    (["dimension"],
+     dict(PIECES, pieces=[{"q": 2, "sigma": ["a", 1], "s_iota": 1}])),
+    (["dimension"],
+     dict(PIECES, pieces=[{"q": 2, "sigma": [1, 2, 3], "s_iota": 1}])),
+    (["dimension"], dict(PIECES, tame="x")),
+    (["dimension"], [PIECES]),
+    (["dimension"], dict(PIECES, structure="abelian")),
+    (["verify"], dict(TOWER, m="x")),
+    (["verify"], dict(TOWER, generators=[{"name": "t", "shifts": [1]}])),
+    # a float or a bool where an integer belongs is refused, not truncated:
+    # int() would read -2.9 as -2, 1.5 as 1 and true as 1 and answer
+    (["standard-form"], dict(COVER, r={"terms": [[-2.9, [1.7]]]})),
+    (["standard-form"], dict(COVER, r={"terms": [[-1, [True]]]})),
+    (["jumps", "--direction", "to-upper"],
+     dict(FILTRATION, breaks=[[1.5, 1, 8], [3, 1, 2]])),
+    (["verify"], dict(TOWER, steps=[{"var": "v", "rhs": [[[1], {"x": -1.5}]]}])),
+    (["jumps", "--direction", "to-upper"], dict(FILTRATION, tame=True)),
+    (["dimension"], dict(PIECES, tame=True)),
 ], ids=["zero-denominator", "total-order-string", "two-element-break",
-        "string-coefficient"])
+        "string-coefficient", "dimension-zero-denominator",
+        "dimension-string-sigma", "dimension-three-element-sigma",
+        "dimension-string-tame", "dimension-top-level-list",
+        "dimension-string-structure", "verify-string-m", "verify-list-shifts",
+        "float-term", "bool-coefficient", "float-jump", "float-exponent",
+        "bool-tame", "dimension-bool-tame"])
 def test_malformed_field_is_a_schema_error(tmp_path, capsys, args, doc):
     inp = tmp_path / "in.json"
     inp.write_text(json.dumps(doc))
@@ -217,11 +251,20 @@ def test_malformed_field_is_a_schema_error(tmp_path, capsys, args, doc):
     assert err == ""
 
 
+def test_json_int_accepts_only_integers():
+    assert json_int(-3) == -3
+    for x in (1.0, 1.5, True, False, "1", None, [1]):
+        with pytest.raises(SchemaError):
+            json_int(x)
+
+
 @pytest.mark.parametrize("args,doc", [
     (["jumps", "--direction", "to-upper"],
      dict(FILTRATION, breaks=[[3, 1, 2], [1, 1, 8]])),
     (["standard-form"], dict(COVER, r={"terms": [[-1, [1, 1]]]})),
-], ids=["descending-jumps", "coefficient-vector-too-long"])
+    (["verify"], dict(TOWER, steps=[{"var": "v", "rhs": [[[1, 1], {"x": -3}]]}])),
+], ids=["descending-jumps", "coefficient-vector-too-long",
+        "tower-coefficient-vector-too-long"])
 def test_invalid_content_stays_a_domain_error(tmp_path, args, doc):
     code, res = run(tmp_path, args, doc)
     assert code == 1
@@ -244,15 +287,6 @@ def test_cli_idempotent(tmp_path):
     _, first = run(tmp_path, ["jumps", "--direction", "to-upper"], doc)
     _, second = run(tmp_path, ["jumps", "--direction", "to-upper"], doc)
     assert first == second
-
-
-def test_quaternion_demo_parallel_matches_sequential(tmp_path):
-    code1, seq = run(tmp_path, ["quaternion-demo", "--field-size", "4",
-                                "--sweep"])
-    code2, par = run(tmp_path, ["quaternion-demo", "--field-size", "4",
-                                "--sweep", "--parallel"])
-    assert code1 == code2 == 0
-    assert seq == par
 
 
 def test_standard_form_with_tame_scalar(tmp_path):
@@ -409,3 +443,54 @@ def test_verify_golden_stdout(tmp_path, capsys, golden):
     inp.write_text(json.dumps(doc))
     assert main(["verify", "--precision", "256", "--input", str(inp)]) == 0
     assert capsys.readouterr().out == expected
+
+
+# sha256 of `quaternion-demo --field-size N [--sweep]` standard output.  The
+# digests were taken from the program that built the rows on a process pool
+# and checked distinctness with pairwise is_isomorphic calls.
+QUATERNION_DEMO_SHA256 = {
+    (2, False): "eb25b12554f4f8db16db70c140302f6d7b1c71615f67f7fd08f6160df9523e5a",
+    (2, True): "61bc94c92560121c0aae0fc09f550cf47065b83332b465dcaef26e6e719a58f4",
+    (4, False): "372b587489a5b5493713ef16876067171458a9a751ff84194ad169a7b70540a8",
+    (4, True): "8f6db0f189b04f3694eb3335e818ee535ddf7d0a5b71fb0dae624ee1eb42b745",
+    (16, False): "8ece81ede171e34675384f56a7ff8dc36535c3bbaa0b6896aae12c3a77ef4de1",
+    (16, True): "61399fc120f361b705a2f42c58970f17c0c888cafc74e72133cf034e04a0f6ff",
+}
+
+
+@pytest.mark.parametrize("size,sweep", sorted(QUATERNION_DEMO_SHA256),
+                         ids=[f"f{n}{'-sweep' if s else ''}"
+                              for n, s in sorted(QUATERNION_DEMO_SHA256)])
+def test_quaternion_demo_golden_stdout(capsys, size, sweep):
+    argv = ["quaternion-demo", "--field-size", str(size)]
+    assert main(argv + ["--sweep"] * sweep) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == QUATERNION_DEMO_SHA256[size, sweep]
+
+
+def test_family_check_takes_two_standard_forms_per_fiber(monkeypatch):
+    calls = {"standard_form": 0, "is_isomorphic": 0}
+
+    def counted(name):
+        original = getattr(ascover, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(ascover, name, wrapper)
+
+    counted("standard_form")
+    counted("is_isomorphic")
+    family = cli._equiramified_family_check(field_create(2, 4))
+    assert family == {"size": 240, "all_jumps_1_1_3": True,
+                      "pairwise_distinct": True}
+    assert calls["standard_form"] <= 2 * 240
+    assert calls["is_isomorphic"] == 0
+
+
+def test_family_check_reports_isomorphic_fibers(monkeypatch):
+    # with every standard form equal, all fibers share one key
+    field = field_create(2, 2)
+    monkeypatch.setattr(ascover, "standard_form",
+                        lambda cover: LaurentPoly.zero(field))
+    assert cli._equiramified_family_check(field)["pairwise_distinct"] is False

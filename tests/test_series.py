@@ -81,8 +81,7 @@ def test_compose_precision_cap():
     assert out.prec <= 6
 
 
-def test_scale_and_shift():
+def test_scale():
     z = F4.gen()
     a = ts(F4, {0: 1}, 4).scale(z)
     assert a.terms == {0: z}
-    assert a.shift(3).terms == {3: z}
