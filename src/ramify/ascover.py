@@ -23,7 +23,7 @@ from math import gcd
 from .errors import DomainError, SchemaError, json_int
 from .gf import (FieldElement, degree_over_prime, field_create, json_element,
                  p_power_exponent)
-from .laurent import LaurentPoly, prime_to_p_degree
+from .laurent import LaurentPoly, accumulate, prime_to_p_degree
 
 
 @dataclass(frozen=True)
@@ -82,16 +82,8 @@ def standard_form_poly(r: LaurentPoly, q: int) -> LaurentPoly:
         if not bad:
             break
         e = bad[0]
-        c = terms.pop(e)
-        e2 = e // q
-        root = c.qth_root(q)
-        s = terms.get(e2)
-        s = root if s is None else s + root
-        if s:
-            terms[e2] = s
-        else:
-            terms.pop(e2, None)
-    return LaurentPoly(F, terms)
+        accumulate(terms, [(e // q, terms.pop(e).qth_root(q))])
+    return LaurentPoly._make(F, terms)
 
 
 def standard_form(cover: ASCover) -> LaurentPoly:

@@ -114,16 +114,15 @@ def cmd_dimension(doc) -> dict:
         raise SchemaError("dimension document needs pieces (or an abelian structure)")
     report = moduli.dim_bounds(reduced)
     if kind == "reducible":
-        exact = moduli.dim_reducible(
-            [(q, si, s) for q, s, si in reduced.pieces], reduced.tame)
+        # dim_reducible's sum of per-piece counts is the upper bound
+        exact = report.upper_bound
         rule = "reducible"
     elif kind == "ordinary":
         p = reduced.p
         e = sum(p_power_exponent(q, p) for q, _, _ in reduced.pieces)
         exact = moduli.dim_ordinary(p, e, reduced.tame)
         rule = "ordinary"
-        if exact != moduli.dim_reducible(
-                [(q, si, s) for q, s, si in reduced.pieces], reduced.tame):
+        if exact != report.upper_bound:
             raise DomainError("ordinary formula disagrees with the piece sum; "
                               "the datum is not ordinary")
     if exact is not None:

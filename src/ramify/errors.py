@@ -28,6 +28,17 @@ def json_int(x) -> int:
     raise SchemaError(f"expected an integer, got {x!r}")
 
 
+def json_str(x) -> str:
+    """x itself if it is a JSON string; SchemaError for anything else.
+
+    str() would read 5 as "5", so a number where a name belongs would be
+    accepted, or reported as invalid content instead of a malformed document.
+    """
+    if type(x) is str:
+        return x
+    raise SchemaError(f"expected a string, got {x!r}")
+
+
 class PrecisionError(DomainError):
     """A series computation ran out of precision before a valuation was
     determined.  The tower oracle retries with doubled precision and only

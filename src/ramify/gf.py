@@ -130,6 +130,19 @@ def _smallest_irreducible(p, a):
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
+def power(x, n: int, mul):
+    """x^n for n >= 1 by square-and-multiply under the product mul, started
+    from the first factor (so no identity is needed); callers handle n < 1."""
+    result = None
+    while True:
+        if n & 1:
+            result = x if result is None else mul(result, x)
+        n >>= 1
+        if not n:
+            return result
+        x = mul(x, x)
+
+
 # ---------------------------------------------------------------------------
 
 class Field:
@@ -212,22 +225,23 @@ class Field:
     # -- core arithmetic on coefficient tuples --------------------------------
 
     def _mul_coeffs(self, ca, cb):
-        p, a = self.p, self.a
-        if a == 1:
-            return ((ca[0] * cb[0]) % p,)
-        out = [0] * (2 * a - 1)
+        out = [0] * (2 * self.a - 1)
         for i, ai in enumerate(ca):
             if ai:
                 for j, bj in enumerate(cb):
-                    out[i + j] = (out[i + j] + ai * bj) % p
-        res = list(out[:a])
-        for k in range(a, 2 * a - 1):
-            c = out[k]
-            if c:
-                rd = self._redux[k - a]
+                    out[i + j] += ai * bj
+        return self.reduce(out)
+
+    def reduce(self, slots) -> tuple:
+        """Coefficient tuple of sum slots[k] z^k (k < 2a - 1, integer slots)
+        reduced mod the modulus and mod p."""
+        a = self.a
+        res = list(slots[:a])
+        for s, row in zip(slots[a:], self._redux):
+            if s:
                 for j in range(a):
-                    res[j] = (res[j] + c * rd[j]) % p
-        return tuple(res)
+                    res[j] += s * row[j]
+        return tuple(x % self.p for x in res)
 
     def _build_tables(self):
         g = self._find_generator()
@@ -251,14 +265,9 @@ class Field:
         raise AssertionError("cyclic group without generator")  # unreachable
 
     def _pow_coeffs(self, c, k):
-        result = self.one().coeffs
-        base = c
-        while k:
-            if k & 1:
-                result = self._mul_coeffs(result, base)
-            base = self._mul_coeffs(base, base)
-            k >>= 1
-        return result
+        if k == 0:
+            return self.one().coeffs
+        return power(c, k, self._mul_coeffs)
 
     def multiplicative_generator(self) -> "FieldElement":
         if self._gen is None:

@@ -10,12 +10,38 @@ The two operations beyond ring arithmetic are the p-power decomposition
 r = sum_t (r_t)^(p^t) with p-free exponents in each r_t, and the prime-to-p
 degree (the largest pole order among the r_t), which equals the conductor of
 the associated degree-q cover once the equation is in standard form.
+
+The sparse sum and product here (accumulate, sparse_mul) are the one kernel
+for every dict polynomial in the library; tower's multivariate VarPoly uses
+them with its own monomial product.
 """
 
 from __future__ import annotations
 
+import operator
+
 from .errors import DomainError, json_int
-from .gf import Field, FieldElement, json_element
+from .gf import Field, FieldElement, json_element, power
+
+
+def accumulate(out: dict, items) -> dict:
+    """Add each (key, coefficient) of items into the sparse map out, dropping
+    every key whose coefficient sums to zero; returns out."""
+    for k, c in items:
+        s = out.get(k)
+        s = c if s is None else s + c
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+    return out
+
+
+def sparse_mul(a: dict, b: dict, mono_mul) -> dict:
+    """Product of two sparse maps {monomial: coefficient}, with mono_mul the
+    product of two monomials."""
+    return accumulate({}, ((mono_mul(k1, k2), c1 * c2)
+                           for k1, c1 in a.items() for k2, c2 in b.items()))
 
 
 class LaurentPoly:
@@ -25,27 +51,24 @@ class LaurentPoly:
 
     def __init__(self, field: Field, terms=None):
         self.field = field
-        clean = {}
-        if terms:
-            for e, c in (terms.items() if isinstance(terms, dict) else terms):
-                if not isinstance(c, FieldElement):
-                    c = field.element(c)
-                if c.field != field:
-                    raise DomainError("coefficient from a different field")
-                if c:
-                    s = clean.get(e)
-                    s = c if s is None else s + c
-                    if s:
-                        clean[int(e)] = s
-                    else:
-                        clean.pop(e, None)
-        self.terms = clean
+        items = terms.items() if isinstance(terms, dict) else terms or ()
+        self.terms = accumulate({}, ((int(e), field.element(c))
+                                     for e, c in items))
+
+    @classmethod
+    def _make(cls, field: Field, terms: dict) -> "LaurentPoly":
+        """Trusted constructor: terms is a fresh {int: nonzero element of
+        field} map that the result takes over."""
+        obj = cls.__new__(cls)
+        obj.field = field
+        obj.terms = terms
+        return obj
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
     def zero(cls, field: Field) -> "LaurentPoly":
-        return cls(field)
+        return cls._make(field, {})
 
     @classmethod
     def monomial(cls, field: Field, exp: int, coeff=1) -> "LaurentPoly":
@@ -58,21 +81,15 @@ class LaurentPoly:
             return NotImplemented
         if other.field != self.field:
             raise DomainError("Laurent polynomials over different fields")
-        t = dict(self.terms)
-        for e, c in other.terms.items():
-            s = t.get(e)
-            s = c if s is None else s + c
-            if s:
-                t[e] = s
-            else:
-                t.pop(e, None)
-        return LaurentPoly(self.field, t)
+        return LaurentPoly._make(
+            self.field, accumulate(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return LaurentPoly(self.field, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._make(self.field,
+                                 {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, FieldElement):
@@ -81,18 +98,8 @@ class LaurentPoly:
             return NotImplemented
         if other.field != self.field:
             raise DomainError("Laurent polynomials over different fields")
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                c = c1 * c2
-                s = out.get(e)
-                s = c if s is None else s + c
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return LaurentPoly(self.field, out)
+        return LaurentPoly._make(
+            self.field, sparse_mul(self.terms, other.terms, operator.add))
 
     def __rmul__(self, other):
         if isinstance(other, FieldElement):
@@ -102,25 +109,21 @@ class LaurentPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise DomainError("negative powers of Laurent polynomials")
-        result = LaurentPoly.monomial(self.field, 0)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        if n == 0:
+            return LaurentPoly.monomial(self.field, 0)
+        return power(self, n, operator.mul)
 
     def scale(self, c: FieldElement) -> "LaurentPoly":
         if not c:
             return LaurentPoly.zero(self.field)
-        return LaurentPoly(self.field, {e: co * c for e, co in self.terms.items()})
+        return LaurentPoly._make(self.field,
+                                 {e: co * c for e, co in self.terms.items()})
 
     def frobenius_power(self, t: int) -> "LaurentPoly":
         """self^(p^t), computed termwise (exact in characteristic p)."""
         pt = self.field.p ** t
-        return LaurentPoly(self.field,
-                           {e * pt: c ** pt for e, c in self.terms.items()})
+        return LaurentPoly._make(self.field,
+                                 {e * pt: c ** pt for e, c in self.terms.items()})
 
     # -- access ----------------------------------------------------------------
 
@@ -193,7 +196,7 @@ def p_power_decompose(r: LaurentPoly) -> list[tuple[int, LaurentPoly]]:
         for _ in range(t):
             root = root.pth_root()
         slots.setdefault(t, {})[e0] = root
-    return [(t, LaurentPoly(r.field, slots[t])) for t in sorted(slots)]
+    return [(t, LaurentPoly._make(r.field, slots[t])) for t in sorted(slots)]
 
 
 def recompose(parts: list[tuple[int, LaurentPoly]], field: Field) -> LaurentPoly:

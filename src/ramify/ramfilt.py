@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, SchemaError, json_int
+from .errors import DomainError, SchemaError, json_int, json_str
 from .gf import prime_factors
 
 LOWER = "lower"
@@ -90,7 +90,7 @@ class RamFiltration:
             breaks = tuple((Fraction(json_int(n), json_int(d)), json_int(o))
                            for n, d, o in obj["breaks"])
             fields = (json_int(obj["total_order"]), json_int(obj["tame"]),
-                      str(obj["numbering"]), breaks)
+                      json_str(obj["numbering"]), breaks)
         except (KeyError, TypeError, ValueError, ZeroDivisionError,
                 IndexError) as exc:
             raise SchemaError(f"malformed filtration document: {exc}") from exc
@@ -315,25 +315,13 @@ def validate(filt: RamFiltration, abelian: bool = False,
                 out.append(f"abelian filtration has non-integral upper jump {sigma}")
     if cyclic:
         try:
-            if any(m2 != 1 for m2 in _multiplicities(filt, p)):
+            if len(jumps_with_multiplicity(filt)) != len(filt.breaks):
                 out.append("cyclic filtration has a jump of multiplicity > 1")
             upper = filt if filt.numbering == UPPER else lower_to_upper(filt)
             sigmas = [j for j, _ in upper.breaks]
             out.extend(schmid_violations(p, sigmas))
         except DomainError:
             pass  # quotient problems were already reported above
-    return out
-
-
-def _multiplicities(filt: RamFiltration, p: int) -> list[int]:
-    orders = [o for _, o in filt.breaks] + [1]
-    out = []
-    for (_, o), o_next in zip(filt.breaks, orders[1:]):
-        quot, mult = o // o_next, 0
-        while quot > 1:
-            quot //= p
-            mult += 1
-        out.append(mult)
     return out
 
 

@@ -40,7 +40,7 @@ from itertools import chain
 from types import MappingProxyType
 
 from .errors import DomainError, PrecisionError
-from .gf import Field, FieldElement
+from .gf import Field, FieldElement, _digits, power
 
 # little-endian struct format of an unsigned slot of each width, in bytes
 _FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
@@ -61,25 +61,12 @@ def _slot_bytes(bound: int) -> int:
 
 def _spread(p: int, a: int, n: int) -> tuple:
     """The 2a - 1 slots of the element with index n: its digits, then zeros."""
-    digits = []
-    for _ in range(a):
-        n, d = divmod(n, p)
-        digits.append(d)
-    return tuple(digits) + (0,) * (a - 1)
+    return _digits(n, p, a) + (0,) * (a - 1)
 
 
 def _fold(field: Field, slots: tuple) -> int:
-    """Index of sum slots[k] z^k reduced mod the modulus (slots already < p)."""
-    p, a = field.p, field.a
-    c = list(slots[:a])
-    for s, row in zip(slots[a:], field._redux):
-        if s:
-            for i in range(a):
-                c[i] += s * row[i]
-    n = 0
-    for x in reversed(c):
-        n = n * p + x % p
-    return n
+    """Index of sum slots[k] z^k reduced into the field."""
+    return field.index_of(FieldElement(field, field.reduce(slots)))
 
 
 class _Ring:
@@ -173,15 +160,8 @@ class _Ring:
             return [1] + [0] * (n - 1)
         if e < 0:
             x, e = self.inverse(x, n), -e
-        x = x[:n]
-        result = None
-        while True:
-            if e & 1:
-                result = x if result is None else self.mul(result, x, n)
-            e >>= 1
-            if not e:
-                return result + [0] * (n - len(result))
-            x = self.mul(x, x, n)
+        result = power(x[:n], e, lambda u, v: self.mul(u, v, n))
+        return result + [0] * (n - len(result))
 
 
 @cache
@@ -263,10 +243,6 @@ class TruncatedSeries:
     def valuation(self) -> int | None:
         """Exact valuation, or None when the series is 0 + O(T^prec)."""
         return self.val if self.coeffs else None
-
-    def val_floor(self) -> int:
-        """A lower bound for the valuation, usable even for apparent zeros."""
-        return self.val
 
     def is_zero_to_precision(self) -> bool:
         return not self.coeffs

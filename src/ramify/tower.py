@@ -32,9 +32,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, PrecisionError, SchemaError, json_int
-from .gf import Field, FieldElement, field_create, json_element, root_of_unity
-from .laurent import LaurentPoly, prime_to_p_degree
+from .errors import (DomainError, PrecisionError, SchemaError, json_int,
+                     json_str)
+from .gf import (Field, FieldElement, field_create, json_element, power,
+                 root_of_unity)
+from .laurent import LaurentPoly, accumulate, prime_to_p_degree, sparse_mul
 from .ramfilt import LOWER, RamFiltration, jumps_with_multiplicity
 from .ascover import standard_form_poly
 from .series import TruncatedSeries, compose
@@ -55,15 +57,7 @@ def vp_var(field: Field, name: str, exp: int = 1) -> VarPoly:
 
 
 def vp_add(a: VarPoly, b: VarPoly) -> VarPoly:
-    out = dict(a)
-    for k, c in b.items():
-        s = out.get(k)
-        s = c if s is None else s + c
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
+    return accumulate(dict(a), b.items())
 
 
 def vp_scale(a: VarPoly, c: FieldElement) -> VarPoly:
@@ -84,31 +78,15 @@ def _mono_mul(k1, k2):
 
 
 def vp_mul(a: VarPoly, b: VarPoly) -> VarPoly:
-    out: VarPoly = {}
-    for k1, c1 in a.items():
-        for k2, c2 in b.items():
-            k = _mono_mul(k1, k2)
-            c = c1 * c2
-            s = out.get(k)
-            s = c if s is None else s + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-    return out
+    return sparse_mul(a, b, _mono_mul)
 
 
 def vp_pow(field: Field, a: VarPoly, n: int) -> VarPoly:
     if n < 0:
         raise DomainError("negative power of a multivariate polynomial")
-    result = vp_const(field, field.one())
-    base = a
-    while n:
-        if n & 1:
-            result = vp_mul(result, base)
-        base = vp_mul(base, base)
-        n >>= 1
-    return result
+    if n == 0:
+        return vp_const(field, field.one())
+    return power(a, n, vp_mul)
 
 
 def vp_subst(field: Field, a: VarPoly, images: dict[str, VarPoly]) -> VarPoly:
@@ -513,10 +491,8 @@ def analytic_step_jumps(tower: TowerSpec) -> list[int]:
     vals = {"x": 1}
     jumps = []
     for step in tower.steps:
-        folded = LaurentPoly.zero(field)
-        for k, c in step.rhs.items():
-            e = sum(exp * vals[var] for var, exp in k)
-            folded = folded + LaurentPoly(field, {e: c})
+        folded = LaurentPoly(field, [(sum(exp * vals[var] for var, exp in k), c)
+                                     for k, c in step.rhs.items()])
         sf = standard_form_poly(folded, p)
         if not sf:
             raise DomainError(
@@ -694,7 +670,7 @@ def tower_from_json(obj) -> tuple[TowerSpec, list[GeneratorAction]]:
     try:
         field = field_create(json_int(obj["field"]["p"]),
                              json_int(obj["field"]["a"]))
-        steps = tuple(TowerStep(str(s["var"]), vp_from_json(field, s["rhs"]))
+        steps = tuple(TowerStep(json_str(s["var"]), vp_from_json(field, s["rhs"]))
                       for s in obj["steps"])
         tower = TowerSpec(field, json_int(obj.get("m", 1)), steps)
         gens = []
@@ -702,7 +678,7 @@ def tower_from_json(obj) -> tuple[TowerSpec, list[GeneratorAction]]:
             shifts = {str(v): vp_from_json(field, ex)
                       for v, ex in g.get("shifts", {}).items()}
             gens.append(GeneratorAction(tower, shifts,
-                                        name=str(g.get("name", f"g{i}"))))
+                                        name=json_str(g.get("name", f"g{i}"))))
         return tower, gens
     except DomainError:
         raise  # a well-formed document with invalid content

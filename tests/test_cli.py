@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from ramify import ascover, cli
+from ramify import ascover, cli, moduli
 from ramify.cli import main
 from ramify.errors import SchemaError, json_int
 from ramify.gf import field_create
@@ -130,6 +130,25 @@ def test_dimension_ordinary(tmp_path):
     assert res["exact"] == 1 and res["rule"] == "ordinary"
 
 
+@pytest.mark.parametrize("kind,pieces", [
+    ("reducible", [{"q": 2, "sigma": [1, 1], "s_iota": 1},
+                   {"q": 2, "sigma": [3, 1], "s_iota": 1},
+                   {"q": 2, "sigma": [7, 1], "s_iota": 1}]),
+    ("ordinary", [{"q": 4, "sigma": [1, 3], "s_iota": 1}]),
+])
+def test_dimension_counts_each_piece_once(tmp_path, monkeypatch, kind, pieces):
+    calls = []
+    n_count = moduli.n_count
+    monkeypatch.setattr(moduli, "n_count",
+                        lambda *args: calls.append(args) or n_count(*args))
+    tame = 1 if kind == "reducible" else 3
+    doc = {"tame": tame, "structure": {"kind": kind}, "pieces": pieces}
+    code, res = run(tmp_path, ["dimension"], doc)
+    assert code == 0 and res["rule"] == kind
+    assert res["exact"] == res["upper"]
+    assert len(calls) == len(pieces)
+
+
 def test_verify_single_step(tmp_path):
     doc = {"field": {"p": 2, "a": 1}, "m": 1,
            "steps": [{"var": "v", "rhs": [[[1], {"x": -3}]]}],
@@ -233,13 +252,19 @@ TOWER = {"field": {"p": 2, "a": 1}, "m": 1,
     (["verify"], dict(TOWER, steps=[{"var": "v", "rhs": [[[1], {"x": -1.5}]]}])),
     (["jumps", "--direction", "to-upper"], dict(FILTRATION, tame=True)),
     (["dimension"], dict(PIECES, tame=True)),
+    # a number where a name belongs is refused, not read as its str()
+    (["jumps", "--direction", "to-upper"], dict(FILTRATION, numbering=7)),
+    (["verify"], dict(TOWER, steps=[{"var": 5, "rhs": [[[1], {"x": -3}]]}])),
+    (["verify"], dict(TOWER, generators=[{"name": 5,
+                                           "shifts": {"v": [[[1], {}]]}}])),
 ], ids=["zero-denominator", "total-order-string", "two-element-break",
         "string-coefficient", "dimension-zero-denominator",
         "dimension-string-sigma", "dimension-three-element-sigma",
         "dimension-string-tame", "dimension-top-level-list",
         "dimension-string-structure", "verify-string-m", "verify-list-shifts",
         "float-term", "bool-coefficient", "float-jump", "float-exponent",
-        "bool-tame", "dimension-bool-tame"])
+        "bool-tame", "dimension-bool-tame", "int-numbering", "verify-int-var",
+        "verify-int-name"])
 def test_malformed_field_is_a_schema_error(tmp_path, capsys, args, doc):
     inp = tmp_path / "in.json"
     inp.write_text(json.dumps(doc))

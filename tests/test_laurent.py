@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from ramify import (DomainError, LaurentPoly, field_create, p_power_decompose,
                     prime_to_p_degree, recompose)
+from ramify.tower import vp_add, vp_mul, vp_pow
 
 F2 = field_create(2, 1)
 F4 = field_create(2, 2)
@@ -118,3 +119,64 @@ def test_json_roundtrip():
     doc = r.to_json()
     assert doc == {"terms": [[-3, [0, 1]], [2, [1, 0]]]}
     assert LaurentPoly.from_json(F4, doc) == r
+
+
+# -- the sparse kernel against a naive dict reference ----------------------------
+
+def _naive_add(field, a, b):
+    out = {e: a.get(e, field.zero()) + b.get(e, field.zero())
+           for e in set(a) | set(b)}
+    return {e: c for e, c in out.items() if c}
+
+
+def _naive_mul(field, a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, field.zero()) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _naive_pow(field, a, n):
+    out = {0: field.one()}
+    for _ in range(n):
+        out = _naive_mul(field, out, a)
+    return out
+
+
+def _to_vp(terms):
+    return {((("x", e),) if e else ()): c for e, c in terms.items()}
+
+
+def _from_vp(vp):
+    assert all(vp.values()), "a zero coefficient is stored"
+    return {dict(k).get("x", 0): c for k, c in vp.items()}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_sparse_kernel_matches_naive_reference(data):
+    field = data.draw(st.sampled_from([F4, F5]))
+    raw = st.dictionaries(st.integers(-4, 4), st.integers(0, field.q - 1),
+                          max_size=4)
+    a_raw, b_raw = data.draw(raw), data.draw(raw)
+    n = data.draw(st.integers(0, 4))
+    # zero coefficients in the input are dropped by the public constructor
+    a = {e: field.from_index(c) for e, c in a_raw.items() if c}
+    b = {e: field.from_index(c) for e, c in b_raw.items() if c}
+    if data.draw(st.booleans()):
+        b = {e: -c for e, c in a.items()}  # the sum cancels completely
+    pa = LaurentPoly(field, {e: field.from_index(c) for e, c in a_raw.items()})
+    pb = LaurentPoly(field, b)
+    cases = [
+        ((pa + pb).terms, _from_vp(vp_add(_to_vp(a), _to_vp(b))),
+         _naive_add(field, a, b)),
+        ((pa * pb).terms, _from_vp(vp_mul(_to_vp(a), _to_vp(b))),
+         _naive_mul(field, a, b)),
+        ((pa ** n).terms, _from_vp(vp_pow(field, _to_vp(a), n)),
+         _naive_pow(field, a, n)),
+    ]
+    for laurent, varpoly, expected in cases:
+        assert all(laurent.values()), "a zero coefficient is stored"
+        assert laurent == expected
+        assert varpoly == expected

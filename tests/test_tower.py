@@ -9,6 +9,7 @@ from ramify import (DomainError, RamFiltration, TowerSpec, field_create,
                     oracle_lower_jumps, oracle_run, p_rank_ds, quaternion_tower,
                     root_of_unity)
 from ramify import tower as tower_module
+from ramify.laurent import LaurentPoly
 from ramify.tower import (GeneratorAction, TowerStep, analytic_step_jumps,
                           close_group, vp_add, vp_const, vp_var)
 
@@ -328,3 +329,21 @@ def test_quaternion_defining_relation():
     rhs = _compose(F4, minus_one, _compose(F4, tau, mu))
     assert lhs.key() == rhs.key()
     assert lhs.key() != _compose(F4, tau, mu).key()  # genuinely non-abelian
+
+
+def test_quaternion_fibers_construct_few_checked_polynomials(monkeypatch):
+    # the public constructor coerces and field-checks every coefficient; the
+    # results of ring operations and standard forms skip it, so a fiber pays
+    # for its two input polynomials only
+    calls = [0]
+    init = LaurentPoly.__init__
+
+    def counted(self, *args):
+        calls[0] += 1
+        init(self, *args)
+    monkeypatch.setattr(LaurentPoly, "__init__", counted)
+    a2 = F16.from_index(5)
+    for a1 in F16.elements():
+        for a3 in F16.elements():
+            evaluate_quaternion_fiber(a1, a2, a3)
+    assert calls[0] <= 3 * 256
