@@ -1,5 +1,7 @@
 """Exception types shared across the library."""
 
+from fractions import Fraction
+
 
 class DomainError(ValueError):
     """A mathematically invalid input or an operation outside its domain.
@@ -37,6 +39,16 @@ def json_str(x) -> str:
     if type(x) is str:
         return x
     raise SchemaError(f"expected a string, got {x!r}")
+
+
+def json_frac(x) -> Fraction:
+    """num/den from a JSON pair [num, den] of integers; SchemaError for any
+    other shape and for a zero denominator."""
+    try:
+        num, den = x
+        return Fraction(json_int(num), json_int(den))
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(str(exc)) from exc
 
 
 class PrecisionError(DomainError):

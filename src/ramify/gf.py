@@ -71,17 +71,6 @@ def _ptrim(c):
     return tuple(c[:i])
 
 
-def _pmul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
-
-
 def _pmod(a, mod, p):
     # mod is monic
     a = list(a)

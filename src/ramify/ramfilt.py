@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, SchemaError, json_int, json_str
+from .errors import DomainError, SchemaError, json_frac, json_int, json_str
 from .gf import prime_factors
 
 LOWER = "lower"
@@ -87,12 +87,11 @@ class RamFiltration:
     @classmethod
     def from_json(cls, obj) -> "RamFiltration":
         try:
-            breaks = tuple((Fraction(json_int(n), json_int(d)), json_int(o))
+            breaks = tuple((json_frac((n, d)), json_int(o))
                            for n, d, o in obj["breaks"])
             fields = (json_int(obj["total_order"]), json_int(obj["tame"]),
                       json_str(obj["numbering"]), breaks)
-        except (KeyError, TypeError, ValueError, ZeroDivisionError,
-                IndexError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"malformed filtration document: {exc}") from exc
         return cls(*fields)
 
@@ -145,13 +144,10 @@ class ReducedFiltration:
         try:
             pieces = []
             for pc in obj["pieces"]:
-                num, den = pc["sigma"]
-                pieces.append((json_int(pc["q"]),
-                               Fraction(json_int(num), json_int(den)),
+                pieces.append((json_int(pc["q"]), json_frac(pc["sigma"]),
                                json_int(pc["s_iota"])))
             tame = json_int(obj["tame"])
-        except (KeyError, TypeError, ValueError, ZeroDivisionError,
-                IndexError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"malformed reduced filtration: {exc}") from exc
         return cls(tame, tuple(pieces))
 
@@ -218,21 +214,32 @@ def upper_to_lower(filt: RamFiltration) -> RamFiltration:
     return RamFiltration(filt.total_order, filt.tame, LOWER, tuple(breaks))
 
 
+def _quotient_exponent(o: int, o_next: int, p: int) -> int | None:
+    """k with o = o_next * p^k, or None when o / o_next is no power of p.
+
+    The break orders strictly decrease, so a k found here is at least 1.
+    """
+    if o % o_next:
+        return None
+    quot, k = o // o_next, 0
+    while quot % p == 0:
+        quot //= p
+        k += 1
+    return k if quot == 1 else None
+
+
 def jumps_with_multiplicity(filt: RamFiltration) -> list[Fraction]:
-    """Each jump repeated log_p of its quotient order, ascending."""
+    """Each jump repeated log_p of its quotient order, ascending; DomainError
+    when a quotient is not a power of p."""
     p = filt.residue_char()
     if p is None:
         return []
     out = []
     orders = [o for _, o in filt.breaks] + [1]
     for (j, o), o_next in zip(filt.breaks, orders[1:]):
-        quot = o // o_next
-        mult = 0
-        while quot > 1:
-            if quot % p != 0:
-                raise DomainError("quotient at a jump is not a p-power")
-            quot //= p
-            mult += 1
+        mult = _quotient_exponent(o, o_next, p)
+        if mult is None:
+            raise DomainError(f"quotient at jump {j} is not a power of {p}")
         out.extend([j] * mult)
     return out
 
@@ -289,12 +296,7 @@ def validate(filt: RamFiltration, abelian: bool = False,
                    "(tame quotient |I_0|/|I_1| = m fails)")
     orders = [o for _, o in filt.breaks] + [1]
     for (j, o), o_next in zip(filt.breaks, orders[1:]):
-        quot, ok = o, o % o_next == 0
-        if ok:
-            quot = o // o_next
-            while quot > 1 and quot % p == 0:
-                quot //= p
-        if not ok or quot != 1:
+        if _quotient_exponent(o, o_next, p) is None:
             out.append(f"quotient at jump {j} is not a positive power of {p}")
     if filt.numbering == LOWER:
         for j, _ in filt.breaks:
@@ -347,7 +349,10 @@ def reduce(filt: RamFiltration, piece_sizes: list[list[int]],
     orders = [o for _, o in filt.breaks] + [1]
     pieces = []
     for (sigma, o), o_next, sizes in zip(filt.breaks, orders[1:], piece_sizes):
-        quot = o // o_next
+        k = _quotient_exponent(o, o_next, p)
+        if k is None:
+            raise DomainError(f"quotient at jump {sigma} is not a power of {p}")
+        quot = p ** k
         prod = 1
         for q in sizes:
             prod *= q

@@ -238,6 +238,7 @@ TOWER = {"field": {"p": 2, "a": 1}, "m": 1,
      dict(PIECES, pieces=[{"q": 2, "sigma": ["a", 1], "s_iota": 1}])),
     (["dimension"],
      dict(PIECES, pieces=[{"q": 2, "sigma": [1, 2, 3], "s_iota": 1}])),
+    (["dimension"], dict(PIECES, pieces=[{"q": 2, "sigma": 3, "s_iota": 1}])),
     (["dimension"], dict(PIECES, tame="x")),
     (["dimension"], [PIECES]),
     (["dimension"], dict(PIECES, structure="abelian")),
@@ -260,6 +261,7 @@ TOWER = {"field": {"p": 2, "a": 1}, "m": 1,
 ], ids=["zero-denominator", "total-order-string", "two-element-break",
         "string-coefficient", "dimension-zero-denominator",
         "dimension-string-sigma", "dimension-three-element-sigma",
+        "dimension-int-sigma",
         "dimension-string-tame", "dimension-top-level-list",
         "dimension-string-structure", "verify-string-m", "verify-list-shifts",
         "float-term", "bool-coefficient", "float-jump", "float-exponent",
@@ -288,8 +290,12 @@ def test_json_int_accepts_only_integers():
      dict(FILTRATION, breaks=[[3, 1, 2], [1, 1, 8]])),
     (["standard-form"], dict(COVER, r={"terms": [[-1, [1, 1]]]})),
     (["verify"], dict(TOWER, steps=[{"var": "v", "rhs": [[[1, 1], {"x": -3}]]}])),
+    # 10/4 is no power of 2, so no jump count fits these break orders
+    (["jumps", "--direction", "to-upper"],
+     {"total_order": 10, "tame": 5, "numbering": "lower",
+      "breaks": [[1, 1, 10], [3, 1, 4]]}),
 ], ids=["descending-jumps", "coefficient-vector-too-long",
-        "tower-coefficient-vector-too-long"])
+        "tower-coefficient-vector-too-long", "break-order-quotient-not-p-power"])
 def test_invalid_content_stays_a_domain_error(tmp_path, args, doc):
     code, res = run(tmp_path, args, doc)
     assert code == 1

@@ -116,6 +116,16 @@ def test_jumps_with_multiplicity_empty():
     assert jumps_with_multiplicity(tame) == []
 
 
+def test_quotient_not_a_p_power_is_refused():
+    # 10/4 is no power of 2: no jump multiplicity and no piece sizes fit
+    filt = RamFiltration(10, 5, "upper", ((1, 10), (3, 4)))
+    with pytest.raises(DomainError):
+        jumps_with_multiplicity(filt)
+    with pytest.raises(DomainError):
+        reduce(filt, [[2], [4]], s_iotas=[1, 1])
+    assert "quotient at jump 1 is not a positive power of 2" in validate(filt)
+
+
 def test_validate_clean():
     assert validate(D8_LOWER) == []
 

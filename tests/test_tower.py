@@ -13,6 +13,8 @@ from ramify.laurent import LaurentPoly
 from ramify.tower import (GeneratorAction, TowerStep, analytic_step_jumps,
                           close_group, vp_add, vp_const, vp_var)
 
+import quaternion_pipeline
+
 F2 = field_create(2, 1)
 F4 = field_create(2, 2)
 F16 = field_create(2, 4)
@@ -207,7 +209,7 @@ def test_p_rank_validation():
         p_rank_ds(2, 0, [1, 1, 1])  # too many split points force rank < 0
 
 
-# -- the quaternion fiber pipeline ------------------------------------------------
+# -- quaternion fibers -----------------------------------------------------------
 
 def test_fiber_base_point():
     zero = F4.zero()
@@ -249,7 +251,7 @@ def test_fiber_genus_one_on_stratum():
 
 
 def test_fiber_oracle_cross_check():
-    # the normalization pipeline and the valuation oracle agree on a
+    # the closed-form fiber report and the valuation oracle agree on a
     # genus-2 fiber; over F_4 every a2 lands on a special stratum, so this
     # needs F_16
     a2 = F16.from_index(2)
@@ -332,18 +334,38 @@ def test_quaternion_defining_relation():
 
 
 def test_quaternion_fibers_construct_few_checked_polynomials(monkeypatch):
-    # the public constructor coerces and field-checks every coefficient; the
-    # results of ring operations and standard forms skip it, so a fiber pays
-    # for its two input polynomials only
+    # a fiber's report is read off the closed form: neither the public nor
+    # the trusted constructor of LaurentPoly runs on the fiber path
     calls = [0]
-    init = LaurentPoly.__init__
+    init, make = LaurentPoly.__init__, LaurentPoly._make.__func__
 
-    def counted(self, *args):
+    def counted_init(self, *args):
         calls[0] += 1
         init(self, *args)
-    monkeypatch.setattr(LaurentPoly, "__init__", counted)
+
+    def counted_make(cls, *args):
+        calls[0] += 1
+        return make(cls, *args)
+    monkeypatch.setattr(LaurentPoly, "__init__", counted_init)
+    monkeypatch.setattr(LaurentPoly, "_make", classmethod(counted_make))
     a2 = F16.from_index(5)
     for a1 in F16.elements():
         for a3 in F16.elements():
             evaluate_quaternion_fiber(a1, a2, a3)
-    assert calls[0] <= 3 * 256
+    assert calls[0] == 0
+
+
+@pytest.mark.parametrize("field", [F4, F16], ids=["F4", "F16"])
+def test_fiber_closed_form_matches_pipeline(field):
+    # every fiber over the field: the closed form against the Laurent
+    # normalization pipeline it summarizes
+    elements = list(field.elements())
+    for a1 in elements:
+        for a2 in elements:
+            for a3 in elements:
+                rep = evaluate_quaternion_fiber(a1, a2, a3)
+                stage, top, leading = quaternion_pipeline.fiber(a1, a2, a3)
+                assert rep.connected == (stage is None)
+                assert rep.stage == stage
+                assert rep.top_jump == top
+                assert rep.leading == leading
