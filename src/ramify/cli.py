@@ -21,6 +21,9 @@ from .laurent import LaurentPoly
 from .ramfilt import RamFiltration, ReducedFiltration
 
 PROG = "ramify"
+# the largest --precision `verify` accepts: series longer than this are past
+# desk scale, so the request is refused before the oracle starts
+PRECISION_CAP = 4096
 
 
 def _read_document(path: str):
@@ -132,6 +135,9 @@ def cmd_dimension(doc) -> dict:
 
 
 def cmd_verify(doc, precision: int) -> dict:
+    if precision > PRECISION_CAP:
+        raise SchemaError(
+            f"precision {precision} exceeds the limit {PRECISION_CAP}")
     tw, gens = tower.tower_from_json(doc)
     run = tower.oracle_run(tw, gens, precision)
     oracle_jumps = [int(j) for j in
@@ -232,7 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify",
                         help="series-valuation oracle vs normal-form jumps")
     sp.add_argument("--precision", type=int, default=200,
-                    help="series precision cap for the oracle")
+                    help="series precision cap for the oracle, at most "
+                         f"{PRECISION_CAP}")
     io_args(sp)
 
     sp = sub.add_parser("quaternion-demo",

@@ -230,10 +230,15 @@ def _quotient_exponent(o: int, o_next: int, p: int) -> int | None:
 
 def jumps_with_multiplicity(filt: RamFiltration) -> list[Fraction]:
     """Each jump repeated log_p of its quotient order, ascending; DomainError
-    when a quotient is not a power of p."""
+    when the first break order is not the wild part (so the counts would not
+    add up to its log_p) or a quotient is not a power of p."""
     p = filt.residue_char()
     if p is None:
         return []
+    first = filt.breaks[0][1] if filt.breaks else 1
+    if first != filt.wild_order:
+        raise DomainError(f"first break order {first} != wild part "
+                          f"{filt.wild_order}")
     out = []
     orders = [o for _, o in filt.breaks] + [1]
     for (j, o), o_next in zip(filt.breaks, orders[1:]):
@@ -323,7 +328,7 @@ def validate(filt: RamFiltration, abelian: bool = False,
             sigmas = [j for j, _ in upper.breaks]
             out.extend(schmid_violations(p, sigmas))
         except DomainError:
-            pass  # quotient problems were already reported above
+            pass  # first-order and quotient problems were reported above
     return out
 
 

@@ -9,23 +9,39 @@ results never claim more accuracy than the inputs support.  Coefficients are
 exact finite-field elements; there is no rounding anywhere, only honest
 truncation.
 
-Storage is dense: a valuation `val` and a list `coeffs` of ints, coeffs[i]
-being the index (see Field.from_index, sum c_k p^k over the coefficient
-vector) of the coefficient of T^(val + i).  `terms` is a read-only
-{exponent: FieldElement} view, built on first use.
+Storage is dense, one byte string per F_p component.  A series over F_{p^a}
+keeps a valuation `val` and a tuple `comps` of a byte strings of one length:
+byte k of comps[i] is digit i (the coefficient of z^i in the power basis of
+gf) of the coefficient of T^(val + k).  A prime above 256 needs d > 1 bytes
+per digit, little-endian.  Valuation and trimming are lstrip and rstrip of
+zero bytes.  `terms` is a read-only {exponent: FieldElement} view, built on
+first use.
 
-All coefficient arithmetic runs through one kernel, _Ring, which multiplies
-by Kronecker substitution: an element of F_{p^a} is spread over 2a - 1 slots,
-one per power of z in the product of two such elements; the slots of a whole
-coefficient list are packed into one Python int; the ints are multiplied by
-CPython's big-integer product; and each slot of the result is reduced mod p
-and each block of 2a - 1 slots mod the field's modulus.  Slots are wide
-enough that no sum of slot products spills into its neighbour.  Sums are the
-same packing added instead of multiplied; inverses come from Newton
-iteration on the packed product, doubling the number of known coefficients
-per step; and powers are square-and-multiply on it at the one length that
-the precision rule gives.  Each ring memoizes, within a fixed size, how
-elements spread into slots and how slot blocks fold back into elements.
+All coefficient arithmetic runs through one kernel, _Ring, on such tuples:
+
+- A product is a Kronecker substitution.  The components are widened into
+  one strided buffer, every coefficient spread over 2a - 1 slots of w bytes,
+  one per power of z in a product of two elements, with w large enough that
+  no sum of slot products spills into its neighbour.  The two buffers are
+  multiplied as Python ints by CPython's big-integer product.  Byte b of
+  slot s of the result, weighted by 256^b and folded from z^s into z^0 ..
+  z^(a-1) by the field's modulus, is a multiplication by a constant mod p:
+  one `bytes.translate` table.  The reducer sums the translated strings of
+  each component as ints (XOR for p = 2) and takes one more translate mod p.
+- A sum adds the components as ints and takes one translate (XOR for p = 2).
+  Negation is one translate per component, and a constant multiple one
+  translate per pair of components and a sum.
+- Inverses are Newton iteration on the product, doubling the number of known
+  coefficients per step; powers are square-and-multiply on it at the one
+  length that the precision rule gives.
+
+Byte tables are exact while every byte of a sum of translated strings stays
+below 256: always for p = 2 (XOR), otherwise while (p - 1) times the number
+of residues summed is below 256, which every field of the tower workloads
+meets.  Past that -- large primes, such as F_251 and F_65521 in the tests --
+the reducer reads each slot as an integer and reduces it with Field.reduce,
+and sums and constant multiples go through the same packing and reducer.
+Each ring builds its tables on first use.
 
 Series never change once built, so each keeps its inverse and every power
 asked of it: a power, or a composition with the same tau, is computed once
@@ -34,134 +50,322 @@ per series.
 
 from __future__ import annotations
 
-import struct
-from functools import cache, lru_cache, partial
-from itertools import chain
+from functools import cache
 from types import MappingProxyType
 
 from .errors import DomainError, PrecisionError
-from .gf import Field, FieldElement, _digits, power
-
-# little-endian struct format of an unsigned slot of each width, in bytes
-_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
-# entries kept by each of a ring's two element memos
-_MEMO_SIZE = 1 << 12
+from .gf import Field, FieldElement, power
 
 
-def _slot_bytes(bound: int) -> int:
-    """Bytes per slot to hold values up to bound: 1, 2, 4 or 8, so that slots
-    are read and written as machine integers by struct.  A product's bound is
-    min(n1, n2) a (p - 1)^2, which fields below ORDER_CAP keep under 2^64
-    for any series shorter than 2^24 terms."""
-    w = 1 << (((bound.bit_length() + 7) >> 3) - 1).bit_length()
-    if w > 8:
-        raise DomainError("series too long for the packed product")
-    return w
+# scalar plans a ring keeps (see _Ring._scalar)
+_SCALARS = 1 << 10
 
 
-def _spread(p: int, a: int, n: int) -> tuple:
-    """The 2a - 1 slots of the element with index n: its digits, then zeros."""
-    return _digits(n, p, a) + (0,) * (a - 1)
-
-
-def _fold(field: Field, slots: tuple) -> int:
-    """Index of sum slots[k] z^k reduced into the field."""
-    return field.index_of(FieldElement(field, field.reduce(slots)))
+def _width(bound: int) -> int:
+    """Bytes that hold every integer from 0 to bound."""
+    return max(1, (bound.bit_length() + 7) >> 3)
 
 
 class _Ring:
-    """Arithmetic on lists of element indices of one field.
+    """Arithmetic on component tuples of one field.
 
-    A list x stands for sum x[i] T^i; entries past its end are zero.  Every
-    method returns a list of exactly the length asked for.
+    A tuple x holds a byte strings of n d-byte digits each and stands for
+    sum x_k T^k, x_k the element whose digit i is digit k of x[i];
+    coefficients past its end are zero.  Every method returns a tuple of
+    exactly the length asked for.
     """
 
-    __slots__ = ("field", "p", "a", "m", "spread", "fold")
+    __slots__ = ("field", "p", "a", "m", "d", "bound", "empty", "mod",
+                 "_tables", "_plans", "_scalars")
 
     def __init__(self, field: Field):
-        p, a = field.p, field.a
         self.field = field
-        self.p, self.a, self.m = p, a, 2 * a - 1
-        # both memos fill lazily and keep the most recently used entries:
-        # small fields (F_16 has 16 and 2^7 keys) fit whole, large ones
-        # (2^31 fold keys for F_2^16) reuse few and must not grow
-        self.spread = lru_cache(_MEMO_SIZE)(partial(_spread, p, a))
-        self.fold = lru_cache(_MEMO_SIZE)(partial(_fold, field))
+        self.p, self.a, self.m = field.p, field.a, 2 * field.a - 1
+        # a product slot sums at most a products of two digits per term
+        self.bound = field.a * (field.p - 1) ** 2
+        self.d = _width(field.p - 1)
+        self.empty = (b"",) * field.a
+        self._tables = {}  # c -> the translate table x -> c x mod p
+        self.mod = self.table(1)
+        self._plans = {}   # (w, st) -> reduction plan, None past the tables
+        self._scalars = {}  # c -> how a multiple c x sums the components
 
-    def pack(self, x, w: int) -> int:
-        """x as one int, each element spread over m slots of w bytes."""
-        if self.a > 1:
-            x = list(chain.from_iterable(map(self.spread, x)))
-        return int.from_bytes(struct.pack(f"<{len(x)}{_FORMATS[w]}", *x),
-                              "little")
+    # -- layout ------------------------------------------------------------------
 
-    def unpack(self, v: int, n: int, w: int) -> list:
-        """The first n elements of a packed int, reduced into the field."""
-        size = n * self.m * w
+    def length(self, x) -> int:
+        return len(x[0]) // self.d
+
+    def cut(self, x, lo: int, hi: int | None = None) -> tuple:
+        """Coefficients lo up to hi (the end when hi is None)."""
+        d = self.d
+        if hi is None:
+            return tuple([c[lo * d:] for c in x])
+        return tuple([c[lo * d:hi * d] for c in x])
+
+    def cat(self, *xs) -> tuple:
+        return tuple(map(b"".join, zip(*xs)))
+
+    def zeros(self, n: int) -> tuple:
+        return (bytes(n * self.d),) * self.a
+
+    def pad(self, x, n: int) -> tuple:
+        """x with zeros appended up to n coefficients."""
+        short = n * self.d - len(x[0])
+        return tuple(c + bytes(short) for c in x) if short > 0 else x
+
+    def element(self, digits) -> tuple:
+        """The one-coefficient tuple of an element's digits."""
+        return tuple([c.to_bytes(self.d, "little") for c in digits])
+
+    def digits(self, x, k: int) -> tuple:
+        """The digits of coefficient k."""
+        d = self.d
+        return tuple(int.from_bytes(c[k * d:(k + 1) * d], "little") for c in x)
+
+    def encode(self, column) -> bytes:
+        """One component from its digits."""
+        if self.d == 1:
+            return bytes(column)
+        return b"".join(v.to_bytes(self.d, "little") for v in column)
+
+    def decode(self, comp: bytes):
+        """The digits of one component (iterating bytes gives them at d = 1)."""
+        d = self.d
+        if d == 1:
+            return comp
+        return [int.from_bytes(comp[k:k + d], "little")
+                for k in range(0, len(comp), d)]
+
+    # -- the reducer -------------------------------------------------------------
+
+    def table(self, c: int) -> bytes:
+        t = self._tables.get(c)
+        if t is None:
+            p = self.p
+            t = self._tables[c] = bytes(c * x % p for x in range(256))
+        return t
+
+    def exact(self, terms: int) -> bool:
+        """Whether byte tables reduce a sum of this many residues: digits are
+        single bytes and the sum stays below 256 (XOR never grows)."""
+        return self.d == 1 and (self.p == 2 or terms * (self.p - 1) < 256)
+
+    def combine(self, ints, picks, n: int) -> bytes:
+        """The n digits of the sum mod p of the ints picked (their bytes are
+        residues), for exact(len(picks))."""
+        acc = 0
+        if self.p == 2:
+            for k in picks:
+                acc ^= ints[k]
+            return acc.to_bytes(n, "little")
+        for k in picks:
+            acc += ints[k]
+        return acc.to_bytes(n, "little").translate(self.mod)
+
+    def _plan(self, w: int, st: int):
+        """How to reduce a block of st // w slots of w bytes, slot s standing
+        for z^s: byte b of slot s enters digit j times 256^b (z^s reduced)[j].
+
+        The plan holds the distinct tables, each (byte offset, table number)
+        part once, and per digit j the parts it sums.  It is None when the
+        tables are not exact for those sums."""
+        key = (w, st)
+        if key in self._plans:
+            return self._plans[key]
+        p, m = self.p, st // w
+        folds = [self.field.reduce([int(t == s) for t in range(m)])
+                 for s in range(m)]
+        cols = [[(s * w + b, c) for s, z in enumerate(folds) for b in range(w)
+                 if (c := z[j] * pow(256, b, p) % p)]
+                for j in range(self.a)]
+        plan = None
+        if self.exact(max(map(len, cols))):
+            parts = sorted(set().union(*cols))
+            factors = sorted({c for _, c in parts})
+            plan = ([self.table(c) for c in factors],
+                    [(off, factors.index(c)) for off, c in parts],
+                    [[parts.index(part) for part in col] for col in cols])
+        self._plans[key] = plan
+        return plan
+
+    def reduce(self, v: int, w: int, st: int, n: int, lo: int = 0) -> tuple:
+        """Coefficients lo up to n of v, each a block of st bytes that holds
+        st // w slots of w bytes, slot s standing for z^s."""
+        if n <= lo:
+            return self.empty
+        size, start = n * st, lo * st
         raw = v.to_bytes(max(size, (v.bit_length() + 7) >> 3), "little")
-        slots = struct.unpack_from(f"<{n * self.m}{_FORMATS[w]}", raw)
-        p = self.p
-        res = [s % p for s in slots]
-        if self.a == 1:
-            return res
-        return list(map(self.fold, zip(*[iter(res)] * self.m)))
+        plan = self._plans.get((w, st)) or self._plan(w, st)
+        if plan:
+            tables, parts, cols = plan
+            if len(parts) == 1:  # one digit from one byte of one slot
+                return (raw[start + parts[0][0]:size:st].translate(tables[0]),)
+            tr = [raw.translate(t) for t in tables]
+            ints = [int.from_bytes(tr[i][start + off:size:st], "little")
+                    for off, i in parts]
+            return tuple([self.combine(ints, col, n - lo) for col in cols])
+        # past the tables: each slot as an integer, each block mod the
+        # modulus and p
+        m, field = st // w, self.field
+        slots = [int.from_bytes(raw[k:k + w], "little")
+                 for k in range(start, size, w)]
+        elems = [field.reduce(slots[k:k + m]) for k in range(0, len(slots), m)]
+        return tuple(map(self.encode, zip(*elems)))
 
-    def mul(self, x, y, n: int) -> list:
+    def product(self, px: int, py: int, w: int, st: int, n: int,
+                lo: int = 0) -> tuple:
+        """Coefficients lo up to n of the product of two packed operands: the
+        one big-integer product of the kernel."""
+        return self.reduce(px * py, w, st, n, lo)
+
+    def pack(self, x, w: int, st: int) -> int:
+        """x as one int: digit i of coefficient k in the w-byte slot at byte
+        k st + i w."""
+        d = self.d
+        if st == d:  # one slot of one digit: the component is the layout
+            return int.from_bytes(x[0], "little")
+        buf = bytearray(len(x[0]) // d * st)
+        for i, c in enumerate(x):
+            for b in range(d):
+                buf[i * w + b::st] = c[b::d]
+        return int.from_bytes(buf, "little")
+
+    # -- arithmetic --------------------------------------------------------------
+
+    def mul(self, x, y, n: int) -> tuple:
         """The first n coefficients of x * y."""
         if n <= 0:
-            return []
+            return self.empty
+        d = self.d
+        size = n * d
         square = x is y
-        x = x[:n]
-        y = x if square else y[:n]
-        if not x or not y:
-            return [0] * n
-        w = _slot_bytes(min(len(x), len(y)) * self.a * (self.p - 1) ** 2)
-        px = self.pack(x, w)
-        return self.unpack(px * (px if square else self.pack(y, w)), n, w)
+        if len(x[0]) > size:
+            x = tuple([c[:size] for c in x])
+        if square:
+            y = x
+        elif len(y[0]) > size:
+            y = tuple([c[:size] for c in y])
+        short = min(len(x[0]), len(y[0])) // d
+        if not short:
+            return self.zeros(n)
+        if short == 1 and self.exact(self.a):  # a constant factor: no product
+            if len(x[0]) == d:
+                x, y = y, x
+            return self.pad(self.scale(x, self.digits(y, 0)), n)
+        w = _width(short * self.bound)
+        st = self.m * w
+        px = self.pack(x, w, st)
+        return self.product(px, px if square else self.pack(y, w, st),
+                            w, st, n)
 
-    def add(self, x, sx: int, y, sy: int, n: int) -> list:
+    def add(self, x, sx: int, y, sy: int, n: int) -> tuple:
         """The first n coefficients of T^sx x + T^sy y (sx, sy >= 0)."""
-        w = _slot_bytes(2 * (self.p - 1))
-        step = 8 * w * self.m
-        v = (self.pack(x[:max(n - sx, 0)], w) << step * sx) \
-            + (self.pack(y[:max(n - sy, 0)], w) << step * sy)
-        return self.unpack(v, n, w)
+        x = self.cut(x, 0, max(n - sx, 0))
+        y = self.cut(y, 0, max(n - sy, 0))
+        if not self.exact(2):
+            w = _width(2 * (self.p - 1))
+            st = self.a * w
+            v = (self.pack(x, w, st) << 8 * st * sx) \
+                + (self.pack(y, w, st) << 8 * st * sy)
+            return self.reduce(v, w, st, n)
+        return tuple([self.combine((int.from_bytes(u, "little") << 8 * sx,
+                                    int.from_bytes(v, "little") << 8 * sy),
+                                   (0, 1), n)
+                      for u, v in zip(x, y)])
 
-    def scale(self, x, c: int) -> list:
-        """c * x for the element index c."""
-        return self.mul(x, [c], len(x))
+    def _scalar(self, c: tuple) -> list:
+        """For each digit j of c * x, the (component, table) pairs it sums:
+        component i times digit j of c z^i, no table for a factor 1 since
+        the digits of x are residues already.  Kept per c; the memo is
+        emptied when full, so a long run over a large field stays bounded."""
+        plan = self._scalars.get(c)
+        if plan is None:
+            field, a = self.field, self.a
+            cols = [field.reduce((0,) * i + c) for i in range(a)]
+            plan = [[(i, None if col[j] == 1 else self.table(col[j]))
+                     for i, col in enumerate(cols) if col[j]]
+                    for j in range(a)]
+            if len(self._scalars) >= _SCALARS:
+                self._scalars.clear()
+            self._scalars[c] = plan
+        return plan
 
-    def neg(self, x) -> list:
-        return self.scale(x, self.p - 1)  # p - 1 is the index of -1
+    def scale(self, x, c: tuple) -> tuple:
+        """c * x for the element with digits c."""
+        if not self.exact(self.a):
+            return self.mul(x, self.element(c), self.length(x))
+        out = []
+        for col in self._scalar(c):
+            strs = [x[i] if t is None else x[i].translate(t) for i, t in col]
+            out.append(strs[0] if len(strs) == 1 else self.combine(
+                [int.from_bytes(v, "little") for v in strs], range(len(strs)),
+                len(x[0])))
+        return tuple(out)
 
-    def inverse(self, u, n: int) -> list:
-        """The first n coefficients of 1/u, for u[0] != 0, by Newton.
+    def neg(self, x) -> tuple:
+        if self.p == 2:
+            return x
+        return self.scale(x, (self.p - 1,) + (0,) * (self.a - 1))
 
-        With g = 1/u mod T^k, -u g = -1 + T^k r, and g - T^k g r = 1/u mod
-        T^2k; negating u once up front makes each step two products.
+    def weigh(self, x, ks) -> tuple:
+        """x with coefficient k times the integer ks[k % len(ks)]: one
+        translate per residue class, or per digit for digits wider than a
+        byte."""
+        p, r = self.p, len(ks)
+        if self.d > 1:
+            return tuple(self.encode([v * ks[k % r] % p for k, v in
+                                      enumerate(self.decode(c))]) for c in x)
+        out = []
+        for c in x:
+            buf = bytearray(len(c))
+            for i, k in enumerate(ks):
+                buf[i::r] = c[i::r].translate(self.table(k % p))
+            out.append(bytes(buf))
+        return tuple(out)
+
+    def inverse(self, u, n: int) -> tuple:
+        """The first n coefficients of 1/u, for u_0 != 0, by Newton.
+
+        With g = 1/u mod T^k, -u g = -1 + T^k e, and g + T^k g e = 1/u mod
+        T^2k, so each step is two products.  Both have a factor of at most k
+        coefficients, which sets the slot width; -u is packed once per
+        width, and g stays packed as it grows.
         """
-        field = self.field
-        g = [field.index_of(field.from_index(u[0]).inverse())]
-        neg_u = self.neg(u[:n])
-        k = 1
+        c = FieldElement(self.field, self.digits(u, 0)).inverse().coeffs
+        g = self.element(c)
+        if n <= 1:
+            return g
+        neg_u = self.neg(self.cut(u, 0, n))
+        # the first step multiplies by the one coefficient of g: two
+        # constant multiples
+        g = self.cat(g, self.scale(self.scale(
+            self.pad(self.cut(neg_u, 1, 2), 1), c), c))
+        k, w = 2, 0
         while k < n:
             k2 = min(2 * k, n)
-            g += self.mul(g, self.mul(neg_u, g, k2)[k:], k2 - k)
+            if _width(k * self.bound) != w:  # both products have factors <= k
+                w = _width(k * self.bound)
+                st = self.m * w
+                pu, pg = self.pack(neg_u, w, st), self.pack(g, w, st)
+            e = self.product(pu & ((1 << 8 * st * k2) - 1), pg, w, st, k2, k)
+            step = self.product(pg, self.pack(e, w, st), w, st, k2 - k)
+            g = self.cat(g, step)
+            pg += self.pack(step, w, st) << 8 * st * k
             k = k2
         return g
 
-    def power(self, x, e: int, n: int) -> list:
-        """The first n coefficients of x^e for x[0] != 0, by square-and-multiply
+    def power(self, x, e: int, n: int) -> tuple:
+        """The first n coefficients of x^e for x_0 != 0, by square-and-multiply
         at the fixed length n, started from the first factor (x^-e is
         (1/x)^e)."""
         if n <= 0:
-            return []
+            return self.empty
         if e == 0:
-            return [1] + [0] * (n - 1)
+            return self.pad(self.element(self.field.one().coeffs), n)
         if e < 0:
             x, e = self.inverse(x, n), -e
-        result = power(x[:n], e, lambda u, v: self.mul(u, v, n))
-        return result + [0] * (n - len(result))
+        return self.pad(power(self.cut(x, 0, n), e,
+                              lambda u, v: self.mul(u, v, n)), n)
 
 
 @cache
@@ -172,7 +376,7 @@ def _ring(field: Field) -> _Ring:
 
 
 class TruncatedSeries:
-    __slots__ = ("field", "val", "coeffs", "prec", "_ring", "_terms", "_pows",
+    __slots__ = ("field", "val", "comps", "prec", "_ring", "_terms", "_pows",
                  "_inv")
 
     def __init__(self, field: Field, terms, prec: int):
@@ -181,52 +385,71 @@ class TruncatedSeries:
         if terms:
             for e, c in (terms.items() if isinstance(terms, dict) else terms):
                 if e < prec and c:
-                    clean[int(e)] = field.index_of(c)
+                    clean[int(e)] = c.coeffs
+        ring = _ring(field)
         val = min(clean, default=prec)
-        coeffs = [0] * (max(clean, default=val - 1) - val + 1)
-        for e, c in clean.items():
-            coeffs[e - val] = c
-        self._set(_ring(field), val, coeffs, prec)
+        cols = [[0] * (max(clean, default=val - 1) - val + 1)
+                for _ in range(field.a)]
+        for e, digits in clean.items():
+            for col, v in zip(cols, digits):
+                col[e - val] = v
+        self._set(ring, val, tuple(map(ring.encode, cols)), prec)
 
-    def _set(self, ring: _Ring, val: int, coeffs: list, prec: int):
-        """Store coeffs from T^val, dropping zeros at both ends and
+    def _set(self, ring: _Ring, val: int, comps: tuple, prec: int):
+        """Store comps from T^val, dropping zeros at both ends and
         everything at or past prec."""
-        hi = min(len(coeffs), prec - val)
-        lo = 0
-        while lo < hi and not coeffs[lo]:
-            lo += 1
-        while hi > lo and not coeffs[hi - 1]:
-            hi -= 1
+        d = ring.d
+        if len(comps[0]) > (prec - val) * d:
+            comps = ring.cut(comps, 0, max(prec - val, 0))
+        # a nonzero end byte in some component is a nonzero end digit
+        x = comps[0]
+        if len(comps) == 1:
+            lead, tail = x and x[0], x and x[-1]
+        else:
+            lead = x and any([c[0] for c in comps])
+            tail = x and any([c[-1] for c in comps])
+        if lead:
+            lo = 0
+        else:
+            lo = min([len(c) - len(c.lstrip(b"\0")) for c in comps]) // d
+        if tail:
+            hi = len(x) // d
+        else:
+            hi = -(-max([len(c.rstrip(b"\0")) for c in comps]) // d)
         self.field = ring.field
         self._ring = ring
         self.prec = prec
         if lo >= hi:
-            self.val, self.coeffs = prec, []
+            self.val, self.comps = prec, ring.empty
         else:
             self.val = val + lo
-            self.coeffs = coeffs[lo:hi] if lo or hi < len(coeffs) else coeffs
+            self.comps = (ring.cut(comps, lo, hi)
+                          if lo or hi * d < len(comps[0]) else comps)
         self._terms = None
         self._pows = {}
         self._inv = None
 
     @classmethod
-    def _make(cls, ring: _Ring, val: int, coeffs: list, prec: int):
+    def _make(cls, ring: _Ring, val: int, comps: tuple, prec: int):
         obj = cls.__new__(cls)
-        obj._set(ring, val, coeffs, prec)
+        obj._set(ring, val, comps, prec)
         return obj
 
     @classmethod
     def zero(cls, field: Field, prec: int):
-        return cls._make(_ring(field), prec, [], prec)
+        ring = _ring(field)
+        return cls._make(ring, prec, ring.empty, prec)
 
     @classmethod
     def monomial(cls, field: Field, exp: int, prec: int, coeff=None):
-        c = 1 if coeff is None else field.index_of(coeff)
-        return cls._make(_ring(field), exp, [c], prec)
+        c = field.one() if coeff is None else coeff
+        ring = _ring(field)
+        return cls._make(ring, exp, ring.element(c.coeffs), prec)
 
     @classmethod
     def constant(cls, field: Field, value: FieldElement, prec: int):
-        return cls._make(_ring(field), 0, [field.index_of(value)], prec)
+        ring = _ring(field)
+        return cls._make(ring, 0, ring.element(value.coeffs), prec)
 
     # -- structure -------------------------------------------------------------
 
@@ -235,17 +458,18 @@ class TruncatedSeries:
         """The nonzero terms as a read-only {exponent: FieldElement} map."""
         if self._terms is None:
             field, val = self.field, self.val
+            digits = zip(*map(self._ring.decode, self.comps))
             self._terms = MappingProxyType(
-                {val + i: field.from_index(c)
-                 for i, c in enumerate(self.coeffs) if c})
+                {val + k: FieldElement(field, c)
+                 for k, c in enumerate(digits) if any(c)})
         return self._terms
 
     def valuation(self) -> int | None:
         """Exact valuation, or None when the series is 0 + O(T^prec)."""
-        return self.val if self.coeffs else None
+        return self.val if self.comps[0] else None
 
     def is_zero_to_precision(self) -> bool:
-        return not self.coeffs
+        return not self.comps[0]
 
     # -- arithmetic --------------------------------------------------------------
 
@@ -259,16 +483,16 @@ class TruncatedSeries:
         self._check(other)
         prec = min(self.prec, other.prec)
         val = min(self.val, other.val)
-        coeffs = self._ring.add(self.coeffs, self.val - val,
-                                other.coeffs, other.val - val, prec - val)
-        return TruncatedSeries._make(self._ring, val, coeffs, prec)
+        comps = self._ring.add(self.comps, self.val - val,
+                               other.comps, other.val - val, prec - val)
+        return TruncatedSeries._make(self._ring, val, comps, prec)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
         return TruncatedSeries._make(self._ring, self.val,
-                                     self._ring.neg(self.coeffs), self.prec)
+                                     self._ring.neg(self.comps), self.prec)
 
     def __mul__(self, other):
         if isinstance(other, FieldElement):
@@ -278,8 +502,8 @@ class TruncatedSeries:
         self._check(other)
         prec = min(self.prec + other.val, other.prec + self.val)
         val = self.val + other.val
-        coeffs = self._ring.mul(self.coeffs, other.coeffs, prec - val)
-        return TruncatedSeries._make(self._ring, val, coeffs, prec)
+        comps = self._ring.mul(self.comps, other.comps, prec - val)
+        return TruncatedSeries._make(self._ring, val, comps, prec)
 
     def __rmul__(self, other):
         if isinstance(other, FieldElement):
@@ -289,8 +513,8 @@ class TruncatedSeries:
     def scale(self, c: FieldElement) -> "TruncatedSeries":
         if c.field != self.field:
             raise DomainError("elements of different fields")
-        coeffs = self._ring.scale(self.coeffs, self.field.index_of(c))
-        return TruncatedSeries._make(self._ring, self.val, coeffs, self.prec)
+        comps = self._ring.scale(self.comps, c.coeffs)
+        return TruncatedSeries._make(self._ring, self.val, comps, self.prec)
 
     def inverse(self) -> "TruncatedSeries":
         """Series inverse; needs a determined valuation.  Computed once per
@@ -303,8 +527,8 @@ class TruncatedSeries:
             v = self.valuation()
             if v is None:
                 raise PrecisionError("cannot invert an (apparent) zero series")
-            coeffs = self._ring.inverse(self.coeffs, self.prec - v)
-            self._inv = TruncatedSeries._make(self._ring, -v, coeffs,
+            comps = self._ring.inverse(self.comps, self.prec - v)
+            self._inv = TruncatedSeries._make(self._ring, -v, comps,
                                               self.prec - 2 * v)
         return self._inv
 
@@ -317,15 +541,17 @@ class TruncatedSeries:
         out = self._pows.get(n)
         if out is not None:
             return out
+        ring = self._ring
         if n < 0:
             out = self.inverse() ** (-n)
         elif n == 0:
-            out = TruncatedSeries._make(self._ring, 0, [1], self.prec)
+            out = TruncatedSeries._make(
+                ring, 0, ring.element(self.field.one().coeffs), self.prec)
         else:
             val = n * self.val
             rel = self.prec - max(self.val, 0)
-            coeffs = self._ring.power(self.coeffs, n, rel)
-            out = TruncatedSeries._make(self._ring, val, coeffs, val + rel)
+            comps = ring.power(self.comps, n, rel)
+            out = TruncatedSeries._make(ring, val, comps, val + rel)
         self._pows[n] = out
         return out
 
@@ -346,22 +572,22 @@ class TruncatedSeries:
         """
         ring, field = self._ring, self.field
         p, j = ring.p, -self.val
-        # coeffs[i] is the coefficient of t^i in u; terms with p*i >= cap
-        # cannot reach T^cap through tau.
-        u = self.coeffs[:-(-cap // p)]
-        h = [field.index_of(field.from_index(c) * field.element(1 + beta * i))
-             for i, c in enumerate(u)]
+        # coefficient i of u is that of t^i; terms with p*i >= cap cannot
+        # reach T^cap through tau.
+        u = ring.cut(self.comps, 0, -(-cap // p))
+        h = ring.weigh(u, [1 + beta * i for i in range(min(p, ring.length(u)))])
         shift, e = j * (p - 1), alpha * (p - 1)
         k = e % p  # the integer factor of the middle term of F'
+        gap = ring.zeros(p - 1)
 
         def at_tau(poly, sigma, n):
             """poly(T^p sigma) mod T^n by Horner: the partial sum that tau^i
             multiplies is needed only mod T^(n - p*i)."""
-            top = min(len(poly), -(-n // p)) - 1
-            acc = [poly[top]]
+            top = min(ring.length(poly), -(-n // p)) - 1
+            acc = ring.cut(poly, top, top + 1)
             for i in range(top - 1, -1, -1):
-                acc = [poly[i]] + [0] * (p - 1) + ring.mul(sigma, acc,
-                                                           n - p * (i + 1))
+                acc = ring.cat(ring.cut(poly, i, i + 1), gap,
+                               ring.mul(sigma, acc, n - p * (i + 1)))
             return acc
 
         s, n = ring.inverse(u, 1), 1
@@ -374,14 +600,16 @@ class TruncatedSeries:
                 f_s = ring.add(f_s, 0, ring.power(s, e, n2 - shift), shift, n2)
             d_s = at_tau(h, sigma, m)
             if k and m > shift:
-                mid = ring.scale(ring.power(s, e - 1, m - shift), k)
+                mid = ring.scale(ring.power(s, e - 1, m - shift),
+                                 field.element(k).coeffs)
                 d_s = ring.add(d_s, 0, mid, shift, m)
-            s += ring.mul(ring.neg(f_s[n:]), ring.inverse(d_s, m), m)
+            s = ring.cat(s, ring.mul(ring.neg(ring.cut(f_s, n)),
+                                     ring.inverse(d_s, m), m))
             n = n2
         return TruncatedSeries._make(ring, 0, s, cap)
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.comps[0]:
             return f"O(T^{self.prec})"
         bits = [f"({c!r})T^{e}" for e, c in sorted(self.terms.items())]
         return " + ".join(bits) + f" + O(T^{self.prec})"
@@ -398,15 +626,15 @@ def compose(f: TruncatedSeries, tau: TruncatedSeries) -> TruncatedSeries:
     if vt is None or vt < 1:
         raise DomainError("composition needs a substitution of valuation >= 1")
     cap = vt * f.prec
-    if not f.coeffs:
+    if f.is_zero_to_precision():
         return TruncatedSeries.zero(f.field, cap)
     ring = f._ring
-    exps = [f.val + i for i, c in enumerate(f.coeffs) if c][::-1]
-    acc = TruncatedSeries._make(ring, 0, [f.coeffs[exps[0] - f.val]], tau.prec)
-    for e_prev, e in zip(exps, exps[1:]):
-        acc = acc * tau ** (e_prev - e)
-        acc = acc + TruncatedSeries._make(ring, 0, [f.coeffs[e - f.val]],
+    digits = list(zip(*map(ring.decode, f.comps)))
+    ks = [k for k, c in enumerate(digits) if any(c)][::-1]
+    acc = TruncatedSeries._make(ring, 0, ring.element(digits[ks[0]]), tau.prec)
+    for k_prev, k in zip(ks, ks[1:]):
+        acc = acc * tau ** (k_prev - k)
+        acc = acc + TruncatedSeries._make(ring, 0, ring.element(digits[k]),
                                           acc.prec)
-    acc = acc * tau ** exps[-1]
-    return TruncatedSeries._make(acc._ring, acc.val, acc.coeffs,
-                                 min(acc.prec, cap))
+    acc = acc * tau ** (f.val + ks[-1])
+    return TruncatedSeries._make(ring, acc.val, acc.comps, min(acc.prec, cap))

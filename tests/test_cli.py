@@ -161,6 +161,19 @@ def test_verify_single_step(tmp_path):
     assert res["p_rank"] == 0
 
 
+def test_verify_precision_above_the_limit_is_a_schema_error(tmp_path):
+    doc = {"field": {"p": 2, "a": 1}, "m": 1,
+           "steps": [{"var": "v", "rhs": [[[1], {"x": -3}]]}],
+           "generators": [{"name": "t", "shifts": {"v": [[[1], {}]]}}]}
+    code, res = run(tmp_path, ["verify", "--precision", "4097"], doc)
+    assert code == 2
+    assert res["error"]["type"] == "schema"
+    assert "4096" in res["error"]["message"]
+    code, res = run(tmp_path, ["verify", "--precision", "4096"], doc)
+    assert code == 0
+    assert res["oracle_jumps"] == [3]
+
+
 def test_verify_tame_only(tmp_path):
     doc = {"field": {"p": 2, "a": 1}, "m": 3, "steps": [], "generators": []}
     code, res = run(tmp_path, ["verify"], doc)
@@ -294,8 +307,14 @@ def test_json_int_accepts_only_integers():
     (["jumps", "--direction", "to-upper"],
      {"total_order": 10, "tame": 5, "numbering": "lower",
       "breaks": [[1, 1, 10], [3, 1, 4]]}),
+    # the first break order 4 is not the wild part 10/5 = 2, so the two
+    # jumps it would count do not make up a group of order 2
+    (["jumps", "--direction", "to-lower"],
+     {"total_order": 10, "tame": 5, "numbering": "upper",
+      "breaks": [[1, 1, 4], [3, 1, 2]]}),
 ], ids=["descending-jumps", "coefficient-vector-too-long",
-        "tower-coefficient-vector-too-long", "break-order-quotient-not-p-power"])
+        "tower-coefficient-vector-too-long", "break-order-quotient-not-p-power",
+        "first-break-order-not-wild-part"])
 def test_invalid_content_stays_a_domain_error(tmp_path, args, doc):
     code, res = run(tmp_path, args, doc)
     assert code == 1

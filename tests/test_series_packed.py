@@ -1,9 +1,11 @@
-"""The packed series kernel against the dict reference, term for term.
+"""The byte-component series kernel against the dict reference, term for term.
 
 Every operation must give the same terms and the same precision as the
 dict-of-FieldElement code in dict_series.py.  The fields cover the prime
 fields F_2, F_3, F_5, the extensions F_4, F_9, F_16, F_{2^16} (above the
-log-table cap, 31 slots per element) and F_65521 (eight-byte slots).
+log-table cap, 31 slots per element), F_65521 (two bytes per digit) and
+F_251, where a sum of two residues no longer fits a byte, so products and
+sums take the reducer's per-slot mod-p branch.
 """
 
 import random
@@ -13,16 +15,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramify import field_create
-from ramify.errors import DomainError
-from ramify.series import (_MEMO_SIZE, TruncatedSeries, _ring, _Ring,
-                           _slot_bytes, compose)
+from ramify.gf import FieldElement
+from ramify.series import TruncatedSeries, _ring, _Ring, compose
 from ramify.tower import _solve_unit, _uniformizer_exponents
 
 import dict_series
 from dict_series import DictSeries
 
 FIELDS = [field_create(p, a) for p, a in
-          [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 4), (2, 16), (65521, 1)]]
+          [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 4), (2, 16), (65521, 1),
+           (251, 1)]]
 
 
 @st.composite
@@ -128,30 +130,33 @@ def test_full_slots_match_reference():
         same(a * a, ref(a) * ref(a))
 
 
-def test_pack_round_trip():
-    ring = _ring(field_create(3, 2))
-    xs = [0, 8, 1, 5, 7, 3]
-    for w in (1, 2, 4, 8):
-        assert ring.unpack(ring.pack(xs, w), len(xs), w) == xs
+def test_index_component_round_trip():
+    """Element indices to components and back, directly and through the
+    strided slot layout at widths from one digit to nine bytes, with and
+    without the 2a - 1 product slots."""
+    rng = random.Random(5)
+    for field in FIELDS:
+        ring = _ring(field)
+        idx = [0] + [rng.randrange(field.q) for _ in range(40)] + [field.q - 1]
+        digits = [field.from_index(i).coeffs for i in idx]
+        comps = tuple(map(ring.encode, zip(*digits)))
+        back = [field.index_of(FieldElement(field, t))
+                for t in zip(*map(ring.decode, comps))]
+        assert back == idx
+        for w in range(ring.d, 10):
+            for st in (field.a * w, (2 * field.a - 1) * w):
+                assert ring.reduce(ring.pack(comps, w, st), w, st,
+                                   len(idx)) == comps
 
 
-def test_slots_wider_than_a_machine_word_are_refused():
-    assert _slot_bytes((1 << 64) - 1) == 8
-    with pytest.raises(DomainError):
-        _slot_bytes(1 << 64)
-
-
-def test_element_memos_stay_bounded():
-    """Over F_{2^16} nearly every product coefficient is a new fold key."""
+def test_dense_product_over_f_2_16_matches_reference():
+    """Length-400 dense operands over F_{2^16}: two-byte slots, 31 per
+    coefficient, every one of them reduced through the translate tables."""
     field = field_create(2, 16)
-    ring = _ring(field)
     rng = random.Random(3)
-    for _ in range(8):
-        a, b = ([rng.randrange(field.q) for _ in range(400)] for _ in "ab")
-        ring.mul(a, b, 800)
-    assert ring.fold.cache_info().currsize <= _MEMO_SIZE
-    assert ring.spread.cache_info().currsize <= _MEMO_SIZE
-    assert ring.fold.cache_info().misses > _MEMO_SIZE
+    a, b = (TruncatedSeries(field, {e: field.from_index(rng.randrange(1, field.q))
+                                    for e in range(400)}, 400) for _ in "ab")
+    same(a * b, ref(a) * ref(b))
 
 
 def test_pow_at_nonpositive_precision_matches_reference():
@@ -212,20 +217,22 @@ def test_solve_unit_matches_fixed_point_iteration_at_cap_256(p, j, tail):
 def test_unit_solve_kernel_products_stay_bounded(p, a, j, monkeypatch):
     """Operation count, not time: the Newton lift of a dense step at cap 256
     takes at most 1000 kernel products (the coefficient-per-pass lift it
-    replaced took 37214, 3105 and 7735 on these shapes)."""
+    replaced took 37214, 3105 and 7735 on these shapes).  _Ring.product is
+    the one big-integer product of the kernel: series products, powers and
+    Newton inverses all end in it."""
     calls = []
-    mul = _Ring.mul
+    product = _Ring.product
 
-    def counting(self, x, y, n):
+    def counting(self, px, py, w, st, n, lo=0):
         calls.append(n)
-        return mul(self, x, y, n)
+        return product(self, px, py, w, st, n, lo)
 
     field = field_create(p, a)
     rng = random.Random(p * 100 + j)
     f = TruncatedSeries(field, {e: field.from_index(rng.randrange(1, field.q))
                                 for e in range(-j, 256)}, 256)
     alpha, beta = _uniformizer_exponents(p, j)
-    monkeypatch.setattr(_Ring, "mul", counting)
+    monkeypatch.setattr(_Ring, "product", counting)
     s = _solve_unit(f, j, alpha, beta, 256)
     assert s.prec == 256
     assert len(calls) <= 1000
