@@ -2,12 +2,25 @@
 
 A TruncatedSeries represents f + O(T^prec): its terms have exponents strictly
 below `prec`, and anything at or above `prec` is unknown.  Every operation
-computes the precision of its result from the valuations of its inputs
-(sum: min(p1, p2); product: min(p1 + v2, p2 + v1); inverse of valuation v:
-p - 2v; powers by square-and-multiply from T^0 at the base's precision), so
-results never claim more accuracy than the inputs support.  Coefficients are
-exact finite-field elements; there is no rounding anywhere, only honest
-truncation.
+computes the precision of its result from the valuations of its inputs, and
+the rules are tight: a result claims the coefficients its inputs determine,
+no more and, but for f^0, no fewer.  With v the valuation and r = prec - v
+the relative precision of a nonzero series,
+
+- a sum has precision min(p1, p2);
+- a product has valuation v1 + v2 and relative precision min(r1, r2), so
+  precision min(p1 + v2, p2 + v1);
+- an inverse has valuation -v and relative precision r, so precision p - 2v;
+- a power f^n, n >= 1, has valuation n v and relative precision r: f is
+  T^v (u + O(T^r)) for a unit u, and so is every product of copies of it;
+  f^-n is (1/f)^n, and f^0 is 1 + O(T^p), though 1 is exact;
+- a constant multiple keeps valuation and precision, and `shift(k)`, the
+  product with the exact monomial T^k, adds k to both;
+- `compose(f, tau)` is capped at val(tau) * prec(f), the first term that the
+  unknown tail of f can reach.
+
+Coefficients are exact finite-field elements; there is no rounding anywhere,
+only honest truncation.
 
 Storage is dense, one byte string per F_p component.  A series over F_{p^a}
 keeps a valuation `val` and a tuple `comps` of a byte strings of one length:
@@ -516,6 +529,12 @@ class TruncatedSeries:
         comps = self._ring.scale(self.comps, c.coeffs)
         return TruncatedSeries._make(self._ring, self.val, comps, self.prec)
 
+    def shift(self, k: int) -> "TruncatedSeries":
+        """T^k self: an exact monomial factor moves valuation and precision
+        by k and needs no product."""
+        return TruncatedSeries._make(self._ring, self.val + k, self.comps,
+                                     self.prec + k)
+
     def inverse(self) -> "TruncatedSeries":
         """Series inverse; needs a determined valuation.  Computed once per
         series and kept on it.
@@ -533,11 +552,12 @@ class TruncatedSeries:
         return self._inv
 
     def __pow__(self, n: int) -> "TruncatedSeries":
-        """self^n with the precision of square-and-multiply from T^0 at
-        self.prec.  A product keeps the smaller relative precision (prec -
-        val) of its factors, so for n >= 1 the result has valuation n v and
-        relative precision self.prec - max(v, 0).  Each power is computed
-        once per series and kept on it; self^-n is (1/self)^n."""
+        """self^n.  A product keeps the smaller relative precision (prec -
+        val) of its factors, and self = T^v (u + O(T^(prec - v))) for a unit
+        u, so for n >= 1 the result has valuation n v and the same relative
+        precision prec - v, whatever the sign of v.  self^0 is 1 +
+        O(T^prec), and self^-n is (1/self)^n.  Each power is computed once
+        per series and kept on it."""
         out = self._pows.get(n)
         if out is not None:
             return out
@@ -549,7 +569,7 @@ class TruncatedSeries:
                 ring, 0, ring.element(self.field.one().coeffs), self.prec)
         else:
             val = n * self.val
-            rel = self.prec - max(self.val, 0)
+            rel = self.prec - self.val
             comps = ring.power(self.comps, n, rel)
             out = TruncatedSeries._make(ring, val, comps, val + rel)
         self._pows[n] = out

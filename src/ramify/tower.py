@@ -47,6 +47,13 @@ from .series import TruncatedSeries, compose
 
 VarPoly = dict
 
+# The largest |exponent| of a step variable in a right-hand side or a shift.
+# Closing the group of a tower expands (v + c)^e at every composition, and
+# past this exponent the slowest tower measured for p = 2, 3 and 5 (a shift
+# of w by v^(e-5) (x v^5 - x v - 1) over F_5, which is zero in the field)
+# no longer closes within a second.
+STEP_EXPONENT_CAP = 77
+
 
 def vp_const(field: Field, c: FieldElement) -> VarPoly:
     return {(): c} if c else {}
@@ -110,19 +117,40 @@ def vp_subst(field: Field, a: VarPoly, images: dict[str, VarPoly]) -> VarPoly:
 
 def vp_eval(a: VarPoly, env: dict[str, TruncatedSeries], field: Field,
             prec: int) -> TruncatedSeries:
-    out = TruncatedSeries.zero(field, prec)
+    """a at the series of env.  A monomial is the product of its powers
+    times its exact coefficient, so it keeps all the precision they have,
+    and an exact constant term joins the sum at the sum's precision; only a
+    bare constant, or the zero polynomial, takes prec."""
+    out = None
     for k, c in a.items():
-        term = TruncatedSeries.constant(field, c, prec)
-        for var, e in k:
-            if var not in env:
-                raise DomainError(f"unknown variable {var}")
-            term = term * env[var] ** e
-        out = out + term
+        if k:
+            term = None
+            for var, e in k:
+                if var not in env:
+                    raise DomainError(f"unknown variable {var}")
+                factor = env[var] ** e
+                term = factor if term is None else term * factor
+            term = term.scale(c)
+            out = term if out is None else out + term
+    const = a.get(())
+    if out is None:
+        out = TruncatedSeries.zero(field, prec)
+    if const:
+        out = out + TruncatedSeries.constant(field, const, out.prec)
     return out
 
 
 def vp_variables(a: VarPoly) -> set[str]:
     return {var for k in a for var, _ in k}
+
+
+def _check_step_exponents(a: VarPoly, where: str):
+    for k in a:
+        for var, e in k:
+            if var != "x" and abs(e) > STEP_EXPONENT_CAP:
+                raise DomainError(
+                    f"{where}: exponent {e} of {var} exceeds the limit "
+                    f"{STEP_EXPONENT_CAP}")
 
 
 def vp_from_json(field: Field, expr) -> VarPoly:
@@ -164,6 +192,7 @@ class TowerSpec:
         for step in self.steps:
             if step.var in known:
                 raise DomainError(f"duplicate variable {step.var}")
+            _check_step_exponents(step.rhs, f"step {step.var}")
             extra = vp_variables(step.rhs) - known
             if extra:
                 raise DomainError(f"step {step.var} uses undeclared {extra}")
@@ -189,6 +218,7 @@ class GeneratorAction:
         images = {"x": vp_var(field, "x")}
         for i, var in enumerate(order[1:], start=1):
             sh = shifts.get(var, {})
+            _check_step_exponents(sh, f"shift of {var}")
             allowed = set(order[:i])
             extra = vp_variables(sh) - allowed
             if extra:
@@ -265,12 +295,14 @@ def close_group(tower: TowerSpec, generators) -> list[GeneratorAction]:
 def _peel(f: TruncatedSeries, p: int):
     """Reduce p-divisible pole orders by subtracting d^p - d for monomials d.
 
-    Returns (reduced series with p-free pole, accumulated d).  Raises
-    DomainError when no pole survives (the step is not totally ramified) and
-    PrecisionError when the leading term cannot be seen at this precision.
+    Returns (reduced series with p-free pole, the terms (exponent,
+    coefficient) of the d in increasing exponent).  Each d is exact, even
+    where it lies past the precision of f.  Raises DomainError when no pole
+    survives (the step is not totally ramified) and PrecisionError when the
+    leading term cannot be seen at this precision.
     """
     field = f.field
-    d_total = None
+    peel = []
     while True:
         if f.is_zero_to_precision():
             raise PrecisionError(
@@ -281,13 +313,13 @@ def _peel(f: TruncatedSeries, p: int):
                 "step is not totally ramified: right-hand side has no pole "
                 "after reduction")
         if (-v) % p != 0:
-            return f, d_total
+            return f, tuple(peel)
         c = f.terms[v]
         root = c.pth_root()
+        peel.append((v // p, root))
         d = TruncatedSeries.monomial(field, v // p, f.prec, coeff=root)
         d_p = TruncatedSeries.monomial(field, v, f.prec, coeff=c)
         f = f - d_p + d
-        d_total = d if d_total is None else d_total + d
 
 
 def _uniformizer_exponents(p: int, j: int) -> tuple[int, int]:
@@ -327,12 +359,13 @@ def _solve_unit(f: TruncatedSeries, j: int, alpha: int, beta: int,
 @dataclass(frozen=True)
 class _StepChart:
     """How one step's uniformizer was built: T_new = T_old^alpha * y'^beta
-    with y' = y - D(T_old) for the peel correction D (None when no peel)."""
+    with y' = y - D(T_old) for the exact peel correction D (empty when no
+    pole was peeled)."""
     var: str
     pole_order: int
     alpha: int
     beta: int
-    peel: tuple | None  # ((exponent, coefficient), ...) in T_old units
+    peel: tuple  # ((exponent, coefficient), ...) in T_old units
 
 
 def _expand_tower(tower: TowerSpec, prec: int):
@@ -347,26 +380,25 @@ def _expand_tower(tower: TowerSpec, prec: int):
     charts = []
     for step in tower.steps:
         f = vp_eval(step.rhs, env, field, prec)
-        f, d_total = _peel(f, p)
+        f, peel = _peel(f, p)
         j = -f.valuation()
         alpha, beta = _uniformizer_exponents(p, j)
         s = _solve_unit(f, j, alpha, beta, prec)
-        tau = TruncatedSeries.monomial(field, p, s.prec) * s ** beta
-        eta = TruncatedSeries.monomial(field, -j, s.prec) * s ** (-alpha)
+        tau = (s ** beta).shift(p)
+        eta = (s ** (-alpha)).shift(-j)
         # consistency: the defining monomial of the new uniformizer is T itself
         t_check = tau ** alpha * eta ** beta
         if not (t_check - TruncatedSeries.monomial(field, 1, t_check.prec)
                 ).is_zero_to_precision():
             raise PrecisionError("uniformizer relation failed to close")
         new_env = {name: compose(ser, tau) for name, ser in env.items()}
+        # y = eta + D(tau) for the exact peel correction D
         y_series = eta
-        peel_terms = None
-        if d_total is not None:
-            y_series = eta + compose(d_total, tau)
-            peel_terms = tuple(sorted(d_total.terms.items()))
+        for e, c in peel:
+            y_series = y_series + (tau ** e).scale(c)
         new_env[step.var] = y_series
         env = new_env
-        charts.append(_StepChart(step.var, j, alpha, beta, peel_terms))
+        charts.append(_StepChart(step.var, j, alpha, beta, peel))
     return env, charts
 
 
@@ -376,26 +408,72 @@ def _uniformizer_image(g: GeneratorAction, env, charts, field: Field,
     cur = env["x"]
     for chart in charts:
         y_ser = vp_eval(g.images[chart.var], env, field, prec)
-        if chart.peel is not None:
-            corr = TruncatedSeries.zero(field, y_ser.prec)
-            for e, c in chart.peel:
-                corr = corr + (cur ** e).scale(c)
-            y_ser = y_ser - corr
+        for e, c in chart.peel:
+            y_ser = y_ser - (cur ** e).scale(c)
         cur = cur ** chart.alpha * y_ser ** chart.beta
     return cur
 
 
-def _check_generators(tower: TowerSpec, generators, env, prec: int):
-    """Each generator must preserve every step equation as a series identity."""
+def _split(a: VarPoly, var: str) -> dict[int, VarPoly]:
+    """a as {exponent of var: coefficient free of var}."""
+    out: dict[int, VarPoly] = {}
+    for k, c in a.items():
+        e = dict(k).get(var, 0)
+        rest = tuple(item for item in k if item[0] != var)
+        out.setdefault(e, {})[rest] = c
+    return out
+
+
+def _reduce(field: Field, a: VarPoly, steps) -> VarPoly:
+    """a with every step variable to an exponent below p, by var^p = var +
+    rhs from the top variable down: an rhs holds only earlier variables, so
+    reducing one variable never raises a later one.  The result is a sum of
+    Laurent polynomials in x times products of step variables with exponents
+    in [0, p), and those products are a basis of the tower's function field
+    over that of x, since every step has degree p."""
+    p = field.p
+    for step in reversed(steps):
+        parts = _split(a, step.var)
+        for e in range(max(parts, default=0), p - 1, -1):
+            c = parts.pop(e, None)
+            if c:  # var^e = var^(e-p+1) + var^(e-p) rhs
+                parts[e - p + 1] = vp_add(parts.get(e - p + 1, {}), c)
+                parts[e - p] = vp_add(parts.get(e - p, {}),
+                                      vp_mul(c, step.rhs))
+        a = {_mono_mul(k, ((step.var, e),)): co
+             for e, c in parts.items() for k, co in c.items()}
+    return a
+
+
+def _check_generators(tower: TowerSpec, generators):
+    """Each generator must preserve every step equation, exactly.
+
+    g maps var to var + s, so g(var)^p - g(var) = rhs + s^p - s, and g
+    preserves var^p - var = rhs iff D = s^p - s - (rhs(g vars) - rhs) is 0
+    in the function field of the tower, that is iff D reduces to 0 (see
+    _reduce).  s^p is the Frobenius of s, term by term.  The reduction needs
+    nonnegative powers of the step variables, so a right-hand side with a
+    negative one is refused.
+    """
     field = tower.field
     p = field.p
+    minus_one = -field.one()
+    for step in tower.steps:
+        for k in step.rhs:
+            for var, e in k:
+                if var != "x" and e < 0:
+                    raise DomainError(
+                        f"step {step.var} has a negative power of the step "
+                        f"variable {var}")
     for g in generators:
-        g_env = {var: vp_eval(img, env, field, prec)
-                 for var, img in g.images.items()}
         for step in tower.steps:
-            lhs = g_env[step.var] ** p - g_env[step.var]
-            rhs = vp_eval(step.rhs, g_env, field, prec)
-            if not (lhs - rhs).is_zero_to_precision():
+            shift = vp_add(g.images[step.var],
+                           vp_scale(vp_var(field, step.var), minus_one))
+            frob = {tuple((var, e * p) for var, e in k): c ** p
+                    for k, c in shift.items()}
+            d = vp_add(vp_add(frob, step.rhs), vp_scale(
+                vp_add(shift, vp_subst(field, step.rhs, g.images)), minus_one))
+            if _reduce(field, d, tower.steps):
                 raise DomainError(
                     f"generator {g.name or '?'} does not preserve the "
                     f"equation of step {step.var}")
@@ -413,8 +491,10 @@ def oracle_run(tower: TowerSpec, generators, precision: int = 200) -> OracleRun:
     """Lower jumps by direct valuation of g(T) - T for every group element.
 
     Starts with a small working precision and doubles on PrecisionError up to
-    the given cap.  The group closure does not depend on the precision, so
-    the first attempt that reaches it computes it for every retry.
+    the given cap; the precision of the result is the first working
+    precision that answered.  The exact generator check and the group
+    closure do not depend on the precision, so the first attempt that
+    reaches them runs them for every retry.
     """
     gens = list(generators)
     if not tower.steps:
@@ -436,13 +516,14 @@ def oracle_run(tower: TowerSpec, generators, precision: int = 200) -> OracleRun:
 
 def _oracle_attempt(tower, gens, work, group):
     """One oracle pass at working precision work; group is the closed group,
-    or empty until an attempt first gets that far and fills it."""
+    or empty until an attempt first gets that far, checks the generators and
+    fills it."""
     field = tower.field
     env, charts = _expand_tower(tower, work)
     pole_orders = tuple(c.pole_order for c in charts)
-    _check_generators(tower, gens, env, work)
     work_prec = min(s.prec for s in env.values())
     if not group:
+        _check_generators(tower, gens)
         group.extend(close_group(tower, gens))
     ident = _identity(tower)
     t_series = _uniformizer_image(ident, env, charts, field, work_prec)

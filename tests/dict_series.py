@@ -73,16 +73,21 @@ class DictSeries:
         return DictSeries(self.field, out, self.prec - 2 * v)
 
     def __pow__(self, n):
+        """Square-and-multiply from the first factor, so that for n >= 1 the
+        result keeps the relative precision prec - val of self; self^0 is
+        1 + O(T^prec)."""
         if n < 0:
             return self.inverse() ** (-n)
-        result = DictSeries.monomial(self.field, 0, self.prec)
-        base = self
-        while n:
+        if n == 0:
+            return DictSeries.monomial(self.field, 0, self.prec)
+        result, base = None, self
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
 
 def compose(f, tau):

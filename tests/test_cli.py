@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -192,6 +193,37 @@ def test_verify_quaternion(tmp_path):
     assert res["p_rank"] == 0
 
 
+def ea2_doc(p, rhs_w, t_shift):
+    """v^p - v = 1/x, w^p - w = rhs_w, generators v -> v + 1 and t."""
+    return {"field": {"p": p, "a": 1}, "m": 1,
+            "steps": [{"var": "v", "rhs": [[[1], {"x": -1}]]},
+                      {"var": "w", "rhs": rhs_w}],
+            "generators": [{"name": "s", "shifts": {"v": [[[1], {}]]}},
+                           {"name": "t", "shifts": {"w": t_shift}}]}
+
+
+@pytest.mark.parametrize("p,c", [(2, 1), (5, 2)])
+def test_verify_refuses_a_shift_that_breaks_its_step(tmp_path, p, c):
+    # w -> w + c x does not preserve w^p - w = x^-3: (c x)^p - c x is not 0.
+    # A check on truncated series once passed this vacuously and reported
+    # jumps [1, 9] (p = 2) and [1, 36] (p = 5).
+    doc = ea2_doc(p, [[[1], {"x": -3}]], [[[c], {"x": 1}]])
+    code, res = run(tmp_path, ["verify", "--precision", "256"], doc)
+    assert code == 1
+    assert "does not preserve" in res["error"]["message"]
+
+
+def test_verify_refuses_a_step_exponent_past_the_limit_at_once(tmp_path):
+    # the refusal comes before any work: closing the group of a shift by
+    # v^e over F_5 already takes seconds at e = 124
+    doc = ea2_doc(5, [[[1], {"x": -3}]], [[[1], {"v": 3124}]])
+    t0 = time.perf_counter()
+    code, res = run(tmp_path, ["verify", "--precision", "256"], doc)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1
+    assert "exceeds the limit 77" in res["error"]["message"]
+
+
 def test_quaternion_demo_f2(tmp_path):
     code, res = run(tmp_path, ["quaternion-demo", "--field-size", "2",
                                "--sweep"])
@@ -348,10 +380,12 @@ def test_standard_form_with_tame_scalar(tmp_path):
 
 
 # `verify --precision 256` standard output, byte for byte, for three towers
-# whose oracle runs end at working precision 256, 128 and 32.  The texts were
+# whose oracle runs end at working precision 64, 32 and 32.  The texts were
 # produced by the dict-of-coefficients series code that the packed kernel
-# replaced; any change in a series coefficient that reaches a jump, the
-# precision used or the genus shows here.
+# replaced, with the precision used moved from 256 and 128 to 64 and 32 when
+# the series precision rules became tight; any change in a series
+# coefficient that reaches a jump, the precision used or the genus shows
+# here.
 GOLDEN_Z5_SQUARED = (
     {"field": {"p": 5, "a": 1},
      "m": 1,
@@ -388,7 +422,7 @@ GOLDEN_Z5_SQUARED = (
     '    13\n'
     '  ],\n'
     '  "p_rank": 0,\n'
-    '  "precision_used": 256\n'
+    '  "precision_used": 64\n'
     '}\n'
 )
 GOLDEN_Z2_SQUARED = (
@@ -427,7 +461,7 @@ GOLDEN_Z2_SQUARED = (
     '    13\n'
     '  ],\n'
     '  "p_rank": 0,\n'
-    '  "precision_used": 128\n'
+    '  "precision_used": 32\n'
     '}\n'
 )
 GOLDEN_F16_QUATERNION = (

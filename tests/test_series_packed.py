@@ -121,6 +121,49 @@ def test_compose_matches_reference(data):
     same(compose(f, tau), dict_series.compose(ref(f), ref(tau)))
 
 
+def refine(data, s, extra=24):
+    """A series that agrees with s below s.prec and carries random terms
+    from there up to its own precision s.prec + extra: one of the series
+    that s + O(T^s.prec) stands for."""
+    field = s.field
+    digits = data.draw(st.lists(st.integers(0, field.q - 1), min_size=extra,
+                                max_size=extra))
+    terms = dict(s.terms)
+    terms.update((s.prec + k, field.from_index(i)) for k, i in enumerate(digits))
+    return TruncatedSeries(field, terms, s.prec + extra)
+
+
+def honest(claimed, refined):
+    """claimed's terms are those of refined below claimed.prec."""
+    assert refined.prec >= claimed.prec
+    assert {e: c for e, c in refined.terms.items() if e < claimed.prec} \
+        == dict(claimed.terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_results_claim_only_what_their_inputs_determine(data):
+    """Replacing the unknown tail of each input by random terms changes no
+    coefficient that a result claims: products, powers, inverses, shifts
+    and compositions."""
+    field = data.draw(st.sampled_from(FIELDS))
+    f = data.draw(series(field, max_prec=80, max_terms=12))
+    g = data.draw(series(field, max_prec=80, max_terms=12))
+    f2, g2 = refine(data, f), refine(data, g)
+    honest(f * g, f2 * g2)
+    k = data.draw(st.integers(-20, 20))
+    honest(f.shift(k), f2.shift(k))
+    for n in range(-3, 6):
+        if n >= 0 or not f.is_zero_to_precision():
+            honest(f ** n, f2 ** n)
+    if not f.is_zero_to_precision():
+        honest(f.inverse(), f2.inverse())
+    h = data.draw(series(field, max_prec=12, max_terms=6, vals=(-4, 8)))
+    tau = data.draw(series(field, max_prec=40, max_terms=8, vals=(1, 3)))
+    if not tau.is_zero_to_precision():
+        honest(compose(h, tau), compose(refine(data, h, 8), refine(data, tau)))
+
+
 def test_full_slots_match_reference():
     """Dense operands with every digit p - 1 fill each slot to its bound."""
     for field in FIELDS:
@@ -160,13 +203,17 @@ def test_dense_product_over_f_2_16_matches_reference():
 
 
 def test_pow_at_nonpositive_precision_matches_reference():
-    """T^0 at a precision <= 0 is itself an apparent zero."""
+    """A series with a pole at a precision <= 0 keeps its relative
+    precision prec - val in every positive power, and T^0 at such a
+    precision is itself an apparent zero."""
     for field in FIELDS[:4]:
         c = field.from_index(field.q - 1)
         for prec in (-3, 0):
             a = TruncatedSeries(field, {-5: c, -4: c}, prec)
             for n in range(-2, 5):
                 same(a ** n, ref(a) ** n)
+                if n:
+                    assert (a ** n).prec == -5 * n + prec + 5
 
 
 def check_unit(f, j, prec):

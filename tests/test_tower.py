@@ -10,8 +10,9 @@ from ramify import (DomainError, RamFiltration, TowerSpec, field_create,
                     root_of_unity)
 from ramify import tower as tower_module
 from ramify.laurent import LaurentPoly
-from ramify.tower import (GeneratorAction, TowerStep, analytic_step_jumps,
-                          close_group, vp_add, vp_const, vp_var)
+from ramify.tower import (STEP_EXPONENT_CAP, GeneratorAction, TowerStep,
+                          analytic_step_jumps, close_group, vp_add, vp_const,
+                          vp_scale, vp_var)
 
 import quaternion_pipeline
 
@@ -81,6 +82,78 @@ def test_oracle_rejects_non_automorphism():
     bad = GeneratorAction(tower, {"v": vp_var(field, "x")})  # v -> v + x
     with pytest.raises(DomainError, match="preserve"):
         oracle_lower_jumps(tower, [bad], precision=64)
+
+
+def test_generator_check_reduces_modulo_the_step_equations():
+    # x v^2 + x v + 1 = x (v^2 - v - 1/x) is 0 in the function field, so the
+    # shift w -> w + x v^2 + x v + 1 is the identity there; w -> w + x is no
+    # automorphism at all
+    field = F2
+    tower = TowerSpec(field, 1, (TowerStep("v", vp_var(field, "x", -1)),
+                                 TowerStep("w", vp_var(field, "x", -3))))
+    zero = {(("v", 2), ("x", 1)): field.one(),
+            (("v", 1), ("x", 1)): field.one(), (): field.one()}
+    tower_module._check_generators(tower, [GeneratorAction(tower, {"w": zero})])
+    with pytest.raises(DomainError, match="preserve"):
+        tower_module._check_generators(
+            tower, [GeneratorAction(tower, {"w": vp_var(field, "x")})])
+
+
+def test_generator_check_refuses_negative_step_powers():
+    field = F2
+    tower = TowerSpec(field, 1, (
+        TowerStep("v", vp_var(field, "x", -1)),
+        TowerStep("w", vp_add(vp_var(field, "x", -3), vp_var(field, "v", -1)))))
+    gens = [GeneratorAction(tower, {"v": vp_const(field, field.one())}, "a"),
+            GeneratorAction(tower, {"w": vp_const(field, field.one())}, "b")]
+    with pytest.raises(DomainError, match="negative power"):
+        oracle_run(tower, gens, precision=64)
+
+
+def test_step_exponents_are_limited():
+    field = F2
+    v_step = TowerStep("v", vp_var(field, "x", -1))
+
+    def tower(e):
+        return TowerSpec(field, 1, (v_step, TowerStep("w", vp_add(
+            vp_var(field, "x", -3), vp_var(field, "v", e)))))
+    ok = tower(STEP_EXPONENT_CAP)
+    GeneratorAction(ok, {"w": vp_var(field, "v", STEP_EXPONENT_CAP)})
+    for e in (STEP_EXPONENT_CAP + 1, -STEP_EXPONENT_CAP - 1):
+        with pytest.raises(DomainError, match="exceeds the limit"):
+            tower(e)
+    with pytest.raises(DomainError, match="exceeds the limit"):
+        GeneratorAction(ok, {"w": vp_var(field, "v", STEP_EXPONENT_CAP + 1)})
+    # the base coordinate is no step variable
+    TowerSpec(field, 1, (TowerStep("v", vp_var(field, "x", -1001)),))
+
+
+def ea2_tower(p, j1, j2):
+    """v^p - v = x^-j1, w^p - w = -x^-j2 with (Z/p)^2 generated by the
+    shifts by 1."""
+    field = field_create(p, 1)
+    tower = TowerSpec(field, 1, (
+        TowerStep("v", vp_var(field, "x", -j1)),
+        TowerStep("w", vp_scale(vp_var(field, "x", -j2), -field.one()))))
+    one = vp_const(field, field.one())
+    return tower, [GeneratorAction(tower, {"v": one}, "s"),
+                   GeneratorAction(tower, {"w": one}, "t")]
+
+
+@pytest.mark.parametrize("p,j1,j2", [
+    (2, 1, 3), (2, 3, 7), (2, 7, 11), (2, 3, 35), (3, 1, 2), (3, 1, 10),
+    (3, 4, 11), (5, 2, 3), (5, 3, 8), (5, 8, 9)])
+def test_first_answering_precision_is_sound(p, j1, j2):
+    # the first working precision that answers gives what one attempt at
+    # 256 gives, and both are Herbrand's lower jumps j1, j1 + p (j2 - j1)
+    tower, gens = ea2_tower(p, j1, j2)
+    run = oracle_run(tower, gens, precision=256)
+    deep = tower_module._oracle_attempt(tower, gens, 256, [])
+    assert run.element_jumps == deep.element_jumps
+    assert run.filtration == deep.filtration
+    lower2 = j1 + p * (j2 - j1)
+    assert jumps_with_multiplicity(run.filtration) == [j1, lower2]
+    assert run.element_jumps == (j1,) * (p * p - p) + (lower2,) * (p - 1)
 
 
 def test_two_step_tower_jumps():
@@ -264,20 +337,20 @@ def test_fiber_oracle_cross_check():
 
 
 def test_oracle_precision_retry():
-    # a deep jump forces the doubling loop: val(g(T) - T) = 32 is invisible
-    # at the starting precision 32
-    tower, gens = single_step_tower(2, 31)
+    # a deep jump forces the doubling loop: val(g(T) - T) = 66 lies past
+    # what working precisions 32 and 64 determine
+    tower, gens = single_step_tower(2, 65)
     run = oracle_run(tower, gens, precision=200)
-    assert jumps_with_multiplicity(run.filtration) == [31]
+    assert jumps_with_multiplicity(run.filtration) == [65]
     assert run.precision > 32
 
 
 def test_group_closed_once_per_oracle_run(monkeypatch):
-    # (Z/2)^2 with upper jumps 3 and 11 (lower 3 and 3 + 2*8 = 19) retries
+    # (Z/2)^2 with upper jumps 3 and 35 (lower 3 and 3 + 2*32 = 67) retries
     # twice, up to working precision 128
     field = F2
     tower = TowerSpec(field, 1, (TowerStep("v", vp_var(field, "x", -3)),
-                                 TowerStep("w", vp_var(field, "x", -11))))
+                                 TowerStep("w", vp_var(field, "x", -35))))
     gens = [GeneratorAction(tower, {"v": vp_const(field, field.one())}, "a"),
             GeneratorAction(tower, {"w": vp_const(field, field.one())}, "b")]
     calls = []
@@ -290,7 +363,7 @@ def test_group_closed_once_per_oracle_run(monkeypatch):
     run = oracle_run(tower, gens, precision=200)
     assert run.precision >= 128
     assert len(calls) == 1
-    assert run.element_jumps == (3, 3, 19)
+    assert run.element_jumps == (3, 3, 67)
 
 
 def test_oracle_precision_cap_exhausted():
