@@ -135,20 +135,15 @@ def cmd_dimension(doc) -> dict:
 
 
 def cmd_verify(doc, precision: int) -> dict:
-    if precision > PRECISION_CAP:
+    if not 1 <= precision <= PRECISION_CAP:
         raise SchemaError(
-            f"precision {precision} exceeds the limit {PRECISION_CAP}")
+            f"precision {precision} is outside the range 1..{PRECISION_CAP}")
     tw, gens = tower.tower_from_json(doc)
     run = tower.oracle_run(tw, gens, precision)
     oracle_jumps = [int(j) for j in
                     ramfilt.jumps_with_multiplicity(run.filtration)]
-    try:
-        analytic = tower.analytic_step_jumps(tw)
-    except DomainError:
-        analytic = None
-    agree = analytic is not None and sorted(analytic) == sorted(oracle_jumps)
-    if not tw.steps:
-        agree = analytic == []
+    analytic = tower.herbrand_lower_jumps(tw.field.p, run.pole_orders)
+    agree = analytic == oracle_jumps
     out = {
         "oracle_jumps": oracle_jumps,
         "analytic_jumps": analytic,
@@ -236,9 +231,10 @@ def build_parser() -> argparse.ArgumentParser:
     io_args(sp)
 
     sp = sub.add_parser("verify",
-                        help="series-valuation oracle vs normal-form jumps")
+                        help="series-valuation oracle vs Herbrand's jumps "
+                             "from the step conductors")
     sp.add_argument("--precision", type=int, default=200,
-                    help="series precision cap for the oracle, at most "
+                    help="series precision cap for the oracle, from 1 to "
                          f"{PRECISION_CAP}")
     io_args(sp)
 

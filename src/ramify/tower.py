@@ -1,11 +1,13 @@
 """Towers of degree-p steps over a tame base, and their invariants.
 
-The heart of the module is an independent oracle for lower jumps: it builds a
-uniformizer at the top of the tower step by step, re-expands every variable as
-a truncated series in it, and reads each group element's jump off the
-valuation of g(T) - T.  This uses nothing but series arithmetic, so it
-cross-checks the conductor formulas computed elsewhere from Laurent-polynomial
-normal forms.
+The heart of the module is an oracle for lower jumps: it builds a uniformizer
+at the top of the tower step by step, re-expands every variable as a truncated
+series in it, and reads each group element's jump off the valuation of
+g(T) - T.  Building the uniformizer finds each step's conductor, the reduced
+pole order of its right-hand side in the uniformizer below it, and
+herbrand_lower_jumps turns those conductors alone into the lower jumps of the
+whole group (Herbrand's theorem, Serre, Local Fields IV): a second route that
+uses no generator, no group closure and no g(T) - T.
 
 Per step with (reduced) pole order j prime to p, the new uniformizer is
 T_new = T_old^alpha * y^beta where alpha*p - beta*j = 1 and alpha is the
@@ -36,9 +38,8 @@ from .errors import (DomainError, PrecisionError, SchemaError, json_int,
                      json_str)
 from .gf import (Field, FieldElement, field_create, json_element, power,
                  root_of_unity)
-from .laurent import LaurentPoly, accumulate, prime_to_p_degree, sparse_mul
+from .laurent import accumulate, sparse_mul
 from .ramfilt import LOWER, RamFiltration, jumps_with_multiplicity
-from .ascover import standard_form_poly
 from .series import TruncatedSeries, compose
 
 # ---------------------------------------------------------------------------
@@ -247,9 +248,11 @@ class GeneratorAction:
             for var, img in self.images.items()))
 
 
-def _compose(field: Field, g: GeneratorAction, h: GeneratorAction) -> GeneratorAction:
-    """(g o h)(var) = g(h(var))."""
-    images = {var: vp_subst(field, img, g.images)
+def _compose(field: Field, g: GeneratorAction, h: GeneratorAction,
+             steps=()) -> GeneratorAction:
+    """(g o h)(var) = g(h(var)), each image reduced by the equations of
+    steps (see _reduce)."""
+    images = {var: _reduce(field, vp_subst(field, img, g.images), steps)
               for var, img in h.images.items()}
     return GeneratorAction._raw(images, name=f"{g.name}*{h.name}")
 
@@ -263,7 +266,10 @@ def _identity(tower: TowerSpec) -> GeneratorAction:
 
 
 def close_group(tower: TowerSpec, generators) -> list[GeneratorAction]:
-    """Close the generators under composition; must hit p^(#steps) exactly."""
+    """Close the generators under composition; must hit p^(#steps) exactly.
+
+    Elements are keyed on their reduced images, so two compositions that
+    agree in the function field are one element."""
     field = tower.field
     expected = tower.wild_order
     ident = _identity(tower)
@@ -273,7 +279,7 @@ def close_group(tower: TowerSpec, generators) -> list[GeneratorAction]:
         fresh = []
         for a in frontier:
             for g in generators:
-                c = _compose(field, g, a)
+                c = _compose(field, g, a, tower.steps)
                 k = c.key()
                 if k not in seen:
                     if len(seen) >= expected:
@@ -432,6 +438,8 @@ def _reduce(field: Field, a: VarPoly, steps) -> VarPoly:
     in [0, p), and those products are a basis of the tower's function field
     over that of x, since every step has degree p."""
     p = field.p
+    if all(e < p for k in a for var, e in k if var != "x"):
+        return a
     for step in reversed(steps):
         parts = _split(a, step.var)
         for e in range(max(parts, default=0), p - 1, -1):
@@ -484,7 +492,7 @@ class OracleRun:
     filtration: RamFiltration
     precision: int
     element_jumps: tuple[int, ...]
-    pole_orders: tuple[int, ...]
+    pole_orders: tuple[int, ...]  # the step conductors, bottom step first
 
 
 def oracle_run(tower: TowerSpec, generators, precision: int = 200) -> OracleRun:
@@ -559,32 +567,19 @@ def oracle_lower_jumps(tower: TowerSpec, generators,
     return oracle_run(tower, generators, precision).filtration
 
 
-def analytic_step_jumps(tower: TowerSpec) -> list[int]:
-    """Per-step jumps from Laurent normal forms, no series expansion.
+def herbrand_lower_jumps(p: int, conductors) -> list[int]:
+    """Lower jumps, with multiplicity, of a tower with these step conductors.
 
-    Each step's right-hand side is folded to a one-variable Laurent polynomial
-    in the current uniformizer using the declared valuations of the earlier
-    variables, then reduced to standard form.  Leading cancellations deeper
-    than the coefficient sums are invisible here; the oracle is authoritative.
+    Every field of the tower is stable under the group G (a shift uses only
+    earlier variables), so H = Gal(K_n/K_(n-1)) is normal, of order p, with
+    the top conductor d as its jump.  Lower numbering passes to H and, by
+    Herbrand's theorem, to G/H through phi_H: |G_u| = |(G/H)_phi_H(u)| |H_u|.
+    So a jump b of G/H stays at b when b <= d and moves to d + p (b - d)
+    past it, and d joins the list.
     """
-    field = tower.field
-    p = field.p
-    vals = {"x": 1}
     jumps = []
-    for step in tower.steps:
-        folded = LaurentPoly(field, [(sum(exp * vals[var] for var, exp in k), c)
-                                     for k, c in step.rhs.items()])
-        sf = standard_form_poly(folded, p)
-        if not sf:
-            raise DomainError(
-                f"analytic jump of step {step.var} undetermined "
-                "(right-hand side reduces to zero at leading order)")
-        j = prime_to_p_degree(sf)
-        if j < 1:
-            raise DomainError(f"step {step.var} is not totally ramified")
-        jumps.append(j)
-        vals = {name: v * p for name, v in vals.items()}
-        vals[step.var] = -j
+    for d in conductors:
+        jumps = sorted([b if b <= d else d + p * (b - d) for b in jumps] + [d])
     return jumps
 
 

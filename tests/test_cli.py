@@ -166,10 +166,11 @@ def test_verify_precision_above_the_limit_is_a_schema_error(tmp_path):
     doc = {"field": {"p": 2, "a": 1}, "m": 1,
            "steps": [{"var": "v", "rhs": [[[1], {"x": -3}]]}],
            "generators": [{"name": "t", "shifts": {"v": [[[1], {}]]}}]}
-    code, res = run(tmp_path, ["verify", "--precision", "4097"], doc)
-    assert code == 2
-    assert res["error"]["type"] == "schema"
-    assert "4096" in res["error"]["message"]
+    for precision in ("4097", "0", "-1"):
+        code, res = run(tmp_path, ["verify", "--precision", precision], doc)
+        assert code == 2
+        assert res["error"]["type"] == "schema"
+        assert "4096" in res["error"]["message"]
     code, res = run(tmp_path, ["verify", "--precision", "4096"], doc)
     assert code == 0
     assert res["oracle_jumps"] == [3]
@@ -222,6 +223,47 @@ def test_verify_refuses_a_step_exponent_past_the_limit_at_once(tmp_path):
     assert time.perf_counter() - t0 < 1.0
     assert code == 1
     assert "exceeds the limit 77" in res["error"]["message"]
+
+
+def test_verify_refuses_a_generator_that_is_the_identity_at_once(tmp_path):
+    # w -> w + x v^2 + x v + 1 is the identity, as v^2 = v + x^-1 (p = 2);
+    # keyed on unreduced images it counted as a new group element and the
+    # oracle ran to the precision cap before refusing
+    doc = ea2_doc(2, [[[1], {"x": -3}]],
+                  [[[1], {"x": 1, "v": 2}], [[1], {"x": 1, "v": 1}],
+                   [[1], {}]])
+    t0 = time.perf_counter()
+    code, res = run(tmp_path, ["verify", "--precision", "4096"], doc)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1
+    assert "group of order 2, expected 4" in res["error"]["message"]
+
+
+@pytest.mark.parametrize("first,second", [(1, 3), (3, 1)])
+def test_verify_herbrand_route_in_both_step_orders(tmp_path, first, second):
+    # x^-1 and x^-3 span the same (Z/2)^2 extension in either order, with
+    # lower jumps 1 and 5; the step conductors are (1, 5) and (3, 1)
+    doc = {"field": {"p": 2, "a": 1}, "m": 1,
+           "steps": [{"var": "v", "rhs": [[[1], {"x": -first}]]},
+                     {"var": "w", "rhs": [[[1], {"x": -second}]]}],
+           "generators": [{"name": "s", "shifts": {"v": [[[1], {}]]}},
+                          {"name": "t", "shifts": {"w": [[[1], {}]]}}]}
+    code, res = run(tmp_path, ["verify"], doc)
+    assert code == 0
+    assert res["oracle_jumps"] == [1, 5] == res["analytic_jumps"]
+    assert res["agree"] is True
+
+
+def test_verify_herbrand_route_on_a_top5_quaternion_fiber(tmp_path):
+    # the F_16 fiber a1 = z, a2 = 1, a3 = z + 1, whose top right-hand side
+    # cancels at leading order when folded by valuations alone
+    doc = json.loads(json.dumps(GOLDEN_F16_QUATERNION[0]))
+    doc["steps"][1]["rhs"][1][0] = [1, 0, 0, 0]  # a2 = 1
+    doc["steps"][2]["rhs"][1][0] = [1, 1, 0, 0]  # a3 = z + 1
+    code, res = run(tmp_path, ["verify"], doc)
+    assert code == 0
+    assert res["oracle_jumps"] == [1, 1, 5] == res["analytic_jumps"]
+    assert res["agree"] is True
 
 
 def test_quaternion_demo_f2(tmp_path):
@@ -383,9 +425,10 @@ def test_standard_form_with_tame_scalar(tmp_path):
 # whose oracle runs end at working precision 64, 32 and 32.  The texts were
 # produced by the dict-of-coefficients series code that the packed kernel
 # replaced, with the precision used moved from 256 and 128 to 64 and 32 when
-# the series precision rules became tight; any change in a series
-# coefficient that reaches a jump, the precision used or the genus shows
-# here.
+# the series precision rules became tight, and with analytic_jumps and agree
+# moved to Herbrand's jumps from the step conductors when those replaced the
+# per-step valuation fold; any change in a series coefficient that reaches a
+# jump, a conductor, the precision used or the genus shows here.
 GOLDEN_Z5_SQUARED = (
     {"field": {"p": 5, "a": 1},
      "m": 1,
@@ -394,10 +437,10 @@ GOLDEN_Z5_SQUARED = (
      "generators": [{"name": "s", "shifts": {"v": [[[1], {}]]}},
                     {"name": "t", "shifts": {"w": [[[1], {}]]}}]},
     '{\n'
-    '  "agree": false,\n'
+    '  "agree": true,\n'
     '  "analytic_jumps": [\n'
     '    8,\n'
-    '    9\n'
+    '    13\n'
     '  ],\n'
     '  "filtration": {\n'
     '    "breaks": [\n'
@@ -433,10 +476,10 @@ GOLDEN_Z2_SQUARED = (
      "generators": [{"name": "s", "shifts": {"v": [[[1], {}]]}},
                     {"name": "t", "shifts": {"w": [[[1], {}]]}}]},
     '{\n'
-    '  "agree": false,\n'
+    '  "agree": true,\n'
     '  "analytic_jumps": [\n'
     '    5,\n'
-    '    9\n'
+    '    13\n'
     '  ],\n'
     '  "filtration": {\n'
     '    "breaks": [\n'
@@ -483,11 +526,11 @@ GOLDEN_F16_QUATERNION = (
                                 "y": [[[1, 1, 1, 0], {"w": 1}],
                                       [[0, 1, 1, 0], {}]]}}]},
     '{\n'
-    '  "agree": false,\n'
+    '  "agree": true,\n'
     '  "analytic_jumps": [\n'
     '    1,\n'
     '    1,\n'
-    '    3\n'
+    '    5\n'
     '  ],\n'
     '  "filtration": {\n'
     '    "breaks": [\n'

@@ -3,21 +3,27 @@
 Each function here is self-contained (seeded generators, fresh data) so the
 whole module can run on its own as a consistency battery: normal-form
 idempotence, the additive-shift invariance of the conductor, the isomorphism
-equivalence laws, exact Herbrand inversion, numbering round-trips, and the
-conductor congruence on equivariant covers.
+equivalence laws, exact Herbrand inversion, numbering round-trips, the
+conductor congruence on equivariant covers, and the three routes to the lower
+jumps of an elementary abelian tower.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramify import (ASCover, LaurentPoly, RamFiltration, conductor,
-                    check_equivariance, field_create, herbrand_phi,
-                    herbrand_psi, is_isomorphic, lower_to_upper,
-                    root_of_unity, s_iota, standard_form, upper_to_lower)
+from ramify import (ASCover, DomainError, LaurentPoly, RamFiltration,
+                    TowerSpec, conductor, check_equivariance, field_create,
+                    herbrand_phi, herbrand_psi, is_isomorphic,
+                    jumps_with_multiplicity, lower_to_upper, oracle_run,
+                    prime_to_p_degree, root_of_unity, s_iota, standard_form,
+                    upper_to_lower)
 from ramify.ascover import standard_form_poly
+from ramify.tower import (GeneratorAction, TowerStep, herbrand_lower_jumps,
+                          vp_const)
 
 F4 = field_create(2, 2)
 F9 = field_create(3, 2)
@@ -148,3 +154,71 @@ def test_standard_form_idempotent_hypothesis(raw):
     r = LaurentPoly(F4, {e: F4.from_index(c) for e, c in raw.items()})
     once = standard_form_poly(r, 2)
     assert standard_form_poly(once, 2) == once
+
+
+def _span_lower_jumps(field, rhss):
+    """Lower jumps of the (Z/p)^n extension y_i^p - y_i = r_i of F((x)) from
+    the conductors of its characters, the F_p-combinations of the r_i, or
+    None when some combination has zero standard form (the extension is not
+    totally ramified of degree p^n).  For an abelian group the annihilator of
+    G^u is the characters of conductor below u (Serre, Local Fields IV-V)."""
+    p, n = field.p, len(rhss)
+    conductors = []
+    for combo in itertools.product(range(p), repeat=n):
+        if not any(combo):
+            continue
+        r = LaurentPoly.zero(field)
+        for c, r_i in zip(combo, rhss):
+            r = r + r_i.scale(field.element(c))
+        sf = standard_form_poly(r, p)
+        if not sf:
+            return None
+        conductors.append(prime_to_p_degree(sf))
+    breaks = tuple(
+        (Fraction(u), p ** n // (1 + sum(1 for c in conductors if c < u)))
+        for u in sorted(set(conductors)))
+    upper = RamFiltration(p ** n, 1, "upper", breaks)
+    return [int(j) for j in jumps_with_multiplicity(upper_to_lower(upper))]
+
+
+@st.composite
+def _abelian_towers(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(min_value=1, max_value=3))
+    coeffs = st.integers(min_value=1, max_value=p - 1)
+    rhss = []
+    for _ in range(n):
+        rhs = {-draw(st.integers(min_value=1, max_value=6)): draw(coeffs)}
+        rhs.update(draw(st.dictionaries(
+            st.integers(min_value=-6, max_value=1), coeffs, max_size=2)))
+        rhss.append(rhs)
+    return p, rhss
+
+
+@settings(max_examples=60, deadline=None)
+@given(_abelian_towers())
+def test_oracle_herbrand_and_span_routes_agree(tower_data):
+    # right-hand sides in x alone, generators var -> var + 1: the oracle
+    # refuses exactly when the span route finds a trivial character, and
+    # otherwise the oracle, Herbrand's recursion on the step conductors and
+    # the character conductors of the span give the same lower jumps
+    p, raw = tower_data
+    field = field_create(p, 1)
+    names = ["v", "w", "y"][:len(raw)]
+    steps = tuple(
+        TowerStep(var, {((("x", e),) if e else ()): field.element(c)
+                        for e, c in r.items()})
+        for var, r in zip(names, raw))
+    tower = TowerSpec(field, 1, steps)
+    gens = [GeneratorAction(tower, {var: vp_const(field, field.one())}, var)
+            for var in names]
+    span = _span_lower_jumps(
+        field, [LaurentPoly(field, {e: field.element(c) for e, c in r.items()})
+                for r in raw])
+    try:
+        run = oracle_run(tower, gens, precision=1024)
+    except DomainError:
+        assert span is None
+        return
+    oracle = [int(j) for j in jumps_with_multiplicity(run.filtration)]
+    assert oracle == herbrand_lower_jumps(p, run.pole_orders) == span

@@ -11,7 +11,7 @@ from ramify import (DomainError, RamFiltration, TowerSpec, field_create,
 from ramify import tower as tower_module
 from ramify.laurent import LaurentPoly
 from ramify.tower import (STEP_EXPONENT_CAP, GeneratorAction, TowerStep,
-                          analytic_step_jumps, close_group, vp_add, vp_const,
+                          close_group, herbrand_lower_jumps, vp_add, vp_const,
                           vp_scale, vp_var)
 
 import quaternion_pipeline
@@ -154,6 +154,7 @@ def test_first_answering_precision_is_sound(p, j1, j2):
     lower2 = j1 + p * (j2 - j1)
     assert jumps_with_multiplicity(run.filtration) == [j1, lower2]
     assert run.element_jumps == (j1,) * (p * p - p) + (lower2,) * (p - 1)
+    assert herbrand_lower_jumps(p, run.pole_orders) == [j1, lower2]
 
 
 def test_two_step_tower_jumps():
@@ -215,13 +216,15 @@ def test_quaternion_deformed_fiber_oracle():
 
 
 def test_analytic_step_jumps_quaternion():
-    tower, _ = quaternion_tower(F4)
-    assert analytic_step_jumps(tower) == [1, 1, 3]
+    tower, gens = quaternion_tower(F4)
+    run = oracle_run(tower, gens, precision=200)
+    assert herbrand_lower_jumps(2, run.pole_orders) == [1, 1, 3]
 
 
 def test_analytic_step_jumps_single():
-    tower, _ = single_step_tower(3, 4)
-    assert analytic_step_jumps(tower) == [4]
+    tower, gens = single_step_tower(3, 4)
+    run = oracle_run(tower, gens, precision=200)
+    assert herbrand_lower_jumps(3, run.pole_orders) == [4]
 
 
 # -- genus and p-rank -------------------------------------------------------------
@@ -374,13 +377,13 @@ def test_oracle_precision_cap_exhausted():
 
 def test_rh_consistency_oracle_vs_analytic():
     # genus from the oracle filtration equals genus from the filtration
-    # reconstructed out of the per-step analytic jumps
+    # reconstructed out of Herbrand's jumps from the step conductors
     towers = [single_step_tower(2, 5), single_step_tower(3, 4),
               quaternion_tower(F4)]
     for tower, gens in towers:
         p = tower.field.p
         run = oracle_run(tower, gens, precision=200)
-        steps = analytic_step_jumps(tower)
+        steps = herbrand_lower_jumps(p, run.pole_orders)
         breaks = tuple(
             (Fraction(j), p ** sum(1 for x in steps if x >= j))
             for j in sorted(set(steps)))
