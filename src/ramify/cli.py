@@ -37,7 +37,7 @@ def _read_document(path: str):
         raise SchemaError(f"cannot read input: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal past 4300 digits
         raise SchemaError(f"invalid JSON: {exc}") from exc
 
 

@@ -7,10 +7,12 @@ one wins, so every run of every build picks the same modulus.  Elements are
 coefficient tuples in the power basis of z.
 
 Field orders are capped at 2^20 (desk scale; everything in this library needs
-q <= 16).  Multiplication, inversion and powering go through discrete-log
-tables for orders up to 2^12 and fall back to polynomial arithmetic above
-that.  p-th roots are Frobenius inverses, x^(1/p) = x^(p^(a-1)), so no
-factoring is ever required.
+q <= 16), and so is every prime: prime_factors, the one trial division,
+refuses a prime factor above 2^20 instead of searching for it.  p_adic(n, p)
+is the one p-adic split n = p^k u, p not dividing u.  Multiplication,
+inversion and powering go through discrete-log tables for orders up to 2^12
+and fall back to polynomial arithmetic above that.  p-th roots are Frobenius
+inverses, x^(1/p) = x^(p^(a-1)), so no polynomial is ever factored.
 """
 
 from __future__ import annotations
@@ -21,29 +23,27 @@ ORDER_CAP = 1 << 20
 _TABLE_CAP = 1 << 12
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+def p_adic(n: int, p: int) -> tuple[int, int]:
+    """(k, u) with n = p^k * u and p not dividing u, for n != 0 and p >= 2."""
+    k = 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    return k, n
 
 
 def prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n, ascending."""
+    """Distinct prime factors of n, ascending; DomainError, and no search,
+    for a prime factor above ORDER_CAP."""
     out = []
     f = 2
-    while f * f <= n:
+    while f * f <= n and f <= ORDER_CAP:
         if n % f == 0:
             out.append(f)
-            while n % f == 0:
-                n //= f
+            n = p_adic(n, f)[1]
         f += 1
+    if n > ORDER_CAP:
+        raise DomainError(f"{n} has a prime factor past the limit 2^20")
     if n > 1:
         out.append(n)
     return out
@@ -51,14 +51,11 @@ def prime_factors(n: int) -> list[int]:
 
 def p_power_exponent(q: int, p: int) -> int:
     """The exponent b with q = p^b, or raise DomainError."""
-    b = 0
-    m = q
-    while m > 1 and m % p == 0:
-        m //= p
-        b += 1
-    if m != 1 or b == 0:
-        raise DomainError(f"{q} is not a positive power of {p}")
-    return b
+    if q >= 1:
+        b, u = p_adic(q, p)
+        if u == 1 and b:
+            return b
+    raise DomainError(f"{q} is not a positive power of {p}")
 
 
 # ---------------------------------------------------------------------------
@@ -140,11 +137,14 @@ class Field:
     __slots__ = ("p", "a", "modulus", "_redux", "_exp", "_log", "_gen")
 
     def __init__(self, p: int, a: int):
-        if not isinstance(p, int) or not _is_prime(p):
+        if isinstance(p, int) and p > ORDER_CAP:
+            raise DomainError(f"characteristic {p} is past the limit 2^20")
+        if not isinstance(p, int) or prime_factors(p) != [p]:
             raise DomainError(f"characteristic {p} is not prime")
         if not isinstance(a, int) or a < 1:
             raise DomainError(f"extension degree {a} must be >= 1")
-        if p ** a > ORDER_CAP:
+        # p^21 > ORDER_CAP, so a > 21 is refused without computing p^a
+        if p ** min(a, 21) > ORDER_CAP:
             raise DomainError(f"field order {p}^{a} exceeds the cap {ORDER_CAP}")
         self.p = p
         self.a = a
@@ -390,8 +390,10 @@ class FieldElement:
             raise DomainError("order of zero")
         n = self.field.q - 1
         for r in prime_factors(n):
-            while n % r == 0 and self ** (n // r) == self.field.one():
-                n //= r
+            n = p_adic(n, r)[1]  # then the least n r^i with x^(n r^i) = 1
+            y = self ** n
+            while y != self.field.one():
+                y, n = y ** r, n * r
         return n
 
     def __bool__(self):

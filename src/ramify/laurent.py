@@ -21,7 +21,7 @@ from __future__ import annotations
 import operator
 
 from .errors import DomainError, json_int
-from .gf import Field, FieldElement, json_element, power
+from .gf import Field, FieldElement, json_element, p_adic, power
 
 
 def accumulate(out: dict, items) -> dict:
@@ -167,15 +167,6 @@ class LaurentPoly:
 
 # ---------------------------------------------------------------------------
 
-def _p_adic_split(e: int, p: int) -> tuple[int, int]:
-    # e = p^t * e0 with p not dividing e0; e != 0
-    t = 0
-    while e % p == 0:
-        e //= p
-        t += 1
-    return t, e
-
-
 def p_power_decompose(r: LaurentPoly) -> list[tuple[int, LaurentPoly]]:
     """Write r = sum_t (r_t)^(p^t) with every exponent of r_t prime to p.
 
@@ -188,10 +179,7 @@ def p_power_decompose(r: LaurentPoly) -> list[tuple[int, LaurentPoly]]:
     p = r.field.p
     slots: dict[int, dict[int, FieldElement]] = {}
     for e, c in r.terms.items():
-        if e == 0:
-            t, e0 = 0, 0
-        else:
-            t, e0 = _p_adic_split(e, p)
+        t, e0 = p_adic(e, p) if e else (0, 0)
         root = c
         for _ in range(t):
             root = root.pth_root()

@@ -23,6 +23,11 @@ from .errors import DomainError
 from .gf import prime_factors
 from .ramfilt import ReducedFiltration, schmid_violations
 
+# The most integers dim_bounds lets n_count walk for one document, summed over
+# its pieces: floor((q/p) m sigma) each.  The walk costs 2-4 us per integer,
+# so a document at the limit answers within about 2 s.
+WALK_CAP = 500_000
+
 
 @dataclass(frozen=True)
 class DimensionReport:
@@ -86,6 +91,8 @@ def dim_abelian(p: int, factor_jumps: list[list[int]]) -> int:
     factor_jumps lists the ascending integral upper jumps of each cyclic
     factor; every list must satisfy the cyclic jump constraint.
     """
+    if prime_factors(p) != [p]:
+        raise DomainError(f"abelian p = {p} is not prime")
     total = 0
     for jumps in factor_jumps:
         bad = schmid_violations(p, jumps)
@@ -99,6 +106,9 @@ def dim_bounds(reduced: ReducedFiltration) -> DimensionReport:
     """Per-piece counts n_i, with bounds [n_r, sum n_i] for the dimension."""
     m = reduced.tame
     p = reduced.p
+    if sum(floor(Fraction(q, p) * m * sigma)
+           for q, sigma, _ in reduced.pieces) > WALK_CAP:
+        raise DomainError(f"the counts would walk past {WALK_CAP} integers")
     ns = []
     for q, sigma, si in reduced.pieces:
         n = n_count(q, m, si, sigma)
@@ -132,9 +142,9 @@ def multiplicative_order(p: int, m: int) -> int:
 
 
 def dim_ordinary(p: int, e: int, m: int) -> int:
-    """Exact dimension e/c in the ordinary case, c = ord of p mod m."""
-    c = multiplicative_order(p, m)
-    if e < 1 or e % c != 0:
-        raise DomainError(
-            f"inconsistent ordinary datum: c = {c} does not divide e = {e}")
-    return e // c
+    """Exact dimension e/c in the ordinary case, c = ord of p mod m; c | e
+    iff p^e = 1 mod m, tested first so that c is searched for within e."""
+    if m >= 1 and gcd(p, m) == 1 and (e < 1 or pow(p, e, m) != 1 % m):
+        raise DomainError(f"inconsistent ordinary datum: the order of {p} "
+                          f"mod {m} does not divide e = {e}")
+    return e // multiplicative_order(p, m)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, SchemaError, json_frac, json_int, json_str
-from .gf import prime_factors
+from .gf import p_adic, prime_factors
 
 LOWER = "lower"
 UPPER = "upper"
@@ -221,11 +221,8 @@ def _quotient_exponent(o: int, o_next: int, p: int) -> int | None:
     """
     if o % o_next:
         return None
-    quot, k = o // o_next, 0
-    while quot % p == 0:
-        quot //= p
-        k += 1
-    return k if quot == 1 else None
+    k, u = p_adic(o // o_next, p)
+    return k if u == 1 else None
 
 
 def jumps_with_multiplicity(filt: RamFiltration) -> list[Fraction]:

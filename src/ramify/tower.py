@@ -48,11 +48,12 @@ from .series import TruncatedSeries, compose
 
 VarPoly = dict
 
-# The largest |exponent| of a step variable in a right-hand side or a shift.
-# Closing the group of a tower expands (v + c)^e at every composition, and
-# past this exponent the slowest tower measured for p = 2, 3 and 5 (a shift
-# of w by v^(e-5) (x v^5 - x v - 1) over F_5, which is zero in the field)
-# no longer closes within a second.
+# The largest |exponent| of a step variable in a right-hand side or a shift,
+# a desk-scale bound on what the generator check and the closure expand.  At
+# p = 2, 3, 5, e <= 77, `verify` took at most 0.15 s (precision 200 and 4096)
+# on a shift by v^e, v^e in a right-hand side, the shift v^(e-p) (x v^p - x v
+# - 1) (zero in the field) with and without + 1, and the shift (v+1)^k - v^k
+# that w^p - w = v^(kp) - v^k + x^-7 needs (e = kp).
 STEP_EXPONENT_CAP = 77
 
 
@@ -329,10 +330,8 @@ def _peel(f: TruncatedSeries, p: int):
 
 
 def _uniformizer_exponents(p: int, j: int) -> tuple[int, int]:
-    """Minimal alpha >= 0 with alpha*p = 1 mod j; beta = (alpha*p - 1)/j."""
-    alpha = 0
-    while (alpha * p - 1) % j != 0:
-        alpha += 1
+    """alpha = p^-1 mod j in [0, j) (0 at j = 1); beta = (alpha*p - 1)/j."""
+    alpha = pow(p, -1, j)
     return alpha, (alpha * p - 1) // j
 
 

@@ -297,6 +297,18 @@ def test_exit_code_parse_error(tmp_path):
     assert json.loads(out.read_text())["error"]["code"] == 2
 
 
+def test_integer_literal_past_the_digit_limit_is_a_parse_error(tmp_path):
+    # Python refuses to read an integer of more than 4300 digits; that was a
+    # ValueError traceback, not an error object
+    inp = tmp_path / "big.json"
+    inp.write_text('{"total_order": ' + "9" * 5000 + "}")
+    out = tmp_path / "out.json"
+    code = main(["jumps", "--direction", "to-upper", "--input", str(inp),
+                 "--output", str(out)])
+    assert code == 2
+    assert "4300 digits" in json.loads(out.read_text())["error"]["message"]
+
+
 def test_exit_code_schema_error(tmp_path):
     code, res = run(tmp_path, ["standard-form"], {"nonsense": 1})
     assert code == 2
@@ -403,6 +415,63 @@ def test_exit_code_domain_error(tmp_path):
     code, res = run(tmp_path, ["dimension"], doc)
     assert code == 1
     assert res["error"]["code"] == 1
+
+
+P61 = 2 ** 61 - 1  # a prime past the limit 2^20 on primes
+
+
+@pytest.mark.parametrize("args,doc", [
+    (["standard-form"], dict(COVER, field={"p": P61, "a": 1}, q=P61)),
+    (["standard-form"], dict(COVER, field={"p": 3, "a": 10 ** 9}, q=3)),
+    (["dimension"], dict(PIECES, pieces=[{"q": P61, "sigma": [1, 1],
+                                          "s_iota": 1}])),
+    (["dimension"], {"structure": {"kind": "abelian", "p": P61,
+                                   "factors": [[1]]}}),
+    (["jumps", "--direction", "to-upper"],
+     {"total_order": P61, "tame": 1, "numbering": "lower",
+      "breaks": [[1, 1, P61]]}),
+    (["verify"], dict(TOWER, steps=[{"var": "v",
+                                     "rhs": [[[1], {"x": -100000001}]]}])),
+    (["dimension"], dict(PIECES, pieces=[{"q": 2, "sigma": [10 ** 8, 1],
+                                          "s_iota": 1}])),
+    (["dimension"], dict(PIECES, tame=1000000007,
+                         structure={"kind": "ordinary"})),
+    # the walk is short here, and the ordinary check must not search for the
+    # order of 2 mod 10^9 + 7 either
+    (["dimension"], {"tame": 1000000007, "structure": {"kind": "ordinary"},
+                     "pieces": [{"q": 2, "sigma": [1, 10 ** 12],
+                                 "s_iota": 1}]}),
+], ids=["field-prime-past-limit", "field-degree-huge", "piece-prime-past-limit",
+        "abelian-prime-past-limit", "wild-prime-past-limit", "pole-huge",
+        "sigma-huge", "tame-huge", "ordinary-order-huge"])
+def test_unbounded_documents_are_refused_at_once(tmp_path, args, doc):
+    # each of these ran for more than 8 s before it was refused
+    t0 = time.perf_counter()
+    code, res = run(tmp_path, args, doc)
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 1
+    assert res["error"]["type"] == "domain" and res["error"]["message"]
+
+
+@pytest.mark.parametrize("p", [0, 1, -2, 4])
+def test_dimension_abelian_p_must_be_prime(tmp_path, p):
+    # p = 0 raised ZeroDivisionError, and p = 4 was refused as an exact
+    # dimension outside the proven bounds
+    doc = {"structure": {"kind": "abelian", "p": p, "factors": [[1]]}}
+    code, res = run(tmp_path, ["dimension"], doc)
+    assert code == 1
+    assert res["error"]["message"] == f"abelian p = {p} is not prime"
+
+
+def test_dimension_walk_limit_is_inclusive(tmp_path, monkeypatch):
+    # (q/p) m sigma = 2 * 1 * 5 = 10 integers
+    doc = dict(PIECES, pieces=[{"q": 4, "sigma": [5, 1], "s_iota": 1}])
+    monkeypatch.setattr(moduli, "WALK_CAP", 10)
+    assert run(tmp_path, ["dimension"], doc)[0] == 0
+    monkeypatch.setattr(moduli, "WALK_CAP", 9)
+    code, res = run(tmp_path, ["dimension"], doc)
+    assert code == 1
+    assert "walk past 9 integers" in res["error"]["message"]
 
 
 def test_cli_idempotent(tmp_path):

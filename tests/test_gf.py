@@ -3,6 +3,7 @@
 import pytest
 
 from ramify import DomainError, degree_over_prime, field_create, root_of_unity
+from ramify.gf import ORDER_CAP, p_adic, prime_factors
 
 
 def brute_force_irreducible(coeffs, p):
@@ -152,3 +153,34 @@ def test_arithmetic_beyond_table_cap():
     assert (x * y) * y.inverse() == x
     assert x.pth_root().frobenius() == x
     assert x ** F.q == x
+
+
+def test_p_adic_split():
+    assert p_adic(48, 2) == (4, 3)
+    assert p_adic(-45, 3) == (2, -5)
+    assert p_adic(7, 5) == (0, 7)
+    assert p_adic(5 ** 40, 5) == (40, 1)
+
+
+def test_prime_factors_stop_at_the_limit():
+    assert prime_factors(360) == [2, 3, 5]
+    assert prime_factors(1) == prime_factors(0) == []
+    assert prime_factors(1048573) == [1048573]  # the largest prime <= 2^20
+    assert prime_factors(2 ** 100 * 1048573) == [2, 1048573]
+    for n in (1048583, 1048583 * 6, 2 ** 61 - 1, (2 ** 61 - 1) ** 2):
+        with pytest.raises(DomainError, match="past the limit 2\\^20"):
+            prime_factors(n)
+    with pytest.raises(DomainError, match="past the limit 2\\^20"):
+        field_create(2 ** 61 - 1, 1)
+    with pytest.raises(DomainError, match=f"exceeds the cap {ORDER_CAP}"):
+        field_create(3, 10 ** 9)
+
+
+@pytest.mark.parametrize("p,a", [(2, 4), (3, 2), (7, 2), (2, 13)])
+def test_multiplicative_order_is_least(p, a):
+    F = field_create(p, a)
+    for i in range(1, min(F.q, 200)):
+        x = F.from_index(i)
+        n = x.multiplicative_order()
+        assert x ** n == F.one()
+        assert all(x ** (n // r) != F.one() for r in prime_factors(n))

@@ -130,6 +130,8 @@ def test_dim_ordinary():
     assert dim_ordinary(2, 2, 3) == 1  # ord of 2 mod 3 is 2
     with pytest.raises(DomainError):
         dim_ordinary(2, 3, 3)  # c = 2 does not divide 3
+    with pytest.raises(DomainError, match="does not divide e = 1"):
+        dim_ordinary(2, 1, 1000000007)  # refused without searching for c
 
 
 def test_ordinary_consistency_sweep():
