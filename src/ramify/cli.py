@@ -24,6 +24,15 @@ PROG = "ramify"
 # the largest --precision `verify` accepts: series longer than this are past
 # desk scale, so the request is refused before the oracle starts
 PRECISION_CAP = 4096
+# the most bits a `jumps` document's integers may hold, summed.  A converted
+# jump is a sum of one term per break over a common denominator (the jump
+# denominators times the break orders, or times the total order), and that
+# denominator and each term's numerator are products of distinct inputs, or
+# a difference of two such products (one bit more).  A break holds at least
+# 4 bits, so there are at most 2^10, and the sum adds at most 10 bits: every
+# integer a conversion emits has at most JUMPS_BITS_CAP + 11 bits, about 1240
+# decimal digits, inside Python's limit of 4300 digits on printing one.
+JUMPS_BITS_CAP = 4096
 
 
 def _read_document(path: str):
@@ -72,6 +81,12 @@ def cmd_standard_form(doc) -> dict:
 
 def cmd_jumps(doc, direction: str) -> dict:
     filt = RamFiltration.from_json(doc)
+    bits = sum(x.bit_length() for x in (
+        filt.total_order, filt.tame,
+        *(x for j, o in filt.breaks for x in (j.numerator, j.denominator, o))))
+    if bits > JUMPS_BITS_CAP:
+        raise DomainError(f"the integers of the document hold {bits} bits, "
+                          f"past the limit {JUMPS_BITS_CAP}")
     if direction == "to-upper":
         converted = ramfilt.lower_to_upper(filt)
     elif direction == "to-lower":

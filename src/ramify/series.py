@@ -2,9 +2,12 @@
 
 A TruncatedSeries represents f + O(T^prec): its terms have exponents strictly
 below `prec`, and anything at or above `prec` is unknown.  Every operation
-computes the precision of its result from the valuations of its inputs, and
-the rules are tight: a result claims the coefficients its inputs determine,
-no more and, but for f^0, no fewer.  With v the valuation and r = prec - v
+computes the precision of its result from the valuations of its inputs.  A
+result never claims a coefficient its inputs leave open.  It claims every one
+they determine, but for f^0 and the powers f^n with p | n: in characteristic
+p, f^p = sum a_i^p T^(ip) is determined to p times the relative precision of
+f, but f^n keeps that of f.  Over F_2, (1 + T + O(T^2))^2 is 1 + T^2 +
+O(T^4), and the rule gives 1 + O(T^2).  With v the valuation and r = prec - v
 the relative precision of a nonzero series,
 
 - a sum has precision min(p1, p2);

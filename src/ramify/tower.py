@@ -3,7 +3,10 @@
 The heart of the module is an oracle for lower jumps: it builds a uniformizer
 at the top of the tower step by step, re-expands every variable as a truncated
 series in it, and reads each group element's jump off the valuation of
-g(T) - T.  Building the uniformizer finds each step's conductor, the reduced
+g(T) - T.  g(T) is built chart by chart, through the uniformizer of each
+field K_k of the tower; K_k is stable under the group, so that image depends
+only on g's restriction to K_k and is computed once per coset, not once per
+element.  Building the uniformizer finds each step's conductor, the reduced
 pole order of its right-hand side in the uniformizer below it, and
 herbrand_lower_jumps turns those conductors alone into the lower jumps of the
 whole group (Herbrand's theorem, Serre, Local Fields IV): a second route that
@@ -244,9 +247,13 @@ class GeneratorAction:
         return obj
 
     def key(self):
-        return tuple(sorted(
-            (var, tuple(sorted((k, c.coeffs) for k, c in img.items())))
-            for var, img in self.images.items()))
+        return tuple(sorted((var, _poly_key(img))
+                            for var, img in self.images.items()))
+
+
+def _poly_key(a: VarPoly) -> tuple:
+    """A hashable form of a polynomial, equal for equal polynomials."""
+    return tuple(sorted((k, c.coeffs) for k, c in a.items()))
 
 
 def _compose(field: Field, g: GeneratorAction, h: GeneratorAction,
@@ -408,14 +415,27 @@ def _expand_tower(tower: TowerSpec, prec: int):
 
 
 def _uniformizer_image(g: GeneratorAction, env, charts, field: Field,
-                       prec: int) -> TruncatedSeries:
-    """The series of g(T) for the top uniformizer T, following the charts."""
+                       prec: int, images: dict) -> TruncatedSeries:
+    """The series of g(T) for the top uniformizer T, following the charts.
+
+    Chart k builds T_k^g, the image of the uniformizer of the field K_k of
+    the first k step variables.  K_k is stable under the group (a shift
+    uses only earlier variables), so T_k^g depends only on g's reduced
+    images of those variables, one of p^k cosets.  images maps them to T_k^g
+    for the elements of one attempt: each chart is evaluated once per coset,
+    and the elements of a coset share the series and the powers it keeps."""
     cur = env["x"]
+    key = ()
     for chart in charts:
-        y_ser = vp_eval(g.images[chart.var], env, field, prec)
-        for e, c in chart.peel:
-            y_ser = y_ser - (cur ** e).scale(c)
-        cur = cur ** chart.alpha * y_ser ** chart.beta
+        img = g.images[chart.var]
+        key += (_poly_key(img),)
+        known = images.get(key)
+        if known is None:
+            y_ser = vp_eval(img, env, field, prec)
+            for e, c in chart.peel:
+                y_ser = y_ser - (cur ** e).scale(c)
+            known = images[key] = cur ** chart.alpha * y_ser ** chart.beta
+        cur = known
     return cur
 
 
@@ -533,7 +553,8 @@ def _oracle_attempt(tower, gens, work, group):
         _check_generators(tower, gens)
         group.extend(close_group(tower, gens))
     ident = _identity(tower)
-    t_series = _uniformizer_image(ident, env, charts, field, work_prec)
+    images = {}  # T_k^g per coset of K_k, for this attempt only
+    t_series = _uniformizer_image(ident, env, charts, field, work_prec, images)
     check = t_series - TruncatedSeries.monomial(field, 1, t_series.prec)
     if not check.is_zero_to_precision():
         raise PrecisionError("identity does not reproduce the uniformizer")
@@ -542,7 +563,7 @@ def _oracle_attempt(tower, gens, work, group):
     for g in group:
         if g.key() == ident_key:
             continue
-        g_t = _uniformizer_image(g, env, charts, field, work_prec)
+        g_t = _uniformizer_image(g, env, charts, field, work_prec, images)
         diff = g_t - t_series
         v = diff.valuation()
         if v is None:

@@ -474,6 +474,44 @@ def test_dimension_walk_limit_is_inclusive(tmp_path, monkeypatch):
     assert "walk past 9 integers" in res["error"]["message"]
 
 
+def test_jumps_document_past_the_integer_limit_is_refused(tmp_path, capsys):
+    # converting this filtration multiplies a 4001-digit jump by 2^13999, an
+    # integer Python refuses to print: that was a ValueError traceback
+    doc = {"total_order": 2 ** 14000, "tame": 1, "numbering": "upper",
+           "breaks": [[1, 1, 2 ** 14000], [10 ** 4000, 1, 2]]}
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps(doc))
+    code = main(["jumps", "--direction", "to-lower", "--input", str(inp)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "domain"
+    assert f"past the limit {cli.JUMPS_BITS_CAP}" in error["message"]
+    assert err == ""
+
+
+def test_jumps_document_at_the_integer_limit_answers(tmp_path):
+    # 2^1000 and 1 + 2^2087 take 1001 and 2088 bits; with 1, 1, 1, 2^1000
+    # and 1, 2 the document holds 4096 bits, and its top lower jump
+    # 1 + (sigma - 1) 2^1000 / 2 is 1 + 2^3086
+    k, sigma = 1000, 2 ** 2087 + 1
+    doc = {"total_order": 2 ** k, "tame": 1, "numbering": "upper",
+           "breaks": [[1, 1, 2 ** k], [sigma, 1, 2]]}
+    assert cli.JUMPS_BITS_CAP == 4096
+    code, res = run(tmp_path, ["jumps", "--direction", "to-lower"], doc)
+    assert code == 0
+    assert res["filtration"]["breaks"] == [[1, 1, 2 ** k],
+                                           [1 + 2 ** 3086, 1, 2]]
+    assert res["jumps_with_multiplicity"] == [[1, 1]] * (k - 1) + \
+        [[1 + 2 ** 3086, 1]]
+    assert res["violations"] == []
+    # one bit more is refused
+    doc["breaks"][1][0] = 2 * sigma
+    code, res = run(tmp_path, ["jumps", "--direction", "to-lower"], doc)
+    assert code == 1
+    assert "4097 bits" in res["error"]["message"]
+
+
 def test_cli_idempotent(tmp_path):
     doc = {"total_order": 8, "tame": 1, "numbering": "lower",
            "breaks": [[1, 1, 8], [3, 1, 2]]}

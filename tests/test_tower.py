@@ -14,6 +14,7 @@ from ramify.tower import (STEP_EXPONENT_CAP, GeneratorAction, TowerStep,
                           close_group, herbrand_lower_jumps, vp_add, vp_const,
                           vp_scale, vp_var)
 
+import chart_walk
 import quaternion_pipeline
 
 F2 = field_create(2, 1)
@@ -367,6 +368,101 @@ def test_group_closed_once_per_oracle_run(monkeypatch):
     assert run.precision >= 128
     assert len(calls) == 1
     assert run.element_jumps == (3, 3, 67)
+
+
+# -- uniformizer images, once per coset ------------------------------------------
+
+# the (p, j1, j2) shapes of the benchmark's oracle-towers workload
+EA2_SHAPES = [
+    (2, 1, 3), (2, 3, 7), (2, 5, 9), (2, 7, 11),
+    (3, 1, 2), (3, 2, 5), (3, 1, 7), (3, 4, 11), (3, 1, 10),
+    (5, 2, 3), (5, 1, 6), (5, 3, 8), (5, 8, 9),
+]
+
+
+def quaternion_f4_fiber():
+    a1, a2, a3 = (F4.from_index(i) for i in (2, 3, 2))
+    assert evaluate_quaternion_fiber(a1, a2, a3).connected
+    return quaternion_tower(F4, a1, a2, a3)
+
+
+def elementary_2_cubed_tower():
+    # v^2 - v = x^-1, w^2 - w = x^-3, y^2 - y = x^-7 with (Z/2)^3 generated
+    # by the shifts by 1
+    field = F2
+    tower = TowerSpec(field, 1, tuple(
+        TowerStep(var, vp_var(field, "x", -j))
+        for var, j in (("v", 1), ("w", 3), ("y", 7))))
+    one = vp_const(field, field.one())
+    return tower, [GeneratorAction(tower, {var: one}, var) for var in "vwy"]
+
+
+IMAGE_TOWERS = ([pytest.param(*ea2_tower(*shape), id=f"ea2-{shape}")
+                 for shape in EA2_SHAPES]
+                + [pytest.param(*quaternion_f4_fiber(), id="quaternion-F4"),
+                   pytest.param(*elementary_2_cubed_tower(), id="(Z/2)^3")])
+
+
+@pytest.mark.parametrize("tower,gens", IMAGE_TOWERS)
+def test_shared_images_equal_the_per_element_walk(tower, gens):
+    # every element's g(T), and the jumps read off them, are what a chart
+    # walk per element gives, at the precision the oracle answers at
+    run = oracle_run(tower, gens, precision=256)
+    group = close_group(tower, gens)
+    env, charts = tower_module._expand_tower(tower, run.precision)
+    prec = min(s.prec for s in env.values())
+    images = {}
+    shared = [tower_module._uniformizer_image(g, env, charts, tower.field,
+                                              prec, images) for g in group]
+    reference = chart_walk.element_images(tower, group, run.precision)
+    assert [(s.val, s.comps, s.prec) for s in shared] == \
+        [(s.val, s.comps, s.prec) for s in reference]
+    assert run.element_jumps == chart_walk.element_jumps(tower, gens,
+                                                         run.precision)
+
+
+def counted_chart_evaluations(monkeypatch):
+    """A one-element list counting the chart evaluations (vp_eval calls
+    inside _uniformizer_image) from now on."""
+    count, depth = [0], [0]
+    image, evaluate = tower_module._uniformizer_image, tower_module.vp_eval
+
+    def counted_image(*args):
+        depth[0] += 1
+        try:
+            return image(*args)
+        finally:
+            depth[0] -= 1
+
+    def counted_eval(*args):
+        count[0] += depth[0] > 0
+        return evaluate(*args)
+    monkeypatch.setattr(tower_module, "_uniformizer_image", counted_image)
+    monkeypatch.setattr(tower_module, "vp_eval", counted_eval)
+    return count
+
+
+@pytest.mark.parametrize("tower,gens", IMAGE_TOWERS)
+def test_an_attempt_evaluates_each_chart_once_per_coset(monkeypatch, tower,
+                                                        gens):
+    # chart k is evaluated once for each of the p^k restrictions to K_k:
+    # p + p^2 times for (Z/p)^2 and 2 + 4 + 8 for the three-step towers,
+    # where a walk per element takes n p^n
+    p, n = tower.field.p, len(tower.steps)
+    count = counted_chart_evaluations(monkeypatch)
+    tower_module._oracle_attempt(tower, gens, 256, [])
+    assert count[0] == sum(p ** k for k in range(1, n + 1))
+
+
+def test_chart_images_are_not_kept_across_runs(monkeypatch):
+    # the shared images live for one attempt: a second run of the same tower
+    # evaluates every chart again
+    tower, gens = quaternion_tower(F4)
+    count = counted_chart_evaluations(monkeypatch)
+    first = oracle_run(tower, gens, precision=200)
+    assert first.precision == 32 and count[0] == 14
+    second = oracle_run(tower, gens, precision=200)
+    assert second == first and count[0] == 28
 
 
 def test_oracle_precision_cap_exhausted():
