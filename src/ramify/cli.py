@@ -20,6 +20,8 @@ from .gf import field_create, p_power_exponent
 from .laurent import LaurentPoly
 from .ramfilt import RamFiltration, ReducedFiltration
 
+_escape = json.encoder.encode_basestring_ascii
+
 PROG = "ramify"
 # the largest --precision `verify` accepts: series longer than this are past
 # desk scale, so the request is refused before the oracle starts
@@ -50,8 +52,43 @@ def _read_document(path: str):
         raise SchemaError(f"invalid JSON: {exc}") from exc
 
 
+def _encode(obj, indent: str) -> str:
+    """The text json.dumps(obj, sort_keys=True, indent=2) writes for obj,
+    each line after the first indented by `indent` more; json.dumps with an
+    indent runs its pure-Python encoder.  A type besides dict (str keys),
+    list, tuple, str, int, bool and None raises TypeError."""
+    kind = type(obj)
+    if kind is str:
+        return _escape(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if kind is dict:
+        if not obj:
+            return "{}"
+        body = sep.join([_escape(k) + ": " + _encode(obj[k], inner)
+                         for k in sorted(obj)])
+        return "{\n" + inner + body + "\n" + indent + "}"
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        if all(type(x) is int for x in obj):
+            body = sep.join(map(int.__repr__, obj))
+        else:
+            body = sep.join([_encode(x, inner) for x in obj])
+        return "[\n" + inner + body + "\n" + indent + "]"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
 def _write_document(obj, path: str) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    text = _encode(obj, "") + "\n"
     if path == "-":
         sys.stdout.write(text)
     else:
@@ -179,9 +216,15 @@ def cmd_quaternion_demo(field_size: int, sweep: bool) -> dict:
         raise SchemaError("field size must be one of 2, 4, 16")
     field = field_create(2, p_power_exponent(field_size, 2))
     elements = [field.from_index(i) for i in range(field_size)]
-    a3s = elements if sweep else elements[:1]
-    rows = [tower.evaluate_quaternion_fiber(a1, a2, a3).to_json()
-            for a1 in elements for a2 in elements for a3 in a3s]
+    zero = elements[0]
+    a3s = [list(a3.coeffs) for a3 in (elements if sweep else [zero])]
+    rows = []
+    for a1 in elements:
+        for a2 in elements:
+            # a fiber's report depends on a3 only through its parameters
+            row = tower.evaluate_quaternion_fiber(a1, a2, zero).to_json()
+            a = row["a"]
+            rows.extend({**row, "a": [a[0], a[1], a3]} for a3 in a3s)
     strata = {
         "disconnected": sum(1 for r in rows if not r["connected"]),
         "genus1": sum(1 for r in rows if r["genus"] == 1),
@@ -195,27 +238,26 @@ def cmd_quaternion_demo(field_size: int, sweep: bool) -> dict:
 def _equiramified_family_check(field) -> dict:
     """The a2 = 0 two-parameter family: all fibers have jumps (1,1,3), and
     the varying steps (the first step cover and the top-step modifier, both
-    covers of the base germ) distinguish every pair of fibers."""
+    covers of the base germ) distinguish every pair of fibers.  A report
+    does not depend on a3, so one fiber per a1 is evaluated; a fiber's key
+    pairs a form from its a1 with one from its a3, so the keys are a product
+    set, all distinct iff its size is the number of fibers."""
     one = field.one()
     zero = field.zero()
-    reps = []
-    keys = set()
-    for i1 in range(field.q):
-        a1 = field.from_index(i1)
-        if a1 == one:
-            continue  # disconnected column, not a deformation of the base fiber
-        for i3 in range(field.q):
-            a3 = field.from_index(i3)
-            reps.append(tower.evaluate_quaternion_fiber(a1, zero, a3))
-            v_cover = ascover.ASCover(2, LaurentPoly(field, {-1: one + a1}))
-            top_modifier = ascover.ASCover(2, LaurentPoly(field, {-1: a3}))
-            # q = 2 and F_2^* = {1}: two such covers are isomorphic exactly
-            # when their standard forms are equal
-            keys.add((ascover.standard_form(v_cover),
-                      ascover.standard_form(top_modifier)))
+    # a1 = 1 is the disconnected column, not a deformation of the base fiber
+    a1s = [a1 for a1 in field.elements() if a1 != one]
+    reps = [tower.evaluate_quaternion_fiber(a1, zero, zero) for a1 in a1s]
+    # q = 2 and F_2^* = {1}: two such covers are isomorphic exactly when
+    # their standard forms are equal
+    v_forms = {ascover.standard_form(
+        ascover.ASCover(2, LaurentPoly(field, {-1: one + a1}))) for a1 in a1s}
+    top_forms = {ascover.standard_form(
+        ascover.ASCover(2, LaurentPoly(field, {-1: a3})))
+        for a3 in field.elements()}
+    size = len(a1s) * field.q
     all_jumps = all(rep.connected and rep.jumps == (1, 1, 3) for rep in reps)
-    return {"size": len(reps), "all_jumps_1_1_3": all_jumps,
-            "pairwise_distinct": len(keys) == len(reps)}
+    return {"size": size, "all_jumps_1_1_3": all_jumps,
+            "pairwise_distinct": len(v_forms) * len(top_forms) == size}
 
 
 # ---------------------------------------------------------------------------

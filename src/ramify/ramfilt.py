@@ -68,16 +68,6 @@ class RamFiltration:
             raise DomainError(f"wild part {w} is not a prime power")
         return primes[0]
 
-    def order_at(self, t: Fraction) -> int:
-        """|I_t| for t > 0 (|I_0| is the total order)."""
-        t = _as_fraction(t)
-        if t <= 0:
-            return self.total_order
-        for j, o in self.breaks:
-            if t <= j:
-                return o
-        return 1
-
     def to_json(self):
         return {"total_order": self.total_order, "tame": self.tame,
                 "numbering": self.numbering,

@@ -42,7 +42,7 @@ from .errors import (DomainError, PrecisionError, SchemaError, json_int,
 from .gf import (Field, FieldElement, field_create, json_element, power,
                  root_of_unity)
 from .laurent import accumulate, sparse_mul
-from .ramfilt import LOWER, RamFiltration, jumps_with_multiplicity
+from .ramfilt import LOWER, RamFiltration
 from .series import TruncatedSeries, compose
 
 # ---------------------------------------------------------------------------
@@ -715,6 +715,9 @@ def evaluate_quaternion_fiber(a1: FieldElement, a2: FieldElement,
     uniformizer of the normalized middle step has a standard form whose
     leading terms sit at pole orders 5 and 3 with coefficients c3^2 c4 and
     c4^3 + c3^(3/2), so the top jump is 5 when c3 c4 != 0 and 3 otherwise.
+    No step of this reads a3: the report depends on a3 only through
+    `params`, so fibers that differ only in a3 share everything else (the
+    CLI evaluates one fiber per (a1, a2) and copies the rest).
     The pipeline itself (Laurent polynomials reduced to standard form) is the
     test oracle in tests/quaternion_pipeline.py.
     """
@@ -741,14 +744,6 @@ def evaluate_quaternion_fiber(a1: FieldElement, a2: FieldElement,
     return FiberReport(params, connected=True, top_jump=top,
                        jumps=(1, 1, top), genus=genus,
                        leading=(lead5, lead3))
-
-
-def quaternion_oracle_jumps(field: Field, a1=None, a2=None, a3=None,
-                            precision: int = 200) -> list:
-    """Oracle jumps of one quaternion fiber (with multiplicity)."""
-    tower, gens = quaternion_tower(field, a1, a2, a3)
-    filt = oracle_lower_jumps(tower, gens, precision)
-    return [int(j) for j in jumps_with_multiplicity(filt)]
 
 
 # ---------------------------------------------------------------------------

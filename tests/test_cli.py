@@ -3,14 +3,19 @@
 import hashlib
 import json
 import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ramify import ascover, cli, moduli
+from ramify import ascover, cli, moduli, tower
 from ramify.cli import main
 from ramify.errors import SchemaError, json_int
 from ramify.gf import field_create
 from ramify.laurent import LaurentPoly
+
+import quaternion_pipeline
 
 QUATERNION_TOWER = {
     "field": {"p": 2, "a": 2},
@@ -512,6 +517,18 @@ def test_jumps_document_at_the_integer_limit_answers(tmp_path):
     assert "4097 bits" in res["error"]["message"]
 
 
+def test_jumps_total_order_without_small_factors_is_refused(tmp_path):
+    # (2^31 - 1)^131 holds 4061 bits and has no prime factor below 2^20, so
+    # the trial division runs to the limit before the refusal
+    n = (2 ** 31 - 1) ** 131
+    doc = {"total_order": n, "tame": 1, "numbering": "lower",
+           "breaks": [[1, 1, 2]]}
+    code, res = run(tmp_path, ["jumps", "--direction", "to-upper"], doc)
+    assert code == 1
+    assert res["error"] == {"code": 1, "type": "domain", "message":
+                            f"{n} has a prime factor past the limit 2^20"}
+
+
 def test_cli_idempotent(tmp_path):
     doc = {"total_order": 8, "tame": 1, "numbering": "lower",
            "breaks": [[1, 1, 8], [3, 1, 2]]}
@@ -702,24 +719,47 @@ def test_quaternion_demo_golden_stdout(capsys, size, sweep):
     assert hashlib.sha256(out).hexdigest() == QUATERNION_DEMO_SHA256[size, sweep]
 
 
-def test_family_check_takes_two_standard_forms_per_fiber(monkeypatch):
+def _count_calls(monkeypatch, calls, module, name):
+    original = getattr(module, name)
+
+    def wrapper(*args):
+        calls[name] += 1
+        return original(*args)
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def test_family_check_takes_one_standard_form_per_parameter(monkeypatch):
     calls = {"standard_form": 0, "is_isomorphic": 0}
-
-    def counted(name):
-        original = getattr(ascover, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return original(*args)
-        monkeypatch.setattr(ascover, name, wrapper)
-
-    counted("standard_form")
-    counted("is_isomorphic")
+    _count_calls(monkeypatch, calls, ascover, "standard_form")
+    _count_calls(monkeypatch, calls, ascover, "is_isomorphic")
     family = cli._equiramified_family_check(field_create(2, 4))
     assert family == {"size": 240, "all_jumps_1_1_3": True,
                       "pairwise_distinct": True}
-    assert calls["standard_form"] <= 2 * 240
-    assert calls["is_isomorphic"] == 0
+    # one v-cover per a1 != 1 and one top modifier per a3, not two per fiber
+    assert calls == {"standard_form": 15 + 16, "is_isomorphic": 0}
+
+
+@pytest.mark.parametrize("size", [2, 4, 16])
+def test_quaternion_sweep_evaluates_each_column_once(monkeypatch, size):
+    calls = {"evaluate_quaternion_fiber": 0, "standard_form": 0}
+    _count_calls(monkeypatch, calls, tower, "evaluate_quaternion_fiber")
+    _count_calls(monkeypatch, calls, ascover, "standard_form")
+    res = cli.cmd_quaternion_demo(size, True)
+    assert res["count"] == size ** 3
+    # q^2 (a1, a2) columns, then q - 1 family fibers; q - 1 v-covers and q
+    # top modifiers
+    assert calls == {"evaluate_quaternion_fiber": size ** 2 + size - 1,
+                     "standard_form": 2 * size - 1}
+
+
+@pytest.mark.parametrize("size,sweep", sorted(QUATERNION_DEMO_SHA256),
+                         ids=[f"f{n}{'-sweep' if s else ''}"
+                              for n, s in sorted(QUATERNION_DEMO_SHA256)])
+def test_quaternion_demo_matches_fiber_by_fiber(size, sweep):
+    field = field_create(2, size.bit_length() - 1)
+    res = cli.cmd_quaternion_demo(size, sweep)
+    assert res["fibers"] == quaternion_pipeline.demo_rows(field, sweep)
+    assert res["family"] == quaternion_pipeline.family_check(field)
 
 
 def test_family_check_reports_isomorphic_fibers(monkeypatch):
@@ -728,3 +768,50 @@ def test_family_check_reports_isomorphic_fibers(monkeypatch):
     monkeypatch.setattr(ascover, "standard_form",
                         lambda cover: LaurentPoly.zero(field))
     assert cli._equiramified_family_check(field)["pairwise_distinct"] is False
+    assert quaternion_pipeline.family_check(field)["pairwise_distinct"] is False
+
+
+# JSON values as the CLI could emit them, and more: keys that are empty,
+# non-ASCII or need escapes, empty containers, tuples, ints of up to 4000
+# digits, bools and None
+_KEYS = st.one_of(st.text(), st.sampled_from(
+    ["", "é", "Größe ✓", "\u2028", "😀", "\"\\\n\t\x00\x1f", "a b"]))
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(min_value=-10 ** 4000 + 1, max_value=10 ** 4000 - 1),
+    st.text(), _KEYS)
+_JSON = st.recursive(_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=5), st.lists(inner, max_size=5).map(tuple),
+    st.dictionaries(_KEYS, inner, max_size=5)), max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON)
+def test_encode_writes_what_json_dumps_writes(obj):
+    assert cli._encode(obj, "") == json.dumps(obj, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("obj", [Fraction(1, 2), 0.5, {1: 2}, {"a": [1, 0.5]},
+                                 {"a": 1, 2: "b"}, [{True: 1}]],
+                         ids=["fraction", "float", "int-key", "nested-float",
+                              "mixed-keys", "bool-key"])
+def test_encode_refuses_what_the_cli_never_emits(obj):
+    with pytest.raises(TypeError):
+        cli._encode(obj, "")
+
+
+def test_error_document_with_non_ascii_input_matches_json_dumps(tmp_path,
+                                                                capsys):
+    kind = "Größe ✓ 😀"
+    doc = {"structure": {"kind": kind}, "pieces": []}
+    expected = json.dumps(
+        {"error": {"code": 2, "type": "schema",
+                   "message": f"unknown structure kind {kind!r}"}},
+        sort_keys=True, indent=2) + "\n"
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    assert main(["dimension", "--input", str(inp)]) == 2
+    assert capsys.readouterr().out == expected
+    out = tmp_path / "out.json"
+    assert main(["dimension", "--input", str(inp), "--output", str(out)]) == 2
+    assert out.read_bytes() == expected.encode("ascii")

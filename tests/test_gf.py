@@ -5,6 +5,8 @@ import pytest
 from ramify import DomainError, degree_over_prime, field_create, root_of_unity
 from ramify.gf import ORDER_CAP, p_adic, prime_factors
 
+from helpers import element_from_json
+
 
 def brute_force_irreducible(coeffs, p):
     """Independent check: no monic factor of degree 1..deg/2 divides."""
@@ -139,7 +141,6 @@ def test_element_json_roundtrip():
     z = root_of_unity(F, 3)
     doc = z.to_json()
     assert doc == {"p": 2, "a": 2, "coeffs": [0, 1]}
-    from ramify.gf import element_from_json
     assert element_from_json(doc) == z
 
 
@@ -174,6 +175,41 @@ def test_prime_factors_stop_at_the_limit():
         field_create(2 ** 61 - 1, 1)
     with pytest.raises(DomainError, match=f"exceeds the cap {ORDER_CAP}"):
         field_create(3, 10 ** 9)
+
+
+def _prime_factors_by_every_integer(n):
+    """prime_factors as one trial division by every integer up to the limit."""
+    out = []
+    f = 2
+    while f * f <= n and f <= ORDER_CAP:
+        if n % f == 0:
+            out.append(f)
+            n = p_adic(n, f)[1]
+        f += 1
+    if n > ORDER_CAP:
+        raise DomainError(f"{n} has a prime factor past the limit 2^20")
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _factors_or_message(fn, n):
+    try:
+        return fn(n)
+    except DomainError as exc:
+        return str(exc)
+
+
+def test_prime_factors_match_division_by_every_integer():
+    for n in range(-2, 200_000):
+        assert prime_factors(n) == _prime_factors_by_every_integer(n), n
+    # around the limit: 1048571 and 1048573 are the last primes below 2^20,
+    # 1048583 the first above it
+    for n in (1048571 * 1048573, 1048573 ** 2, 1048573 * 1048583,
+              1048583 ** 2, 6 * 1048583, 2 ** 20, 2 ** 20 + 1,
+              5 * 7 * (2 ** 61 - 1), 1048571 * 1048573 ** 2):
+        assert _factors_or_message(prime_factors, n) == \
+            _factors_or_message(_prime_factors_by_every_integer, n), n
 
 
 @pytest.mark.parametrize("p,a", [(2, 4), (3, 2), (7, 2), (2, 13)])

@@ -10,16 +10,18 @@ from ramify import (DomainError, RamFiltration, ReducedFiltration,
                     last_piece_s_iota, lower_to_upper, reduce, upper_to_lower,
                     validate)
 
+from helpers import order_at
+
 # the order-8 germ: |I_0| = |I_1| = 8, |I_2| = |I_3| = 2, |I_4| = 1
 D8_LOWER = RamFiltration(8, 1, "lower", ((1, 8), (3, 2)))
 
 
 def test_order_at():
-    assert D8_LOWER.order_at(Fraction(1, 2)) == 8
-    assert D8_LOWER.order_at(1) == 8
-    assert D8_LOWER.order_at(2) == 2
-    assert D8_LOWER.order_at(3) == 2
-    assert D8_LOWER.order_at(4) == 1
+    assert order_at(D8_LOWER, Fraction(1, 2)) == 8
+    assert order_at(D8_LOWER, 1) == 8
+    assert order_at(D8_LOWER, 2) == 2
+    assert order_at(D8_LOWER, 3) == 2
+    assert order_at(D8_LOWER, 4) == 1
 
 
 def test_phi_identity_below_first_break():

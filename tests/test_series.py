@@ -5,6 +5,8 @@ import pytest
 from ramify import PrecisionError, TruncatedSeries, field_create
 from ramify.series import compose
 
+from helpers import gen
+
 F2 = field_create(2, 1)
 F4 = field_create(2, 2)
 
@@ -82,6 +84,6 @@ def test_compose_precision_cap():
 
 
 def test_scale():
-    z = F4.gen()
+    z = gen(F4)
     a = ts(F4, {0: 1}, 4).scale(z)
     assert a.terms == {0: z}

@@ -490,8 +490,7 @@ def test_rh_consistency_oracle_vs_analytic():
 
 
 def test_quaternion_oracle_jumps_helper():
-    from ramify.tower import quaternion_oracle_jumps
-    assert quaternion_oracle_jumps(F4) == [1, 1, 3]
+    assert quaternion_pipeline.oracle_jumps(F4) == [1, 1, 3]
 
 
 def test_quaternion_defining_relation():
