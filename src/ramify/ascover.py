@@ -107,8 +107,9 @@ def is_isomorphic(c1: ASCover, c2: ASCover) -> tuple[bool, FieldElement | None]:
     """Isomorphism test: standard forms agree up to a scalar in F_q^*.
 
     The witness scalar is returned when the covers are isomorphic.  The
-    additive d^q - d ambiguity is absorbed by standard-form reduction, so only
-    the q - 1 subfield scalars need scanning.
+    additive d^q - d ambiguity is absorbed by standard-form reduction, and a
+    scalar zeta with zeta s1 = s2 is fixed by the lowest exponent of s1:
+    zeta is the ratio of the two coefficients there, the one candidate.
     """
     if c1.q != c2.q:
         raise DomainError("covers of different degree")
@@ -120,9 +121,11 @@ def is_isomorphic(c1: ASCover, c2: ASCover) -> tuple[bool, FieldElement | None]:
         return True, c1.field.one()
     if not s1 or not s2:
         return False, None
-    for zeta in c1.field.subfield_units(c1.q):
-        if s1.scale(zeta) == s2:
-            return True, zeta
+    e = s1.min_exponent()
+    c = s2.terms.get(e)
+    zeta = c / s1.terms[e] if c else None
+    if zeta and zeta ** c1.q == zeta and s1.scale(zeta) == s2:
+        return True, zeta
     return False, None
 
 

@@ -196,10 +196,12 @@ def recompose(parts: list[tuple[int, LaurentPoly]], field: Field) -> LaurentPoly
 
 
 def prime_to_p_degree(r: LaurentPoly) -> int:
-    """Largest pole order among the p-free pieces r_t of r.
+    """Largest pole order among the p-free pieces r_t of r: the largest -e0
+    over the exponents e = p^t e0 of r, p not dividing e0 (e0 = 0 at e = 0).
 
     Positive for pole-type r, zero for constants, negative when every piece
     is supported in positive exponents.
     """
-    parts = p_power_decompose(r)
-    return max(-rt.min_exponent() for _, rt in parts)
+    if not r:
+        raise DomainError("cannot decompose the zero polynomial")
+    return max(-p_adic(e, r.field.p)[1] if e else 0 for e in r.terms)

@@ -4,9 +4,10 @@ A TruncatedSeries represents f + O(T^prec): its terms have exponents strictly
 below `prec`, and anything at or above `prec` is unknown.  Every operation
 computes the precision of its result from the valuations of its inputs.  A
 result never claims a coefficient its inputs leave open.  It claims every one
-they determine, but for f^0 and the powers f^n with p | n: in characteristic
-p, f^p = sum a_i^p T^(ip) is determined to p times the relative precision of
-f, but f^n keeps that of f.  Over F_2, (1 + T + O(T^2))^2 is 1 + T^2 +
+they determine, but for f^0, compositions f(tau) with val(f) = 0 and no term
+in T, and the powers f^n with p | n: in characteristic p, f^p = sum a_i^p
+T^(ip) is determined to p times the relative precision of f, but f^n keeps
+that of f.  Over F_2, (1 + T + O(T^2))^2 is 1 + T^2 +
 O(T^4), and the rule gives 1 + O(T^2).  With v the valuation and r = prec - v
 the relative precision of a nonzero series,
 
@@ -19,8 +20,10 @@ the relative precision of a nonzero series,
   f^-n is (1/f)^n, and f^0 is 1 + O(T^p), though 1 is exact;
 - a constant multiple keeps valuation and precision, and `shift(k)`, the
   product with the exact monomial T^k, adds k to both;
-- `compose(f, tau)` is capped at val(tau) * prec(f), the first term that the
-  unknown tail of f can reach.
+- `compose(f, tau)`, for f = T^v P and vt = val(tau) >= 1, is the product
+  tau^v P(tau), capped at cap = vt prec(f), the first term that the unknown
+  tail of f can reach: with r = prec(tau) - vt, its precision is min(cap,
+  v vt + r) for v != 0 and min(cap, prec(tau)) for v = 0.
 
 Coefficients are exact finite-field elements; there is no rounding anywhere,
 only honest truncation.
@@ -60,8 +63,7 @@ and sums and constant multiples go through the same packing and reducer.
 Each ring builds its tables on first use.
 
 Series never change once built, so each keeps its inverse and every power
-asked of it: a power, or a composition with the same tau, is computed once
-per series.
+asked of it: a power is computed once per series.
 """
 
 from __future__ import annotations
@@ -383,6 +385,18 @@ class _Ring:
         return self.pad(power(self.cut(x, 0, n), e,
                               lambda u, v: self.mul(u, v, n)), n)
 
+    def subst(self, x, sigma, gap: int, n: int) -> tuple:
+        """The first n >= 1 coefficients of sum x_k (T^gap sigma)^k, for x
+        nonempty and gap >= 1, by Horner: the partial sum that
+        (T^gap sigma)^k multiplies is needed only mod T^(n - gap k)."""
+        top = min(self.length(x), -(-n // gap)) - 1
+        acc = self.cut(x, top, top + 1)
+        fill = self.zeros(gap - 1)
+        for k in range(top - 1, -1, -1):
+            acc = self.cat(self.cut(x, k, k + 1), fill,
+                           self.mul(sigma, acc, n - gap * (k + 1)))
+        return self.pad(acc, n)
+
 
 @cache
 def _ring(field: Field) -> _Ring:
@@ -461,11 +475,6 @@ class TruncatedSeries:
         c = field.one() if coeff is None else coeff
         ring = _ring(field)
         return cls._make(ring, exp, ring.element(c.coeffs), prec)
-
-    @classmethod
-    def constant(cls, field: Field, value: FieldElement, prec: int):
-        ring = _ring(field)
-        return cls._make(ring, 0, ring.element(value.coeffs), prec)
 
     # -- structure -------------------------------------------------------------
 
@@ -601,27 +610,15 @@ class TruncatedSeries:
         h = ring.weigh(u, [1 + beta * i for i in range(min(p, ring.length(u)))])
         shift, e = j * (p - 1), alpha * (p - 1)
         k = e % p  # the integer factor of the middle term of F'
-        gap = ring.zeros(p - 1)
-
-        def at_tau(poly, sigma, n):
-            """poly(T^p sigma) mod T^n by Horner: the partial sum that tau^i
-            multiplies is needed only mod T^(n - p*i)."""
-            top = min(ring.length(poly), -(-n // p)) - 1
-            acc = ring.cut(poly, top, top + 1)
-            for i in range(top - 1, -1, -1):
-                acc = ring.cat(ring.cut(poly, i, i + 1), gap,
-                               ring.mul(sigma, acc, n - p * (i + 1)))
-            return acc
-
         s, n = ring.inverse(u, 1), 1
         while n < cap:
             n2 = min(2 * n, cap)
             m = n2 - n
             sigma = ring.power(s, beta, n2 - p)
-            f_s = ring.mul(s, at_tau(u, sigma, n2), n2)
+            f_s = ring.mul(s, ring.subst(u, sigma, p, n2), n2)
             if n2 > shift:
                 f_s = ring.add(f_s, 0, ring.power(s, e, n2 - shift), shift, n2)
-            d_s = at_tau(h, sigma, m)
+            d_s = ring.subst(h, sigma, p, m)
             if k and m > shift:
                 mid = ring.scale(ring.power(s, e - 1, m - shift),
                                  field.element(k).coeffs)
@@ -639,25 +636,17 @@ class TruncatedSeries:
 
 
 def compose(f: TruncatedSeries, tau: TruncatedSeries) -> TruncatedSeries:
-    """f(tau) for tau of positive valuation, by Horner over f's exponents.
-
-    The tail of f beyond its precision contributes O(tau^f.prec), so the
-    result is capped at val(tau) * f.prec.  The powers tau^gap are kept on
-    tau, so every composition with the same tau shares them.
-    """
+    """f(tau) for tau of positive valuation: tau^v P(tau) for f = T^v P,
+    with P(tau) by one Horner substitution, known to prec(tau) and capped
+    at val(tau) * prec(f), where the unknown tail of f enters (see the
+    module docstring for the precision)."""
     vt = tau.valuation()
     if vt is None or vt < 1:
         raise DomainError("composition needs a substitution of valuation >= 1")
     cap = vt * f.prec
     if f.is_zero_to_precision():
         return TruncatedSeries.zero(f.field, cap)
-    ring = f._ring
-    digits = list(zip(*map(ring.decode, f.comps)))
-    ks = [k for k, c in enumerate(digits) if any(c)][::-1]
-    acc = TruncatedSeries._make(ring, 0, ring.element(digits[ks[0]]), tau.prec)
-    for k_prev, k in zip(ks, ks[1:]):
-        acc = acc * tau ** (k_prev - k)
-        acc = acc + TruncatedSeries._make(ring, 0, ring.element(digits[k]),
-                                          acc.prec)
-    acc = acc * tau ** (f.val + ks[-1])
-    return TruncatedSeries._make(ring, acc.val, acc.comps, min(acc.prec, cap))
+    ring, t_v = f._ring, tau ** f.val
+    rel = min(cap, t_v.prec) - t_v.val
+    comps = ring.mul(ring.subst(f.comps, tau.comps, vt, rel), t_v.comps, rel)
+    return TruncatedSeries._make(ring, t_v.val, comps, t_v.val + rel)

@@ -141,7 +141,7 @@ def vp_eval(a: VarPoly, env: dict[str, TruncatedSeries], field: Field,
     if out is None:
         out = TruncatedSeries.zero(field, prec)
     if const:
-        out = out + TruncatedSeries.constant(field, const, out.prec)
+        out = out + TruncatedSeries.monomial(field, 0, out.prec, const)
     return out
 
 
@@ -306,21 +306,25 @@ def close_group(tower: TowerSpec, generators) -> list[GeneratorAction]:
 # ---------------------------------------------------------------------------
 # Series expansion of the tower.
 
-def _peel(f: TruncatedSeries, p: int):
-    """Reduce p-divisible pole orders by subtracting d^p - d for monomials d.
+def _peel(f: TruncatedSeries, p: int, var: str):
+    """Reduce p-divisible pole orders of step var by subtracting d^p - d for
+    monomials d.
 
     Returns (reduced series with p-free pole, the terms (exponent,
     coefficient) of the d in increasing exponent).  Each d is exact, even
     where it lies past the precision of f.  Raises DomainError when no pole
     survives (the step is not totally ramified) and PrecisionError when the
-    leading term cannot be seen at this precision.
+    leading term cannot be seen at this precision, as for a right-hand side
+    in the image of d -> d^p - d, which vanishes at every precision.
     """
     field = f.field
     peel = []
     while True:
         if f.is_zero_to_precision():
             raise PrecisionError(
-                "step right-hand side vanished to working precision")
+                f"step {var}: right-hand side vanished after the peel at "
+                "working precision, as one in the image of d -> d^p - d "
+                "does at every precision")
         v = f.valuation()
         if v >= 0:
             raise DomainError(
@@ -392,7 +396,7 @@ def _expand_tower(tower: TowerSpec, prec: int):
     charts = []
     for step in tower.steps:
         f = vp_eval(step.rhs, env, field, prec)
-        f, peel = _peel(f, p)
+        f, peel = _peel(f, p, step.var)
         j = -f.valuation()
         alpha, beta = _uniformizer_exponents(p, j)
         s = _solve_unit(f, j, alpha, beta, prec)

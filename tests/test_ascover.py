@@ -4,11 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramify import (ASCover, DomainError, LaurentPoly, check_equivariance,
                     conductor, field_create, is_connected, is_isomorphic,
                     modify_cover, root_of_unity, s_iota, standard_form)
 from ramify.ascover import standard_form_poly
+from ramify.gf import p_power_exponent
 
 F2 = field_create(2, 1)
 F3 = field_create(3, 1)
@@ -131,6 +134,15 @@ def test_non_isomorphic_different_conductors():
     assert not ok and zeta is None
 
 
+def test_non_isomorphic_by_a_scalar_outside_f_q():
+    # zeta r1 is in standard form and zeta is the one candidate, but zeta
+    # lies in F_16 and not in F_4
+    r1 = lp(F16, {-3: 1, -1: 2})
+    zeta = root_of_unity(F16, 5)
+    ok, witness = is_isomorphic(ASCover(4, r1), ASCover(4, r1.scale(zeta)))
+    assert not ok and witness is None
+
+
 def test_isomorphism_is_equivalence():
     rng = random.Random(3)
     units = F4.subfield_units(4)
@@ -148,6 +160,43 @@ def test_isomorphism_is_equivalence():
         assert is_isomorphic(c1, c2)[0] == is_isomorphic(c2, c1)[0]  # symmetric
         if is_isomorphic(c1, c2)[0] and is_isomorphic(c2, c3)[0]:
             assert is_isomorphic(c1, c3)[0]                   # transitive
+
+
+def _scan_isomorphic(c1, c2):
+    """The scan over every scalar of F_q^*, as the oracle for the closed
+    form."""
+    s1, s2 = standard_form(c1), standard_form(c2)
+    if not s1 and not s2:
+        return True, c1.field.one()
+    if s1 and s2:
+        for zeta in c1.field.subfield_units(c1.q):
+            if s1.scale(zeta) == s2:
+                return True, zeta
+    return False, None
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_isomorphic_matches_the_scalar_scan(data):
+    field, q = data.draw(st.sampled_from(
+        [(F2, 2), (F4, 2), (F4, 4), (F16, 2), (F16, 4), (F16, 16), (F3, 3),
+         (field_create(3, 2), 9)]))
+    coeff = st.integers(0, field.q - 1).map(field.from_index)
+    poly = st.dictionaries(st.integers(-12, 3), coeff, max_size=5).map(
+        lambda d: LaurentPoly(field, d))
+    r1, d = data.draw(poly), data.draw(poly)
+    # the standard form of r1 times a scalar of F_q^* gives an isomorphic
+    # pair, times one outside F_q a non-isomorphic one; both up to a d^q - d
+    units = data.draw(st.sampled_from(
+        [field.subfield_units(q), field.subfield_units(field.q), None]))
+    if units:
+        zeta = data.draw(st.sampled_from(units))
+        r2 = standard_form_poly(r1, q).scale(zeta) + d.frobenius_power(
+            p_power_exponent(q, field.p)) - d
+    else:
+        r2 = data.draw(poly)
+    c1, c2 = ASCover(q, r1), ASCover(q, r2)
+    assert is_isomorphic(c1, c2) == _scan_isomorphic(c1, c2)
 
 
 # -- s_iota and equivariance ---------------------------------------------------

@@ -244,6 +244,21 @@ def test_verify_refuses_a_generator_that_is_the_identity_at_once(tmp_path):
     assert "group of order 2, expected 4" in res["error"]["message"]
 
 
+def test_verify_names_a_step_whose_rhs_peels_to_zero(tmp_path, capsys):
+    # w^3 - w = x^-1 = v^3 - v: the peel leaves nothing at any precision,
+    # so the error names the step instead of only a precision shortfall
+    doc = ea2_doc(3, [[[1], {"x": -1}]], [[[1], {}]])
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps(doc))
+    code = main(["verify", "--precision", "4096", "--input", str(inp)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    message = json.loads(out)["error"]["message"]
+    assert message.startswith("oracle precision cap 4096 exhausted: step w:")
+    assert "vanished after the peel" in message
+    assert err == ""
+
+
 @pytest.mark.parametrize("first,second", [(1, 3), (3, 1)])
 def test_verify_herbrand_route_in_both_step_orders(tmp_path, first, second):
     # x^-1 and x^-3 span the same (Z/2)^2 extension in either order, with

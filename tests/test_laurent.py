@@ -93,6 +93,18 @@ def test_decompose_recompose_roundtrip(r):
     assert recompose(p_power_decompose(r), F4) == r
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([F2, F4, F5, field_create(3, 2)]).flatmap(
+    lambda field: _laurent_strategy(field, -40, 12)))
+def test_degree_matches_the_decomposition(r):
+    # the exponents alone fix the degree; the decomposition, which also
+    # takes p^t-th roots of the coefficients, is the oracle
+    if not r:
+        return
+    parts = p_power_decompose(r)
+    assert prime_to_p_degree(r) == max(-rt.min_exponent() for _, rt in parts)
+
+
 @settings(max_examples=60, deadline=None)
 @given(_laurent_strategy(F4))
 def test_degree_invariant_under_frobenius(r):

@@ -349,6 +349,24 @@ def test_oracle_precision_retry():
     assert run.precision > 32
 
 
+@pytest.mark.parametrize("n,precision", [(4, 128), (5, 256)])
+def test_oracle_deep_f2_tower(n, precision):
+    # v_i^2 - v_i = x^-(2i-1), one generator v_i -> v_i + 1 per step: every
+    # step composes all the series below it, so the answering precision
+    # pins the precision of n - 1 nested compositions
+    field = F2
+    tower = TowerSpec(field, 1, tuple(
+        TowerStep(f"v{i}", vp_var(field, "x", -(2 * i - 1)))
+        for i in range(1, n + 1)))
+    gens = [GeneratorAction(tower, {f"v{i}": vp_const(field, field.one())},
+                            f"g{i}") for i in range(1, n + 1)]
+    run = oracle_run(tower, gens, precision=4096)
+    jumps = jumps_with_multiplicity(run.filtration)
+    assert jumps == herbrand_lower_jumps(2, run.pole_orders)
+    assert jumps[-1] == 2 ** (n + 1) - 3
+    assert run.precision == precision
+
+
 def test_group_closed_once_per_oracle_run(monkeypatch):
     # (Z/2)^2 with upper jumps 3 and 35 (lower 3 and 3 + 2*32 = 67) retries
     # twice, up to working precision 128
