@@ -59,12 +59,6 @@ class ASCover:
     def field(self):
         return self.r.field
 
-    def to_json(self):
-        doc = {"q": self.q, "m": self.m, "r": self.r.to_json(),
-               "field": {"p": self.field.p, "a": self.field.a}}
-        doc["z"] = list(self.z.coeffs) if self.z is not None else None
-        return doc
-
 
 def standard_form_poly(r: LaurentPoly, q: int) -> LaurentPoly:
     """Reduce r modulo the image of d -> d^q - d to its standard form.

@@ -251,20 +251,6 @@ class Field:
             self._gen = self._find_generator()
         return FieldElement(self, self._gen)
 
-    def subfield_units(self, q_sub: int) -> list["FieldElement"]:
-        """The q_sub - 1 nonzero elements of the subfield F_{q_sub}."""
-        b = p_power_exponent(q_sub, self.p)
-        if self.a % b != 0:
-            raise DomainError(f"F_{q_sub} is not a subfield of F_{self.q}")
-        g = self.multiplicative_generator()
-        stride = (self.q - 1) // (q_sub - 1)
-        h = g ** stride
-        out, cur = [], self.one()
-        for _ in range(q_sub - 1):
-            out.append(cur)
-            cur = cur * h
-        return out
-
     def __eq__(self, other):
         if other is self:
             return True

@@ -102,21 +102,20 @@ def vp_pow(field: Field, a: VarPoly, n: int) -> VarPoly:
 
 
 def vp_subst(field: Field, a: VarPoly, images: dict[str, VarPoly]) -> VarPoly:
-    """Substitute images for variables; exponents must be nonnegative unless
-    the variable maps to itself."""
+    """Substitute images for the variables they map; other variables stay.
+    Each power of an image is computed once per call, and a mapped variable
+    needs a nonnegative exponent."""
     out: VarPoly = {}
+    powers = {}
     for k, c in a.items():
-        term = vp_const(field, c)
-        for var, e in k:
-            img = images[var]
-            if e < 0:
-                if img != vp_var(field, var):
-                    raise DomainError(
-                        f"cannot substitute into a negative power of {var}")
-                term = vp_mul(term, {((var, e),): field.one()})
-            else:
-                term = vp_mul(term, vp_pow(field, img, e))
-        out = vp_add(out, term)
+        term = {tuple(item for item in k if item[0] not in images): c}
+        for item in k:
+            var, e = item
+            if var in images:
+                if item not in powers:
+                    powers[item] = vp_pow(field, images[var], e)
+                term = vp_mul(term, powers[item])
+        accumulate(out, term.items())
     return out
 
 
@@ -213,14 +212,17 @@ class TowerSpec:
 
 
 class GeneratorAction:
-    """An automorphism given by var -> var + shift, shifts in earlier variables."""
+    """An automorphism given by var -> var + shift, shifts in earlier variables.
+
+    images maps the step variables, in tower order, to their images; the
+    base coordinate x is fixed and has none."""
 
     def __init__(self, tower: TowerSpec, shifts: dict[str, VarPoly],
                  name: str = ""):
         self.name = name
         field = tower.field
         order = ["x"] + [s.var for s in tower.steps]
-        images = {"x": vp_var(field, "x")}
+        images = {}
         for i, var in enumerate(order[1:], start=1):
             sh = shifts.get(var, {})
             _check_step_exponents(sh, f"shift of {var}")
@@ -247,8 +249,9 @@ class GeneratorAction:
         return obj
 
     def key(self):
-        return tuple(sorted((var, _poly_key(img))
-                            for var, img in self.images.items()))
+        """The images' polynomial keys in tower order, so key()[:k] keys
+        the restriction to the first k step variables."""
+        return tuple(_poly_key(img) for img in self.images.values())
 
 
 def _poly_key(a: VarPoly) -> tuple:
@@ -266,10 +269,7 @@ def _compose(field: Field, g: GeneratorAction, h: GeneratorAction,
 
 
 def _identity(tower: TowerSpec) -> GeneratorAction:
-    field = tower.field
-    images = {"x": vp_var(field, "x")}
-    for s in tower.steps:
-        images[s.var] = vp_var(field, s.var)
+    images = {s.var: vp_var(tower.field, s.var) for s in tower.steps}
     return GeneratorAction._raw(images, name="1")
 
 
@@ -277,7 +277,8 @@ def close_group(tower: TowerSpec, generators) -> list[GeneratorAction]:
     """Close the generators under composition; must hit p^(#steps) exactly.
 
     Elements are keyed on their reduced images, so two compositions that
-    agree in the function field are one element."""
+    agree in the function field are one element.  The identity comes
+    first."""
     field = tower.field
     expected = tower.wild_order
     ident = _identity(tower)
@@ -425,20 +426,19 @@ def _uniformizer_image(g: GeneratorAction, env, charts, field: Field,
     Chart k builds T_k^g, the image of the uniformizer of the field K_k of
     the first k step variables.  K_k is stable under the group (a shift
     uses only earlier variables), so T_k^g depends only on g's reduced
-    images of those variables, one of p^k cosets.  images maps them to T_k^g
-    for the elements of one attempt: each chart is evaluated once per coset,
-    and the elements of a coset share the series and the powers it keeps."""
+    images of those variables, g.key()[:k], one of p^k cosets.  images maps
+    them to T_k^g for the elements of one attempt: each chart is evaluated
+    once per coset, and the elements of a coset share the series and the
+    powers it keeps."""
     cur = env["x"]
-    key = ()
-    for chart in charts:
-        img = g.images[chart.var]
-        key += (_poly_key(img),)
-        known = images.get(key)
+    key = g.key()
+    for k, chart in enumerate(charts, start=1):
+        known = images.get(key[:k])
         if known is None:
-            y_ser = vp_eval(img, env, field, prec)
+            y_ser = vp_eval(g.images[chart.var], env, field, prec)
             for e, c in chart.peel:
                 y_ser = y_ser - (cur ** e).scale(c)
-            known = images[key] = cur ** chart.alpha * y_ser ** chart.beta
+            known = images[key[:k]] = cur ** chart.alpha * y_ser ** chart.beta
         cur = known
     return cur
 
@@ -524,8 +524,9 @@ def oracle_run(tower: TowerSpec, generators, precision: int = 200) -> OracleRun:
     Starts with a small working precision and doubles on PrecisionError up to
     the given cap; the precision of the result is the first working
     precision that answered.  The exact generator check and the group
-    closure do not depend on the precision, so the first attempt that
-    reaches them runs them for every retry.
+    closure do not depend on the precision: they run once, before any
+    series work, so a generator that breaks a step equation is refused
+    before the tower is expanded.
     """
     gens = list(generators)
     if not tower.steps:
@@ -533,11 +534,12 @@ def oracle_run(tower: TowerSpec, generators, precision: int = 200) -> OracleRun:
         return OracleRun(filt, 0, (), ())
     if not gens:
         raise DomainError("wild steps declared but no generators supplied")
+    _check_generators(tower, gens)
+    group = close_group(tower, gens)
     work = min(32, precision)
-    group = []
     while True:
         try:
-            return _oracle_attempt(tower, gens, work, group)
+            return _oracle_attempt(tower, group, work)
         except PrecisionError as exc:
             if work >= precision:
                 raise DomainError(
@@ -545,28 +547,21 @@ def oracle_run(tower: TowerSpec, generators, precision: int = 200) -> OracleRun:
             work = min(2 * work, precision)
 
 
-def _oracle_attempt(tower, gens, work, group):
-    """One oracle pass at working precision work; group is the closed group,
-    or empty until an attempt first gets that far, checks the generators and
-    fills it."""
+def _oracle_attempt(tower, group, work):
+    """One oracle pass at working precision work over the closed group,
+    whose first element is the identity."""
     field = tower.field
     env, charts = _expand_tower(tower, work)
     pole_orders = tuple(c.pole_order for c in charts)
     work_prec = min(s.prec for s in env.values())
-    if not group:
-        _check_generators(tower, gens)
-        group.extend(close_group(tower, gens))
-    ident = _identity(tower)
+    ident, *moved = group
     images = {}  # T_k^g per coset of K_k, for this attempt only
     t_series = _uniformizer_image(ident, env, charts, field, work_prec, images)
     check = t_series - TruncatedSeries.monomial(field, 1, t_series.prec)
     if not check.is_zero_to_precision():
         raise PrecisionError("identity does not reproduce the uniformizer")
     jumps = []
-    ident_key = ident.key()
-    for g in group:
-        if g.key() == ident_key:
-            continue
+    for g in moved:
         g_t = _uniformizer_image(g, env, charts, field, work_prec, images)
         diff = g_t - t_series
         v = diff.valuation()

@@ -244,6 +244,24 @@ def test_verify_refuses_a_generator_that_is_the_identity_at_once(tmp_path):
     assert "group of order 2, expected 4" in res["error"]["message"]
 
 
+def test_verify_checks_the_generators_before_the_series(tmp_path, capsys):
+    # v^2 - v = x is not totally ramified, and v -> v + x breaks it; the
+    # exact generator check runs before the tower is expanded, so the
+    # generator is named rather than the unramified step
+    doc = {"field": {"p": 2, "a": 1},
+           "steps": [{"var": "v", "rhs": [[[1], {"x": 1}]]}],
+           "generators": [{"shifts": {"v": [[[1], {"x": 1}]]}}]}
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps(doc))
+    code = main(["verify", "--input", str(inp)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "code": 1, "type": "domain",
+        "message": "generator g0 does not preserve the equation of step v"}
+    assert err == ""
+
+
 def test_verify_names_a_step_whose_rhs_peels_to_zero(tmp_path, capsys):
     # w^3 - w = x^-1 = v^3 - v: the peel leaves nothing at any precision,
     # so the error names the step instead of only a precision shortfall

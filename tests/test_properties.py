@@ -25,6 +25,8 @@ from ramify.ascover import standard_form_poly
 from ramify.tower import (GeneratorAction, TowerStep, herbrand_lower_jumps,
                           vp_const)
 
+from helpers import subfield_units
+
 F4 = field_create(2, 2)
 F9 = field_create(3, 2)
 
@@ -62,7 +64,7 @@ def test_conductor_invariant_under_artin_schreier_shifts():
 
 def test_isomorphism_equivalence_laws():
     rng = random.Random(303)
-    units = F4.subfield_units(4)
+    units = subfield_units(F4, 4)
     covers = []
     for _ in range(12):
         r = random_poly(rng, F4, nonzero=True, lo=-8, hi=-1)

@@ -246,19 +246,23 @@ def test_solve_unit_matches_fixed_point_iteration(data):
     check_unit(f, j, prec)
 
 
-@pytest.mark.parametrize("p,j,tail", [
-    (2, 1, {2: 1}),    # alpha = 0, beta = -1
-    (2, 5, {0: 1}),    # alpha (p-1) = 3, odd
-    (5, 3, {7: 1}),    # alpha (p-1) = 8 = 3 mod 5
-])
-def test_solve_unit_matches_fixed_point_iteration_at_cap_256(p, j, tail):
-    """Newton's eight passes to cap 256.  The reference iterates about cap
-    times over dense dicts, so f is a binomial with a cheap reference."""
+@pytest.mark.parametrize("p,j,tail,cap", [
+    (2, 1, {2: 1}, 256),    # alpha = 0, beta = -1
+    (2, 5, {0: 1}, 256),    # alpha (p-1) = 3, odd
+    (5, 3, {7: 1}, 256),    # alpha (p-1) = 8 = 3 mod 5
+    # F_257 takes two-byte digits, the d > 1 branch of _Ring.weigh
+    (257, 2, {-1: 5, 1: 2}, 700),
+    (257, 3, {-2: 7, -1: 3}, 900),
+], ids=["2-1-tail0", "2-5-tail1", "5-3-tail2", "257-2-cap700", "257-3-cap900"])
+def test_solve_unit_matches_fixed_point_iteration_at_cap_256(p, j, tail, cap):
+    """Newton's eight passes to cap 256, and past it over F_257.  The
+    reference iterates about cap times over dense dicts, so f has few terms
+    and a cheap reference."""
     field = field_create(p, 1)
-    f_prec = -(-(256 - j * p) // p)  # the least with p*prec + jp >= 256
+    f_prec = -(-(cap - j * p) // p)  # the least with p*prec + jp >= cap
     f = TruncatedSeries(field, {-j: field.one(), **{
         e: field.from_index(c) for e, c in tail.items()}}, f_prec)
-    assert check_unit(f, j, 256) == 256
+    assert check_unit(f, j, cap) == cap
 
 
 @pytest.mark.parametrize("p,a,j", [(2, 4, 1), (5, 1, 3), (3, 1, 2)])

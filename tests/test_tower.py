@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramify import (DomainError, RamFiltration, TowerSpec, field_create,
                     evaluate_quaternion_fiber, genus_rh, jumps_with_multiplicity,
@@ -12,10 +14,11 @@ from ramify import tower as tower_module
 from ramify.laurent import LaurentPoly
 from ramify.tower import (STEP_EXPONENT_CAP, GeneratorAction, TowerStep,
                           close_group, herbrand_lower_jumps, vp_add, vp_const,
-                          vp_scale, vp_var)
+                          vp_mul, vp_scale, vp_subst, vp_var)
 
 import chart_walk
 import quaternion_pipeline
+from helpers import subst_per_monomial
 
 F2 = field_create(2, 1)
 F4 = field_create(2, 2)
@@ -149,7 +152,7 @@ def test_first_answering_precision_is_sound(p, j1, j2):
     # 256 gives, and both are Herbrand's lower jumps j1, j1 + p (j2 - j1)
     tower, gens = ea2_tower(p, j1, j2)
     run = oracle_run(tower, gens, precision=256)
-    deep = tower_module._oracle_attempt(tower, gens, 256, [])
+    deep = tower_module._oracle_attempt(tower, close_group(tower, gens), 256)
     assert run.element_jumps == deep.element_jumps
     assert run.filtration == deep.filtration
     lower2 = j1 + p * (j2 - j1)
@@ -388,6 +391,94 @@ def test_group_closed_once_per_oracle_run(monkeypatch):
     assert run.element_jumps == (3, 3, 67)
 
 
+def test_a_generator_that_breaks_its_step_is_refused_before_any_expansion(
+        monkeypatch):
+    # the generator check is exact, so it runs before the first attempt
+    # expands the tower; a generator that preserves the step does expand it
+    field = F2
+    tower = TowerSpec(field, 1, (TowerStep("v", vp_var(field, "x", -3)),))
+    calls = []
+    expand = tower_module._expand_tower
+
+    def counting(*args):
+        calls.append(args)
+        return expand(*args)
+
+    monkeypatch.setattr(tower_module, "_expand_tower", counting)
+    bad = GeneratorAction(tower, {"v": vp_var(field, "x")}, "g")
+    with pytest.raises(DomainError,
+                       match="generator g does not preserve the equation of "
+                             "step v"):
+        oracle_run(tower, [bad], precision=200)
+    assert calls == []
+    good = GeneratorAction(tower, {"v": vp_const(field, field.one())}, "t")
+    assert oracle_run(tower, [good], precision=200).element_jumps == (3,)
+    assert len(calls) == 1
+
+
+# -- substitution ----------------------------------------------------------------
+
+def var_polys(field, lo, hi):
+    """Polynomials of up to four terms in x, with exponents in [-3, 3], and
+    in v and w, with exponents in [lo, hi]."""
+    exps = st.tuples(st.integers(-3, 3), st.integers(lo, hi),
+                     st.integers(lo, hi))
+    terms = st.lists(st.tuples(exps, st.integers(1, field.q - 1)), max_size=4)
+
+    def build(terms):
+        out = {}
+        for es, c in terms:
+            k = tuple(sorted((var, e) for var, e in zip("xvw", es) if e))
+            out = vp_add(out, {k: field.from_index(c)})
+        return out
+    return terms.map(build)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_vp_subst_matches_the_per_monomial_substitution(data):
+    # images for the step variables only: x stays, negative powers included
+    field = data.draw(st.sampled_from([F2, field_create(3, 1), F4]))
+    a = data.draw(var_polys(field, 0, 4))
+    images = {"v": data.draw(var_polys(field, 0, 2)),
+              "w": data.draw(var_polys(field, 0, 2))}
+    assert vp_subst(field, a, images) == subst_per_monomial(
+        field, a, {**images, "x": vp_var(field, "x")})
+
+
+def test_vp_subst_computes_each_power_once(monkeypatch):
+    field = F2
+    calls = []
+    power = tower_module.vp_pow
+
+    def counting(field, a, n):
+        calls.append(n)
+        return power(field, a, n)
+
+    monkeypatch.setattr(tower_module, "vp_pow", counting)
+    v2, w = vp_var(field, "v", 2), vp_var(field, "w")
+    x_inv = vp_var(field, "x", -1)
+    a = vp_add(vp_add(v2, vp_mul(v2, x_inv)), vp_add(vp_mul(v2, w), w))
+    images = {"v": vp_add(vp_var(field, "v"), x_inv),
+              "w": vp_add(w, vp_const(field, field.one()))}
+    out = vp_subst(field, a, images)
+    assert sorted(calls) == [1, 2]
+    assert out == subst_per_monomial(field, a,
+                                     {**images, "x": vp_var(field, "x")})
+
+
+@pytest.mark.parametrize("shift", [0, 1])
+def test_vp_subst_refuses_a_negative_power_of_a_mapped_variable(shift):
+    # v -> v is refused too: no image map holds a variable it fixes
+    field = F2
+    img = vp_add(vp_var(field, "v"), vp_const(field, field.from_index(shift)))
+    with pytest.raises(DomainError):
+        vp_subst(field, vp_var(field, "v", -1), {"v": img})
+    # an unmapped variable keeps its negative power
+    assert vp_subst(field, vp_var(field, "x", -1), {"v": img}) == \
+        vp_var(field, "x", -1)
+
+
 # -- uniformizer images, once per coset ------------------------------------------
 
 # the (p, j1, j2) shapes of the benchmark's oracle-towers workload
@@ -468,7 +559,7 @@ def test_an_attempt_evaluates_each_chart_once_per_coset(monkeypatch, tower,
     # where a walk per element takes n p^n
     p, n = tower.field.p, len(tower.steps)
     count = counted_chart_evaluations(monkeypatch)
-    tower_module._oracle_attempt(tower, gens, 256, [])
+    tower_module._oracle_attempt(tower, close_group(tower, gens), 256)
     assert count[0] == sum(p ** k for k in range(1, n + 1))
 
 
