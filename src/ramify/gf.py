@@ -339,19 +339,16 @@ class FieldElement:
                               self.field._exp[(-self.field._log[self.coeffs])
                                               % (self.field.q - 1)])
 
-    def frobenius(self) -> "FieldElement":
-        return self ** self.field.p
+    def frobenius(self, k: int = 1) -> "FieldElement":
+        """x^(p^k) for every integer k, by one power (Frobenius has order a)."""
+        return self ** (self.field.p ** (k % self.field.a))
 
     def pth_root(self) -> "FieldElement":
         """Inverse Frobenius: exact since the field is perfect."""
-        return self ** (self.field.p ** (self.field.a - 1))
+        return self.frobenius(-1)
 
     def qth_root(self, q: int) -> "FieldElement":
-        b = p_power_exponent(q, self.field.p)
-        x = self
-        for _ in range(b):
-            x = x.pth_root()
-        return x
+        return self.frobenius(-p_power_exponent(q, self.field.p))
 
     def sqrt(self) -> "FieldElement":
         """Square root; unique in characteristic 2."""

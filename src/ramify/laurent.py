@@ -180,10 +180,7 @@ def p_power_decompose(r: LaurentPoly) -> list[tuple[int, LaurentPoly]]:
     slots: dict[int, dict[int, FieldElement]] = {}
     for e, c in r.terms.items():
         t, e0 = p_adic(e, p) if e else (0, 0)
-        root = c
-        for _ in range(t):
-            root = root.pth_root()
-        slots.setdefault(t, {})[e0] = root
+        slots.setdefault(t, {})[e0] = c.frobenius(-t)
     return [(t, LaurentPoly._make(r.field, slots[t])) for t in sorted(slots)]
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .errors import DomainError, SchemaError, json_frac, json_int, json_str
 from .gf import p_adic, prime_factors
@@ -145,6 +146,28 @@ class ReducedFiltration:
 # ---------------------------------------------------------------------------
 # Herbrand transition functions.
 
+def _corners(breaks, rate) -> tuple[tuple[Fraction, int], ...]:
+    """The map t -> integral_0^t rate(o(u)) du at each break (jump, o), paired
+    with o, where o(u) is the order of the break at or above u; one pass."""
+    out, prev, acc = [], Fraction(0), Fraction(0)
+    for j, o in breaks:
+        acc += (j - prev) * rate(o)
+        out.append((acc, o))
+        prev = j
+    return tuple(out)
+
+
+def _at(breaks, rate, c: Fraction) -> Fraction:
+    """The same map at one point c >= 0; the order is 1 past the last break."""
+    prev, acc = Fraction(0), Fraction(0)
+    for j, o in breaks:
+        if c <= j:
+            return acc + (c - prev) * rate(o)
+        acc += (j - prev) * rate(o)
+        prev = j
+    return acc + (c - prev) * rate(1)
+
+
 def herbrand_phi(filt: RamFiltration, c_tilde) -> Fraction:
     """phi(c) = integral_0^c dt / (I_0 : I_t); piecewise linear, exact."""
     if filt.numbering != LOWER:
@@ -152,15 +175,8 @@ def herbrand_phi(filt: RamFiltration, c_tilde) -> Fraction:
     c = _as_fraction(c_tilde)
     if c < 0:
         raise DomainError("negative argument to phi")
-    total = Fraction(filt.total_order)
-    acc = Fraction(0)
-    prev = Fraction(0)
-    for j, o in filt.breaks:
-        if c <= j:
-            return acc + (c - prev) * o / total
-        acc += (j - prev) * o / total
-        prev = j
-    return acc + (c - prev) / total
+    n = filt.total_order
+    return _at(filt.breaks, lambda o: Fraction(o, n), c)
 
 
 def herbrand_psi(filt: RamFiltration, c) -> Fraction:
@@ -170,49 +186,39 @@ def herbrand_psi(filt: RamFiltration, c) -> Fraction:
     cc = _as_fraction(c)
     if cc < 0:
         raise DomainError("negative argument to psi")
-    total = Fraction(filt.total_order)
-    acc_sigma = Fraction(0)
-    acc_j = Fraction(0)
-    for j, o in filt.breaks:
-        sigma = herbrand_phi(filt, j)
-        if cc <= sigma:
-            return acc_j + (cc - acc_sigma) * total / o
-        acc_j, acc_sigma = j, sigma
-    return acc_j + (cc - acc_sigma) * total
+    n = filt.total_order
+    return _at(_corners(filt.breaks, lambda o: Fraction(o, n)),
+               lambda o: Fraction(n, o), cc)
 
 
 def lower_to_upper(filt: RamFiltration) -> RamFiltration:
     """Upper jumps sigma_i = phi(j_i) with the same order data."""
     if filt.numbering != LOWER:
         raise DomainError("filtration is not lower-numbered")
-    breaks = tuple((herbrand_phi(filt, j), o) for j, o in filt.breaks)
-    return RamFiltration(filt.total_order, filt.tame, UPPER, breaks)
+    n = filt.total_order
+    return RamFiltration(n, filt.tame, UPPER,
+                         _corners(filt.breaks, lambda o: Fraction(o, n)))
 
 
 def upper_to_lower(filt: RamFiltration) -> RamFiltration:
-    """Exact inverse of lower_to_upper."""
+    """Exact inverse of lower_to_upper: lower jumps j_i = psi(sigma_i)."""
     if filt.numbering != UPPER:
         raise DomainError("filtration is not upper-numbered")
-    total = Fraction(filt.total_order)
-    breaks = []
-    prev_sigma = Fraction(0)
-    prev_j = Fraction(0)
-    for sigma, o in filt.breaks:
-        j = prev_j + (sigma - prev_sigma) * total / o
-        breaks.append((j, o))
-        prev_sigma, prev_j = sigma, j
-    return RamFiltration(filt.total_order, filt.tame, LOWER, tuple(breaks))
+    n = filt.total_order
+    return RamFiltration(n, filt.tame, LOWER,
+                         _corners(filt.breaks, lambda o: Fraction(n, o)))
 
 
-def _quotient_exponent(o: int, o_next: int, p: int) -> int | None:
-    """k with o = o_next * p^k, or None when o / o_next is no power of p.
-
-    The break orders strictly decrease, so a k found here is at least 1.
-    """
-    if o % o_next:
-        return None
-    k, u = p_adic(o // o_next, p)
-    return k if u == 1 else None
+def _quotient_exponents(filt: RamFiltration, p: int) -> list[int | None]:
+    """Per break, the k with o = o_next * p^k (o_next = 1 past the last
+    break), or None when o / o_next is no power of p.  The break orders
+    strictly decrease, so every k found is at least 1."""
+    orders = [o for _, o in filt.breaks] + [1]
+    out = []
+    for o, o_next in zip(orders, orders[1:]):
+        k, u = p_adic(o // o_next, p)
+        out.append(k if u == 1 and o % o_next == 0 else None)
+    return out
 
 
 def jumps_with_multiplicity(filt: RamFiltration) -> list[Fraction]:
@@ -227,12 +233,10 @@ def jumps_with_multiplicity(filt: RamFiltration) -> list[Fraction]:
         raise DomainError(f"first break order {first} != wild part "
                           f"{filt.wild_order}")
     out = []
-    orders = [o for _, o in filt.breaks] + [1]
-    for (j, o), o_next in zip(filt.breaks, orders[1:]):
-        mult = _quotient_exponent(o, o_next, p)
-        if mult is None:
+    for (j, _), k in zip(filt.breaks, _quotient_exponents(filt, p)):
+        if k is None:
             raise DomainError(f"quotient at jump {j} is not a power of {p}")
-        out.extend([j] * mult)
+        out.extend([j] * k)
     return out
 
 
@@ -268,27 +272,24 @@ def schmid_violations(p: int, upper_jumps: list) -> list[str]:
 def validate(filt: RamFiltration, abelian: bool = False,
              cyclic: bool = False) -> list[str]:
     """All detectable violations as strings; an empty list means valid."""
-    out = []
     if filt.total_order % filt.tame != 0:
         return [f"tame part {filt.tame} does not divide |I| = {filt.total_order}"]
     wild = filt.total_order // filt.tame
-    try:
-        p = filt.residue_char()
-    except DomainError as exc:
-        return [str(exc)]
+    primes = prime_factors(wild)  # DomainError for a prime past 2^20
+    if len(primes) > 1:
+        return [f"wild part {wild} is not a prime power"]
     if not filt.breaks:
-        if wild != 1:
-            out.append("wild part is nontrivial but there are no breaks")
-        return out
-    if p is None:
-        out.append("breaks present but the wild part is trivial")
-        return out
-    if filt.breaks[0][1] != wild:
+        return [] if wild == 1 else ["wild part is nontrivial but there are no breaks"]
+    if not primes:
+        return ["breaks present but the wild part is trivial"]
+    p, out = primes[0], []
+    first_ok = filt.breaks[0][1] == wild
+    if not first_ok:
         out.append(f"first break order {filt.breaks[0][1]} != wild part {wild} "
                    "(tame quotient |I_0|/|I_1| = m fails)")
-    orders = [o for _, o in filt.breaks] + [1]
-    for (j, o), o_next in zip(filt.breaks, orders[1:]):
-        if _quotient_exponent(o, o_next, p) is None:
+    ks = _quotient_exponents(filt, p)
+    for (j, _), k in zip(filt.breaks, ks):
+        if k is None:
             out.append(f"quotient at jump {j} is not a positive power of {p}")
     if filt.numbering == LOWER:
         for j, _ in filt.breaks:
@@ -297,25 +298,16 @@ def validate(filt: RamFiltration, abelian: bool = False,
             elif int(j) % p == 0:
                 out.append(f"p | {j} for a lower jump")
     if abelian or cyclic:
-        upper = filt if filt.numbering == UPPER else None
-        if upper is None:
-            try:
-                upper = lower_to_upper(filt)
-            except DomainError as exc:
-                out.append(f"cannot convert to upper numbering: {exc}")
-                return out
+        upper = filt if filt.numbering == UPPER else lower_to_upper(filt)
         for sigma, _ in upper.breaks:
             if sigma.denominator != 1:
                 out.append(f"abelian filtration has non-integral upper jump {sigma}")
-    if cyclic:
-        try:
-            if len(jumps_with_multiplicity(filt)) != len(filt.breaks):
+        # the cyclic checks need the jump counts, which a bad first order or
+        # quotient (reported above) leaves undefined
+        if cyclic and first_ok and None not in ks:
+            if max(ks) > 1:
                 out.append("cyclic filtration has a jump of multiplicity > 1")
-            upper = filt if filt.numbering == UPPER else lower_to_upper(filt)
-            sigmas = [j for j, _ in upper.breaks]
-            out.extend(schmid_violations(p, sigmas))
-        except DomainError:
-            pass  # first-order and quotient problems were reported above
+            out.extend(schmid_violations(p, [s for s, _ in upper.breaks]))
     return out
 
 
@@ -338,17 +330,13 @@ def reduce(filt: RamFiltration, piece_sizes: list[list[int]],
         raise DomainError("nothing to reduce in a tame filtration")
     if len(piece_sizes) != len(filt.breaks):
         raise DomainError("need one piece list per break")
-    orders = [o for _, o in filt.breaks] + [1]
     pieces = []
-    for (sigma, o), o_next, sizes in zip(filt.breaks, orders[1:], piece_sizes):
-        k = _quotient_exponent(o, o_next, p)
+    for (sigma, _), k, sizes in zip(filt.breaks, _quotient_exponents(filt, p),
+                                    piece_sizes):
         if k is None:
             raise DomainError(f"quotient at jump {sigma} is not a power of {p}")
         quot = p ** k
-        prod = 1
-        for q in sizes:
-            prod *= q
-        if prod != quot or not sizes:
+        if prod(sizes) != quot or not sizes:
             raise DomainError(
                 f"piece sizes {sizes} do not multiply to the quotient {quot} "
                 f"at jump {sigma}")

@@ -2,8 +2,12 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -227,7 +231,7 @@ def test_verify_refuses_a_step_exponent_past_the_limit_at_once(tmp_path):
     code, res = run(tmp_path, ["verify", "--precision", "256"], doc)
     assert time.perf_counter() - t0 < 1.0
     assert code == 1
-    assert "exceeds the limit 77" in res["error"]["message"]
+    assert "exceeds the limit 500" in res["error"]["message"]
 
 
 def test_verify_refuses_a_generator_that_is_the_identity_at_once(tmp_path):
@@ -453,6 +457,83 @@ def test_exit_code_domain_error(tmp_path):
     code, res = run(tmp_path, ["dimension"], doc)
     assert code == 1
     assert res["error"]["code"] == 1
+
+
+ONE = [[[1], {}]]
+STEP_V = {"var": "v", "rhs": [[[1], {"x": -1}]]}
+STEP_W = {"var": "w", "rhs": [[[1], {"x": -3}]]}
+
+
+def two_step_tower(shifts):
+    return {"field": {"p": 2, "a": 1}, "m": 1, "steps": [STEP_V, STEP_W],
+            "generators": [{"name": "s", "shifts": shifts}]}
+
+
+def f4_cover(q, z):
+    return {"field": {"p": 2, "a": 2}, "q": q, "m": 3, "z": z,
+            "r": {"terms": [[-1, [1]]]}}
+
+
+@pytest.mark.parametrize("args,doc,message", [
+    (["standard-form"], f4_cover(4, None),
+     "m > 1 requires the action scalar z"),
+    (["standard-form"], f4_cover(2, [0, 1]), "z must lie in F_q^*"),
+    (["standard-form"], f4_cover(4, [1, 0]),
+     "action not irreducible: [F_p(z):F_p] != a"),
+    (["verify"], dict(TOWER, steps=[STEP_V, STEP_V]), "duplicate variable v"),
+    (["verify"], dict(TOWER, steps=[{"var": "v", "rhs": [[[1], {"w": 1}]]}]),
+     "step v uses undeclared {'w'}"),
+    (["verify"], two_step_tower({"v": [[[1], {"w": 1}]]}),
+     "shift of v uses later variables {'w'}"),
+    (["verify"], two_step_tower({"w": [[[1], {"v": -1}]]}),
+     "shifts must be polynomial (exponents >= 0)"),
+    (["verify"], two_step_tower({"x": ONE}),
+     "the base coordinate cannot be shifted"),
+    (["verify"], two_step_tower({"u": ONE}),
+     "shifts for undeclared variables {'u'}"),
+    # the only route into vp_eval's bare-constant branch
+    (["verify"], dict(TOWER, steps=[{"var": "v", "rhs": ONE}]),
+     "step is not totally ramified: right-hand side has no pole after "
+     "reduction"),
+], ids=["null-z-with-tame-part", "z-outside-f-q", "z-not-generating-f-q",
+        "duplicate-step-variable", "undeclared-rhs-variable",
+        "shift-uses-later-variable", "negative-shift-exponent", "shift-of-x",
+        "shift-of-undeclared-variable", "constant-rhs"])
+def test_refusals_name_their_cause(tmp_path, capsys, args, doc, message):
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps(doc))
+    code = main(args + ["--input", str(inp)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert json.loads(out)["error"] == {"code": 1, "type": "domain",
+                                        "message": message}
+    assert err == ""
+
+
+def test_name_sets_print_the_same_under_every_hash_seed(tmp_path):
+    # a set's repr follows string hashing, which differs between runs
+    abcd = {n: [[[1], {"x": -1}]] for n in "abcd"}
+    docs = [
+        (dict(TOWER, steps=[{"var": "v", "rhs": [
+            [[1], {n: 1 for n in "abcd"}]]}]),
+         "step v uses undeclared {'a', 'b', 'c', 'd'}"),
+        (dict(TOWER, steps=[STEP_V] + [{"var": n, "rhs": r}
+                                       for n, r in abcd.items()],
+              generators=[{"shifts": {"v": [[[1], {n: 1 for n in "abcd"}]]}}]),
+         "shift of v uses later variables {'a', 'b', 'c', 'd'}"),
+        (dict(TOWER, generators=[{"shifts": abcd}]),
+         "shifts for undeclared variables {'a', 'b', 'c', 'd'}"),
+    ]
+    src = str(Path(cli.__file__).parents[1])
+    for i, (doc, message) in enumerate(docs):
+        inp = tmp_path / f"in{i}.json"
+        inp.write_text(json.dumps(doc))
+        outs = {subprocess.run(
+            [sys.executable, "-m", "ramify.cli", "verify", "--input", str(inp)],
+            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src),
+            capture_output=True, check=False).stdout for seed in ("1", "2")}
+        assert len(outs) == 1
+        assert json.loads(outs.pop())["error"]["message"] == message
 
 
 P61 = 2 ** 61 - 1  # a prime past the limit 2^20 on primes

@@ -1,11 +1,13 @@
 """Field construction, roots of unity and Frobenius roots."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramify import DomainError, degree_over_prime, field_create, root_of_unity
 from ramify.gf import ORDER_CAP, p_adic, prime_factors
 
-from helpers import element_from_json, subfield_units
+from helpers import TEST_FIELDS, element_from_json, subfield_units
 
 
 def brute_force_irreducible(coeffs, p):
@@ -220,3 +222,23 @@ def test_multiplicative_order_is_least(p, a):
         n = x.multiplicative_order()
         assert x ** n == F.one()
         assert all(x ** (n // r) != F.one() for r in prime_factors(n))
+
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(TEST_FIELDS).flatmap(
+    lambda F: st.builds(F.from_index, st.integers(0, F.q - 1))),
+    st.integers(-9, 9))
+def test_frobenius_matches_iterated_powers_and_roots(x, k):
+    p, a = x.field.p, x.field.a
+    root = x ** (p ** (a - 1))  # x^(p^(a-1)) is the p-th root of x
+    assert x.pth_root() == root
+    y = x
+    for _ in range(abs(k)):
+        y = y ** p if k > 0 else y ** (p ** (a - 1))
+    assert x.frobenius(k) == y
+    for b in range(1, 4):
+        y = x
+        for _ in range(b):
+            y = y ** (p ** (a - 1))
+        assert x.qth_root(p ** b) == y

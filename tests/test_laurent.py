@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 
 from ramify import (DomainError, LaurentPoly, field_create, p_power_decompose,
                     prime_to_p_degree, recompose)
+from ramify.gf import p_adic
 from ramify.tower import vp_add, vp_mul, vp_pow
 
-from helpers import gen
+from helpers import TEST_FIELDS, gen
 
 F2 = field_create(2, 1)
 F4 = field_create(2, 2)
@@ -103,6 +104,24 @@ def test_degree_matches_the_decomposition(r):
         return
     parts = p_power_decompose(r)
     assert prime_to_p_degree(r) == max(-rt.min_exponent() for _, rt in parts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(TEST_FIELDS).flatmap(
+    lambda field: _laurent_strategy(field, -60, 20)))
+def test_decompose_matches_iterated_roots(r):
+    # the p^t-th root of a coefficient, taken as t p-th roots in turn
+    if not r:
+        return
+    p, a = r.field.p, r.field.a
+    slots = {}
+    for e, c in r.terms.items():
+        t, e0 = p_adic(e, p) if e else (0, 0)
+        for _ in range(t):
+            c = c ** (p ** (a - 1))
+        slots.setdefault(t, {})[e0] = c
+    assert p_power_decompose(r) == [(t, LaurentPoly(r.field, slots[t]))
+                                    for t in sorted(slots)]
 
 
 @settings(max_examples=60, deadline=None)

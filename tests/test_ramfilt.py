@@ -4,13 +4,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramify import (DomainError, RamFiltration, ReducedFiltration,
                     herbrand_phi, herbrand_psi, jumps_with_multiplicity,
                     last_piece_s_iota, lower_to_upper, reduce, upper_to_lower,
                     validate)
 
-from helpers import order_at
+from helpers import (order_at, ref_jumps_with_multiplicity,
+                     ref_lower_to_upper, ref_phi, ref_psi, ref_reduce,
+                     ref_upper_to_lower, ref_validate)
 
 # the order-8 germ: |I_0| = |I_1| = 8, |I_2| = |I_3| = 2, |I_4| = 1
 D8_LOWER = RamFiltration(8, 1, "lower", ((1, 8), (3, 2)))
@@ -145,6 +149,24 @@ def test_validate_non_integer_lower_jump():
 def test_validate_tame_quotient():
     filt = RamFiltration(8, 2, "lower", ((1, 8),))
     assert any("tame" in v.lower() or "wild" in v.lower() for v in validate(filt))
+    assert validate(filt) == [
+        "first break order 8 != wild part 4 (tame quotient |I_0|/|I_1| = m "
+        "fails)"]
+    assert validate(RamFiltration(8, 3, "lower", ((1, 8),))) == [
+        "tame part 3 does not divide |I| = 8"]
+    assert validate(RamFiltration(6, 1, "lower", ((1, 6),))) == [
+        "wild part 6 is not a prime power"]
+    assert validate(RamFiltration(4, 1, "lower", ())) == [
+        "wild part is nontrivial but there are no breaks"]
+    assert validate(RamFiltration(3, 3, "lower", ((1, 2),))) == [
+        "breaks present but the wild part is trivial"]
+
+
+def test_validate_refuses_a_wild_prime_past_the_limit():
+    # 1048583 is the least prime past 2^20; no factor search runs past it
+    filt = RamFiltration(1048583, 1, "lower", ((1, 1048583),))
+    with pytest.raises(DomainError, match="past the limit 2"):
+        validate(filt)
 
 
 def test_validate_cyclic_schmid():
@@ -154,6 +176,19 @@ def test_validate_cyclic_schmid():
     assert any("cyclic" in v for v in validate(bad, cyclic=True))
     exact_p_multiple = RamFiltration(4, 1, "upper", ((1, 4), (2, 2)))
     assert validate(exact_p_multiple, cyclic=True) == []
+    z2_squared = RamFiltration(4, 1, "upper", ((1, 4),))
+    assert validate(z2_squared, cyclic=True) == [
+        "cyclic filtration has a jump of multiplicity > 1"]
+    # the cyclic checks count jumps, which a bad first order or quotient
+    # leaves undefined: both filtrations would also fail them
+    bad_first = RamFiltration(8, 2, "upper", ((1, 8), (2, 2)))
+    assert validate(bad_first, cyclic=True) == [
+        "first break order 8 != wild part 4 (tame quotient |I_0|/|I_1| = m "
+        "fails)"]
+    bad_quotients = RamFiltration(8, 1, "upper", ((1, 8), (4, 3)))
+    assert validate(bad_quotients, cyclic=True) == [
+        "quotient at jump 1 is not a positive power of 2",
+        "quotient at jump 4 is not a positive power of 2"]
 
 
 def test_validate_abelian_integral_upper():
@@ -236,3 +271,77 @@ def test_filtration_json_roundtrip():
     assert RamFiltration.from_json(doc) == up
     red = reduce(up, [[2, 2], [2]])
     assert ReducedFiltration.from_json(red.to_json()) == red
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except DomainError as exc:
+        return "DomainError", str(exc)
+
+
+# strategies built once: drawing fixed-size lists and cutting them is much
+# cheaper than building a strategy per example
+FOUR_JUMPS = st.lists(st.builds(Fraction, st.integers(1, 40),
+                                st.sampled_from([1, 1, 2, 3])),
+                      min_size=4, max_size=4, unique=True)
+FOUR_EXPONENTS = st.lists(st.integers(1, 6), min_size=4, max_size=4,
+                          unique=True)
+FOUR_ORDERS = st.lists(st.integers(2, 100), min_size=4, max_size=4,
+                       unique=True)
+PIECES = st.lists(st.integers(2, 9), max_size=3)
+
+
+@st.composite
+def filtrations(draw):
+    """Filtrations the constructor accepts, valid or not: p-power or
+    arbitrary break orders, integral or fractional jumps, and a total order
+    that is the first order times the tame part, p times that, or one more."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(0, 4))
+    jumps = sorted(draw(FOUR_JUMPS)[:n])
+    if draw(st.integers(0, 3)):
+        orders = [p ** e for e in draw(FOUR_EXPONENTS)[:n]]
+    else:
+        orders = draw(FOUR_ORDERS)[:n]
+    orders.sort(reverse=True)
+    m = (1, 1, 2, 3, 4, p)[draw(st.integers(0, 5))]
+    wild = orders[0] if orders else (1, p, p * p)[draw(st.integers(0, 2))]
+    total = (wild * m, wild * m, wild * m * p,
+             wild * m + 1)[draw(st.integers(0, 3))]
+    numbering = ("lower", "upper")[draw(st.integers(0, 1))]
+    return RamFiltration(total, m, numbering, tuple(zip(jumps, orders)))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(filtrations(), st.lists(st.fractions(-1, 60, max_denominator=12),
+                               max_size=4), st.data())
+def test_ramfilt_matches_the_per_break_reference(filt, points, data):
+    for c in points + [j for j, _ in filt.breaks]:
+        assert _outcome(herbrand_phi, filt, c) == _outcome(ref_phi, filt, c)
+        assert _outcome(herbrand_psi, filt, c) == _outcome(ref_psi, filt, c)
+    assert _outcome(lower_to_upper, filt) == _outcome(ref_lower_to_upper, filt)
+    assert _outcome(upper_to_lower, filt) == _outcome(ref_upper_to_lower, filt)
+    assert (_outcome(jumps_with_multiplicity, filt)
+            == _outcome(ref_jumps_with_multiplicity, filt))
+    for abelian in (False, True):
+        for cyclic in (False, True):
+            assert (validate(filt, abelian, cyclic)
+                    == ref_validate(filt, abelian, cyclic))
+    # piece sizes: each quotient whole, split in two, or drawn at random,
+    # and now and then one list too few or too many, so that reduce both
+    # answers and refuses
+    up = filt if filt.numbering == "upper" else ref_lower_to_upper(filt)
+    orders = [o for _, o in up.breaks] + [1]
+    sizes = []
+    for o, o_next in zip(orders, orders[1:]):
+        q = o // o_next
+        sizes.append(([q], [2, q // 2], [3, q // 3], None)[
+            data.draw(st.integers(0, 3))] or data.draw(PIECES))
+    sizes = (sizes, sizes, sizes, sizes, sizes[:-1], sizes + [[2]])[
+        data.draw(st.integers(0, 5))]
+    count = sum(map(len, sizes)) + data.draw(st.integers(0, 1))
+    s_iotas = [data.draw(st.integers(1, 6)) for _ in range(count)] \
+        if data.draw(st.booleans()) else None
+    assert (_outcome(reduce, up, sizes, s_iotas)
+            == _outcome(ref_reduce, up, sizes, s_iotas))
