@@ -14,7 +14,7 @@ Modules:
 
 from .errors import DomainError, PrecisionError, SchemaError
 from .gf import Field, FieldElement, degree_over_prime, field_create, root_of_unity
-from .laurent import LaurentPoly, p_power_decompose, prime_to_p_degree, recompose
+from .laurent import LaurentPoly, p_power_decompose, prime_to_p_degree
 from .ascover import (ASCover, check_equivariance, conductor, is_connected,
                       is_isomorphic, modify_cover, s_iota, standard_form)
 from .ramfilt import (RamFiltration, ReducedFiltration, herbrand_phi,
@@ -41,6 +41,6 @@ __all__ = [
     "is_connected", "is_isomorphic", "jumps_with_multiplicity",
     "last_piece_s_iota", "lower_to_upper", "modify_cover", "n_count",
     "oracle_lower_jumps", "oracle_run", "p_power_decompose", "p_rank_ds",
-    "prime_to_p_degree", "quaternion_tower", "recompose", "reduce",
+    "prime_to_p_degree", "quaternion_tower", "reduce",
     "root_of_unity", "s_iota", "standard_form", "upper_to_lower", "validate",
 ]

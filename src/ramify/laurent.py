@@ -184,14 +184,6 @@ def p_power_decompose(r: LaurentPoly) -> list[tuple[int, LaurentPoly]]:
     return [(t, LaurentPoly._make(r.field, slots[t])) for t in sorted(slots)]
 
 
-def recompose(parts: list[tuple[int, LaurentPoly]], field: Field) -> LaurentPoly:
-    """Inverse of p_power_decompose: sum of (r_t)^(p^t)."""
-    out = LaurentPoly.zero(field)
-    for t, rt in parts:
-        out = out + rt.frobenius_power(t)
-    return out
-
-
 def prime_to_p_degree(r: LaurentPoly) -> int:
     """Largest pole order among the p-free pieces r_t of r: the largest -e0
     over the exponents e = p^t e0 of r, p not dividing e0 (e0 = 0 at e = 0).

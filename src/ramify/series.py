@@ -341,24 +341,30 @@ class _Ring:
             out.append(bytes(buf))
         return tuple(out)
 
-    def inverse(self, u, n: int) -> tuple:
-        """The first n coefficients of 1/u, for u_0 != 0, by Newton.
+    def inverse(self, u, n: int, g=None) -> tuple:
+        """The first n coefficients of 1/u, for u_0 != 0, by Newton; g, when
+        given, is 1/u mod T^k for some k >= 1, and the steps start from it.
 
         With g = 1/u mod T^k, -u g = -1 + T^k e, and g + T^k g e = 1/u mod
         T^2k, so each step is two products.  Both have a factor of at most k
         coefficients, which sets the slot width; -u is packed once per
         width, and g stays packed as it grows.
         """
-        c = FieldElement(self.field, self.digits(u, 0)).inverse().coeffs
-        g = self.element(c)
-        if n <= 1:
-            return g
+        if g is None:
+            g = self.element(
+                FieldElement(self.field, self.digits(u, 0)).inverse().coeffs)
+        k = self.length(g)
+        if k >= n:
+            return self.cut(g, 0, n)
         neg_u = self.neg(self.cut(u, 0, n))
-        # the first step multiplies by the one coefficient of g: two
-        # constant multiples
-        g = self.cat(g, self.scale(self.scale(
-            self.pad(self.cut(neg_u, 1, 2), 1), c), c))
-        k, w = 2, 0
+        if k == 1:
+            # the first step multiplies by the one coefficient of g: two
+            # constant multiples
+            c = self.digits(g, 0)
+            g = self.cat(g, self.scale(self.scale(
+                self.pad(self.cut(neg_u, 1, 2), 1), c), c))
+            k = 2
+        w = 0
         while k < n:
             k2 = min(2 * k, n)
             if _width(k * self.bound) != w:  # both products have factors <= k
@@ -496,6 +502,10 @@ class TruncatedSeries:
     def is_zero_to_precision(self) -> bool:
         return not self.comps[0]
 
+    def leading(self) -> FieldElement:
+        """The coefficient of T^val, for a series not zero to precision."""
+        return FieldElement(self.field, self._ring.digits(self.comps, 0))
+
     # -- arithmetic --------------------------------------------------------------
 
     def _check(self, other):
@@ -600,7 +610,11 @@ class TruncatedSeries:
         is c plus terms of positive valuation, a unit, so a Newton step s -
         F(s)/F'(s) takes s from n known coefficients to 2n: it needs F(s) mod
         T^2n, whose first n coefficients are zero, and F'(s) mod T^n.  The
-        root mod T^cap is unique.
+        root mod T^cap is unique.  A pass adding m coefficients inverts
+        F'(s) mod T^m, which depends only on s mod T^m, and no later pass
+        changes that: the last pass's inverse is 1/F'(s) to its length, and
+        one Newton step of the inverse (two products) extends it to the
+        next pass's length.
         """
         ring, field = self._ring, self.field
         p, j = ring.p, -self.val
@@ -611,6 +625,7 @@ class TruncatedSeries:
         shift, e = j * (p - 1), alpha * (p - 1)
         k = e % p  # the integer factor of the middle term of F'
         s, n = ring.inverse(u, 1), 1
+        d_inv = None  # 1/F'(s) from the last pass, exact to its length
         while n < cap:
             n2 = min(2 * n, cap)
             m = n2 - n
@@ -623,8 +638,8 @@ class TruncatedSeries:
                 mid = ring.scale(ring.power(s, e - 1, m - shift),
                                  field.element(k).coeffs)
                 d_s = ring.add(d_s, 0, mid, shift, m)
-            s = ring.cat(s, ring.mul(ring.neg(ring.cut(f_s, n)),
-                                     ring.inverse(d_s, m), m))
+            d_inv = ring.inverse(d_s, m, d_inv)
+            s = ring.cat(s, ring.mul(ring.neg(ring.cut(f_s, n)), d_inv, m))
             n = n2
         return TruncatedSeries._make(ring, 0, s, cap)
 

@@ -2,15 +2,23 @@
 
 The heart of the module is an oracle for lower jumps: it builds a uniformizer
 at the top of the tower step by step, re-expands every variable as a truncated
-series in it, and reads each group element's jump off the valuation of
-g(T) - T.  g(T) is built chart by chart, through the uniformizer of each
-field K_k of the tower; K_k is stable under the group, so that image depends
-only on g's restriction to K_k and is computed once per coset, not once per
-element.  Building the uniformizer finds each step's conductor, the reduced
-pole order of its right-hand side in the uniformizer below it, and
-herbrand_lower_jumps turns those conductors alone into the lower jumps of the
-whole group (Herbrand's theorem, Serre, Local Fields IV): a second route that
-uses no generator, no group closure and no g(T) - T.
+series in it, and reads the lower filtration off the valuations of g(T) - T
+for a few group elements.  The group is never listed.  The generators are
+sifted twice into a polycyclic generating sequence (Holt, Eick and O'Brien,
+Handbook of Computational Group Theory, ch. 8): once exactly, by the first
+step each element moves, which gives |G| = p^n for n steps and n elements;
+then, in each attempt, by the lower filtration itself, whose quotients
+G_i/G_(i+1) embed in (k, +) through the leading coefficient of g(T) - T
+(Serre, Local Fields IV §2).  |G_i| is p to the number of elements the
+second sift keeps at level >= i, and it stops at n of them.  g(T) is built
+chart by chart, through the uniformizer of each field K_k of the tower; K_k
+is stable under the group, so that image depends only on g's restriction to
+K_k and the elements of one attempt share it.  Building the uniformizer
+finds each step's conductor, the reduced pole order of its right-hand side
+in the uniformizer below it, and herbrand_lower_jumps turns those
+conductors alone into the lower jumps of the whole group (Herbrand's
+theorem, Serre, Local Fields IV): a second route that uses no generator, no
+sift and no g(T) - T.
 
 Per step with (reduced) pole order j prime to p, the new uniformizer is
 T_new = T_old^alpha * y^beta where alpha*p - beta*j = 1 and alpha is the
@@ -52,12 +60,15 @@ from .series import TruncatedSeries, compose
 VarPoly = dict
 
 # The largest |exponent| of a step variable in a right-hand side or a shift,
-# a desk-scale bound on what the generator check and the closure expand.  At
-# p = 2, 3, 5 and e = 500, `verify` (precision 200 and 4096, worst of 3 runs
-# on a 2-vCPU host) answered or refused in at most 0.35 s on: a shift by v^e;
-# v^e in a right-hand side; the shift v^(e-p) (x v^p - x v - 1), zero in the
-# field, with and without + 1; and the shift (v+1)^k - v^k that w^p - w =
-# v^(kp) - v^k + x^-7 needs (e = kp).  At e = 1000 the worst took 0.9 s.
+# a desk-scale bound on what the generator check and the sift by steps
+# expand.  At p = 2, 3, 5 and e = 500, `verify` (precision 200 and 4096,
+# worst of 3 runs on a 2-vCPU host) answered or refused in at most 0.25 s
+# on: a shift by v^e; v^e in a right-hand side; the shift v^(e-p) (x v^p -
+# x v - 1), zero in the field, with and without + 1; and the shift (v+1)^k -
+# v^k that w^p - w = v^(kp) - v^k + x^-7 needs (e = kp).  The exact
+# generator check of the first two takes most of that; the sift composes a
+# handful of elements where the closure composed all p^n.  At e = 1000 the
+# worst took 0.7 s.
 STEP_EXPONENT_CAP = 500
 
 
@@ -279,50 +290,138 @@ def _identity(tower: TowerSpec) -> GeneratorAction:
     return GeneratorAction._raw(images, name="1")
 
 
-def close_group(tower: TowerSpec, generators) -> list[GeneratorAction]:
-    """Close the generators under composition; must hit p^(#steps) exactly.
+def _inverse(field: Field, g: GeneratorAction, steps=()) -> GeneratorAction:
+    """g^-1, exact and triangular: g maps var to var + s with s in earlier
+    variables, so g^-1(var) = var - g^-1(s), reduced, from the images of the
+    earlier variables already inverted."""
+    minus_one = -field.one()
+    images = {}
+    for var, img in g.images.items():
+        shift = vp_add(img, {((var, 1),): minus_one})
+        images[var] = _reduce(field, vp_add(
+            vp_var(field, var), vp_scale(vp_subst(field, shift, images),
+                                         minus_one)), steps)
+    return GeneratorAction._raw(images, name=f"{g.name}^-1")
 
-    Elements are keyed on their reduced images, so two compositions that
-    agree in the function field are one element.  The identity comes
-    first."""
-    field = tower.field
-    expected = tower.wild_order
-    ident = _identity(tower)
-    seen = {ident.key(): ident}
-    frontier = [ident]
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for g in generators:
-                c = _compose(field, g, a, tower.steps)
-                k = c.key()
-                if k not in seen:
-                    if len(seen) >= expected:
-                        raise DomainError(
-                            "generator closure exceeds the declared order "
-                            f"{expected}")
-                    seen[k] = c
-                    fresh.append(c)
-        frontier = fresh
-    if len(seen) != expected:
+
+def _sift(tower: TowerSpec, elements, lead) -> list[tuple[int, GeneratorAction]]:
+    """A polycyclic generating sequence of the group the elements generate,
+    refining the series that lead names, as (level, element) pairs.
+
+    lead(g) is None for the identity and otherwise (level, vector over F_p):
+    g lies in the level-th group of a central series and the vector is its
+    image in that group's quotient by the next, an elementary abelian group.
+    Each element is sifted: while its vector depends on those kept at its
+    level, it is composed with powers of their inverses, which moves it a
+    level down; an element left with a new vector is kept.  Once every
+    element, every kept p-th power and every commutator of two kept
+    elements sifts to the identity, the normal words in the kept elements
+    make up the whole group, |G| = p^(number kept), and the kept elements
+    at level >= l generate the level-l group (Holt, Eick and O'Brien,
+    Handbook of Computational Group Theory, ch. 8).  Commutators are formed
+    only for kept elements that do not commute, by their keys.  The p-th
+    powers and commutators are formed only when the given elements leave
+    the sequence short of one element per step, and the sift stops at that
+    many: the group has order at most p^(#steps) (see close_group).
+    """
+    field, n = tower.field, len(tower.steps)
+    p, steps = field.p, tower.steps
+    # level -> [(column, vector, kept q, [q^-1, q^-2, ...] as needed)]
+    rows: dict[int, list] = {}
+    kept = []
+
+    def words():
+        yield from elements
+        for i, (_, q) in enumerate(kept):  # kept grows while this runs
+            yield power(q, p, lambda a, b: _compose(field, a, b, steps))
+            for _, r in kept[:i]:
+                qr, rq = _compose(field, q, r, steps), _compose(field, r, q, steps)
+                if qr.key() != rq.key():
+                    yield _compose(field, qr, _inverse(field, rq, steps), steps)
+
+    for g in words():
+        if len(kept) == n:
+            break
+        found = lead(g)
+        while found is not None:
+            level, vec = found
+            at_level = rows.setdefault(level, [])
+            for col, row, q, inverses in at_level:
+                a = vec[col] * pow(row[col], -1, p) % p
+                if a:
+                    if not inverses:
+                        inverses.append(_inverse(field, q, steps))
+                    while len(inverses) < a:
+                        inverses.append(_compose(field, inverses[0],
+                                                 inverses[-1], steps))
+                    g = _compose(field, g, inverses[a - 1], steps)
+                    vec = tuple((x - a * y) % p for x, y in zip(vec, row))
+            if any(vec):
+                col = next(i for i, x in enumerate(vec) if x)
+                at_level.append((col, vec, g, []))
+                kept.append((level, g))
+                break
+            found = lead(g)
+    return kept
+
+
+def _step_lead(field: Field, g: GeneratorAction):
+    """The first step g moves and its shift there, for the sift by steps.
+
+    g fixes the variables below var and maps var to var + s, so s^p - s =
+    rhs(g vars) - rhs = 0: s is in F_p when the steps below var form a
+    field, and a non-constant s shows they do not."""
+    minus_one = -field.one()
+    for level, (var, img) in enumerate(g.images.items()):
+        shift = vp_add(img, {((var, 1),): minus_one})
+        if shift:
+            c = shift.get(())
+            if len(shift) > 1 or c is None or any(c.coeffs[1:]):
+                raise DomainError(
+                    f"a group element moves {var} by a shift outside F_p, so "
+                    f"the steps below {var} do not form a field")
+            return level, c.coeffs[:1]
+    return None
+
+
+def close_group(tower: TowerSpec, generators) -> list[GeneratorAction]:
+    """A polycyclic generating sequence of the group, one element per step;
+    the generators must make a group of order p^(#steps) exactly.
+
+    The series sifted by is that of the fixers of the fields of the tower:
+    level k holds the elements that fix the first k step variables, and the
+    lead of such an element is its shift of the next one, a constant in F_p
+    (see _step_lead).  Each quotient is at most F_p, so the sequence has at
+    most one element per step and |G| <= p^(#steps); a shorter one is a
+    smaller group, refused.  Elements are compared on their images reduced
+    by the step equations, so a composition that is the identity in the
+    function field counts as the identity."""
+    field, steps = tower.field, tower.steps
+    reduced = [GeneratorAction._raw({var: _reduce(field, img, steps)
+                                     for var, img in g.images.items()}, g.name)
+               for g in generators]
+    seq = _sift(tower, reduced, lambda g: _step_lead(field, g))
+    if len(seq) != len(tower.steps):
         raise DomainError(
-            f"generators produce a group of order {len(seen)}, expected {expected}")
-    return list(seen.values())
+            f"generators produce a group of order {field.p ** len(seq)}, "
+            f"expected {tower.wild_order}")
+    return [g for _, g in seq]
 
 
 # ---------------------------------------------------------------------------
 # Series expansion of the tower.
 
-def _peel(f: TruncatedSeries, p: int, var: str):
+def _peel(f: TruncatedSeries, p: int, var: str, work: int):
     """Reduce p-divisible pole orders of step var by subtracting d^p - d for
     monomials d.
 
     Returns (reduced series with p-free pole, the terms (exponent,
     coefficient) of the d in increasing exponent).  Each d is exact, even
     where it lies past the precision of f.  Raises DomainError when no pole
-    survives (the step is not totally ramified) and PrecisionError when the
-    leading term cannot be seen at this precision, as for a right-hand side
-    in the image of d -> d^p - d, which vanishes at every precision.
+    survives (the step is not totally ramified) and PrecisionError, naming
+    the working precision work, when nothing is left to see: a right-hand
+    side in the image of d -> d^p - d vanishes so at every precision, and
+    some others only below a precision the doubling reaches.
     """
     field = f.field
     peel = []
@@ -330,8 +429,7 @@ def _peel(f: TruncatedSeries, p: int, var: str):
         if f.is_zero_to_precision():
             raise PrecisionError(
                 f"step {var}: right-hand side vanished after the peel at "
-                "working precision, as one in the image of d -> d^p - d "
-                "does at every precision")
+                f"working precision {work}")
         v = f.valuation()
         if v >= 0:
             raise DomainError(
@@ -403,7 +501,7 @@ def _expand_tower(tower: TowerSpec, prec: int):
     charts = []
     for step in tower.steps:
         f = vp_eval(step.rhs, env, field, prec)
-        f, peel = _peel(f, p, step.var)
+        f, peel = _peel(f, p, step.var, prec)
         j = -f.valuation()
         alpha, beta = _uniformizer_exponents(p, j)
         s = _solve_unit(f, j, alpha, beta, prec)
@@ -432,10 +530,11 @@ def _uniformizer_image(g: GeneratorAction, env, charts, field: Field,
     Chart k builds T_k^g, the image of the uniformizer of the field K_k of
     the first k step variables.  K_k is stable under the group (a shift
     uses only earlier variables), so T_k^g depends only on g's reduced
-    images of those variables, g.key()[:k], one of p^k cosets.  images maps
-    them to T_k^g for the elements of one attempt: each chart is evaluated
-    once per coset, and the elements of a coset share the series and the
-    powers it keeps."""
+    images of those variables, g.key()[:k], its coset modulo the fixer of
+    K_k.  images maps them to T_k^g for the elements one attempt sifts:
+    each chart is evaluated once per coset among them, and an element that
+    fixes the lower variables, as the deeper ones of the sequence do,
+    shares the identity's lower charts and the powers they keep."""
     cur = env["x"]
     key = g.key()
     for k, chart in enumerate(charts, start=1):
@@ -520,32 +619,33 @@ def _check_generators(tower: TowerSpec, generators):
 class OracleRun:
     filtration: RamFiltration
     precision: int
-    element_jumps: tuple[int, ...]
     pole_orders: tuple[int, ...]  # the step conductors, bottom step first
 
 
 def oracle_run(tower: TowerSpec, generators, precision: int = 200) -> OracleRun:
-    """Lower jumps by direct valuation of g(T) - T for every group element.
+    """Lower jumps by direct valuation of g(T) - T on a filtered generating
+    sequence of the group.
 
     Starts with a small working precision and doubles on PrecisionError up to
     the given cap; the precision of the result is the first working
-    precision that answered.  The exact generator check and the group
-    closure do not depend on the precision: they run once, before any
-    series work, so a generator that breaks a step equation is refused
-    before the tower is expanded.
+    precision that answered.  The exact generator check and the sift by
+    steps (close_group), which fixes |G| = p^(#steps), do not depend on the
+    precision: they run once, before any series work, so a generator that
+    breaks a step equation, or a group of the wrong order, is refused before
+    the tower is expanded.
     """
     gens = list(generators)
     if not tower.steps:
         filt = RamFiltration(tower.m, tower.m, LOWER, ())
-        return OracleRun(filt, 0, (), ())
+        return OracleRun(filt, 0, ())
     if not gens:
         raise DomainError("wild steps declared but no generators supplied")
     _check_generators(tower, gens)
-    group = close_group(tower, gens)
+    pcgs = close_group(tower, gens)
     work = min(32, precision)
     while True:
         try:
-            return _oracle_attempt(tower, group, work)
+            return _oracle_attempt(tower, pcgs, work)
         except PrecisionError as exc:
             if work >= precision:
                 raise DomainError(
@@ -553,23 +653,35 @@ def oracle_run(tower: TowerSpec, generators, precision: int = 200) -> OracleRun:
             work = min(2 * work, precision)
 
 
-def _oracle_attempt(tower, group, work):
-    """One oracle pass at working precision work over the closed group,
-    whose first element is the identity."""
+def _oracle_attempt(tower, pcgs, work):
+    """One oracle pass at working precision work: the sift of the sequence
+    pcgs by the lower filtration.
+
+    The lead of g != 1 is (i, a) for val(g(T) - T) = i + 1 and a the
+    coefficient there, read as a vector over F_p: g -> g(T)/T mod T^(i+1)
+    embeds G_i/G_(i+1) in (k, +) for i >= 1, and [G, G_i] lies in G_(i+1)
+    (Serre, Local Fields IV §2, Prop. 7 and 10).  So |G_i| = p^(number of
+    kept elements at level >= i) gives the breaks.  The sift stops at
+    #steps elements, which close_group showed is log_p |G|: the ranks it
+    finds at the levels can only be at most the true ones, so they are the
+    true ones."""
     field = tower.field
     env, charts = _expand_tower(tower, work)
     pole_orders = tuple(c.pole_order for c in charts)
     work_prec = min(s.prec for s in env.values())
-    ident, *moved = group
+    ident = _identity(tower)
+    ident_key = ident.key()
     images = {}  # T_k^g per coset of K_k, for this attempt only
     t_series = _uniformizer_image(ident, env, charts, field, work_prec, images)
     check = t_series - TruncatedSeries.monomial(field, 1, t_series.prec)
     if not check.is_zero_to_precision():
         raise PrecisionError("identity does not reproduce the uniformizer")
-    jumps = []
-    for g in moved:
-        g_t = _uniformizer_image(g, env, charts, field, work_prec, images)
-        diff = g_t - t_series
+
+    def lead(g):
+        if g.key() == ident_key:
+            return None
+        diff = _uniformizer_image(g, env, charts, field, work_prec,
+                                  images) - t_series
         v = diff.valuation()
         if v is None:
             raise PrecisionError(
@@ -578,13 +690,13 @@ def _oracle_attempt(tower, group, work):
             raise DomainError(
                 "a group element moves the uniformizer with valuation < 2; "
                 "the tower is not totally wildly ramified as declared")
-        jumps.append(v - 1)
-    breaks = []
-    for j in sorted(set(jumps)):
-        order = 1 + sum(1 for x in jumps if x >= j)
-        breaks.append((Fraction(j), order))
-    filt = RamFiltration(tower.total_order, tower.m, LOWER, tuple(breaks))
-    return OracleRun(filt, work, tuple(sorted(jumps)), tuple(pole_orders))
+        return v - 1, diff.leading().coeffs
+
+    levels = [level for level, _ in _sift(tower, pcgs, lead)]
+    breaks = tuple((Fraction(j), field.p ** sum(1 for x in levels if x >= j))
+                   for j in sorted(set(levels)))
+    filt = RamFiltration(tower.total_order, tower.m, LOWER, breaks)
+    return OracleRun(filt, work, pole_orders)
 
 
 def oracle_lower_jumps(tower: TowerSpec, generators,

@@ -1,15 +1,50 @@
-"""Reference for the oracle's uniformizer images: one chart walk per element.
+"""Reference for the oracle: the whole group, and one chart walk per element.
 
-ramify.tower._uniformizer_image evaluates each chart once per coset of the
-field K_k it builds and shares the result among the elements that agree on
-K_k.  This is the walk it replaced, which rebuilds every chart for every
-group element; tests compare the two element by element.
+ramify.tower sifts a generating sequence of the group by the lower
+filtration and evaluates only the elements the sift meets, each chart once
+per coset of the field K_k it builds.  This is the route it replaced: the
+generators closed under composition into all p^n elements, every chart
+rebuilt for every element, and the jump of each element read off
+val(g(T) - T); tests compare the two.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from ramify import tower as tower_module
-from ramify.tower import close_group, vp_eval
+from ramify.errors import DomainError
+from ramify.ramfilt import LOWER, RamFiltration
+from ramify.tower import _compose, _identity, vp_eval
+
+
+def closure(tower, generators):
+    """Every element of the group the generators make, the identity first.
+    Elements are keyed on their reduced images, so two compositions that
+    agree in the function field are one element."""
+    field = tower.field
+    ident = _identity(tower)
+    seen = {ident.key(): ident}
+    frontier = [ident]
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for g in generators:
+                c = _compose(field, g, a, tower.steps)
+                if c.key() not in seen:
+                    seen[c.key()] = c
+                    fresh.append(c)
+        frontier = fresh
+    return list(seen.values())
+
+
+def enumerate_group(tower, generators):
+    """closure(tower, generators), which must have order p^(#steps)."""
+    group = closure(tower, generators)
+    if len(group) != tower.wild_order:
+        raise DomainError(f"generators produce a group of order {len(group)}, "
+                          f"expected {tower.wild_order}")
+    return group
 
 
 def element_images(tower, group, work):
@@ -32,10 +67,18 @@ def element_images(tower, group, work):
 
 def element_jumps(tower, gens, work):
     """val(g(T) - T) - 1 over the group's elements but the identity,
-    ascending, as _oracle_attempt reports them."""
-    group = close_group(tower, gens)
-    ident = tower_module._identity(tower).key()
+    ascending."""
+    group = enumerate_group(tower, gens)
     images = element_images(tower, group, work)
-    t_series = images[[g.key() for g in group].index(ident)]
+    t_series = images[0]
     return tuple(sorted((g_t - t_series).valuation() - 1
-                        for g, g_t in zip(group, images) if g.key() != ident))
+                        for g_t in images[1:]))
+
+
+def lower_filtration(tower, gens, work):
+    """The lower filtration from the jump of every element: |G_j| is one
+    more than the number of elements with jump >= j."""
+    jumps = element_jumps(tower, gens, work)
+    breaks = tuple((Fraction(j), 1 + sum(1 for x in jumps if x >= j))
+                   for j in sorted(set(jumps)))
+    return RamFiltration(tower.total_order, tower.m, LOWER, breaks)

@@ -1,9 +1,9 @@
 """Small helpers that only the tests use: the fields the tests build, the
 generator z of a field, an element's index, elements read from their JSON
-form, the units of a subfield, |I_t| of a filtration, the per-monomial
-substitution that tower.vp_subst replaced, and the per-break Herbrand,
-quotient, validation and reduction code that ramfilt's one-pass walks
-replaced."""
+form, the units of a subfield, |I_t| of a filtration, the inverse of
+laurent.p_power_decompose, the per-monomial substitution that
+tower.vp_subst replaced, and the per-break Herbrand, quotient, validation
+and reduction code that ramfilt's one-pass walks replaced."""
 
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ from fractions import Fraction
 from ramify.errors import DomainError, json_int
 from ramify.gf import (Field, FieldElement, field_create, json_element,
                        p_adic, p_power_exponent)
+from ramify.laurent import LaurentPoly
 from ramify.ramfilt import (LOWER, UPPER, RamFiltration, ReducedFiltration,
                             schmid_violations)
 from ramify.tower import vp_add, vp_const, vp_mul, vp_pow, vp_var
@@ -69,6 +70,14 @@ def order_at(filt: RamFiltration, t) -> int:
         if t <= j:
             return o
     return 1
+
+
+def recompose(parts: list[tuple[int, LaurentPoly]], field: Field) -> LaurentPoly:
+    """Inverse of p_power_decompose: sum of (r_t)^(p^t)."""
+    out = LaurentPoly.zero(field)
+    for t, rt in parts:
+        out = out + rt.frobenius_power(t)
+    return out
 
 
 def subst_per_monomial(field: Field, a: dict, images: dict) -> dict:

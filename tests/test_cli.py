@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -224,8 +225,9 @@ def test_verify_refuses_a_shift_that_breaks_its_step(tmp_path, p, c):
 
 
 def test_verify_refuses_a_step_exponent_past_the_limit_at_once(tmp_path):
-    # the refusal comes before any work: closing the group of a shift by
-    # v^e over F_5 already takes seconds at e = 124
+    # the refusal comes before any work: without the limit, the exact
+    # generator check alone of a shift by v^e over F_5 takes 0.03 s at
+    # e = 124 and about 5 s at e = 3124 (2-vCPU host)
     doc = ea2_doc(5, [[[1], {"x": -3}]], [[[1], {"v": 3124}]])
     t0 = time.perf_counter()
     code, res = run(tmp_path, ["verify", "--precision", "256"], doc)
@@ -279,6 +281,26 @@ def test_verify_names_a_step_whose_rhs_peels_to_zero(tmp_path, capsys):
     assert message.startswith("oracle precision cap 4096 exhausted: step w:")
     assert "vanished after the peel" in message
     assert err == ""
+
+
+def test_verify_names_the_working_precision_a_peel_ran_out_at(tmp_path):
+    # over F_2, w^2 - w = v^250 - v^125 + x^-7 and v^250 - v^125 = d^2 - d
+    # for d = v^125, which the peel takes off one monomial in T at a time;
+    # at working precision 200 the series ends before x^-7 shows, at 512 it
+    # does not, so the refusal names what was seen and a higher cap answers
+    shift_w = [[[1], {"v": k}] for k in range(125) if comb(125, k) % 2]
+    doc = ea2_doc(2, [[[1], {"v": 250}], [[1], {"v": 125}], [[1], {"x": -7}]],
+                  ONE)
+    doc["generators"][0]["shifts"]["w"] = shift_w  # (v + 1)^125 - v^125
+    code, res = run(tmp_path, ["verify", "--precision", "200"], doc)
+    assert code == 1
+    assert res["error"]["message"] == (
+        "oracle precision cap 200 exhausted: step w: right-hand side "
+        "vanished after the peel at working precision 200")
+    code, res = run(tmp_path, ["verify", "--precision", "4096"], doc)
+    assert code == 0
+    assert res["oracle_jumps"] == [1, 13] == res["analytic_jumps"]
+    assert res["precision_used"] == 512
 
 
 @pytest.mark.parametrize("first,second", [(1, 3), (3, 1)])

@@ -5,11 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramify import (DomainError, LaurentPoly, field_create, p_power_decompose,
-                    prime_to_p_degree, recompose)
+                    prime_to_p_degree)
 from ramify.gf import p_adic
 from ramify.tower import vp_add, vp_mul, vp_pow
 
-from helpers import TEST_FIELDS, gen
+from helpers import TEST_FIELDS, gen, recompose
 
 F2 = field_create(2, 1)
 F4 = field_create(2, 2)

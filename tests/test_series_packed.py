@@ -288,3 +288,52 @@ def test_unit_solve_kernel_products_stay_bounded(p, a, j, monkeypatch):
     s = _solve_unit(f, j, alpha, beta, 256)
     assert s.prec == 256
     assert len(calls) <= 1000
+
+
+# F_257 takes two-byte digits
+INVERSE_FIELDS = FIELDS + [field_create(257, 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_inverse_from_a_known_prefix_matches_a_fresh_one(data):
+    field = data.draw(st.sampled_from(INVERSE_FIELDS))
+    ring = _ring(field)
+    u = data.draw(series(field, max_prec=200, vals=(0, 0)))
+    n = data.draw(st.integers(1, 200))
+    fresh = ring.inverse(u.comps, n)
+    k = data.draw(st.integers(1, n + 3))
+    start = ring.inverse(u.comps, k)
+    assert ring.inverse(u.comps, n, start) == fresh
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_solve_unit_with_one_carried_inverse_matches_a_fresh_one_per_pass(
+        data):
+    """Each Newton pass of the step unit extends the last pass's 1/F'(s);
+    inverting F'(s) from scratch in every pass gives the same unit."""
+    field = data.draw(st.sampled_from(INVERSE_FIELDS))
+    p = field.p
+    j = data.draw(st.integers(1, 9).filter(lambda j: j % p))
+    f_prec = data.draw(st.integers(1, 60))
+    lead = field.from_index(data.draw(st.integers(1, field.q - 1)))
+    tail = data.draw(series(field, max_prec=f_prec, max_terms=40,
+                            vals=(1 - j, f_prec)))
+    f = TruncatedSeries(field, {-j: lead, **tail.terms}, f_prec)
+    cap = data.draw(st.integers(1, 400))
+    alpha, beta = _uniformizer_exponents(p, j)
+    inverse, carried = _Ring.inverse, []
+
+    def fresh(self, u, n, g=None):
+        carried.append(g is not None)
+        return inverse(self, u, n)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Ring, "inverse", fresh)
+        reference = _solve_unit(f, j, alpha, beta, cap)
+    s = _solve_unit(f, j, alpha, beta, cap)
+    assert (s.val, s.comps, s.prec) == \
+        (reference.val, reference.comps, reference.prec)
+    # every pass after the first has an inverse to carry
+    assert any(carried) == (s.prec > 2)

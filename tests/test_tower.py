@@ -149,15 +149,17 @@ def ea2_tower(p, j1, j2):
     (3, 4, 11), (5, 2, 3), (5, 3, 8), (5, 8, 9)])
 def test_first_answering_precision_is_sound(p, j1, j2):
     # the first working precision that answers gives what one attempt at
-    # 256 gives, and both are Herbrand's lower jumps j1, j1 + p (j2 - j1)
+    # 256 gives, and both are Herbrand's lower jumps j1, j1 + p (j2 - j1):
+    # the jumps of all p^2 - 1 elements but the identity, walked one by one
     tower, gens = ea2_tower(p, j1, j2)
     run = oracle_run(tower, gens, precision=256)
     deep = tower_module._oracle_attempt(tower, close_group(tower, gens), 256)
-    assert run.element_jumps == deep.element_jumps
     assert run.filtration == deep.filtration
     lower2 = j1 + p * (j2 - j1)
     assert jumps_with_multiplicity(run.filtration) == [j1, lower2]
-    assert run.element_jumps == (j1,) * (p * p - p) + (lower2,) * (p - 1)
+    assert chart_walk.element_jumps(tower, gens, 256) == \
+        (j1,) * (p * p - p) + (lower2,) * (p - 1)
+    assert run.filtration == chart_walk.lower_filtration(tower, gens, 256)
     assert herbrand_lower_jumps(p, run.pole_orders) == [j1, lower2]
 
 
@@ -182,8 +184,11 @@ def test_two_step_tower_jumps():
 # -- the quaternion tower --------------------------------------------------------
 
 def test_quaternion_group_closure():
+    # the sift keeps one element per step; the group they generate is the
+    # one the closure under composition lists, of order 8
     tower, gens = quaternion_tower(F4)
-    group = close_group(tower, gens)
+    assert len(close_group(tower, gens)) == 3
+    group = chart_walk.enumerate_group(tower, gens)
     assert len(group) == 8
     # mu^2 = tau^2 = [-1] and mu*tau = [-1]*tau*mu are checked implicitly by
     # the closure size; verify [-1] explicitly: it fixes v, w and shifts y by 1
@@ -388,7 +393,8 @@ def test_group_closed_once_per_oracle_run(monkeypatch):
     run = oracle_run(tower, gens, precision=200)
     assert run.precision >= 128
     assert len(calls) == 1
-    assert run.element_jumps == (3, 3, 67)
+    assert jumps_with_multiplicity(run.filtration) == [3, 67]
+    assert chart_walk.element_jumps(tower, gens, run.precision) == (3, 3, 67)
 
 
 def test_a_generator_that_breaks_its_step_is_refused_before_any_expansion(
@@ -412,8 +418,32 @@ def test_a_generator_that_breaks_its_step_is_refused_before_any_expansion(
         oracle_run(tower, [bad], precision=200)
     assert calls == []
     good = GeneratorAction(tower, {"v": vp_const(field, field.one())}, "t")
-    assert oracle_run(tower, [good], precision=200).element_jumps == (3,)
+    assert jumps_with_multiplicity(
+        oracle_run(tower, [good], precision=200).filtration) == [3]
     assert len(calls) == 1
+
+
+def test_a_shift_outside_f_p_is_refused_before_any_expansion(monkeypatch):
+    # w^2 - w = x^-1 = v^2 - v splits, so v + w is an idempotent, not a
+    # constant, and y -> y + v + w preserves every step equation; once the
+    # steps below y are no field, each may carry more than p shifts
+    field = F2
+    tower = TowerSpec(field, 1, (TowerStep("v", vp_var(field, "x", -1)),
+                                 TowerStep("w", vp_var(field, "x", -1)),
+                                 TowerStep("y", vp_var(field, "x", -3))))
+    one = vp_const(field, field.one())
+    gens = [GeneratorAction(tower, {"v": one}, "a"),
+            GeneratorAction(tower, {"w": one}, "b"),
+            GeneratorAction(tower, {"y": vp_add(vp_var(field, "v"),
+                                                vp_var(field, "w"))}, "c")]
+    calls = []
+    monkeypatch.setattr(tower_module, "_expand_tower",
+                        lambda *args: calls.append(args))
+    with pytest.raises(DomainError, match="moves y by a shift outside F_p, so "
+                                          "the steps below y do not form a "
+                                          "field"):
+        oracle_run(tower, gens, precision=256)
+    assert calls == []
 
 
 # -- substitution ----------------------------------------------------------------
@@ -514,10 +544,11 @@ IMAGE_TOWERS = ([pytest.param(*ea2_tower(*shape), id=f"ea2-{shape}")
 
 @pytest.mark.parametrize("tower,gens", IMAGE_TOWERS)
 def test_shared_images_equal_the_per_element_walk(tower, gens):
-    # every element's g(T), and the jumps read off them, are what a chart
-    # walk per element gives, at the precision the oracle answers at
+    # every element's g(T) is what a chart walk per element gives, at the
+    # precision the oracle answers at, and the filtration the sift reads
+    # off a few of them is the one the jumps of all of them give
     run = oracle_run(tower, gens, precision=256)
-    group = close_group(tower, gens)
+    group = chart_walk.enumerate_group(tower, gens)
     env, charts = tower_module._expand_tower(tower, run.precision)
     prec = min(s.prec for s in env.values())
     images = {}
@@ -526,7 +557,7 @@ def test_shared_images_equal_the_per_element_walk(tower, gens):
     reference = chart_walk.element_images(tower, group, run.precision)
     assert [(s.val, s.comps, s.prec) for s in shared] == \
         [(s.val, s.comps, s.prec) for s in reference]
-    assert run.element_jumps == chart_walk.element_jumps(tower, gens,
+    assert run.filtration == chart_walk.lower_filtration(tower, gens,
                                                          run.precision)
 
 
@@ -554,13 +585,16 @@ def counted_chart_evaluations(monkeypatch):
 @pytest.mark.parametrize("tower,gens", IMAGE_TOWERS)
 def test_an_attempt_evaluates_each_chart_once_per_coset(monkeypatch, tower,
                                                         gens):
-    # chart k is evaluated once for each of the p^k restrictions to K_k:
-    # p + p^2 times for (Z/p)^2 and 2 + 4 + 8 for the three-step towers,
-    # where a walk per element takes n p^n
-    p, n = tower.field.p, len(tower.steps)
+    # the sift evaluates the identity and one element per step, none of
+    # them needing a reduction here, and each chart once per coset of K_k
+    # among them: the shift of the top variable shares the identity's lower
+    # charts.  That is 2 + 2 + 1 = 5 for (Z/p)^2 at every p, and 3 + 3 +
+    # 2 + 1 = 9 for the three-step towers, where a walk over the cosets of
+    # every element took p + ... + p^n and one per element n p^n
+    n = len(tower.steps)
     count = counted_chart_evaluations(monkeypatch)
     tower_module._oracle_attempt(tower, close_group(tower, gens), 256)
-    assert count[0] == sum(p ** k for k in range(1, n + 1))
+    assert count[0] == {2: 5, 3: 9}[n]
 
 
 def test_chart_images_are_not_kept_across_runs(monkeypatch):
@@ -569,9 +603,139 @@ def test_chart_images_are_not_kept_across_runs(monkeypatch):
     tower, gens = quaternion_tower(F4)
     count = counted_chart_evaluations(monkeypatch)
     first = oracle_run(tower, gens, precision=200)
-    assert first.precision == 32 and count[0] == 14
+    assert first.precision == 32 and count[0] == 9
     second = oracle_run(tower, gens, precision=200)
-    assert second == first and count[0] == 28
+    assert second == first and count[0] == 18
+
+
+# -- the sift against the whole group --------------------------------------------
+
+@st.composite
+def elementary_abelian_towers(draw):
+    """(Z/p)^n, n = 2 or 3, in changed coordinates, and a drawn generator
+    set, redundant, dependent or short of the group.
+
+    The plain tower V_i^p - V_i = c_i x^-j_i, with distinct j_i prime to p,
+    is a field with the shifts V -> V + e for e in F_p^n.  Its coordinates
+    v_i = V_i + P_i, for polynomials P_i in the earlier v, satisfy
+    v_i^p - v_i = c_i x^-j_i + P_i^p - P_i, and e acts by
+    v_i -> v_i + e_i + P_i(g(v)) - P_i(v): a polynomial shift."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.sampled_from([2, 3]))
+    field = field_create(p, 1)
+    names = "vwy"[:n]
+    top = 8 if n == 2 else 4
+    js = draw(st.lists(st.integers(1, top).filter(lambda j: j % p),
+                       min_size=n, max_size=n, unique=True))
+    unit = st.integers(1, p - 1).map(field.element)
+    changes, steps = [], []
+    for i, var in enumerate(names):
+        change = {}
+        for _ in range(draw(st.integers(0, 2)) if i else 0):
+            k = tuple(sorted([(draw(st.sampled_from(names[:i])),
+                               draw(st.integers(1, 2)))]
+                             + [("x", 1)] * draw(st.integers(0, 1))))
+            change = vp_add(change, {k: draw(unit)})
+        frob = {tuple((v, e * p) for v, e in k): c  # c^p = c in F_p
+                for k, c in change.items()}
+        rhs = vp_add(vp_scale(vp_var(field, "x", -js[i]), draw(unit)),
+                     vp_add(frob, vp_scale(change, -field.one())))
+        changes.append(change)
+        steps.append(TowerStep(var, rhs))
+    tower = TowerSpec(field, 1, tuple(steps))
+
+    def action(e, name):
+        shifts, images = {}, {}
+        for var, change, e_i in zip(names, changes, e):
+            shifts[var] = vp_add(vp_const(field, field.element(e_i)), vp_add(
+                vp_subst(field, change, images),
+                vp_scale(change, -field.one())))
+            images[var] = vp_add(vp_var(field, var), shifts[var])
+        return GeneratorAction(tower, shifts, name)
+    digit = st.integers(0, p - 1)
+    vectors = draw(st.lists(st.lists(digit, min_size=n, max_size=n),
+                            min_size=0 if draw(st.booleans()) else 1,
+                            max_size=3))
+    if not vectors or draw(st.booleans()):
+        # the rows of a unitriangular matrix span F_p^n
+        basis = [[int(i == k) if k <= i else draw(digit) for k in range(n)]
+                 for i in range(n)]
+        vectors = draw(st.permutations(basis + vectors))
+    gens = [action(e, f"g{i}") for i, e in enumerate(vectors)]
+    return tower, gens, _rank_mod_p(vectors, p)
+
+
+def _rank_mod_p(rows, p):
+    rows, rank = [list(r) for r in rows], 0
+    for col in range(len(rows[0])):
+        i = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if i is None:
+            continue
+        rows[rank], rows[i] = rows[i], rows[rank]
+        pivot = rows[rank]
+        inv = pow(pivot[col], -1, p)
+        for r in rows[rank + 1:]:
+            f = r[col] * inv % p
+            r[:] = [(x - f * y) % p for x, y in zip(r, pivot)]
+        rank += 1
+    return rank
+
+
+@st.composite
+def quaternion_towers(draw):
+    """A connected fiber of the quaternion family over F_4 or F_16, with
+    generators drawn from mu, tau and their products."""
+    field = draw(st.sampled_from([F4, F16]))
+    element = st.integers(0, field.q - 1).map(field.from_index)
+    params = draw(st.tuples(element, element, element).filter(
+        lambda a: evaluate_quaternion_fiber(*a).connected))
+    tower, (mu, tau) = quaternion_tower(field, *params)
+    steps = tower.steps
+    pool = [mu, tau, tower_module._compose(field, mu, tau, steps),
+            tower_module._compose(field, tau, mu, steps),
+            tower_module._compose(field, mu, mu, steps)]
+    gens = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+    order = len(chart_walk.closure(tower, gens))
+    return tower, gens, order.bit_length() - 1
+
+
+def assert_sift_matches_the_whole_group(tower, gens, rank):
+    p, n = tower.field.p, len(tower.steps)
+    calls = []
+    expand = tower_module._expand_tower
+
+    def counting(*args):
+        calls.append(args)
+        return expand(*args)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tower_module, "_expand_tower", counting)
+        if rank < n:
+            with pytest.raises(DomainError, match=(
+                    f"generators produce a group of order {p ** rank}, "
+                    f"expected {p ** n}$")):
+                oracle_run(tower, gens, precision=1024)
+            assert calls == []
+            return
+        run = oracle_run(tower, gens, precision=1024)
+    assert run.filtration == chart_walk.lower_filtration(tower, gens,
+                                                         run.precision)
+    assert jumps_with_multiplicity(run.filtration) == \
+        herbrand_lower_jumps(p, run.pole_orders)
+
+
+@settings(max_examples=60, deadline=None)
+@given(elementary_abelian_towers())
+def test_sifted_filtration_equals_the_whole_group_on_abelian_towers(case):
+    # the filtration read off a sifted sequence is the one the jumps of
+    # every element give, at the precision the oracle answers at; a set
+    # short of the group is refused before the tower is expanded
+    assert_sift_matches_the_whole_group(*case)
+
+
+@settings(max_examples=25, deadline=None)
+@given(quaternion_towers())
+def test_sifted_filtration_equals_the_whole_group_on_quaternion_towers(case):
+    assert_sift_matches_the_whole_group(*case)
 
 
 def test_oracle_precision_cap_exhausted():
