@@ -56,44 +56,97 @@ def _encode(obj, indent: str) -> str:
     """The text json.dumps(obj, sort_keys=True, indent=2) writes for obj,
     each line after the first indented by `indent` more; json.dumps with an
     indent runs its pure-Python encoder.  A type besides dict (str keys),
-    list, tuple, str, int, bool and None raises TypeError."""
-    kind = type(obj)
-    if kind is str:
-        return _escape(obj)
-    if kind is int:
-        return int.__repr__(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    inner = indent + "  "
-    sep = ",\n" + inner
-    if kind is dict:
-        if not obj:
-            return "{}"
-        body = sep.join([_escape(k) + ": " + _encode(obj[k], inner)
-                         for k in sorted(obj)])
-        return "{\n" + inner + body + "\n" + indent + "}"
-    if kind is list or kind is tuple:
-        if not obj:
-            return "[]"
-        if all(type(x) is int for x in obj):
-            body = sep.join(map(int.__repr__, obj))
-        else:
-            body = sep.join([_encode(x, inner) for x in obj])
-        return "[\n" + inner + body + "\n" + indent + "]"
-    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    list, tuple, str, int, bool and None raises TypeError.
+
+    One call shares work between the places a document repeats itself.  A
+    leaf (a non-empty list or tuple of ints) is encoded once per object and
+    depth, kept under (id(leaf), indent): a sweep's rows share their
+    parameter and jump lists.  Ids are sound keys while the call runs,
+    since every object reachable from obj stays alive until it returns, and
+    both tables are dropped when it returns, so a leaf changed between calls
+    is encoded afresh.  A key's `"key": ` text is kept once per string, and
+    scalars in a dict are written in its loop.  Each container is one join,
+    its brackets glued onto its first and last parts, so the peak memory
+    stays near twice the text."""
+    leaves = {}
+    heads = {}
+
+    def encode(obj, indent):
+        kind = type(obj)
+        if kind is str:
+            return _escape(obj)
+        if kind is int:
+            return int.__repr__(obj)
+        if obj is None:
+            return "null"
+        if obj is True:
+            return "true"
+        if obj is False:
+            return "false"
+        inner = indent + "  "
+        sep = ",\n" + inner
+        if kind is dict:
+            if not obj:
+                return "{}"
+            parts = []
+            for k in sorted(obj):
+                head = heads.get(k)
+                if head is None:
+                    head = heads[k] = _escape(k) + ": "
+                v = obj[k]
+                vkind = type(v)
+                if vkind is int:
+                    parts.append(head + int.__repr__(v))
+                elif v is None:
+                    parts.append(head + "null")
+                elif v is True:
+                    parts.append(head + "true")
+                elif v is False:
+                    parts.append(head + "false")
+                elif vkind is str:
+                    parts.append(head + _escape(v))
+                else:
+                    parts.append(head + (leaves.get((id(v), inner))
+                                         or encode(v, inner)))
+            parts[0] = "{\n" + inner + parts[0]
+            parts[-1] += "\n" + indent + "}"
+            return sep.join(parts)
+        if kind is list or kind is tuple:
+            if not obj:
+                return "[]"
+            if all(type(x) is int for x in obj):
+                parts = list(map(int.__repr__, obj))
+                parts[0] = "[\n" + inner + parts[0]
+                parts[-1] += "\n" + indent + "]"
+                text = leaves[id(obj), indent] = sep.join(parts)
+                return text
+            parts = [leaves.get((id(x), inner)) or encode(x, inner)
+                     for x in obj]
+            parts[0] = "[\n" + inner + parts[0]
+            parts[-1] += "\n" + indent + "]"
+            return sep.join(parts)
+        raise TypeError(
+            f"Object of type {kind.__name__} is not JSON serializable")
+
+    return encode(obj, indent)
 
 
 def _write_document(obj, path: str) -> None:
-    text = _encode(obj, "") + "\n"
+    text = _encode(obj, "")
     if path == "-":
         sys.stdout.write(text)
+        sys.stdout.write("\n")
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+                fh.write("\n")
+        except OSError as exc:
+            raise SchemaError(f"cannot write output: {exc}") from exc
+
+
+def _error(code: int, kind: str, message: str) -> dict:
+    return {"error": {"code": code, "type": kind, "message": message}}
 
 
 def _frac(x: Fraction):
@@ -322,15 +375,17 @@ def main(argv=None) -> int:
         else:  # pragma: no cover
             raise SchemaError(f"unknown command {ns.cmd}")
     except SchemaError as exc:
-        _write_document({"error": {"code": 2, "type": "schema",
-                                   "message": str(exc)}}, output)
-        return 2
+        code, result = 2, _error(2, "schema", str(exc))
     except DomainError as exc:
-        _write_document({"error": {"code": 1, "type": "domain",
-                                   "message": str(exc)}}, output)
-        return 1
-    _write_document(result, output)
-    return 0
+        code, result = 1, _error(1, "domain", str(exc))
+    else:
+        code = 0
+    try:
+        _write_document(result, output)
+    except SchemaError as exc:  # the output file cannot take the document
+        _write_document(_error(2, "schema", str(exc)), "-")
+        return 2
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

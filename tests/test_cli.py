@@ -1,11 +1,13 @@
 """End-to-end CLI behaviour: documents in, reports out, exit codes."""
 
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -848,11 +850,17 @@ QUATERNION_DEMO_SHA256 = {
 @pytest.mark.parametrize("size,sweep", sorted(QUATERNION_DEMO_SHA256),
                          ids=[f"f{n}{'-sweep' if s else ''}"
                               for n, s in sorted(QUATERNION_DEMO_SHA256)])
-def test_quaternion_demo_golden_stdout(capsys, size, sweep):
-    argv = ["quaternion-demo", "--field-size", str(size)]
-    assert main(argv + ["--sweep"] * sweep) == 0
+def test_quaternion_demo_golden_stdout(tmp_path, capsys, size, sweep):
+    argv = ["quaternion-demo", "--field-size", str(size)] + ["--sweep"] * sweep
+    assert main(argv) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == QUATERNION_DEMO_SHA256[size, sweep]
+    # the same bytes through --output FILE
+    path = tmp_path / "out.json"
+    assert main(argv + ["--output", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert (hashlib.sha256(path.read_bytes()).hexdigest()
+            == QUATERNION_DEMO_SHA256[size, sweep])
 
 
 def _count_calls(monkeypatch, calls, module, name):
@@ -927,6 +935,48 @@ def test_encode_writes_what_json_dumps_writes(obj):
     assert cli._encode(obj, "") == json.dumps(obj, sort_keys=True, indent=2)
 
 
+# documents that place the same int lists and tuples at several positions
+# and depths, as a sweep's rows share their parameter lists
+@st.composite
+def _aliased_json(draw):
+    ints = st.lists(st.integers(min_value=-10 ** 30, max_value=10 ** 30),
+                    max_size=4)
+    shared = draw(st.lists(st.one_of(ints, ints.map(tuple)), min_size=1,
+                           max_size=4))
+    node = st.one_of(st.sampled_from(shared), _LEAVES)
+    tree = draw(st.recursive(node, lambda inner: st.one_of(
+        st.lists(inner, max_size=5), st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(_KEYS, inner, max_size=5)), max_leaves=40))
+    return {"a": shared, "b": [tree, (tree, shared)], "c": tree}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_aliased_json())
+def test_encode_writes_shared_leaves_as_json_dumps_does(obj):
+    assert cli._encode(obj, "") == json.dumps(obj, sort_keys=True, indent=2)
+
+
+def test_encode_keeps_no_leaf_text_from_an_earlier_call():
+    leaf = [1, 2]
+    doc = {"a": leaf, "b": [leaf, {"c": leaf}], "d": (leaf, leaf)}
+    assert cli._encode(doc, "") == json.dumps(doc, sort_keys=True, indent=2)
+    leaf.append(3)
+    assert cli._encode(doc, "") == json.dumps(doc, sort_keys=True, indent=2)
+    assert cli._encode(doc, "").count("3") == 5
+
+
+def test_encode_peak_memory_stays_near_twice_the_text():
+    doc = cli.cmd_quaternion_demo(16, True)
+    tracemalloc.start()
+    try:
+        text = cli._encode(doc, "")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the text itself, the parts of the largest container and the tables
+    assert peak < 2.5 * len(text)
+
+
 @pytest.mark.parametrize("obj", [Fraction(1, 2), 0.5, {1: 2}, {"a": [1, 0.5]},
                                  {"a": 1, 2: "b"}, [{True: 1}]],
                          ids=["fraction", "float", "int-key", "nested-float",
@@ -951,3 +1001,22 @@ def test_error_document_with_non_ascii_input_matches_json_dumps(tmp_path,
     out = tmp_path / "out.json"
     assert main(["dimension", "--input", str(inp), "--output", str(out)]) == 2
     assert out.read_bytes() == expected.encode("ascii")
+
+
+@pytest.mark.parametrize("argv,stdin", [
+    (["quaternion-demo", "--field-size", "2"], ""),
+    (["dimension"], "{\"structure\": 1}"),
+], ids=["result", "error"])
+def test_an_unwritable_output_is_a_schema_error_on_stdout(tmp_path, capsys,
+                                                          monkeypatch, argv,
+                                                          stdin):
+    path = tmp_path / "missing" / "out.json"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    assert main(argv + ["--output", str(path)]) == 2
+    out = capsys.readouterr().out
+    error = json.loads(out)["error"]
+    assert error["code"] == 2 and error["type"] == "schema"
+    assert error["message"].startswith("cannot write output: ")
+    assert str(path) in error["message"]
+    assert out == json.dumps({"error": error}, sort_keys=True, indent=2) + "\n"
+    assert not path.parent.exists()
