@@ -3,14 +3,16 @@
 Commands: standard-form, jumps, dimension, verify, quaternion-demo.  Input is
 a file or '-' (stdin); output likewise.  Every emitted number is exact --
 rationals appear as [numerator, denominator] pairs.  Exit codes: 0 success,
-1 domain error, 2 parse/schema error; failures emit a machine-readable error
-object on the output channel.
+1 domain error, 2 parse/schema error, 141 when the reader closes standard
+output before the document is written; failures emit a machine-readable
+error object on the output channel.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -23,6 +25,9 @@ from .ramfilt import RamFiltration, ReducedFiltration
 _escape = json.encoder.encode_basestring_ascii
 
 PROG = "ramify"
+# the exit code when the reader closes standard output early, the shell's
+# status for a process that SIGPIPE ends
+CLOSED_PIPE_EXIT = 141
 # the largest --precision `verify` accepts: series longer than this are past
 # desk scale, so the request is refused before the oracle starts
 PRECISION_CAP = 4096
@@ -52,83 +57,49 @@ def _read_document(path: str):
         raise SchemaError(f"invalid JSON: {exc}") from exc
 
 
+class _Encoded(str):
+    """JSON text that _encode writes as is: the text of a value encoded at
+    the depth where it is written."""
+
+
 def _encode(obj, indent: str) -> str:
     """The text json.dumps(obj, sort_keys=True, indent=2) writes for obj,
     each line after the first indented by `indent` more; json.dumps with an
-    indent runs its pure-Python encoder.  A type besides dict (str keys),
-    list, tuple, str, int, bool and None raises TypeError.
-
-    One call shares work between the places a document repeats itself.  A
-    leaf (a non-empty list or tuple of ints) is encoded once per object and
-    depth, kept under (id(leaf), indent): a sweep's rows share their
-    parameter and jump lists.  Ids are sound keys while the call runs,
-    since every object reachable from obj stays alive until it returns, and
-    both tables are dropped when it returns, so a leaf changed between calls
-    is encoded afresh.  A key's `"key": ` text is kept once per string, and
-    scalars in a dict are written in its loop.  Each container is one join,
-    its brackets glued onto its first and last parts, so the peak memory
-    stays near twice the text."""
-    leaves = {}
-    heads = {}
-
-    def encode(obj, indent):
-        kind = type(obj)
-        if kind is str:
-            return _escape(obj)
-        if kind is int:
-            return int.__repr__(obj)
-        if obj is None:
-            return "null"
-        if obj is True:
-            return "true"
-        if obj is False:
-            return "false"
-        inner = indent + "  "
-        sep = ",\n" + inner
-        if kind is dict:
-            if not obj:
-                return "{}"
-            parts = []
-            for k in sorted(obj):
-                head = heads.get(k)
-                if head is None:
-                    head = heads[k] = _escape(k) + ": "
-                v = obj[k]
-                vkind = type(v)
-                if vkind is int:
-                    parts.append(head + int.__repr__(v))
-                elif v is None:
-                    parts.append(head + "null")
-                elif v is True:
-                    parts.append(head + "true")
-                elif v is False:
-                    parts.append(head + "false")
-                elif vkind is str:
-                    parts.append(head + _escape(v))
-                else:
-                    parts.append(head + (leaves.get((id(v), inner))
-                                         or encode(v, inner)))
-            parts[0] = "{\n" + inner + parts[0]
-            parts[-1] += "\n" + indent + "}"
-            return sep.join(parts)
-        if kind is list or kind is tuple:
-            if not obj:
-                return "[]"
-            if all(type(x) is int for x in obj):
-                parts = list(map(int.__repr__, obj))
-                parts[0] = "[\n" + inner + parts[0]
-                parts[-1] += "\n" + indent + "]"
-                text = leaves[id(obj), indent] = sep.join(parts)
-                return text
-            parts = [leaves.get((id(x), inner)) or encode(x, inner)
-                     for x in obj]
-            parts[0] = "[\n" + inner + parts[0]
-            parts[-1] += "\n" + indent + "]"
-            return sep.join(parts)
+    indent runs its pure-Python encoder.  An _Encoded value is written as
+    is.  A type besides that, dict (str keys), list, tuple, str, int, bool
+    and None raises TypeError.  Each container is one join of its
+    separators, key texts and values, so a value's text is copied once, into
+    its container's."""
+    kind = type(obj)
+    if kind is str:
+        return _escape(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is _Encoded:
+        return obj
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if kind is dict:
+        parts = [x for k in sorted(obj)
+                 for x in (sep, _escape(k) + ": ", _encode(obj[k], inner))]
+        brackets = "{}"
+    elif kind is list or kind is tuple:
+        parts = [x for v in obj for x in (sep, _encode(v, inner))]
+        brackets = "[]"
+    else:
         raise TypeError(
             f"Object of type {kind.__name__} is not JSON serializable")
-
-    return encode(obj, indent)
+    if not parts:
+        return brackets
+    parts[0] = brackets[0] + "\n" + inner
+    parts.append("\n" + indent + brackets[1])
+    return "".join(parts)
 
 
 def _write_document(obj, path: str) -> None:
@@ -136,6 +107,7 @@ def _write_document(obj, path: str) -> None:
     if path == "-":
         sys.stdout.write(text)
         sys.stdout.write("\n")
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
     else:
         try:
             with open(path, "w", encoding="utf-8") as fh:
@@ -270,22 +242,33 @@ def cmd_quaternion_demo(field_size: int, sweep: bool) -> dict:
     field = field_create(2, p_power_exponent(field_size, 2))
     elements = [field.from_index(i) for i in range(field_size)]
     zero = elements[0]
-    a3s = [list(a3.coeffs) for a3 in (elements if sweep else [zero])]
-    rows = []
+    # An (a1, a2) column's rows differ only in their a3 list.  Its row is
+    # encoded once, at its depth in the document (in "fibers"), with a NUL
+    # (which the writer's ASCII text never holds) in the a3 place, and the
+    # column's rows are joined from the two halves and each a3 list's text,
+    # encoded once at its own depth (in the row's "a").  One join makes the
+    # fibers text, so no row is a dict or a string of its own.
+    a3s = [_encode(list(a3.coeffs), " " * 8)
+           for a3 in (elements if sweep else [zero])]
+    parts = []
+    strata = {"disconnected": 0, "genus1": 0, "genus2": 0}
     for a1 in elements:
         for a2 in elements:
             # a fiber's report depends on a3 only through its parameters
             row = tower.evaluate_quaternion_fiber(a1, a2, zero).to_json()
-            a = row["a"]
-            rows.extend({**row, "a": [a[0], a[1], a3]} for a3 in a3s)
-    strata = {
-        "disconnected": sum(1 for r in rows if not r["connected"]),
-        "genus1": sum(1 for r in rows if r["genus"] == 1),
-        "genus2": sum(1 for r in rows if r["genus"] == 2),
-    }
+            row["a"][2] = _Encoded("\0")
+            head, tail = _encode(row, " " * 4).split("\0")
+            for a3 in a3s:
+                parts += ",\n    ", head, a3, tail
+            strata["disconnected"] += len(a3s) * (not row["connected"])
+            strata["genus1"] += len(a3s) * (row["genus"] == 1)
+            strata["genus2"] += len(a3s) * (row["genus"] == 2)
+    parts[0] = "[\n    "
+    parts.append("\n  ]")
     family = _equiramified_family_check(field)
-    return {"field": field_size, "count": len(rows), "fibers": rows,
-            "strata": strata, "family": family}
+    return {"field": field_size, "count": field_size ** 2 * len(a3s),
+            "fibers": _Encoded("".join(parts)), "strata": strata,
+            "family": family}
 
 
 def _equiramified_family_check(field) -> dict:
@@ -381,10 +364,18 @@ def main(argv=None) -> int:
     else:
         code = 0
     try:
-        _write_document(result, output)
-    except SchemaError as exc:  # the output file cannot take the document
-        _write_document(_error(2, "schema", str(exc)), "-")
-        return 2
+        try:
+            _write_document(result, output)
+        except SchemaError as exc:  # the output file cannot take the document
+            _write_document(_error(2, "schema", str(exc)), "-")
+            return 2
+    except BrokenPipeError:
+        # the reader is gone: what is left to flush, at exit too, goes to the
+        # null device, so the process ends without a traceback
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return CLOSED_PIPE_EXIT
     return code
 
 

@@ -899,10 +899,18 @@ def test_quaternion_sweep_evaluates_each_column_once(monkeypatch, size):
 @pytest.mark.parametrize("size,sweep", sorted(QUATERNION_DEMO_SHA256),
                          ids=[f"f{n}{'-sweep' if s else ''}"
                               for n, s in sorted(QUATERNION_DEMO_SHA256)])
-def test_quaternion_demo_matches_fiber_by_fiber(size, sweep):
+def test_quaternion_demo_matches_fiber_by_fiber(tmp_path, size, sweep):
     field = field_create(2, size.bit_length() - 1)
-    res = cli.cmd_quaternion_demo(size, sweep)
-    assert res["fibers"] == quaternion_pipeline.demo_rows(field, sweep)
+    argv = ["quaternion-demo", "--field-size", str(size)] + ["--sweep"] * sweep
+    code, res = run(tmp_path, argv)
+    assert code == 0
+    rows = quaternion_pipeline.demo_rows(field, sweep)
+    assert res["fibers"] == rows
+    assert res["count"] == len(rows)
+    assert res["strata"] == {
+        "disconnected": sum(1 for r in rows if not r["connected"]),
+        "genus1": sum(1 for r in rows if r["genus"] == 1),
+        "genus2": sum(1 for r in rows if r["genus"] == 2)}
     assert res["family"] == quaternion_pipeline.family_check(field)
 
 
@@ -965,15 +973,45 @@ def test_encode_keeps_no_leaf_text_from_an_earlier_call():
     assert cli._encode(doc, "").count("3") == 5
 
 
+# a value from _JSON placed at a random depth among random siblings, once as
+# it is and once as the text json.dumps writes for it at that depth
+@st.composite
+def _placed_json(draw):
+    plain = draw(_JSON)
+    depth = draw(st.integers(min_value=0, max_value=4))
+    text = json.dumps(plain, sort_keys=True, indent=2)
+    encoded = cli._Encoded(text.replace("\n", "\n" + "  " * depth))
+    for _ in range(depth):
+        siblings = draw(st.lists(_JSON, max_size=2))
+        if draw(st.booleans()):
+            i = draw(st.integers(min_value=0, max_value=len(siblings)))
+            plain = siblings[:i] + [plain] + siblings[i:]
+            encoded = siblings[:i] + [encoded] + siblings[i:]
+        else:
+            key = draw(_KEYS)
+            others = dict(zip(draw(st.lists(_KEYS, max_size=2)), siblings))
+            others.pop(key, None)
+            plain = {**others, key: plain}
+            encoded = {**others, key: encoded}
+    return plain, encoded
+
+
+@settings(max_examples=300, deadline=None)
+@given(_placed_json())
+def test_encode_writes_a_pre_encoded_value_as_is(docs):
+    plain, encoded = docs
+    assert cli._encode(encoded, "") == json.dumps(plain, sort_keys=True,
+                                                  indent=2)
+
+
 def test_encode_peak_memory_stays_near_twice_the_text():
-    doc = cli.cmd_quaternion_demo(16, True)
     tracemalloc.start()
     try:
-        text = cli._encode(doc, "")
+        text = cli._encode(cli.cmd_quaternion_demo(16, True), "")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the text itself, the parts of the largest container and the tables
+    # the sweep's fibers text and the document's text, each made once
     assert peak < 2.5 * len(text)
 
 
@@ -1020,3 +1058,19 @@ def test_an_unwritable_output_is_a_schema_error_on_stdout(tmp_path, capsys,
     assert str(path) in error["message"]
     assert out == json.dumps({"error": error}, sort_keys=True, indent=2) + "\n"
     assert not path.parent.exists()
+
+
+def test_a_closed_standard_output_ends_quietly_with_exit_141():
+    src = str(Path(cli.__file__).parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ramify.cli", "quaternion-demo",
+         "--field-size", "16", "--sweep"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src))
+    # the reader takes one line of the 1.6 MB document and goes
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == cli.CLOSED_PIPE_EXIT == 141
+    assert err == b""
