@@ -242,27 +242,38 @@ def cmd_quaternion_demo(field_size: int, sweep: bool) -> dict:
     field = field_create(2, p_power_exponent(field_size, 2))
     elements = [field.from_index(i) for i in range(field_size)]
     zero = elements[0]
-    # An (a1, a2) column's rows differ only in their a3 list.  Its row is
-    # encoded once, at its depth in the document (in "fibers"), with a NUL
-    # (which the writer's ASCII text never holds) in the a3 place, and the
-    # column's rows are joined from the two halves and each a3 list's text,
-    # encoded once at its own depth (in the row's "a").  One join makes the
-    # fibers text, so no row is a dict or a string of its own.
-    a3s = [_encode(list(a3.coeffs), " " * 8)
-           for a3 in (elements if sweep else [zero])]
+    # A row's report depends on (a1, a2) only through their ratio class
+    # (tower.quaternion_fiber_ratio) and not on a3, so each class is
+    # evaluated and encoded once, at its depth in the document (in
+    # "fibers"), with a NUL (which the writer's ASCII text never holds) in
+    # each "a" place, and split there.  Each element's coefficient list is
+    # encoded once at its own depth (in a row's "a"); a column's head is its
+    # class text with the a1 and a2 texts spliced in, and its rows are its
+    # head, each a3 text and the class's tail.  One join makes the fibers
+    # text, so no row is a dict or a string of its own.
+    texts = [_encode(list(e.coeffs), " " * 8) for e in elements]
+    a3s = texts if sweep else texts[:1]
+    classes = {}  # ratio -> (text pieces, strata flags) of its class
     parts = []
     strata = {"disconnected": 0, "genus1": 0, "genus2": 0}
-    for a1 in elements:
-        for a2 in elements:
-            # a fiber's report depends on a3 only through its parameters
-            row = tower.evaluate_quaternion_fiber(a1, a2, zero).to_json()
-            row["a"][2] = _Encoded("\0")
-            head, tail = _encode(row, " " * 4).split("\0")
+    for a1, a1_text in zip(elements, texts):
+        for a2, a2_text in zip(elements, texts):
+            ratio = tower.quaternion_fiber_ratio(a1, a2)
+            cls = classes.get(ratio)
+            if cls is None:
+                row = tower.evaluate_quaternion_fiber(a1, a2, zero).to_json()
+                row["a"] = [_Encoded("\0")] * 3
+                cls = classes[ratio] = (
+                    _encode(row, " " * 4).split("\0"),
+                    (not row["connected"], row["genus"] == 1,
+                     row["genus"] == 2))
+            (before, mid1, mid2, tail), (disconnected, genus1, genus2) = cls
+            head = before + a1_text + mid1 + a2_text + mid2
             for a3 in a3s:
                 parts += ",\n    ", head, a3, tail
-            strata["disconnected"] += len(a3s) * (not row["connected"])
-            strata["genus1"] += len(a3s) * (row["genus"] == 1)
-            strata["genus2"] += len(a3s) * (row["genus"] == 2)
+            strata["disconnected"] += len(a3s) * disconnected
+            strata["genus1"] += len(a3s) * genus1
+            strata["genus2"] += len(a3s) * genus2
     parts[0] = "[\n    "
     parts.append("\n  ]")
     family = _equiramified_family_check(field)
@@ -274,15 +285,16 @@ def cmd_quaternion_demo(field_size: int, sweep: bool) -> dict:
 def _equiramified_family_check(field) -> dict:
     """The a2 = 0 two-parameter family: all fibers have jumps (1,1,3), and
     the varying steps (the first step cover and the top-step modifier, both
-    covers of the base germ) distinguish every pair of fibers.  A report
-    does not depend on a3, so one fiber per a1 is evaluated; a fiber's key
-    pairs a form from its a1 with one from its a3, so the keys are a product
-    set, all distinct iff its size is the number of fibers."""
+    covers of the base germ) distinguish every pair of fibers.  Every fiber
+    has a1 != 1 and a2 = 0, so ratio 0 (tower.quaternion_fiber_ratio): one
+    fiber, (0, 0, 0), is evaluated for all of them.  A fiber's key pairs a
+    form from its a1 with one from its a3, so the keys are a product set,
+    all distinct iff its size is the number of fibers."""
     one = field.one()
     zero = field.zero()
     # a1 = 1 is the disconnected column, not a deformation of the base fiber
     a1s = [a1 for a1 in field.elements() if a1 != one]
-    reps = [tower.evaluate_quaternion_fiber(a1, zero, zero) for a1 in a1s]
+    rep = tower.evaluate_quaternion_fiber(zero, zero, zero)
     # q = 2 and F_2^* = {1}: two such covers are isomorphic exactly when
     # their standard forms are equal
     v_forms = {ascover.standard_form(
@@ -291,7 +303,7 @@ def _equiramified_family_check(field) -> dict:
         ascover.ASCover(2, LaurentPoly(field, {-1: a3})))
         for a3 in field.elements()}
     size = len(a1s) * field.q
-    all_jumps = all(rep.connected and rep.jumps == (1, 1, 3) for rep in reps)
+    all_jumps = rep.connected and rep.jumps == (1, 1, 3)
     return {"size": size, "all_jumps_1_1_3": all_jumps,
             "pairwise_distinct": len(v_forms) * len(top_forms) == size}
 

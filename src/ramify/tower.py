@@ -821,6 +821,22 @@ def quaternion_tower(field: Field, a1=None, a2=None, a3=None):
     return tower, [mu, tau]
 
 
+def quaternion_fiber_ratio(a1: FieldElement, a2: FieldElement):
+    """The class of the fiber at (a1, a2, -): None when a1 = 1, where the
+    first step is disconnected, and a2/(a1+1) = c1^2 otherwise.  A fiber's
+    report depends on its parameters only through this value, apart from
+    `params`: fibers with the same ratio share stage, jumps, genus and
+    leading coefficients, so over F_q the q^3 fibers fall into q + 1
+    classes."""
+    field = a1.field
+    if field.p != 2:
+        raise DomainError("characteristic 2 required")
+    a1_plus_1 = a1 + field.one()
+    if not a1_plus_1:
+        return None
+    return a2 / a1_plus_1
+
+
 def evaluate_quaternion_fiber(a1: FieldElement, a2: FieldElement,
                               a3: FieldElement) -> FiberReport:
     """Connectedness, top jump and genus of one fiber of the family.
@@ -832,9 +848,10 @@ def evaluate_quaternion_fiber(a1: FieldElement, a2: FieldElement,
     uniformizer of the normalized middle step has a standard form whose
     leading terms sit at pole orders 5 and 3 with coefficients c3^2 c4 and
     c4^3 + c3^(3/2), so the top jump is 5 when c3 c4 != 0 and 3 otherwise.
-    No step of this reads a3: the report depends on a3 only through
-    `params`, so fibers that differ only in a3 share everything else (the
-    CLI evaluates one fiber per (a1, a2) and copies the rest).
+    No step of this reads a3, and a1 and a2 are read only through
+    `quaternion_fiber_ratio(a1, a2)`: the report depends on its parameters
+    only through that value, apart from `params` (the CLI evaluates one
+    fiber per ratio class and writes the rest from its text).
     The pipeline itself (Laurent polynomials reduced to standard form) is the
     test oracle in tests/quaternion_pipeline.py.
     """
@@ -843,11 +860,12 @@ def evaluate_quaternion_fiber(a1: FieldElement, a2: FieldElement,
         raise DomainError("characteristic 2 required")
     if a2.field != field or a3.field != field:
         raise DomainError("parameters from different fields")
-    one = field.one()
     params = (a1, a2, a3)
-    if a1 == one:
+    ratio = quaternion_fiber_ratio(a1, a2)
+    if ratio is None:
         return FiberReport(params, connected=False, stage="V")
-    c1 = (a2 / (a1 + one)).sqrt()
+    one = field.one()
+    c1 = ratio.sqrt()
     c2 = one + c1 + c1 * c1
     if not c2:
         return FiberReport(params, connected=False, stage="W")

@@ -890,9 +890,10 @@ def test_quaternion_sweep_evaluates_each_column_once(monkeypatch, size):
     _count_calls(monkeypatch, calls, ascover, "standard_form")
     res = cli.cmd_quaternion_demo(size, True)
     assert res["count"] == size ** 3
-    # q^2 (a1, a2) columns, then q - 1 family fibers; q - 1 v-covers and q
+    # q + 1 ratio classes a2/(a1 + 1) in the sweep (one per ratio in F_q and
+    # the a1 = 1 column), then the one family fiber; q - 1 v-covers and q
     # top modifiers
-    assert calls == {"evaluate_quaternion_fiber": size ** 2 + size - 1,
+    assert calls == {"evaluate_quaternion_fiber": size + 2,
                      "standard_form": 2 * size - 1}
 
 

@@ -1,5 +1,6 @@
 """The valuation oracle, genus/p-rank formulas, and the quaternion family."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -13,8 +14,9 @@ from ramify import (DomainError, RamFiltration, TowerSpec, field_create,
 from ramify import tower as tower_module
 from ramify.laurent import LaurentPoly
 from ramify.tower import (STEP_EXPONENT_CAP, GeneratorAction, TowerStep,
-                          close_group, herbrand_lower_jumps, vp_add, vp_const,
-                          vp_mul, vp_scale, vp_subst, vp_var)
+                          close_group, herbrand_lower_jumps,
+                          quaternion_fiber_ratio, vp_add, vp_const, vp_mul,
+                          vp_scale, vp_subst, vp_var)
 
 import chart_walk
 import quaternion_pipeline
@@ -346,6 +348,35 @@ def test_fiber_oracle_cross_check():
     filt = oracle_lower_jumps(tower, gens, precision=200)
     assert jumps_with_multiplicity(filt) == [1, 1, 5]
     assert genus_rh(8, filt) == 2
+
+
+@pytest.mark.parametrize("a", [1, 2, 3, 4], ids=["f2", "f4", "f8", "f16"])
+def test_fiber_report_depends_only_on_its_ratio_class(a):
+    # every fiber gives its class representative's report in every field but
+    # params, leading included; F_8 has no primitive cube root of unity, so
+    # no class there is disconnected at W
+    field = field_create(2, a)
+    one = field.one()
+    reps = {}
+    for a1 in field.elements():
+        for a2 in field.elements():
+            ratio = quaternion_fiber_ratio(a1, a2)
+            assert (ratio is None) == (a1 == one)
+            for a3 in field.elements():
+                rep = replace(evaluate_quaternion_fiber(a1, a2, a3),
+                              params=None)
+                assert reps.setdefault(ratio, rep) == rep
+    assert len(reps) == field.q + 1
+    assert reps[None].stage == "V"
+    assert (sum(rep.stage == "W" for rep in reps.values())
+            == (2 if a % 2 == 0 else 0))
+
+
+def test_fiber_ratio_refuses_odd_characteristic():
+    # over F_3, a2/(a1 + 1) exists at a1 = 1, but the family lives in char 2
+    one = field_create(3, 1).one()
+    with pytest.raises(DomainError, match="characteristic 2"):
+        quaternion_fiber_ratio(one, one)
 
 
 def test_oracle_precision_retry():
