@@ -243,7 +243,8 @@ def cmd_quaternion_demo(field_size: int, sweep: bool) -> dict:
     elements = [field.from_index(i) for i in range(field_size)]
     zero = elements[0]
     # A row's report depends on (a1, a2) only through their ratio class
-    # (tower.quaternion_fiber_ratio) and not on a3, so each class is
+    # (tower.quaternion_fiber_ratio, one inverse per a1 column, see
+    # _column_ratios) and not on a3, so each class is
     # evaluated and encoded once, at its depth in the document (in
     # "fibers"), with a NUL (which the writer's ASCII text never holds) in
     # each "a" place, and split there.  Each element's coefficient list is
@@ -257,8 +258,8 @@ def cmd_quaternion_demo(field_size: int, sweep: bool) -> dict:
     parts = []
     strata = {"disconnected": 0, "genus1": 0, "genus2": 0}
     for a1, a1_text in zip(elements, texts):
-        for a2, a2_text in zip(elements, texts):
-            ratio = tower.quaternion_fiber_ratio(a1, a2)
+        ratios = _column_ratios(a1, elements)
+        for a2, a2_text, ratio in zip(elements, texts, ratios):
             cls = classes.get(ratio)
             if cls is None:
                 row = tower.evaluate_quaternion_fiber(a1, a2, zero).to_json()
@@ -280,6 +281,16 @@ def cmd_quaternion_demo(field_size: int, sweep: bool) -> dict:
     return {"field": field_size, "count": field_size ** 2 * len(a3s),
             "fibers": _Encoded("".join(parts)), "strata": strata,
             "family": family}
+
+
+def _column_ratios(a1, elements) -> list:
+    """tower.quaternion_fiber_ratio(a1, a2) for each a2 in elements, with one
+    inverse for the column: a2/(a1+1) is a2 times the ratio c = 1/(a1+1) at
+    a2 = 1, and every ratio is None when c is (a1 = 1)."""
+    c = tower.quaternion_fiber_ratio(a1, a1.field.one())
+    if c is None:
+        return [None] * len(elements)
+    return [a2 * c for a2 in elements]
 
 
 def _equiramified_family_check(field) -> dict:

@@ -13,9 +13,15 @@ is the one p-adic split n = p^k u, p not dividing u.  Multiplication,
 inversion and powering go through discrete-log tables for orders up to 2^12
 and fall back to polynomial arithmetic above that.  p-th roots are Frobenius
 inverses, x^(1/p) = x^(p^(a-1)), so no polynomial is ever factored.
+
+Elements are immutable, so each field builds its zero and one once and
+`zero()` and `one()` hand out those two objects.  Addition in characteristic
+2 is one xor over the coefficients.
 """
 
 from __future__ import annotations
+
+from operator import xor
 
 from .errors import DomainError, json_int
 
@@ -135,7 +141,8 @@ def power(x, n: int, mul):
 class Field:
     """The finite field F_{p^a} with its canonical modulus."""
 
-    __slots__ = ("p", "a", "modulus", "_redux", "_exp", "_log", "_gen")
+    __slots__ = ("p", "a", "modulus", "_redux", "_exp", "_log", "_gen",
+                 "_zero", "_one")
 
     def __init__(self, p: int, a: int):
         if isinstance(p, int) and p > ORDER_CAP:
@@ -157,6 +164,8 @@ class Field:
             redux.append(cur + (0,) * (a - len(cur)))
             cur = _pmod(tuple([0] + list(cur)), self.modulus, p)
         self._redux = redux
+        self._zero = FieldElement(self, (0,) * a)
+        self._one = FieldElement(self, (1,) + (0,) * (a - 1))
         self._exp = None
         self._log = None
         self._gen = None
@@ -172,7 +181,7 @@ class Field:
     def element(self, coeffs) -> "FieldElement":
         """Element from an int (prime-field shorthand) or a coefficient list."""
         if isinstance(coeffs, FieldElement):
-            if coeffs.field != self:
+            if coeffs.field is not self and coeffs.field != self:
                 raise DomainError("element belongs to a different field")
             return coeffs
         if isinstance(coeffs, int):
@@ -186,10 +195,10 @@ class Field:
         return FieldElement(self, tuple(c))
 
     def zero(self) -> "FieldElement":
-        return FieldElement(self, (0,) * self.a)
+        return self._zero
 
     def one(self) -> "FieldElement":
-        return self.element(1)
+        return self._one
 
     def from_index(self, n: int) -> "FieldElement":
         return FieldElement(self, _digits(n, self.p, self.a))
@@ -276,7 +285,7 @@ class FieldElement:
     def _check(self, other):
         if not isinstance(other, FieldElement):
             return None
-        if other.field != self.field:
+        if other.field is not self.field and other.field != self.field:
             raise DomainError("elements of different fields")
         return other
 
@@ -284,17 +293,23 @@ class FieldElement:
         o = self._check(other)
         if o is None:
             return NotImplemented
-        p = self.field.p
-        return FieldElement(self.field, tuple(
-            (x + y) % p for x, y in zip(self.coeffs, o.coeffs)))
+        F = self.field
+        p = F.p
+        if p == 2:
+            return FieldElement(F, tuple(map(xor, self.coeffs, o.coeffs)))
+        return FieldElement(F, tuple(
+            [(x + y) % p for x, y in zip(self.coeffs, o.coeffs)]))
 
     def __sub__(self, other):
         o = self._check(other)
         if o is None:
             return NotImplemented
-        p = self.field.p
-        return FieldElement(self.field, tuple(
-            (x - y) % p for x, y in zip(self.coeffs, o.coeffs)))
+        F = self.field
+        p = F.p
+        if p == 2:
+            return FieldElement(F, tuple(map(xor, self.coeffs, o.coeffs)))
+        return FieldElement(F, tuple(
+            [(x - y) % p for x, y in zip(self.coeffs, o.coeffs)]))
 
     def __neg__(self):
         p = self.field.p
@@ -371,11 +386,12 @@ class FieldElement:
         return any(self.coeffs)
 
     def __eq__(self, other):
-        return (isinstance(other, FieldElement) and self.field == other.field
-                and self.coeffs == other.coeffs)
+        return (isinstance(other, FieldElement) and self.coeffs == other.coeffs
+                and (other.field is self.field or other.field == self.field))
 
     def __hash__(self):
-        return hash((self.field.p, self.field.a, self.coeffs))
+        # equal elements have equal coefficients
+        return hash(self.coeffs)
 
     def __repr__(self):
         if self.field.a == 1:

@@ -897,6 +897,30 @@ def test_quaternion_sweep_evaluates_each_column_once(monkeypatch, size):
                      "standard_form": 2 * size - 1}
 
 
+@pytest.mark.parametrize("a", [1, 2, 3, 4], ids=["f2", "f4", "f8", "f16"])
+def test_sweep_ratio_keys_are_the_fiber_ratios(a):
+    # the sweep's class key of (a1, a2) is a2 times one inverse per a1
+    # column; it must be the ratio the fiber evaluation reads
+    field = field_create(2, a)
+    elements = list(field.elements())
+    for a1 in elements:
+        keys = cli._column_ratios(a1, elements)
+        assert keys == [tower.quaternion_fiber_ratio(a1, a2)
+                        for a2 in elements]
+        assert all(key is None for key in keys) == (a1 == field.one())
+        assert (None in keys) == (a1 == field.one())
+
+
+@pytest.mark.parametrize("size", [2, 4, 16])
+def test_quaternion_sweep_takes_one_ratio_per_column(monkeypatch, size):
+    calls = {"quaternion_fiber_ratio": 0}
+    _count_calls(monkeypatch, calls, tower, "quaternion_fiber_ratio")
+    cli.cmd_quaternion_demo(size, True)
+    # one per a1 column for its inverse, then one in each of the q + 2
+    # evaluations (q + 1 classes and the family fiber)
+    assert calls == {"quaternion_fiber_ratio": 2 * size + 2}
+
+
 @pytest.mark.parametrize("size,sweep", sorted(QUATERNION_DEMO_SHA256),
                          ids=[f"f{n}{'-sweep' if s else ''}"
                               for n, s in sorted(QUATERNION_DEMO_SHA256)])

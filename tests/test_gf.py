@@ -158,6 +158,79 @@ def test_arithmetic_beyond_table_cap():
     assert x ** F.q == x
 
 
+# F_{2^13} is past the log-table cap, so it runs the polynomial path
+ARITHMETIC_FIELDS = [field_create(p, a) for p, a in [
+    (2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (2, 4), (2, 13)]]
+
+
+def _tuple_mul(F, x, y):
+    """Schoolbook product of coefficient tuples, reduced by the monic
+    modulus from the top degree down."""
+    p, a = F.p, F.a
+    prod = [0] * (2 * a - 1)
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            prod[i + j] += xi * yj
+    for k in range(len(prod) - 1, a - 1, -1):
+        c = prod[k] % p
+        for j, m in enumerate(F.modulus):
+            prod[k - a + j] -= c * m
+    return tuple(c % p for c in prod[:a])
+
+
+def _tuple_pow(F, x, k):
+    if k < 0:
+        x, k = _tuple_pow(F, x, F.q - 2), -k  # x^(q-2) = 1/x for x != 0
+    out = (1,) + (0,) * (F.a - 1)
+    for bit in bin(k)[2:]:
+        out = _tuple_mul(F, out, out)
+        if bit == "1":
+            out = _tuple_mul(F, out, x)
+    return out
+
+
+def test_zero_and_one_are_shared():
+    for F in ARITHMETIC_FIELDS:
+        assert F.zero() is F.zero() and F.zero() == F.element(0)
+        assert F.one() is F.one() and F.one() == F.element(1)
+        assert F.zero().coeffs == (0,) * F.a
+        assert F.one().coeffs == (1,) + (0,) * (F.a - 1)
+
+
+def _arithmetic_case(F):
+    coeffs = st.lists(st.integers(0, F.p - 1), min_size=F.a, max_size=F.a)
+    return st.tuples(st.just(F), coeffs, coeffs, st.integers(-20, 20))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(ARITHMETIC_FIELDS).flatmap(_arithmetic_case))
+def test_element_arithmetic_matches_coefficient_tuples(case):
+    F, xs, ys, k = case
+    x, y = F.element(xs), F.element(ys)
+    xt, yt, p = tuple(xs), tuple(ys), F.p
+    assert (x + y).coeffs == tuple((u + v) % p for u, v in zip(xt, yt))
+    assert (x - y).coeffs == tuple((u - v) % p for u, v in zip(xt, yt))
+    assert (-x).coeffs == tuple(-u % p for u in xt)
+    assert (x * y).coeffs == _tuple_mul(F, xt, yt)
+    assert (x == y) == (xt == yt) and (x != y) == (xt != yt)
+    assert x == F.element(xs) and hash(x) == hash(F.element(xs))
+    assert bool(x) == any(xt)
+    if any(yt):
+        inv = y.inverse()
+        assert _tuple_mul(F, yt, inv.coeffs) == F.one().coeffs
+        assert (x / y).coeffs == _tuple_mul(F, xt, inv.coeffs)
+    else:
+        for bad in (y.inverse, lambda: x / y, lambda: y ** -1):
+            with pytest.raises(DomainError, match="inverse of zero"):
+                bad()
+    if k >= 0 or any(xt):
+        assert (x ** k).coeffs == _tuple_pow(F, xt, k)
+    other = field_create(7, 1).one()
+    assert x != other
+    with pytest.raises(DomainError, match="different fields"):
+        x + other
+
+
 def test_p_adic_split():
     assert p_adic(48, 2) == (4, 3)
     assert p_adic(-45, 3) == (2, -5)
