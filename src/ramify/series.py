@@ -63,7 +63,15 @@ and sums and constant multiples go through the same packing and reducer.
 Each ring builds its tables on first use.
 
 Series never change once built, so each keeps its inverse and every power
-asked of it: a power is computed once per series.
+asked of it: a power is computed once per series.  An inverse known in
+closed form is handed over by keep_inverse, and no Newton iteration runs for
+it: the step unit's 1/s, and in the tower expansion 1/tau, 1/eta and the
+inverse of a chart's image (see tower._expand_tower).  compose(T^v, tau) is
+the power tau^v that tau keeps, and f^1 is f, so those share the inverses
+kept on tau and f.  Each is exact because the truncation of an inverse is
+the inverse of the truncation at the same relative precision: 1/f mod T^r
+depends only on f mod T^r, so a closed form for 1/f, cut to the relative
+precision of f, is what Newton iteration from the first coefficient gives.
 """
 
 from __future__ import annotations
@@ -93,7 +101,7 @@ class _Ring:
     exactly the length asked for.
     """
 
-    __slots__ = ("field", "p", "a", "m", "d", "bound", "empty", "mod",
+    __slots__ = ("field", "p", "a", "m", "d", "bound", "empty", "one", "mod",
                  "_tables", "_plans", "_scalars")
 
     def __init__(self, field: Field):
@@ -103,6 +111,7 @@ class _Ring:
         self.bound = field.a * (field.p - 1) ** 2
         self.d = _width(field.p - 1)
         self.empty = (b"",) * field.a
+        self.one = self.element(field.one().coeffs)
         self._tables = {}  # c -> the translate table x -> c x mod p
         self.mod = self.table(1)
         self._plans = {}   # (w, st) -> reduction plan, None past the tables
@@ -385,7 +394,7 @@ class _Ring:
         if n <= 0:
             return self.empty
         if e == 0:
-            return self.pad(self.element(self.field.one().coeffs), n)
+            return self.pad(self.one, n)
         if e < 0:
             x, e = self.inverse(x, n), -e
         return self.pad(power(self.cut(x, 0, n), e,
@@ -573,13 +582,35 @@ class TruncatedSeries:
                                               self.prec - 2 * v)
         return self._inv
 
+    def truncate(self, prec: int) -> "TruncatedSeries":
+        """self + O(T^prec): self when prec is not below its precision."""
+        if prec >= self.prec:
+            return self
+        return TruncatedSeries._make(self._ring, self.val, self.comps, prec)
+
+    def keep_inverse(self, inv: "TruncatedSeries") -> "TruncatedSeries":
+        """self, keeping inv, an inverse known in closed form, for inverse()
+        to return with no Newton iteration.  Raises unless inv has the
+        valuation -v and precision prec - 2v that inverse() gives; the
+        module docstring says why a closed form cut to them is exact."""
+        v = self.valuation()
+        if v is None or inv.valuation() != -v or inv.prec != self.prec - 2 * v:
+            raise ValueError(
+                f"an inverse of a series of valuation {v} and precision "
+                f"{self.prec} needs valuation -v and precision prec - 2v, "
+                f"not {inv.valuation()} and {inv.prec}")
+        self._inv = inv
+        return self
+
     def __pow__(self, n: int) -> "TruncatedSeries":
         """self^n.  A product keeps the smaller relative precision (prec -
         val) of its factors, and self = T^v (u + O(T^(prec - v))) for a unit
         u, so for n >= 1 the result has valuation n v and the same relative
         precision prec - v, whatever the sign of v.  self^0 is 1 +
-        O(T^prec), and self^-n is (1/self)^n.  Each power is computed once
-        per series and kept on it."""
+        O(T^prec), self^1 is self, and self^-n is (1/self)^n.  Each power is
+        computed once per series and kept on it."""
+        if n == 1:
+            return self
         out = self._pows.get(n)
         if out is not None:
             return out
@@ -587,8 +618,7 @@ class TruncatedSeries:
         if n < 0:
             out = self.inverse() ** (-n)
         elif n == 0:
-            out = TruncatedSeries._make(
-                ring, 0, ring.element(self.field.one().coeffs), self.prec)
+            out = TruncatedSeries._make(ring, 0, ring.one, self.prec)
         else:
             val = n * self.val
             rel = self.prec - self.val
@@ -614,7 +644,11 @@ class TruncatedSeries:
         F'(s) mod T^m, which depends only on s mod T^m, and no later pass
         changes that: the last pass's inverse is 1/F'(s) to its length, and
         one Newton step of the inverse (two products) extends it to the
-        next pass's length.
+        next pass's length.  For beta < 0 a pass inverts s as well, to the
+        length of tau; the next pass's s agrees with it mod T^n, so the
+        inverse cut to n starts the next one, and the last one starts the
+        inverse of the unit returned, which keeps it (see keep_inverse).
+        s^e and the s^(e-1) of F' come from one power.
         """
         ring, field = self._ring, self.field
         p, j = ring.p, -self.val
@@ -624,24 +658,40 @@ class TruncatedSeries:
         h = ring.weigh(u, [1 + beta * i for i in range(min(p, ring.length(u)))])
         shift, e = j * (p - 1), alpha * (p - 1)
         k = e % p  # the integer factor of the middle term of F'
+        k_digits = field.element(k).coeffs
         s, n = ring.inverse(u, 1), 1
         d_inv = None  # 1/F'(s) from the last pass, exact to its length
+        s_inv = None  # 1/s from the last pass, exact mod T^n of this s
         while n < cap:
             n2 = min(2 * n, cap)
             m = n2 - n
-            sigma = ring.power(s, beta, n2 - p)
+            if beta >= 0:
+                sigma = ring.power(s, beta, n2 - p)
+            elif n2 > p:
+                s_inv = ring.inverse(s, n2 - p, s_inv)
+                sigma = ring.power(s_inv, -beta, n2 - p)
+            else:
+                sigma = ring.empty
             f_s = ring.mul(s, ring.subst(u, sigma, p, n2), n2)
             if n2 > shift:
-                f_s = ring.add(f_s, 0, ring.power(s, e, n2 - shift), shift, n2)
+                if k:  # s^e = s^(e-1) s
+                    low = ring.power(s, e - 1, n2 - shift)
+                    s_e = ring.mul(low, s, n2 - shift)
+                else:
+                    s_e = ring.power(s, e, n2 - shift)
+                f_s = ring.add(f_s, 0, s_e, shift, n2)
             d_s = ring.subst(h, sigma, p, m)
             if k and m > shift:
-                mid = ring.scale(ring.power(s, e - 1, m - shift),
-                                 field.element(k).coeffs)
+                mid = ring.scale(ring.cut(low, 0, m - shift), k_digits)
                 d_s = ring.add(d_s, 0, mid, shift, m)
             d_inv = ring.inverse(d_s, m, d_inv)
             s = ring.cat(s, ring.mul(ring.neg(ring.cut(f_s, n)), d_inv, m))
+            if s_inv is not None:
+                s_inv = ring.cut(s_inv, 0, n)
             n = n2
-        return TruncatedSeries._make(ring, 0, s, cap)
+        unit = TruncatedSeries._make(ring, 0, s, cap)
+        return unit.keep_inverse(TruncatedSeries._make(
+            ring, 0, ring.inverse(s, cap, s_inv), cap))
 
     def __repr__(self):
         if not self.comps[0]:
@@ -654,7 +704,8 @@ def compose(f: TruncatedSeries, tau: TruncatedSeries) -> TruncatedSeries:
     """f(tau) for tau of positive valuation: tau^v P(tau) for f = T^v P,
     with P(tau) by one Horner substitution, known to prec(tau) and capped
     at val(tau) * prec(f), where the unknown tail of f enters (see the
-    module docstring for the precision)."""
+    module docstring for the precision).  For f = T^v + O(T^prec(f)) that
+    is tau^v itself, the power tau keeps, when the cap does not cut it."""
     vt = tau.valuation()
     if vt is None or vt < 1:
         raise DomainError("composition needs a substitution of valuation >= 1")
@@ -662,6 +713,8 @@ def compose(f: TruncatedSeries, tau: TruncatedSeries) -> TruncatedSeries:
     if f.is_zero_to_precision():
         return TruncatedSeries.zero(f.field, cap)
     ring, t_v = f._ring, tau ** f.val
+    if t_v.prec <= cap and f.comps == ring.one:
+        return t_v
     rel = min(cap, t_v.prec) - t_v.val
     comps = ring.mul(ring.subst(f.comps, tau.comps, vt, rel), t_v.comps, rel)
     return TruncatedSeries._make(ring, t_v.val, comps, t_v.val + rel)

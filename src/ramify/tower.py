@@ -494,6 +494,14 @@ def _expand_tower(tower: TowerSpec, prec: int):
 
     Returns (env, charts) where charts records, step by step, how the top
     uniformizer is assembled from the tower variables.
+
+    No inverse here needs Newton iteration.  The unit s keeps 1/s (see
+    TruncatedSeries.step_unit); tau = T^p s^beta keeps 1/tau = T^-p s^-beta,
+    which compose's tau^v for v < 0 and the peel's tau^e read, and so does
+    the next step's x^-1, since x there is compose(T, tau) = tau itself.
+    For j = 1 (alpha = 0, beta = -1) eta = T^-1 keeps 1/eta = T s^0, which
+    t_check reads.  Both are powers of s at the relative precision of tau
+    and eta, so exact (see TruncatedSeries.keep_inverse).
     """
     field = tower.field
     p = field.p
@@ -505,8 +513,10 @@ def _expand_tower(tower: TowerSpec, prec: int):
         j = -f.valuation()
         alpha, beta = _uniformizer_exponents(p, j)
         s = _solve_unit(f, j, alpha, beta, prec)
-        tau = (s ** beta).shift(p)
-        eta = (s ** (-alpha)).shift(-j)
+        tau = (s ** beta).shift(p).keep_inverse((s ** -beta).shift(-p))
+        eta = (s ** -alpha).shift(-j)
+        if beta < 0:
+            eta.keep_inverse((s ** alpha).shift(j))
         # consistency: the defining monomial of the new uniformizer is T itself
         t_check = tau ** alpha * eta ** beta
         if not (t_check - TruncatedSeries.monomial(field, 1, t_check.prec)
@@ -534,7 +544,10 @@ def _uniformizer_image(g: GeneratorAction, env, charts, field: Field,
     K_k.  images maps them to T_k^g for the elements one attempt sifts:
     each chart is evaluated once per coset among them, and an element that
     fixes the lower variables, as the deeper ones of the sequence do,
-    shares the identity's lower charts and the powers they keep."""
+    shares the identity's lower charts and the powers they keep.  A chart
+    with j = 1 (alpha = 0, beta = -1) makes T_k^g = 1/y', so it keeps y',
+    cut to the relative precision of T_k^g, as its inverse, and the next
+    chart's peel reads it."""
     cur = env["x"]
     key = g.key()
     for k, chart in enumerate(charts, start=1):
@@ -544,6 +557,8 @@ def _uniformizer_image(g: GeneratorAction, env, charts, field: Field,
             for e, c in chart.peel:
                 y_ser = y_ser - (cur ** e).scale(c)
             known = images[key[:k]] = cur ** chart.alpha * y_ser ** chart.beta
+            if not chart.alpha:
+                known.keep_inverse(y_ser.truncate(known.prec - 2 * known.val))
         cur = known
     return cur
 

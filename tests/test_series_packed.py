@@ -9,15 +9,17 @@ sums take the reducer's per-slot mod-p branch.
 """
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramify import field_create
+from ramify import TowerSpec, field_create, oracle_run
 from ramify.gf import FieldElement
 from ramify.series import TruncatedSeries, _ring, _Ring, compose
-from ramify.tower import _solve_unit, _uniformizer_exponents
+from ramify.tower import (GeneratorAction, TowerStep, _solve_unit,
+                          _uniformizer_exponents, vp_const, vp_scale, vp_var)
 
 import dict_series
 from dict_series import DictSeries
@@ -309,10 +311,10 @@ def test_inverse_from_a_known_prefix_matches_a_fresh_one(data):
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
-def test_solve_unit_with_one_carried_inverse_matches_a_fresh_one_per_pass(
-        data):
-    """Each Newton pass of the step unit extends the last pass's 1/F'(s);
-    inverting F'(s) from scratch in every pass gives the same unit."""
+def test_solve_unit_with_carried_inverses_matches_fresh_ones_per_pass(data):
+    """Each Newton pass of the step unit extends the last pass's 1/F'(s)
+    and, for beta < 0, its 1/s, and the last 1/s starts the inverse the
+    unit keeps; inverting from scratch in every call gives the same unit."""
     field = data.draw(st.sampled_from(INVERSE_FIELDS))
     p = field.p
     j = data.draw(st.integers(1, 9).filter(lambda j: j % p))
@@ -335,5 +337,118 @@ def test_solve_unit_with_one_carried_inverse_matches_a_fresh_one_per_pass(
     s = _solve_unit(f, j, alpha, beta, cap)
     assert (s.val, s.comps, s.prec) == \
         (reference.val, reference.comps, reference.prec)
-    # every pass after the first has an inverse to carry
-    assert any(carried) == (s.prec > 2)
+    # the calls: s mod T^1, then per pass 1/F'(s), and 1/s for beta < 0
+    # once tau has a coefficient (n2 > p), then the unit's 1/s.  Each
+    # carried inverse starts from scratch once: 1/F'(s) in the first pass,
+    # 1/s in its first pass or, with none, for the unit
+    cap = s.prec  # _solve_unit cuts the cap to what f determines
+    passes = [min(2 ** i, cap) for i in range(1, (cap - 1).bit_length() + 1)]
+    s_passes = sum(n2 > p for n2 in passes) if beta < 0 else 0
+    assert len(carried) == 1 + len(passes) + s_passes + 1
+    assert carried.count(False) == 2 + bool(passes)
+
+
+# the fields of the tower workloads and their neighbours: p = 2, 3, 5, a <= 4
+TOWER_FIELDS = [field_create(p, a) for p in (2, 3, 5) for a in range(1, 5)]
+
+
+def fresh_inverse(f):
+    """What f.inverse() computes when f keeps none: Newton from f's first
+    coefficient, at f's relative precision."""
+    v, ring = f.valuation(), _ring(f.field)
+    return TruncatedSeries._make(ring, -v, ring.inverse(f.comps, f.prec - v),
+                                 f.prec - 2 * v)
+
+
+def same_series(a, b):
+    assert (a.val, a.comps, a.prec) == (b.val, b.comps, b.prec)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_the_step_unit_keeps_the_inverse_newton_gives(data):
+    """The 1/s that step_unit hands its unit, started from the last pass's
+    1/s (valid only mod T^n of that pass), equals a fresh Newton inverse in
+    valuation, components and precision.  Caps run past 2p, where the last
+    pass's inverse is longer than the part of it that holds.  j = 1, the
+    case beta < 0, is drawn about half of the time."""
+    field = data.draw(st.sampled_from(TOWER_FIELDS))
+    p = field.p
+    j = data.draw(st.one_of(st.just(1),
+                            st.integers(2, 9).filter(lambda j: j % p)))
+    f_prec = data.draw(st.integers(1, 60))
+    lead = field.from_index(data.draw(st.integers(1, field.q - 1)))
+    tail = data.draw(series(field, max_prec=f_prec, max_terms=40,
+                            vals=(1 - j, f_prec)))
+    f = TruncatedSeries(field, {-j: lead, **tail.terms}, f_prec)
+    cap = data.draw(st.one_of(st.integers(1, 4 * p), st.integers(1, 300)))
+    s = _solve_unit(f, j, *_uniformizer_exponents(p, j), cap)
+    same_series(s.inverse(), fresh_inverse(s))
+    assert s ** 1 is s
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_every_inverse_the_oracle_hands_a_series_is_newtons(data):
+    """On two-step towers v^p - v = c1 x^-j1, w^p - w = c2 x^-j2 over
+    F_(p^a), every inverse handed over by keep_inverse -- step_unit's 1/s,
+    1/tau and 1/eta in _expand_tower, and 1/y' for the image of a chart
+    with j = 1 -- equals a fresh Newton inverse in valuation, components
+    and precision."""
+    field = data.draw(st.sampled_from(TOWER_FIELDS))
+    p = field.p
+    j1 = data.draw(st.one_of(st.just(1),
+                             st.integers(2, 7).filter(lambda j: j % p)))
+    j2 = data.draw(st.integers(1, 7).filter(lambda j: j % p and j != j1))
+    unit = st.integers(1, field.q - 1).map(field.from_index)
+    tower = TowerSpec(field, 1, (
+        TowerStep("v", vp_scale(vp_var(field, "x", -j1), data.draw(unit))),
+        TowerStep("w", vp_scale(vp_var(field, "x", -j2), data.draw(unit)))))
+    one = vp_const(field, field.one())
+    gens = [GeneratorAction(tower, {"v": one}, "s"),
+            GeneratorAction(tower, {"w": one}, "t")]
+    keep, handed = TruncatedSeries.keep_inverse, []
+
+    def recording(self, inv):
+        handed.append((sys._getframe(1).f_code.co_name, self, inv))
+        return keep(self, inv)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(TruncatedSeries, "keep_inverse", recording)
+        run = oracle_run(tower, gens, precision=256)
+    for _, f, inv in handed:
+        same_series(inv, fresh_inverse(f))
+    callers = {name for name, _, _ in handed}
+    assert {"step_unit", "_expand_tower"} <= callers
+    assert ("_uniformizer_image" in callers) == (1 in run.pole_orders)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_compose_of_an_exact_monomial_is_the_kept_power(data):
+    """compose(T^v, tau) is tau^v as tau keeps it, with its inverse, when
+    the cap leaves it whole, and always what the reference composes."""
+    field = data.draw(st.sampled_from(TOWER_FIELDS))
+    v = data.draw(st.integers(-4, 4))
+    f = TruncatedSeries.monomial(field, v, data.draw(st.integers(v + 1, 40)))
+    tau = data.draw(series(field, max_prec=60, max_terms=10, vals=(1, 3)))
+    if tau.is_zero_to_precision():
+        return
+    out = compose(f, tau)
+    same(out, dict_series.compose(ref(f), ref(tau)))
+    if (tau ** v).prec <= tau.val * f.prec:
+        assert out is tau ** v
+        assert v != 1 or out is tau
+    same_series(out.inverse(), fresh_inverse(out))
+
+
+def test_keep_inverse_holds_to_the_precision_rule():
+    field = field_create(3, 2)
+    f = TruncatedSeries(field, {-2: field.one(), 0: field.from_index(5)}, 7)
+    inv = fresh_inverse(f)
+    assert f.keep_inverse(inv) is f and f.inverse() is inv
+    g = TruncatedSeries(field, {-2: field.one(), 0: field.from_index(5)}, 7)
+    for wrong in (inv.truncate(inv.prec - 1), inv.shift(1),
+                  TruncatedSeries.zero(field, inv.prec)):
+        with pytest.raises(ValueError, match="precision prec - 2v"):
+            g.keep_inverse(wrong)
