@@ -11,7 +11,10 @@ Standard-form reduction absorbs the image of d -> d^q - d: nonnegative
 exponents vanish into it, and a term c*x^(-q*l) is traded for its q-th root
 at x^(-l).  Over a finite (hence perfect) coefficient field the q-th root is
 already available, which is how the finite inseparable base changes of the
-theory are modelled without ever enlarging the ring.
+theory are modelled without ever enlarging the ring.  The trades compose in
+closed form, c*x^e -> c^(q^-t) x^e0 for e = q^t e0 with q not dividing e0:
+the q-th root is additive, so terms meeting at a q-divisible exponent have
+the sum of their roots as the root of their sum, and one pass is exact.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from math import gcd
 
 from .errors import DomainError, SchemaError, json_int
 from .gf import (FieldElement, degree_over_prime, field_create, json_element,
-                 p_power_exponent)
+                 p_adic, p_power_exponent)
 from .laurent import LaurentPoly, accumulate, prime_to_p_degree
 
 
@@ -61,23 +64,17 @@ class ASCover:
 
 
 def standard_form_poly(r: LaurentPoly, q: int) -> LaurentPoly:
-    """Reduce r modulo the image of d -> d^q - d to its standard form.
-
-    Drops all terms with exponent >= 0, then repeatedly replaces c*x^(-q*l)
-    by c^(1/q)*x^(-l) until no exponent is divisible by q.  Terminates since
-    each replacement strictly shrinks a pole; the result may be zero (the
-    cover is then disconnected/trivial).
+    """Reduce r modulo the image of d -> d^q - d to its standard form, in
+    one pass: drop the terms with exponent >= 0 and send c*x^e, e = q^t e0
+    with q not dividing e0, to c^(q^-t) x^e0 (exact since the q-th root is
+    additive; see the module docstring).  The result may be zero (the cover
+    is then disconnected/trivial).
     """
     F = r.field
-    p_power_exponent(q, F.p)
-    terms = {e: c for e, c in r.terms.items() if e < 0}
-    while True:
-        bad = [e for e in terms if e % q == 0]
-        if not bad:
-            break
-        e = bad[0]
-        accumulate(terms, [(e // q, terms.pop(e).qth_root(q))])
-    return LaurentPoly._make(F, terms)
+    b = p_power_exponent(q, F.p)
+    split = ((p_adic(e, q), c) for e, c in r.terms.items() if e < 0)
+    return LaurentPoly._make(F, accumulate(
+        {}, ((e0, c.frobenius(-b * t)) for (t, e0), c in split)))
 
 
 def standard_form(cover: ASCover) -> LaurentPoly:

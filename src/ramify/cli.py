@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import ascover, moduli, ramfilt, tower
 from .errors import DomainError, SchemaError, json_int
 from .gf import field_create, p_power_exponent
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, prime_to_p_degree
 from .ramfilt import RamFiltration, ReducedFiltration
 
 _escape = json.encoder.encode_basestring_ascii
@@ -130,14 +130,12 @@ def _frac(x: Fraction):
 
 def cmd_standard_form(doc) -> dict:
     cover = ascover.cover_from_json(doc)
+    # the conductor and connectedness are read off the one standard form
     sf = ascover.standard_form(cover)
-    out = {"standard_form": sf.to_json()}
-    if sf:
-        out["conductor"] = ascover.conductor(cover)
-    else:
-        out["conductor"] = None
+    out = {"standard_form": sf.to_json(),
+           "conductor": prime_to_p_degree(sf) if sf else None}
     if cover.q == cover.field.p:
-        out["connected"] = ascover.is_connected(cover)
+        out["connected"] = bool(sf)
     return out
 
 

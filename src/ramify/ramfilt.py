@@ -92,7 +92,9 @@ class ReducedFiltration:
     """Jump data refined so that every piece is an irreducible tame module.
 
     pieces: ascending list of (q_i, upper jump, s_iota_i) with q_i the order
-    of the i-th irreducible piece.
+    of the i-th irreducible piece.  The piece orders are factored once: the
+    first by trial division, which finds the prime p, and every other by
+    dividing out p.
     """
 
     tame: int
@@ -105,10 +107,10 @@ class ReducedFiltration:
         object.__setattr__(self, "pieces", pieces)
         if not pieces:
             raise DomainError("a reduced filtration needs at least one piece")
-        primes = set()
+        primes = prime_factors(pieces[0][0])
+        one_prime = len(primes) == 1
         prev = None
         for q, sigma, si in pieces:
-            primes.update(prime_factors(q))
             if q < 2:
                 raise DomainError("piece orders must be at least 2")
             if sigma <= 0:
@@ -117,13 +119,11 @@ class ReducedFiltration:
                 raise DomainError("reduced jumps must ascend weakly")
             if not 1 <= si <= self.tame:
                 raise DomainError("s_iota out of range [1, m]")
+            one_prime = one_prime and p_adic(q, primes[0])[1] == 1
             prev = sigma
-        if len(primes) != 1:
+        if not one_prime:
             raise DomainError("piece orders must be powers of one prime")
-
-    @property
-    def p(self) -> int:
-        return prime_factors(self.pieces[0][0])[0]
+        object.__setattr__(self, "p", primes[0])  # the prime of every q_i
 
     def to_json(self):
         return {"tame": self.tame,

@@ -388,15 +388,13 @@ class _Ring:
         return g
 
     def power(self, x, e: int, n: int) -> tuple:
-        """The first n coefficients of x^e for x_0 != 0, by square-and-multiply
-        at the fixed length n, started from the first factor (x^-e is
-        (1/x)^e)."""
+        """The first n coefficients of x^e for e >= 0 and x_0 != 0, by
+        square-and-multiply at the fixed length n, started from the first
+        factor."""
         if n <= 0:
             return self.empty
         if e == 0:
             return self.pad(self.one, n)
-        if e < 0:
-            x, e = self.inverse(x, n), -e
         return self.pad(power(self.cut(x, 0, n), e,
                               lambda u, v: self.mul(u, v, n)), n)
 

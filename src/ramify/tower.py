@@ -176,7 +176,7 @@ def vp_from_json(field: Field, expr) -> VarPoly:
             c = json_element(field, coeffs)
             exps = {str(v): json_int(e) for v, e in exps.items()}
             k = tuple(sorted((v, e) for v, e in exps.items() if e))
-            out = vp_add(out, {k: c} if c else {})
+            accumulate(out, [(k, c)])
     except DomainError:
         raise  # a well-formed expression with invalid content
     except (TypeError, ValueError, KeyError, AttributeError) as exc:
@@ -437,7 +437,7 @@ def _peel(f: TruncatedSeries, p: int, var: str, work: int):
                 "after reduction")
         if (-v) % p != 0:
             return f, tuple(peel)
-        c = f.terms[v]
+        c = f.leading()
         root = c.pth_root()
         peel.append((v // p, root))
         d = TruncatedSeries.monomial(field, v // p, f.prec, coeff=root)

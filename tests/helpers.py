@@ -1,7 +1,8 @@
 """Small helpers that only the tests use: the fields the tests build, the
 generator z of a field, an element's index, elements read from their JSON
 form, the units of a subfield, |I_t| of a filtration, the inverse of
-laurent.p_power_decompose, the per-monomial substitution that
+laurent.p_power_decompose, the rescanning reduction that the closed-form
+ascover.standard_form_poly replaced, the per-monomial substitution that
 tower.vp_subst replaced, and the per-break Herbrand, quotient, validation
 and reduction code that ramfilt's one-pass walks replaced."""
 
@@ -12,7 +13,7 @@ from fractions import Fraction
 from ramify.errors import DomainError, json_int
 from ramify.gf import (Field, FieldElement, field_create, json_element,
                        p_adic, p_power_exponent)
-from ramify.laurent import LaurentPoly
+from ramify.laurent import LaurentPoly, accumulate
 from ramify.ramfilt import (LOWER, UPPER, RamFiltration, ReducedFiltration,
                             schmid_violations)
 from ramify.tower import vp_add, vp_const, vp_mul, vp_pow, vp_var
@@ -78,6 +79,22 @@ def recompose(parts: list[tuple[int, LaurentPoly]], field: Field) -> LaurentPoly
     for t, rt in parts:
         out = out + rt.frobenius_power(t)
     return out
+
+
+def standard_form_by_rescan(r: LaurentPoly, q: int) -> LaurentPoly:
+    """r modulo the image of d -> d^q - d: drop the exponents >= 0, then
+    trade c*x^(-q*l) for c^(1/q)*x^(-l), rescanning every exponent after each
+    trade, until no exponent is divisible by q."""
+    F = r.field
+    p_power_exponent(q, F.p)
+    terms = {e: c for e, c in r.terms.items() if e < 0}
+    while True:
+        bad = [e for e in terms if e % q == 0]
+        if not bad:
+            break
+        e = bad[0]
+        accumulate(terms, [(e // q, terms.pop(e).qth_root(q))])
+    return LaurentPoly._make(F, terms)
 
 
 def subst_per_monomial(field: Field, a: dict, images: dict) -> dict:

@@ -13,7 +13,7 @@ from ramify import (ASCover, DomainError, LaurentPoly, check_equivariance,
 from ramify.ascover import standard_form_poly
 from ramify.gf import p_power_exponent
 
-from helpers import subfield_units
+from helpers import standard_form_by_rescan, subfield_units
 
 F2 = field_create(2, 1)
 F3 = field_create(3, 1)
@@ -72,6 +72,33 @@ def test_standard_form_idempotent_random():
         r = LaurentPoly(F4, {e: F4.from_index(c) for e, c in terms.items()})
         once = standard_form_poly(r, 4)
         assert standard_form_poly(once, 4) == once
+
+
+# every q = p^b with b | a for the fields F_2, F_4, F_8, F_16, F_3, F_9, F_5,
+# F_25 and F_7
+FIELD_DEGREES = [(field_create(p, a), p ** b)
+                 for p, a in [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2),
+                              (5, 1), (5, 2), (7, 1)]
+                 for b in range(1, a + 1) if a % b == 0]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_standard_form_closed_form_matches_the_rescan(data):
+    field, q = data.draw(st.sampled_from(FIELD_DEGREES))
+    coeff = st.integers(0, field.q - 1).map(field.from_index)
+    # terms at multiples of q^t, so that roots are taken up to three deep and
+    # different terms land on one exponent
+    term = st.tuples(st.integers(-6, 3), st.integers(0, 3), coeff).map(
+        lambda t: (t[0] * q ** t[1], t[2]))
+    r = LaurentPoly(field, data.draw(st.lists(term, max_size=8)))
+    d = LaurentPoly(field, data.draw(st.dictionaries(
+        st.integers(-8, 3), coeff, max_size=4)))
+    # r + d^q - d has the same standard form, reached through cancellations
+    shifted = r + d.frobenius_power(p_power_exponent(q, field.p)) - d
+    for poly in (r, shifted):
+        assert standard_form_poly(poly, q) == standard_form_by_rescan(poly, q)
+    assert standard_form_poly(shifted, q) == standard_form_poly(r, q)
 
 
 # -- conductor ----------------------------------------------------------------

@@ -596,6 +596,36 @@ def test_unbounded_documents_are_refused_at_once(tmp_path, args, doc):
     assert res["error"]["type"] == "domain" and res["error"]["message"]
 
 
+# 8000 poles x^-2(2i+1) over F_2, each the square of a pole of odd order
+SQUARE_POLES = dict(COVER, r={"terms": [[-2 * (2 * i + 1), [1]]
+                                        for i in range(8000)]})
+Q_BIG = 1048573 ** 2  # the square of the largest prime below 2^20
+
+
+@pytest.mark.parametrize("args,doc,code,expected", [
+    (["standard-form"], SQUARE_POLES, 0,
+     {"conductor": 15999, "connected": True, "standard_form": {
+         "terms": [[-(2 * i + 1), [1]] for i in reversed(range(8000))]}}),
+    (["verify"], dict(TOWER, generators=[{"name": "t", "shifts": {
+        "v": [[[1], {"x": k}] for k in range(32000)]}}]), 1,
+     {"error": {"code": 1, "type": "domain", "message":
+                "generator t does not preserve the equation of step v"}}),
+    (["dimension"], dict(PIECES, pieces=[{"q": Q_BIG, "sigma": [1, 1],
+                                          "s_iota": 1}] * 200), 1,
+     {"error": {"code": 1, "type": "domain", "message":
+                "the counts would walk past 500000 integers"}}),
+], ids=["standard-form-8000-square-poles", "verify-shift-32000-terms",
+        "dimension-200-pieces-of-a-large-prime-square"])
+def test_long_documents_take_one_pass(tmp_path, args, doc, code, expected):
+    # each took 8 s or more when every item read re-scanned or re-derived
+    # what came before it: the standard form rescanned its exponents, the
+    # expression reader copied its sum per term, and the reduced filtration
+    # trial-divided every piece order
+    t0 = time.perf_counter()
+    assert run(tmp_path, args, doc) == (code, expected)
+    assert time.perf_counter() - t0 < 2.0
+
+
 @pytest.mark.parametrize("p", [0, 1, -2, 4])
 def test_dimension_abelian_p_must_be_prime(tmp_path, p):
     # p = 0 raised ZeroDivisionError, and p = 4 was refused as an exact

@@ -1,6 +1,7 @@
 """Herbrand functions, numbering conversion, validation and reduction."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -262,6 +263,29 @@ def test_reduced_filtration_validation():
         ReducedFiltration(1, ((6, Fraction(1), 1),))
     with pytest.raises(DomainError):
         ReducedFiltration(2, ((2, Fraction(1), 5),))
+
+
+@pytest.mark.parametrize("orders,p,message", [
+    ((4, 2, 8), 2, None),
+    ((9, 3, 27 * 27), 3, None),
+    ((1048573 ** 2, 1048573), 1048573, None),
+    ((4, 12), None, "piece orders must be powers of one prime"),
+    ((6, 2), None, "piece orders must be powers of one prime"),
+    ((2, 3), None, "piece orders must be powers of one prime"),
+    # only the first order is factored; a later one that is no power of its
+    # prime is refused as such, whatever its own factors
+    ((2, 2 ** 61 - 1), None, "piece orders must be powers of one prime"),
+    ((2 ** 61 - 1, 2), None,
+     "2305843009213693951 has a prime factor past the limit 2^20"),
+    ((2, 1), None, "piece orders must be at least 2"),
+])
+def test_reduced_filtration_finds_the_prime_of_its_pieces(orders, p, message):
+    pieces = tuple((q, Fraction(1), 1) for q in orders)
+    if message is None:
+        assert ReducedFiltration(1, pieces).p == p
+    else:
+        with pytest.raises(DomainError, match=re.escape(message)):
+            ReducedFiltration(1, pieces)
 
 
 def test_filtration_json_roundtrip():
