@@ -362,9 +362,6 @@ class FieldElement:
         """Inverse Frobenius: exact since the field is perfect."""
         return self.frobenius(-1)
 
-    def qth_root(self, q: int) -> "FieldElement":
-        return self.frobenius(-p_power_exponent(q, self.field.p))
-
     def sqrt(self) -> "FieldElement":
         """Square root; unique in characteristic 2."""
         if self.field.p != 2:

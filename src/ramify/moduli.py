@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import floor, gcd
 
 from .errors import DomainError
-from .gf import prime_factors
+from .gf import p_power_exponent, prime_factors
 from .ramfilt import ReducedFiltration, schmid_violations
 
 # The most integers dim_bounds lets n_count walk for one document, summed over
@@ -50,22 +50,21 @@ class DimensionReport:
                 "rule": self.rule}
 
 
-def _p_of(q: int) -> int:
-    primes = prime_factors(q)
-    if len(primes) != 1:
-        raise DomainError(f"{q} is not a prime power")
-    return primes[0]
-
-
-def n_count(q: int, m: int, s_iota: int, sigma) -> int:
+def n_count(q: int, m: int, s_iota: int, sigma, p: int | None = None) -> int:
     """Exact cardinality of the moduli coordinate set, by enumeration.
 
+    The prime of q is factored out of p when given (dim_bounds passes its
+    ReducedFiltration's), else out of q; a p that q is no power of is refused.
     Any qualifying l has gcd(l, q) <= q/p (since q does not divide l), so
     l <= (q/p) * m * sigma bounds the search; the bound is asserted sharp by
     construction of the loop.
     """
     sigma = Fraction(sigma)
-    p = _p_of(q)
+    primes = prime_factors(q if p is None else p)
+    if len(primes) != 1:
+        raise DomainError(f"{q if p is None else p} is not a prime power")
+    p = primes[0]
+    p_power_exponent(q, p)  # DomainError unless q = p^b, b >= 1
     if m < 1 or m % p == 0:
         raise DomainError(f"tame degree {m} must be positive and prime to {p}")
     if not 1 <= s_iota <= m:
@@ -111,7 +110,7 @@ def dim_bounds(reduced: ReducedFiltration) -> DimensionReport:
         raise DomainError(f"the counts would walk past {WALK_CAP} integers")
     ns = []
     for q, sigma, si in reduced.pieces:
-        n = n_count(q, m, si, sigma)
+        n = n_count(q, m, si, sigma, p)
         if m == 1 and q == p:
             # closed form agrees with the enumeration when the piece is Z/p
             assert n == floor(sigma) - floor(sigma / p)

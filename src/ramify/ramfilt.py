@@ -318,24 +318,22 @@ def reduce(filt: RamFiltration, piece_sizes: list[list[int]],
            s_iotas: list[int] | None = None) -> ReducedFiltration:
     """Refine each jump into caller-supplied irreducible piece orders.
 
-    piece_sizes has one list per break; the orders in the i-th list must
-    multiply to the quotient order at the i-th jump.  The jump is emitted once
-    per piece.  s_iotas (one per emitted piece, in order) defaults to all 1,
-    which is only permitted for tame part m = 1.
+    jumps_with_multiplicity checks the filtration first, so the quotients
+    multiply to the wild part.  piece_sizes has one list per break; the orders
+    in the i-th list must multiply to the quotient order at the i-th jump.
+    The jump is emitted once per piece.  s_iotas (one per emitted piece, in
+    order) defaults to all 1, which is only permitted for tame part m = 1.
     """
     if filt.numbering != UPPER:
         raise DomainError("reduce expects an upper-numbered filtration")
-    p = filt.residue_char()
-    if p is None:
+    if not jumps_with_multiplicity(filt):
         raise DomainError("nothing to reduce in a tame filtration")
     if len(piece_sizes) != len(filt.breaks):
         raise DomainError("need one piece list per break")
+    orders = [o for _, o in filt.breaks] + [1]
     pieces = []
-    for (sigma, _), k, sizes in zip(filt.breaks, _quotient_exponents(filt, p),
-                                    piece_sizes):
-        if k is None:
-            raise DomainError(f"quotient at jump {sigma} is not a power of {p}")
-        quot = p ** k
+    for (sigma, o), o_next, sizes in zip(filt.breaks, orders[1:], piece_sizes):
+        quot = o // o_next
         if prod(sizes) != quot or not sizes:
             raise DomainError(
                 f"piece sizes {sizes} do not multiply to the quotient {quot} "

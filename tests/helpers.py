@@ -86,14 +86,14 @@ def standard_form_by_rescan(r: LaurentPoly, q: int) -> LaurentPoly:
     trade c*x^(-q*l) for c^(1/q)*x^(-l), rescanning every exponent after each
     trade, until no exponent is divisible by q."""
     F = r.field
-    p_power_exponent(q, F.p)
+    b = p_power_exponent(q, F.p)
     terms = {e: c for e, c in r.terms.items() if e < 0}
     while True:
         bad = [e for e in terms if e % q == 0]
         if not bad:
             break
         e = bad[0]
-        accumulate(terms, [(e // q, terms.pop(e).qth_root(q))])
+        accumulate(terms, [(e // q, terms.pop(e).frobenius(-b))])
     return LaurentPoly._make(F, terms)
 
 
@@ -260,18 +260,16 @@ def ref_reduce(filt: RamFiltration, piece_sizes: list[list[int]],
                s_iotas: list[int] | None = None) -> ReducedFiltration:
     if filt.numbering != UPPER:
         raise DomainError("reduce expects an upper-numbered filtration")
-    p = filt.residue_char()
-    if p is None:
+    # refuses a bad wild part, first order or quotient before anything else
+    if not ref_jumps_with_multiplicity(filt):
         raise DomainError("nothing to reduce in a tame filtration")
     if len(piece_sizes) != len(filt.breaks):
         raise DomainError("need one piece list per break")
+    p = filt.residue_char()
     orders = [o for _, o in filt.breaks] + [1]
     pieces = []
     for (sigma, o), o_next, sizes in zip(filt.breaks, orders[1:], piece_sizes):
-        k = ref_quotient_exponent(o, o_next, p)
-        if k is None:
-            raise DomainError(f"quotient at jump {sigma} is not a power of {p}")
-        quot = p ** k
+        quot = p ** ref_quotient_exponent(o, o_next, p)
         prod = 1
         for q in sizes:
             prod *= q

@@ -614,13 +614,18 @@ Q_BIG = 1048573 ** 2  # the square of the largest prime below 2^20
                                           "s_iota": 1}] * 200), 1,
      {"error": {"code": 1, "type": "domain", "message":
                 "the counts would walk past 500000 integers"}}),
+    (["dimension"], dict(PIECES, pieces=[{"q": Q_BIG, "sigma": [1, 10 ** 12],
+                                          "s_iota": 1}] * 400), 0,
+     {"exact": None, "lower": 0, "n": [0] * 400, "rule": None, "upper": 0}),
 ], ids=["standard-form-8000-square-poles", "verify-shift-32000-terms",
-        "dimension-200-pieces-of-a-large-prime-square"])
+        "dimension-200-pieces-of-a-large-prime-square",
+        "dimension-400-pieces-counted-with-the-filtration-prime"])
 def test_long_documents_take_one_pass(tmp_path, args, doc, code, expected):
     # each took 8 s or more when every item read re-scanned or re-derived
     # what came before it: the standard form rescanned its exponents, the
-    # expression reader copied its sum per term, and the reduced filtration
-    # trial-divided every piece order
+    # expression reader copied its sum per term, the reduced filtration
+    # trial-divided every piece order, and n_count factored every piece
+    # order again
     t0 = time.perf_counter()
     assert run(tmp_path, args, doc) == (code, expected)
     assert time.perf_counter() - t0 < 2.0

@@ -314,4 +314,4 @@ def test_frobenius_matches_iterated_powers_and_roots(x, k):
         y = x
         for _ in range(b):
             y = y ** (p ** (a - 1))
-        assert x.qth_root(p ** b) == y
+        assert x.frobenius(-b) == y

@@ -64,6 +64,13 @@ def test_n_count_validates_inputs():
         n_count(2, 1, 1, Fraction(0))
 
 
+def test_n_count_checks_the_prime_it_is_given():
+    # a prime that q is no power of is refused, never counted with
+    with pytest.raises(DomainError, match="16 is not a positive power of 3"):
+        n_count(16, 1, 1, 3, 3)
+    assert n_count(16, 1, 1, 3, 2) == n_count(16, 1, 1, 3) == 8
+
+
 def test_dim_abelian_single_factor():
     assert dim_abelian(2, [[1]]) == 1
 

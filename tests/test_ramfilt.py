@@ -3,6 +3,7 @@
 import random
 import re
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -240,6 +241,13 @@ def test_reduce_size_mismatch():
         reduce(up, [[2, 2], [2]], s_iotas=[1, 1])
 
 
+def test_reduce_refuses_a_first_order_short_of_the_wild_part():
+    # the quotients 2 and 2 multiply to 4, not to |P| = 8
+    filt = RamFiltration(8, 1, "upper", ((1, 4), (Fraction(3, 2), 2)))
+    with pytest.raises(DomainError, match="first break order 4 != wild part 8"):
+        reduce(filt, [[2], [2]])
+
+
 def test_reduce_requires_s_iota_for_tame():
     filt = RamFiltration(6, 3, "upper", ((Fraction(1, 3), 2),))
     with pytest.raises(DomainError):
@@ -369,3 +377,16 @@ def test_ramfilt_matches_the_per_break_reference(filt, points, data):
         if data.draw(st.booleans()) else None
     assert (_outcome(reduce, up, sizes, s_iotas)
             == _outcome(ref_reduce, up, sizes, s_iotas))
+
+
+@settings(max_examples=500, deadline=None)
+@given(filtrations())
+def test_reduce_pieces_multiply_to_the_wild_part(filt):
+    up = filt if filt.numbering == "upper" else ref_lower_to_upper(filt)
+    orders = [o for _, o in up.breaks] + [1]
+    sizes = [[o // o_next] for o, o_next in zip(orders, orders[1:])]
+    try:
+        red = reduce(up, sizes, [1] * len(sizes))
+    except DomainError:
+        return
+    assert prod(q for q, _, _ in red.pieces) == up.wild_order
