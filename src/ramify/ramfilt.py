@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import prod
 
 from .errors import DomainError, SchemaError, json_frac, json_int, json_str
@@ -59,12 +60,19 @@ class RamFiltration:
             raise DomainError("tame part does not divide the total order")
         return self.total_order // self.tame
 
+    @cached_property
+    def wild_primes(self) -> tuple[int, ...]:
+        """The distinct primes of the wild part, ascending: the one
+        factorization of it, which residue_char and validate both read
+        (DomainError for a prime past 2^20)."""
+        return tuple(prime_factors(self.wild_order))
+
     def residue_char(self) -> int | None:
         """The prime p with wild part p^e, or None for a tame filtration."""
         w = self.wild_order
         if w == 1:
             return None
-        primes = prime_factors(w)
+        primes = self.wild_primes
         if len(primes) != 1:
             raise DomainError(f"wild part {w} is not a prime power")
         return primes[0]
@@ -274,8 +282,8 @@ def validate(filt: RamFiltration, abelian: bool = False,
     """All detectable violations as strings; an empty list means valid."""
     if filt.total_order % filt.tame != 0:
         return [f"tame part {filt.tame} does not divide |I| = {filt.total_order}"]
-    wild = filt.total_order // filt.tame
-    primes = prime_factors(wild)  # DomainError for a prime past 2^20
+    wild = filt.wild_order
+    primes = filt.wild_primes  # DomainError for a prime past 2^20
     if len(primes) > 1:
         return [f"wild part {wild} is not a prime power"]
     if not filt.breaks:

@@ -51,8 +51,10 @@ All coefficient arithmetic runs through one kernel, _Ring, on such tuples:
   Negation is one translate per component, and a constant multiple one
   translate per pair of components and a sum.
 - Inverses are Newton iteration on the product, doubling the number of known
-  coefficients per step; powers are square-and-multiply on it at the one
-  length that the precision rule gives.
+  coefficients per step from the longest prefix known exactly: 1/u_0 and
+  the zeros up to the first nonconstant term of u, or a longer inverse
+  handed in.  Powers are square-and-multiply on it at the one length that
+  the precision rule gives.
 
 Byte tables are exact while every byte of a sum of translated strings stays
 below 256: always for p = 2 (XOR), otherwise while (p - 1) times the number
@@ -71,7 +73,7 @@ the power tau^v that tau keeps, and f^1 is f, so those share the inverses
 kept on tau and f.  Each is exact because the truncation of an inverse is
 the inverse of the truncation at the same relative precision: 1/f mod T^r
 depends only on f mod T^r, so a closed form for 1/f, cut to the relative
-precision of f, is what Newton iteration from the first coefficient gives.
+precision of f, is what Newton iteration gives.
 """
 
 from __future__ import annotations
@@ -350,6 +352,18 @@ class _Ring:
             out.append(bytes(buf))
         return tuple(out)
 
+    def tail_val(self, x, n: int) -> int:
+        """The valuation of x - x_0, the index of the first nonzero
+        coefficient past 0, or n when none is below n: one lstrip per
+        component."""
+        d, v = self.d, n
+        for c in x:
+            rest = c[d:n * d]
+            tail = rest.lstrip(b"\0")
+            if tail:
+                v = min(v, 1 + (len(rest) - len(tail)) // d)
+        return v
+
     def inverse(self, u, n: int, g=None) -> tuple:
         """The first n coefficients of 1/u, for u_0 != 0, by Newton; g, when
         given, is 1/u mod T^k for some k >= 1, and the steps start from it.
@@ -358,21 +372,30 @@ class _Ring:
         T^2k, so each step is two products.  Both have a factor of at most k
         coefficients, which sets the slot width; -u is packed once per
         width, and g stays packed as it grows.
+
+        The steps start from the longest prefix known exactly.  With v the
+        index of the first nonzero coefficient of u past 0 (v = n for
+        none), u = u_0 (1 + T^v w) and 1/u = 1/u_0 mod T^v, so with no g, or
+        a g shorter than that, they start from 1/u_0 and min(v, n) - 1
+        zeros: a constant u takes no product.  Newton from any exact prefix
+        reaches the one truncation 1/u mod T^n.  While g is that constant,
+        e is 1/u_0 times coefficients k to 2k of -u, and the first step is
+        two constant multiples.
         """
-        if g is None:
-            g = self.element(
-                FieldElement(self.field, self.digits(u, 0)).inverse().coeffs)
+        v = self.tail_val(u, n)
+        if g is None or self.length(g) < v:
+            c = (self.digits(g, 0) if g is not None else
+                 FieldElement(self.field, self.digits(u, 0)).inverse().coeffs)
+            g = self.pad(self.element(c), min(v, n))
         k = self.length(g)
         if k >= n:
             return self.cut(g, 0, n)
         neg_u = self.neg(self.cut(u, 0, n))
-        if k == 1:
-            # the first step multiplies by the one coefficient of g: two
-            # constant multiples
-            c = self.digits(g, 0)
+        if k <= v:  # g = 1/u_0 mod T^k
+            c, k2 = self.digits(g, 0), min(2 * k, n)
             g = self.cat(g, self.scale(self.scale(
-                self.pad(self.cut(neg_u, 1, 2), 1), c), c))
-            k = 2
+                self.pad(self.cut(neg_u, k, k2), k2 - k), c), c))
+            k = k2
         w = 0
         while k < n:
             k2 = min(2 * k, n)
@@ -647,23 +670,41 @@ class TruncatedSeries:
         inverse cut to n starts the next one, and the last one starts the
         inverse of the unit returned, which keeps it (see keep_inverse).
         s^e and the s^(e-1) of F' come from one power.
+
+        The passes start from the prefix of s known exactly, not from its
+        first coefficient.  With u = c + g, v_g the index of the first
+        nonzero coefficient of g (infinite for a constant u) and shift =
+        j(p-1), s = 1/c makes s g(tau) = O(T^(p v_g)) and the middle term
+        O(T^shift), so F(1/c) = O(T^n0), n0 = min(shift, p v_g), and the
+        root is 1/c mod T^n0: the first pass starts at min(n0, cap).  For a
+        constant u, u(tau) = c reads no tau, so no pass raises s to beta or
+        inverts it, and the unit's 1/s starts from its own constant prefix
+        (see _Ring.inverse).
         """
         ring, field = self._ring, self.field
         p, j = ring.p, -self.val
         # coefficient i of u is that of t^i; terms with p*i >= cap cannot
         # reach T^cap through tau.
-        u = ring.cut(self.comps, 0, -(-cap // p))
+        top = -(-cap // p)
+        u = ring.cut(self.comps, 0, top)
+        v_g = ring.tail_val(u, top)
+        constant = v_g == top  # p v_g >= cap as well
+        if constant:
+            u = ring.cut(u, 0, 1)
         h = ring.weigh(u, [1 + beta * i for i in range(min(p, ring.length(u)))])
         shift, e = j * (p - 1), alpha * (p - 1)
         k = e % p  # the integer factor of the middle term of F'
         k_digits = field.element(k).coeffs
-        s, n = ring.inverse(u, 1), 1
+        n = min(shift, p * v_g, cap)
+        s = ring.inverse(ring.cut(u, 0, 1), n)  # 1/c mod T^n
         d_inv = None  # 1/F'(s) from the last pass, exact to its length
         s_inv = None  # 1/s from the last pass, exact mod T^n of this s
         while n < cap:
             n2 = min(2 * n, cap)
             m = n2 - n
-            if beta >= 0:
+            if constant:
+                sigma = ring.empty  # subst reads no sigma for a constant
+            elif beta >= 0:
                 sigma = ring.power(s, beta, n2 - p)
             elif n2 > p:
                 s_inv = ring.inverse(s, n2 - p, s_inv)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramify import ascover, cli, moduli, tower
+from ramify import ascover, cli, moduli, ramfilt, tower
 from ramify.cli import main
 from ramify.errors import SchemaError, json_int
 from ramify.gf import field_create
@@ -88,6 +88,31 @@ def test_jumps_quaternion_to_upper(tmp_path):
     assert res["filtration"]["breaks"] == [[1, 1, 8], [3, 2, 2]]
     assert res["jumps_with_multiplicity"] == [[1, 1], [1, 1], [3, 2]]
     assert res["violations"] == []
+
+
+def test_jumps_factors_the_wild_part_once(tmp_path, monkeypatch):
+    # residue_char (through jumps_with_multiplicity) and validate both read
+    # the one factorization of the wild part that the filtration keeps; each
+    # factored it before, 0.4 s for this document where one factorization
+    # of 1048573^65 takes about 0.18 s
+    wild = 1048573 ** 65
+    doc = {"total_order": wild, "tame": 1, "numbering": "lower",
+           "breaks": [[1, 1, wild]]}
+    calls = []
+    prime_factors = ramfilt.prime_factors
+    monkeypatch.setattr(ramfilt, "prime_factors",
+                        lambda n: calls.append(n) or prime_factors(n))
+    code, res = run(tmp_path, ["jumps", "--direction", "to-upper"], doc)
+    assert code == 0
+    assert calls.count(wild) == 1
+    assert res == {"filtration": {"total_order": wild, "tame": 1,
+                                  "numbering": "upper",
+                                  "breaks": [[1, 1, wild]]},
+                   "jumps_with_multiplicity": [[1, 1]] * 65,
+                   "violations": []}
+    # the bytes written before the factorization had one owner
+    assert hashlib.sha256((tmp_path / "out.json").read_bytes()).hexdigest() \
+        == "377e2ee1e9204453d967acb53d53488344ef7677357a76f04260a04d3773b959"
 
 
 def test_jumps_empty(tmp_path):

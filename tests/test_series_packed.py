@@ -337,13 +337,23 @@ def test_solve_unit_with_carried_inverses_matches_fresh_ones_per_pass(data):
     s = _solve_unit(f, j, alpha, beta, cap)
     assert (s.val, s.comps, s.prec) == \
         (reference.val, reference.comps, reference.prec)
-    # the calls: s mod T^1, then per pass 1/F'(s), and 1/s for beta < 0
-    # once tau has a coefficient (n2 > p), then the unit's 1/s.  Each
-    # carried inverse starts from scratch once: 1/F'(s) in the first pass,
-    # 1/s in its first pass or, with none, for the unit
+    # the calls: s = 1/c mod T^n0, then per pass 1/F'(s), and 1/s for
+    # beta < 0 and a nonconstant u once tau has a coefficient (n2 > p),
+    # then the unit's 1/s.  The passes double from n0 = min(j(p-1), p v_g,
+    # cap), v_g the first nonconstant term of u = t^j f among those with
+    # p v_g < cap (none: u is constant).  Each carried inverse starts from
+    # scratch once: 1/F'(s) in the first pass, 1/s in its first pass or,
+    # with none, for the unit
     cap = s.prec  # _solve_unit cuts the cap to what f determines
-    passes = [min(2 ** i, cap) for i in range(1, (cap - 1).bit_length() + 1)]
-    s_passes = sum(n2 > p for n2 in passes) if beta < 0 else 0
+    v_g = min((e + j for e in f.terms if -j < e and p * (e + j) < cap),
+              default=None)
+    n = min(j * (p - 1), cap, cap if v_g is None else p * v_g)
+    passes = []
+    while n < cap:
+        n = min(2 * n, cap)
+        passes.append(n)
+    s_passes = sum(n2 > p for n2 in passes) if beta < 0 and v_g is not None \
+        else 0
     assert len(carried) == 1 + len(passes) + s_passes + 1
     assert carried.count(False) == 2 + bool(passes)
 
@@ -352,12 +362,27 @@ def test_solve_unit_with_carried_inverses_matches_fresh_ones_per_pass(data):
 TOWER_FIELDS = [field_create(p, a) for p in (2, 3, 5) for a in range(1, 5)]
 
 
+def newton_from_one_coefficient(ring, u, n):
+    """1/u mod T^n by Newton iteration from g = 1/u_0: with g = 1/u mod T^k
+    and -u g = -1 + T^k e, g + T^k g e = 1/u mod T^2k.  The kernel's
+    inverse started here before it started from the longest prefix known
+    exactly; Newton from any exact prefix reaches the same answer."""
+    g = ring.element(
+        FieldElement(ring.field, ring.digits(u, 0)).inverse().coeffs)
+    while (k := ring.length(g)) < n:
+        k2 = min(2 * k, n)
+        e = ring.cut(ring.mul(ring.neg(u), g, k2), k)
+        g = ring.cat(g, ring.mul(g, e, k2 - k))
+    return ring.cut(g, 0, n)
+
+
 def fresh_inverse(f):
     """What f.inverse() computes when f keeps none: Newton from f's first
     coefficient, at f's relative precision."""
     v, ring = f.valuation(), _ring(f.field)
-    return TruncatedSeries._make(ring, -v, ring.inverse(f.comps, f.prec - v),
-                                 f.prec - 2 * v)
+    return TruncatedSeries._make(
+        ring, -v, newton_from_one_coefficient(ring, f.comps, f.prec - v),
+        f.prec - 2 * v)
 
 
 def same_series(a, b):
@@ -452,3 +477,57 @@ def test_keep_inverse_holds_to_the_precision_rule():
                   TruncatedSeries.zero(field, inv.prec)):
         with pytest.raises(ValueError, match="precision prec - 2v"):
             g.keep_inverse(wrong)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_inverse_from_the_known_prefix_is_newton_from_one_coefficient(data):
+    """_Ring.inverse starts from 1/u_0 and the zeros up to the first
+    nonconstant term of u, or from a seed when that is longer; it equals
+    Newton from the first coefficient on units u_0 + T^v w with v from 1 to
+    past n, constants among them, with and without a seed."""
+    field = data.draw(st.sampled_from(TOWER_FIELDS))
+    ring = _ring(field)
+    n = data.draw(st.integers(1, 300))
+    v = data.draw(st.integers(1, n + 4))
+    lead = field.from_index(data.draw(st.integers(1, field.q - 1)))
+    # empty, and so u constant, when its precision is not past v
+    w = data.draw(series(field, max_prec=n + 8, max_terms=40, vals=(v, v)))
+    u = TruncatedSeries(field, {0: lead, **w.terms}, n + 8).comps
+    k = data.draw(st.one_of(st.none(), st.integers(1, n + 3)))
+    seed = None if k is None else newton_from_one_coefficient(ring, u, k)
+    assert ring.inverse(u, n, seed) == newton_from_one_coefficient(ring, u, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_the_step_unit_solves_the_step_equation(data):
+    """The unit s that step_unit returns satisfies F(s) = s u(tau) +
+    T^(j(p-1)) s^(alpha(p-1)) - 1 = 0 mod T^cap, tau = T^p s^beta, in the
+    dict reference arithmetic: for constant and nonconstant u = t^j f, and
+    for j = 1 (beta < 0) and j > 1."""
+    field = data.draw(st.sampled_from(TOWER_FIELDS))
+    p = field.p
+    j = data.draw(st.one_of(st.just(1),
+                            st.integers(2, 9).filter(lambda j: j % p)))
+    f_prec = data.draw(st.integers(1, 20))
+    lead = field.from_index(data.draw(st.integers(1, field.q - 1)))
+    tail = {} if data.draw(st.booleans()) else data.draw(
+        series(field, max_prec=f_prec, max_terms=10, vals=(1 - j, f_prec))).terms
+    f = TruncatedSeries(field, {-j: lead, **tail}, f_prec)
+    cap = data.draw(st.integers(1, 64))
+    alpha, beta = _uniformizer_exponents(p, j)
+    s = f.step_unit(alpha, beta, cap)
+    assert s.prec == cap
+    s_ref, shift = ref(s), j * (p - 1)
+    tau = DictSeries.monomial(field, p, cap) * s_ref ** beta
+    u = DictSeries(field, {e + j: c for e, c in f.terms.items()}, cap)
+    # tau = O(T^cap) for cap <= p, where u(tau) is u_0 = lead
+    u_tau = dict_series.compose(u, tau) if cap > p else \
+        DictSeries.constant(field, lead, cap)
+    residual = (s_ref * u_tau
+                + DictSeries.monomial(field, shift, cap + shift)
+                * s_ref ** (alpha * (p - 1))
+                - DictSeries.constant(field, field.one(), cap))
+    assert residual.terms == {}
+    assert residual.prec == cap

@@ -13,6 +13,7 @@ from ramify import (DomainError, RamFiltration, TowerSpec, field_create,
                     root_of_unity)
 from ramify import tower as tower_module
 from ramify.laurent import LaurentPoly
+from ramify.series import _Ring
 from ramify.tower import (STEP_EXPONENT_CAP, GeneratorAction, TowerStep,
                           close_group, herbrand_lower_jumps,
                           quaternion_fiber_ratio, vp_add, vp_const, vp_mul,
@@ -637,6 +638,41 @@ def test_chart_images_are_not_kept_across_runs(monkeypatch):
     assert first.precision == 32 and count[0] == 9
     second = oracle_run(tower, gens, precision=200)
     assert second == first and count[0] == 18
+
+
+def budget_towers():
+    """v^p - v = x^-j1, w^p - w = x^-j2 on the workload's shapes, and the
+    first F_4 and F_16 quaternion fibers with a1, a2 nonzero of each top
+    jump (F_4 has none of top jump 5), with a3 = a1."""
+    for p, j1, j2 in EA2_SHAPES:
+        field = field_create(p, 1)
+        tower = TowerSpec(field, 1, (
+            TowerStep("v", vp_var(field, "x", -j1)),
+            TowerStep("w", vp_var(field, "x", -j2))))
+        one = vp_const(field, field.one())
+        yield tower, [GeneratorAction(tower, {"v": one}, "s"),
+                      GeneratorAction(tower, {"w": one}, "t")]
+    for field, i1, i2, top in [(F4, 2, 3, 3), (F16, 2, 3, 3), (F16, 2, 1, 5)]:
+        a1, a2 = field.from_index(i1), field.from_index(i2)
+        assert evaluate_quaternion_fiber(a1, a2, a1).top_jump == top
+        yield quaternion_tower(field, a1, a2, a1)
+
+
+def test_oracle_kernel_products_stay_within_budget(monkeypatch):
+    # operation count, not time: the oracle at precision 256 on the towers
+    # above takes 2036 kernel products (_Ring.product, the one big-integer
+    # product), 3146 when every Newton iteration of the series kernel
+    # started from one coefficient rather than the prefix it knows exactly
+    calls = [0]
+    product = _Ring.product
+
+    def counting(self, *args):
+        calls[0] += 1
+        return product(self, *args)
+    monkeypatch.setattr(_Ring, "product", counting)
+    for tower, gens in budget_towers():
+        oracle_run(tower, gens, precision=256)
+    assert calls[0] <= 2036
 
 
 # -- the sift against the whole group --------------------------------------------
