@@ -11,9 +11,10 @@ r = sum_t (r_t)^(p^t) with p-free exponents in each r_t, and the prime-to-p
 degree (the largest pole order among the r_t), which equals the conductor of
 the associated degree-q cover once the equation is in standard form.
 
-The sparse sum and product here (accumulate, sparse_mul) are the one kernel
-for every dict polynomial in the library; tower's multivariate VarPoly uses
-them with its own monomial product.
+SparsePoly holds the ring operations of every dict polynomial in the
+library; a subclass names its monomials.  LaurentPoly's are int exponents,
+and tower's multivariate VarPoly, a sibling, keys them by sorted (variable,
+exponent) pairs.
 """
 
 from __future__ import annotations
@@ -37,69 +38,66 @@ def accumulate(out: dict, items) -> dict:
     return out
 
 
-def sparse_mul(a: dict, b: dict, mono_mul) -> dict:
-    """Product of two sparse maps {monomial: coefficient}, with mono_mul the
-    product of two monomials."""
-    return accumulate({}, ((mono_mul(k1, k2), c1 * c2)
-                           for k1, c1 in a.items() for k2, c2 in b.items()))
+class SparsePoly:
+    """Finite formal sum of c * m over monomial keys m, every c a nonzero
+    element of field; immutable.
 
-
-class LaurentPoly:
-    """Finite formal sum of c * x^e, exponents in Z; immutable."""
+    A subclass names its monomials: ONE is the key of 1, _mono_mul(k1, k2)
+    the key of a product and _mono_pow(k, n) the key of the n-th power, and
+    _key(k) normalizes a key handed to the public constructor."""
 
     __slots__ = ("field", "terms")
 
     def __init__(self, field: Field, terms=None):
         self.field = field
         items = terms.items() if isinstance(terms, dict) else terms or ()
-        self.terms = accumulate({}, ((int(e), field.element(c))
-                                     for e, c in items))
+        self.terms = accumulate({}, ((self._key(k), field.element(c))
+                                     for k, c in items))
 
     @classmethod
-    def _make(cls, field: Field, terms: dict) -> "LaurentPoly":
-        """Trusted constructor: terms is a fresh {int: nonzero element of
+    def _make(cls, field: Field, terms: dict):
+        """Trusted constructor: terms is a fresh {key: nonzero element of
         field} map that the result takes over."""
         obj = cls.__new__(cls)
         obj.field = field
         obj.terms = terms
         return obj
 
-    # -- constructors ---------------------------------------------------------
-
     @classmethod
-    def zero(cls, field: Field) -> "LaurentPoly":
+    def zero(cls, field: Field):
         return cls._make(field, {})
-
-    @classmethod
-    def monomial(cls, field: Field, exp: int, coeff=1) -> "LaurentPoly":
-        return cls(field, {exp: field.element(coeff)})
 
     # -- ring operations -------------------------------------------------------
 
+    def _same_ring(self, other) -> bool:
+        """Whether other is of this class; another field is refused."""
+        if type(other) is not type(self):
+            return False
+        if other.field is not self.field and other.field != self.field:
+            raise DomainError("polynomials over different fields")
+        return True
+
     def __add__(self, other):
-        if not isinstance(other, LaurentPoly):
+        if not self._same_ring(other):
             return NotImplemented
-        if other.field != self.field:
-            raise DomainError("Laurent polynomials over different fields")
-        return LaurentPoly._make(
-            self.field, accumulate(dict(self.terms), other.terms.items()))
+        return self._make(self.field,
+                          accumulate(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return LaurentPoly._make(self.field,
-                                 {e: -c for e, c in self.terms.items()})
+        return self._make(self.field, {k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, FieldElement):
             return self.scale(other)
-        if not isinstance(other, LaurentPoly):
+        if not self._same_ring(other):
             return NotImplemented
-        if other.field != self.field:
-            raise DomainError("Laurent polynomials over different fields")
-        return LaurentPoly._make(
-            self.field, sparse_mul(self.terms, other.terms, operator.add))
+        mono_mul = self._mono_mul
+        return self._make(self.field, accumulate({}, (
+            (mono_mul(k1, k2), c1 * c2) for k1, c1 in self.terms.items()
+            for k2, c2 in other.terms.items())))
 
     def __rmul__(self, other):
         if isinstance(other, FieldElement):
@@ -108,35 +106,50 @@ class LaurentPoly:
 
     def __pow__(self, n: int):
         if n < 0:
-            raise DomainError("negative powers of Laurent polynomials")
+            raise DomainError("negative power of a polynomial")
         if n == 0:
-            return LaurentPoly.monomial(self.field, 0)
+            return self._make(self.field, {self.ONE: self.field.one()})
         return power(self, n, operator.mul)
 
-    def scale(self, c: FieldElement) -> "LaurentPoly":
+    def scale(self, c: FieldElement):
         if not c:
-            return LaurentPoly.zero(self.field)
-        return LaurentPoly._make(self.field,
-                                 {e: co * c for e, co in self.terms.items()})
+            return self.zero(self.field)
+        return self._make(self.field,
+                          {k: co * c for k, co in self.terms.items()})
 
-    def frobenius_power(self, t: int) -> "LaurentPoly":
+    def frobenius_power(self, t: int):
         """self^(p^t), computed termwise (exact in characteristic p)."""
         pt = self.field.p ** t
-        return LaurentPoly._make(self.field,
-                                 {e * pt: c ** pt for e, c in self.terms.items()})
-
-    # -- access ----------------------------------------------------------------
+        mono_pow = self._mono_pow
+        return self._make(self.field, {mono_pow(k, pt): c ** pt
+                                       for k, c in self.terms.items()})
 
     def __bool__(self):
         return bool(self.terms)
 
     def __eq__(self, other):
-        return (isinstance(other, LaurentPoly) and self.field == other.field
+        return (type(other) is type(self) and self.field == other.field
                 and self.terms == other.terms)
 
     def __hash__(self):
         return hash((self.field, tuple(sorted(
-            (e, c.coeffs) for e, c in self.terms.items()))))
+            (k, c.coeffs) for k, c in self.terms.items()))))
+
+
+class LaurentPoly(SparsePoly):
+    """Finite formal sum of c * x^e, exponents in Z; immutable."""
+
+    __slots__ = ()
+    ONE = 0
+    _key = int
+    _mono_mul = staticmethod(operator.add)
+    _mono_pow = staticmethod(operator.mul)
+
+    @classmethod
+    def monomial(cls, field: Field, exp: int, coeff=1) -> "LaurentPoly":
+        return cls(field, {exp: field.element(coeff)})
+
+    # -- access ----------------------------------------------------------------
 
     def coeff(self, e: int) -> FieldElement:
         return self.terms.get(e, self.field.zero())

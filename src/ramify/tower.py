@@ -49,15 +49,9 @@ from .errors import (DomainError, PrecisionError, SchemaError, json_int,
                      json_str)
 from .gf import (Field, FieldElement, field_create, json_element, power,
                  root_of_unity)
-from .laurent import accumulate, sparse_mul
+from .laurent import SparsePoly, accumulate
 from .ramfilt import LOWER, RamFiltration
 from .series import TruncatedSeries, compose
-
-# ---------------------------------------------------------------------------
-# Multivariate Laurent polynomials in the tower variables.
-# A monomial key is a sorted tuple of (variable, exponent) pairs.
-
-VarPoly = dict
 
 # The largest |exponent| of a step variable in a right-hand side or a shift,
 # a desk-scale bound on what the generator check and the sift by steps
@@ -72,116 +66,109 @@ VarPoly = dict
 STEP_EXPONENT_CAP = 500
 
 
-def vp_const(field: Field, c: FieldElement) -> VarPoly:
-    return {(): c} if c else {}
+class VarPoly(SparsePoly):
+    """A multivariate Laurent polynomial in x and the tower's step
+    variables; immutable.  A monomial key is a sorted tuple of (variable,
+    nonzero exponent) pairs, () for 1."""
 
+    __slots__ = ()
+    ONE = ()
 
-def vp_var(field: Field, name: str, exp: int = 1) -> VarPoly:
-    return {((name, exp),): field.one()}
+    @staticmethod
+    def _key(k):
+        return tuple(sorted((var, e) for var, e in k if e))
 
+    @staticmethod
+    def _mono_mul(k1, k2):
+        exps = dict(k1)
+        for var, e in k2:
+            e2 = exps.get(var, 0) + e
+            if e2:
+                exps[var] = e2
+            else:
+                exps.pop(var, None)
+        return tuple(sorted(exps.items()))
 
-def vp_add(a: VarPoly, b: VarPoly) -> VarPoly:
-    return accumulate(dict(a), b.items())
+    @staticmethod
+    def _mono_pow(k, n):
+        return tuple((var, e * n) for var, e in k)
 
+    @classmethod
+    def const(cls, field: Field, c: FieldElement) -> "VarPoly":
+        return cls._make(field, {(): c} if c else {})
 
-def vp_scale(a: VarPoly, c: FieldElement) -> VarPoly:
-    if not c:
-        return {}
-    return {k: co * c for k, co in a.items()}
+    @classmethod
+    def var(cls, field: Field, name: str, exp: int = 1) -> "VarPoly":
+        return cls._make(field, {((name, exp),): field.one()})
 
+    def variables(self) -> set[str]:
+        return {var for k in self.terms for var, _ in k}
 
-def _mono_mul(k1, k2):
-    exps = dict(k1)
-    for var, e in k2:
-        e2 = exps.get(var, 0) + e
-        if e2:
-            exps[var] = e2
-        else:
-            exps.pop(var, None)
-    return tuple(sorted(exps.items()))
+    def subst(self, images: dict[str, "VarPoly"]) -> "VarPoly":
+        """Substitute images for the variables they map; other variables
+        stay.  Each power of an image is computed once per call, and a
+        mapped variable needs a nonnegative exponent."""
+        out = {}
+        powers = {}
+        for k, c in self.terms.items():
+            term = self._make(self.field, {
+                tuple(item for item in k if item[0] not in images): c})
+            for item in k:
+                var, e = item
+                if var in images:
+                    if item not in powers:
+                        powers[item] = images[var] ** e
+                    term = term * powers[item]
+            accumulate(out, term.terms.items())
+        return self._make(self.field, out)
 
+    def eval(self, env: dict[str, TruncatedSeries],
+             prec: int) -> TruncatedSeries:
+        """self at the series of env.  A monomial is the product of its
+        powers times its exact coefficient, so it keeps all the precision
+        they have, and an exact constant term joins the sum at the sum's
+        precision; only a bare constant, or the zero polynomial, takes
+        prec."""
+        out = None
+        for k, c in self.terms.items():
+            if k:
+                term = None
+                for var, e in k:
+                    if var not in env:
+                        raise DomainError(f"unknown variable {var}")
+                    factor = env[var] ** e
+                    term = factor if term is None else term * factor
+                term = term.scale(c)
+                out = term if out is None else out + term
+        const = self.terms.get(())
+        if out is None:
+            out = TruncatedSeries.zero(self.field, prec)
+        if const:
+            out = out + TruncatedSeries.monomial(self.field, 0, out.prec, const)
+        return out
 
-def vp_mul(a: VarPoly, b: VarPoly) -> VarPoly:
-    return sparse_mul(a, b, _mono_mul)
-
-
-def vp_pow(field: Field, a: VarPoly, n: int) -> VarPoly:
-    if n < 0:
-        raise DomainError("negative power of a multivariate polynomial")
-    if n == 0:
-        return vp_const(field, field.one())
-    return power(a, n, vp_mul)
-
-
-def vp_subst(field: Field, a: VarPoly, images: dict[str, VarPoly]) -> VarPoly:
-    """Substitute images for the variables they map; other variables stay.
-    Each power of an image is computed once per call, and a mapped variable
-    needs a nonnegative exponent."""
-    out: VarPoly = {}
-    powers = {}
-    for k, c in a.items():
-        term = {tuple(item for item in k if item[0] not in images): c}
-        for item in k:
-            var, e = item
-            if var in images:
-                if item not in powers:
-                    powers[item] = vp_pow(field, images[var], e)
-                term = vp_mul(term, powers[item])
-        accumulate(out, term.items())
-    return out
-
-
-def vp_eval(a: VarPoly, env: dict[str, TruncatedSeries], field: Field,
-            prec: int) -> TruncatedSeries:
-    """a at the series of env.  A monomial is the product of its powers
-    times its exact coefficient, so it keeps all the precision they have,
-    and an exact constant term joins the sum at the sum's precision; only a
-    bare constant, or the zero polynomial, takes prec."""
-    out = None
-    for k, c in a.items():
-        if k:
-            term = None
-            for var, e in k:
-                if var not in env:
-                    raise DomainError(f"unknown variable {var}")
-                factor = env[var] ** e
-                term = factor if term is None else term * factor
-            term = term.scale(c)
-            out = term if out is None else out + term
-    const = a.get(())
-    if out is None:
-        out = TruncatedSeries.zero(field, prec)
-    if const:
-        out = out + TruncatedSeries.monomial(field, 0, out.prec, const)
-    return out
-
-
-def vp_variables(a: VarPoly) -> set[str]:
-    return {var for k in a for var, _ in k}
+    @classmethod
+    def from_json(cls, field: Field, expr) -> "VarPoly":
+        terms = {}
+        try:
+            for coeffs, exps in expr:
+                c = json_element(field, coeffs)
+                k = cls._key((str(v), json_int(e)) for v, e in exps.items())
+                accumulate(terms, [(k, c)])
+        except DomainError:
+            raise  # a well-formed expression with invalid content
+        except (TypeError, ValueError, KeyError, AttributeError) as exc:
+            raise SchemaError(f"malformed expression: {exc}") from exc
+        return cls._make(field, terms)
 
 
 def _check_step_exponents(a: VarPoly, where: str):
-    for k in a:
+    for k in a.terms:
         for var, e in k:
             if var != "x" and abs(e) > STEP_EXPONENT_CAP:
                 raise DomainError(
                     f"{where}: exponent {e} of {var} exceeds the limit "
                     f"{STEP_EXPONENT_CAP}")
-
-
-def vp_from_json(field: Field, expr) -> VarPoly:
-    out: VarPoly = {}
-    try:
-        for coeffs, exps in expr:
-            c = json_element(field, coeffs)
-            exps = {str(v): json_int(e) for v, e in exps.items()}
-            k = tuple(sorted((v, e) for v, e in exps.items() if e))
-            accumulate(out, [(k, c)])
-    except DomainError:
-        raise  # a well-formed expression with invalid content
-    except (TypeError, ValueError, KeyError, AttributeError) as exc:
-        raise SchemaError(f"malformed expression: {exc}") from exc
-    return out
 
 
 def _names(names) -> str:
@@ -214,7 +201,7 @@ class TowerSpec:
             if step.var in known:
                 raise DomainError(f"duplicate variable {step.var}")
             _check_step_exponents(step.rhs, f"step {step.var}")
-            extra = vp_variables(step.rhs) - known
+            extra = step.rhs.variables() - known
             if extra:
                 raise DomainError(f"step {step.var} uses undeclared {_names(extra)}")
             known.add(step.var)
@@ -241,16 +228,16 @@ class GeneratorAction:
         order = ["x"] + [s.var for s in tower.steps]
         images = {}
         for i, var in enumerate(order[1:], start=1):
-            sh = shifts.get(var, {})
+            sh = shifts.get(var) or VarPoly.zero(field)
             _check_step_exponents(sh, f"shift of {var}")
             allowed = set(order[:i])
-            extra = vp_variables(sh) - allowed
+            extra = sh.variables() - allowed
             if extra:
                 raise DomainError(f"shift of {var} uses later variables {_names(extra)}")
-            for k in sh:
+            for k in sh.terms:
                 if any(e < 0 for _, e in k):
                     raise DomainError("shifts must be polynomial (exponents >= 0)")
-            images[var] = vp_add(vp_var(field, var), sh)
+            images[var] = VarPoly.var(field, var) + sh
         if "x" in shifts and shifts["x"]:
             raise DomainError("the base coordinate cannot be shifted")
         unknown = set(shifts) - set(order)
@@ -266,27 +253,22 @@ class GeneratorAction:
         return obj
 
     def key(self):
-        """The images' polynomial keys in tower order, so key()[:k] keys
-        the restriction to the first k step variables."""
-        return tuple(_poly_key(img) for img in self.images.values())
-
-
-def _poly_key(a: VarPoly) -> tuple:
-    """A hashable form of a polynomial, equal for equal polynomials."""
-    return tuple(sorted((k, c.coeffs) for k, c in a.items()))
+        """The images in tower order, so key()[:k] keys the restriction to
+        the first k step variables."""
+        return tuple(self.images.values())
 
 
 def _compose(field: Field, g: GeneratorAction, h: GeneratorAction,
              steps=()) -> GeneratorAction:
     """(g o h)(var) = g(h(var)), each image reduced by the equations of
     steps (see _reduce)."""
-    images = {var: _reduce(field, vp_subst(field, img, g.images), steps)
+    images = {var: _reduce(field, img.subst(g.images), steps)
               for var, img in h.images.items()}
     return GeneratorAction._raw(images, name=f"{g.name}*{h.name}")
 
 
 def _identity(tower: TowerSpec) -> GeneratorAction:
-    images = {s.var: vp_var(tower.field, s.var) for s in tower.steps}
+    images = {s.var: VarPoly.var(tower.field, s.var) for s in tower.steps}
     return GeneratorAction._raw(images, name="1")
 
 
@@ -294,13 +276,10 @@ def _inverse(field: Field, g: GeneratorAction, steps=()) -> GeneratorAction:
     """g^-1, exact and triangular: g maps var to var + s with s in earlier
     variables, so g^-1(var) = var - g^-1(s), reduced, from the images of the
     earlier variables already inverted."""
-    minus_one = -field.one()
     images = {}
     for var, img in g.images.items():
-        shift = vp_add(img, {((var, 1),): minus_one})
-        images[var] = _reduce(field, vp_add(
-            vp_var(field, var), vp_scale(vp_subst(field, shift, images),
-                                         minus_one)), steps)
+        v = VarPoly.var(field, var)
+        images[var] = _reduce(field, v - (img - v).subst(images), steps)
     return GeneratorAction._raw(images, name=f"{g.name}^-1")
 
 
@@ -340,8 +319,6 @@ def _sift(tower: TowerSpec, elements, lead) -> list[tuple[int, GeneratorAction]]
                     yield _compose(field, qr, _inverse(field, rq, steps), steps)
 
     for g in words():
-        if len(kept) == n:
-            break
         found = lead(g)
         while found is not None:
             level, vec = found
@@ -362,6 +339,8 @@ def _sift(tower: TowerSpec, elements, lead) -> list[tuple[int, GeneratorAction]]
                 kept.append((level, g))
                 break
             found = lead(g)
+        if len(kept) == n:  # before words() forms another
+            break
     return kept
 
 
@@ -371,12 +350,11 @@ def _step_lead(field: Field, g: GeneratorAction):
     g fixes the variables below var and maps var to var + s, so s^p - s =
     rhs(g vars) - rhs = 0: s is in F_p when the steps below var form a
     field, and a non-constant s shows they do not."""
-    minus_one = -field.one()
     for level, (var, img) in enumerate(g.images.items()):
-        shift = vp_add(img, {((var, 1),): minus_one})
+        shift = img - VarPoly.var(field, var)
         if shift:
-            c = shift.get(())
-            if len(shift) > 1 or c is None or any(c.coeffs[1:]):
+            c = shift.terms.get(())
+            if len(shift.terms) > 1 or c is None or any(c.coeffs[1:]):
                 raise DomainError(
                     f"a group element moves {var} by a shift outside F_p, so "
                     f"the steps below {var} do not form a field")
@@ -508,7 +486,7 @@ def _expand_tower(tower: TowerSpec, prec: int):
     env = {"x": TruncatedSeries.monomial(field, 1, prec)}
     charts = []
     for step in tower.steps:
-        f = vp_eval(step.rhs, env, field, prec)
+        f = step.rhs.eval(env, prec)
         f, peel = _peel(f, p, step.var, prec)
         j = -f.valuation()
         alpha, beta = _uniformizer_exponents(p, j)
@@ -553,7 +531,7 @@ def _uniformizer_image(g: GeneratorAction, env, charts, field: Field,
     for k, chart in enumerate(charts, start=1):
         known = images.get(key[:k])
         if known is None:
-            y_ser = vp_eval(g.images[chart.var], env, field, prec)
+            y_ser = g.images[chart.var].eval(env, prec)
             for e, c in chart.peel:
                 y_ser = y_ser - (cur ** e).scale(c)
             known = images[key[:k]] = cur ** chart.alpha * y_ser ** chart.beta
@@ -565,12 +543,12 @@ def _uniformizer_image(g: GeneratorAction, env, charts, field: Field,
 
 def _split(a: VarPoly, var: str) -> dict[int, VarPoly]:
     """a as {exponent of var: coefficient free of var}."""
-    out: dict[int, VarPoly] = {}
-    for k, c in a.items():
+    out: dict[int, dict] = {}
+    for k, c in a.terms.items():
         e = dict(k).get(var, 0)
         rest = tuple(item for item in k if item[0] != var)
         out.setdefault(e, {})[rest] = c
-    return out
+    return {e: VarPoly._make(a.field, terms) for e, terms in out.items()}
 
 
 def _reduce(field: Field, a: VarPoly, steps) -> VarPoly:
@@ -581,18 +559,19 @@ def _reduce(field: Field, a: VarPoly, steps) -> VarPoly:
     in [0, p), and those products are a basis of the tower's function field
     over that of x, since every step has degree p."""
     p = field.p
-    if all(e < p for k in a for var, e in k if var != "x"):
+    if all(e < p for k in a.terms for var, e in k if var != "x"):
         return a
+    zero, mono_mul = VarPoly.zero(field), VarPoly._mono_mul
     for step in reversed(steps):
         parts = _split(a, step.var)
         for e in range(max(parts, default=0), p - 1, -1):
             c = parts.pop(e, None)
             if c:  # var^e = var^(e-p+1) + var^(e-p) rhs
-                parts[e - p + 1] = vp_add(parts.get(e - p + 1, {}), c)
-                parts[e - p] = vp_add(parts.get(e - p, {}),
-                                      vp_mul(c, step.rhs))
-        a = {_mono_mul(k, ((step.var, e),)): co
-             for e, c in parts.items() for k, co in c.items()}
+                parts[e - p + 1] = parts.get(e - p + 1, zero) + c
+                parts[e - p] = parts.get(e - p, zero) + c * step.rhs
+        a = VarPoly._make(field, {
+            mono_mul(k, ((step.var, e),)): co
+            for e, c in parts.items() for k, co in c.terms.items()})
     return a
 
 
@@ -607,10 +586,8 @@ def _check_generators(tower: TowerSpec, generators):
     negative one is refused.
     """
     field = tower.field
-    p = field.p
-    minus_one = -field.one()
     for step in tower.steps:
-        for k in step.rhs:
+        for k in step.rhs.terms:
             for var, e in k:
                 if var != "x" and e < 0:
                     raise DomainError(
@@ -618,12 +595,9 @@ def _check_generators(tower: TowerSpec, generators):
                         f"variable {var}")
     for g in generators:
         for step in tower.steps:
-            shift = vp_add(g.images[step.var],
-                           vp_scale(vp_var(field, step.var), minus_one))
-            frob = {tuple((var, e * p) for var, e in k): c ** p
-                    for k, c in shift.items()}
-            d = vp_add(vp_add(frob, step.rhs), vp_scale(
-                vp_add(shift, vp_subst(field, step.rhs, g.images)), minus_one))
+            shift = g.images[step.var] - VarPoly.var(field, step.var)
+            d = (shift.frobenius_power(1) + step.rhs
+                 - (shift + step.rhs.subst(g.images)))
             if _reduce(field, d, tower.steps):
                 raise DomainError(
                     f"generator {g.name or '?'} does not preserve the "
@@ -816,22 +790,19 @@ def quaternion_tower(field: Field, a1=None, a2=None, a3=None):
     a3 = zero if a3 is None else a3
     zeta3 = root_of_unity(field, 3)
     one = field.one()
-    x_inv = vp_var(field, "x", -1)
+    x_inv, w = VarPoly.var(field, "x", -1), VarPoly.var(field, "w")
     steps = (
-        TowerStep("v", vp_scale(x_inv, one + a1)),
-        TowerStep("w", vp_add(vp_var(field, "v"), vp_scale(x_inv, a2))),
-        TowerStep("y", vp_add(vp_var(field, "w", 3), vp_scale(x_inv, a3))),
+        TowerStep("v", x_inv.scale(one + a1)),
+        TowerStep("w", VarPoly.var(field, "v") + x_inv.scale(a2)),
+        TowerStep("y", VarPoly.var(field, "w", 3) + x_inv.scale(a3)),
     )
     tower = TowerSpec(field, 1, steps)
-    mu = GeneratorAction(tower, {
-        "w": vp_const(field, one),
-        "y": vp_add(vp_var(field, "w"), vp_const(field, zeta3)),
-    }, name="mu")
+    one_c, zeta3_c = VarPoly.const(field, one), VarPoly.const(field, zeta3)
+    mu = GeneratorAction(tower, {"w": one_c, "y": w + zeta3_c}, name="mu")
     tau = GeneratorAction(tower, {
-        "v": vp_const(field, one),
-        "w": vp_const(field, zeta3),
-        "y": vp_add(vp_scale(vp_var(field, "w"), zeta3 + one),
-                    vp_const(field, zeta3)),
+        "v": one_c,
+        "w": zeta3_c,
+        "y": w.scale(zeta3 + one) + zeta3_c,
     }, name="tau")
     return tower, [mu, tau]
 
@@ -903,12 +874,12 @@ def tower_from_json(obj) -> tuple[TowerSpec, list[GeneratorAction]]:
     try:
         field = field_create(json_int(obj["field"]["p"]),
                              json_int(obj["field"]["a"]))
-        steps = tuple(TowerStep(json_str(s["var"]), vp_from_json(field, s["rhs"]))
+        steps = tuple(TowerStep(json_str(s["var"]), VarPoly.from_json(field, s["rhs"]))
                       for s in obj["steps"])
         tower = TowerSpec(field, json_int(obj.get("m", 1)), steps)
         gens = []
         for i, g in enumerate(obj.get("generators", [])):
-            shifts = {str(v): vp_from_json(field, ex)
+            shifts = {str(v): VarPoly.from_json(field, ex)
                       for v, ex in g.get("shifts", {}).items()}
             gens.append(GeneratorAction(tower, shifts,
                                         name=json_str(g.get("name", f"g{i}"))))

@@ -15,7 +15,7 @@ from fractions import Fraction
 from ramify import tower as tower_module
 from ramify.errors import DomainError
 from ramify.ramfilt import LOWER, RamFiltration
-from ramify.tower import _compose, _identity, vp_eval
+from ramify.tower import _compose, _identity
 
 
 def closure(tower, generators):
@@ -57,7 +57,7 @@ def element_images(tower, group, work):
     for g in group:
         cur = env["x"]
         for chart in charts:
-            y_ser = vp_eval(g.images[chart.var], env, field, prec)
+            y_ser = g.images[chart.var].eval(env, prec)
             for e, c in chart.peel:
                 y_ser = y_ser - (cur ** e).scale(c)
             cur = cur ** chart.alpha * y_ser ** chart.beta

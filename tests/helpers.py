@@ -3,7 +3,7 @@ generator z of a field, an element's index, elements read from their JSON
 form, the units of a subfield, |I_t| of a filtration, the inverse of
 laurent.p_power_decompose, the rescanning reduction that the closed-form
 ascover.standard_form_poly replaced, the per-monomial substitution that
-tower.vp_subst replaced, and the per-break Herbrand, quotient, validation
+tower.VarPoly.subst replaced, and the per-break Herbrand, quotient, validation
 and reduction code that ramfilt's one-pass walks replaced."""
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from ramify.gf import (Field, FieldElement, field_create, json_element,
 from ramify.laurent import LaurentPoly, accumulate
 from ramify.ramfilt import (LOWER, UPPER, RamFiltration, ReducedFiltration,
                             schmid_violations)
-from ramify.tower import vp_add, vp_const, vp_mul, vp_pow, vp_var
+from ramify.tower import VarPoly
 
 # every field the tests build, with and without discrete-log tables
 TEST_FIELDS = [field_create(p, a) for p, a in [
@@ -97,23 +97,23 @@ def standard_form_by_rescan(r: LaurentPoly, q: int) -> LaurentPoly:
     return LaurentPoly._make(F, terms)
 
 
-def subst_per_monomial(field: Field, a: dict, images: dict) -> dict:
+def subst_per_monomial(field: Field, a: VarPoly, images: dict) -> VarPoly:
     """Substitute images for variables, one monomial at a time, recomputing
     every power; every variable of a needs an image, and a negative exponent
     only a variable that maps to itself."""
-    out = {}
-    for k, c in a.items():
-        term = vp_const(field, c)
+    out = VarPoly.zero(field)
+    for k, c in a.terms.items():
+        term = VarPoly.const(field, c)
         for var, e in k:
             img = images[var]
             if e < 0:
-                if img != vp_var(field, var):
+                if img != VarPoly.var(field, var):
                     raise DomainError(
                         f"cannot substitute into a negative power of {var}")
-                term = vp_mul(term, {((var, e),): field.one()})
+                term = term * VarPoly.var(field, var, e)
             else:
-                term = vp_mul(term, vp_pow(field, img, e))
-        out = vp_add(out, term)
+                term = term * img ** e
+        out = out + term
     return out
 
 

@@ -16,7 +16,7 @@ from ramify import (ASCover, LaurentPoly, conductor, dim_abelian, dim_bounds,
                     n_count, oracle_run, p_rank_ds, quaternion_tower, reduce,
                     root_of_unity)
 from ramify.moduli import multiplicative_order
-from ramify.tower import GeneratorAction, TowerSpec, TowerStep, vp_const, vp_var
+from ramify.tower import GeneratorAction, TowerSpec, TowerStep, VarPoly
 
 F4 = field_create(2, 2)
 F16 = field_create(2, 4)
@@ -93,9 +93,9 @@ def test_criterion_3_oracle_equivalence():
             if j % p == 0:
                 continue
             tower = TowerSpec(field, 1,
-                              (TowerStep("v", vp_var(field, "x", -j)),))
+                              (TowerStep("v", VarPoly.var(field, "x", -j)),))
             gen = GeneratorAction(tower,
-                                  {"v": vp_const(field, field.one())})
+                                  {"v": VarPoly.const(field, field.one())})
             run = oracle_run(tower, [gen], precision=200)
             assert jumps_with_multiplicity(run.filtration) == [j]
             cover = ASCover(p, LaurentPoly.monomial(field, -j))

@@ -540,7 +540,7 @@ def f4_cover(q, z):
      "the base coordinate cannot be shifted"),
     (["verify"], two_step_tower({"u": ONE}),
      "shifts for undeclared variables {'u'}"),
-    # the only route into vp_eval's bare-constant branch
+    # the only route into VarPoly.eval's bare-constant branch
     (["verify"], dict(TOWER, steps=[{"var": "v", "rhs": ONE}]),
      "step is not totally ramified: right-hand side has no pole after "
      "reduction"),

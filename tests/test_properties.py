@@ -22,8 +22,8 @@ from ramify import (ASCover, DomainError, LaurentPoly, RamFiltration,
                     prime_to_p_degree, root_of_unity, s_iota, standard_form,
                     upper_to_lower)
 from ramify.ascover import standard_form_poly
-from ramify.tower import (GeneratorAction, TowerStep, herbrand_lower_jumps,
-                          vp_const)
+from ramify.tower import (GeneratorAction, TowerStep, VarPoly,
+                          herbrand_lower_jumps)
 
 from helpers import subfield_units
 
@@ -208,11 +208,10 @@ def test_oracle_herbrand_and_span_routes_agree(tower_data):
     field = field_create(p, 1)
     names = ["v", "w", "y"][:len(raw)]
     steps = tuple(
-        TowerStep(var, {((("x", e),) if e else ()): field.element(c)
-                        for e, c in r.items()})
+        TowerStep(var, VarPoly(field, {(("x", e),): c for e, c in r.items()}))
         for var, r in zip(names, raw))
     tower = TowerSpec(field, 1, steps)
-    gens = [GeneratorAction(tower, {var: vp_const(field, field.one())}, var)
+    gens = [GeneratorAction(tower, {var: VarPoly.const(field, field.one())}, var)
             for var in names]
     span = _span_lower_jumps(
         field, [LaurentPoly(field, {e: field.element(c) for e, c in r.items()})

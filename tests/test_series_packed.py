@@ -19,7 +19,7 @@ from ramify import TowerSpec, field_create, oracle_run
 from ramify.gf import FieldElement
 from ramify.series import TruncatedSeries, _ring, _Ring, compose
 from ramify.tower import (GeneratorAction, TowerStep, _solve_unit,
-                          _uniformizer_exponents, vp_const, vp_scale, vp_var)
+                          _uniformizer_exponents, VarPoly)
 
 import dict_series
 from dict_series import DictSeries
@@ -427,9 +427,9 @@ def test_every_inverse_the_oracle_hands_a_series_is_newtons(data):
     j2 = data.draw(st.integers(1, 7).filter(lambda j: j % p and j != j1))
     unit = st.integers(1, field.q - 1).map(field.from_index)
     tower = TowerSpec(field, 1, (
-        TowerStep("v", vp_scale(vp_var(field, "x", -j1), data.draw(unit))),
-        TowerStep("w", vp_scale(vp_var(field, "x", -j2), data.draw(unit)))))
-    one = vp_const(field, field.one())
+        TowerStep("v", VarPoly.var(field, "x", -j1).scale(data.draw(unit))),
+        TowerStep("w", VarPoly.var(field, "x", -j2).scale(data.draw(unit)))))
+    one = VarPoly.const(field, field.one())
     gens = [GeneratorAction(tower, {"v": one}, "s"),
             GeneratorAction(tower, {"w": one}, "t")]
     keep, handed = TruncatedSeries.keep_inverse, []

@@ -15,9 +15,8 @@ from ramify import tower as tower_module
 from ramify.laurent import LaurentPoly
 from ramify.series import _Ring
 from ramify.tower import (STEP_EXPONENT_CAP, GeneratorAction, TowerStep,
-                          close_group, herbrand_lower_jumps,
-                          quaternion_fiber_ratio, vp_add, vp_const, vp_mul,
-                          vp_scale, vp_subst, vp_var)
+                          VarPoly, close_group, herbrand_lower_jumps,
+                          quaternion_fiber_ratio)
 
 import chart_walk
 import quaternion_pipeline
@@ -30,8 +29,8 @@ F16 = field_create(2, 4)
 
 def single_step_tower(p, j, a=1):
     field = field_create(p, a)
-    tower = TowerSpec(field, 1, (TowerStep("v", vp_var(field, "x", -j)),))
-    gen = GeneratorAction(tower, {"v": vp_const(field, field.one())}, name="t")
+    tower = TowerSpec(field, 1, (TowerStep("v", VarPoly.var(field, "x", -j)),))
+    gen = GeneratorAction(tower, {"v": VarPoly.const(field, field.one())}, name="t")
     return tower, [gen]
 
 
@@ -49,16 +48,16 @@ def test_oracle_single_step(p, j):
 def test_oracle_reduces_p_divisible_pole():
     # v^2 - v = x^-2 is the same cover as v^2 - v = x^-1
     field = F2
-    tower = TowerSpec(field, 1, (TowerStep("v", vp_var(field, "x", -2)),))
-    gen = GeneratorAction(tower, {"v": vp_const(field, field.one())})
+    tower = TowerSpec(field, 1, (TowerStep("v", VarPoly.var(field, "x", -2)),))
+    gen = GeneratorAction(tower, {"v": VarPoly.const(field, field.one())})
     filt = oracle_lower_jumps(tower, [gen], precision=100)
     assert jumps_with_multiplicity(filt) == [1]
 
 
 def test_oracle_unramified_step_rejected():
     field = F2
-    tower = TowerSpec(field, 1, (TowerStep("v", vp_var(field, "x", 1)),))
-    gen = GeneratorAction(tower, {"v": vp_const(field, field.one())})
+    tower = TowerSpec(field, 1, (TowerStep("v", VarPoly.var(field, "x", 1)),))
+    gen = GeneratorAction(tower, {"v": VarPoly.const(field, field.one())})
     with pytest.raises(DomainError, match="totally ramified"):
         oracle_lower_jumps(tower, [gen], precision=64)
 
@@ -75,18 +74,18 @@ def test_oracle_wrong_group_order():
     # to order 2
     field = F4
     tower = TowerSpec(field, 1, (
-        TowerStep("v", vp_var(field, "x", -1)),
-        TowerStep("w", vp_var(field, "v")),
+        TowerStep("v", VarPoly.var(field, "x", -1)),
+        TowerStep("w", VarPoly.var(field, "v")),
     ))
-    mu = GeneratorAction(tower, {"w": vp_const(field, field.one())})
+    mu = GeneratorAction(tower, {"w": VarPoly.const(field, field.one())})
     with pytest.raises(DomainError, match="order"):
         oracle_lower_jumps(tower, [mu], precision=64)
 
 
 def test_oracle_rejects_non_automorphism():
     field = F2
-    tower = TowerSpec(field, 1, (TowerStep("v", vp_var(field, "x", -1)),))
-    bad = GeneratorAction(tower, {"v": vp_var(field, "x")})  # v -> v + x
+    tower = TowerSpec(field, 1, (TowerStep("v", VarPoly.var(field, "x", -1)),))
+    bad = GeneratorAction(tower, {"v": VarPoly.var(field, "x")})  # v -> v + x
     with pytest.raises(DomainError, match="preserve"):
         oracle_lower_jumps(tower, [bad], precision=64)
 
@@ -96,43 +95,43 @@ def test_generator_check_reduces_modulo_the_step_equations():
     # shift w -> w + x v^2 + x v + 1 is the identity there; w -> w + x is no
     # automorphism at all
     field = F2
-    tower = TowerSpec(field, 1, (TowerStep("v", vp_var(field, "x", -1)),
-                                 TowerStep("w", vp_var(field, "x", -3))))
-    zero = {(("v", 2), ("x", 1)): field.one(),
-            (("v", 1), ("x", 1)): field.one(), (): field.one()}
+    tower = TowerSpec(field, 1, (TowerStep("v", VarPoly.var(field, "x", -1)),
+                                 TowerStep("w", VarPoly.var(field, "x", -3))))
+    v, x = VarPoly.var(field, "v"), VarPoly.var(field, "x")
+    zero = x * v ** 2 + x * v + VarPoly.const(field, field.one())
     tower_module._check_generators(tower, [GeneratorAction(tower, {"w": zero})])
     with pytest.raises(DomainError, match="preserve"):
         tower_module._check_generators(
-            tower, [GeneratorAction(tower, {"w": vp_var(field, "x")})])
+            tower, [GeneratorAction(tower, {"w": VarPoly.var(field, "x")})])
 
 
 def test_generator_check_refuses_negative_step_powers():
     field = F2
     tower = TowerSpec(field, 1, (
-        TowerStep("v", vp_var(field, "x", -1)),
-        TowerStep("w", vp_add(vp_var(field, "x", -3), vp_var(field, "v", -1)))))
-    gens = [GeneratorAction(tower, {"v": vp_const(field, field.one())}, "a"),
-            GeneratorAction(tower, {"w": vp_const(field, field.one())}, "b")]
+        TowerStep("v", VarPoly.var(field, "x", -1)),
+        TowerStep("w", VarPoly.var(field, "x", -3) + VarPoly.var(field, "v", -1))))
+    gens = [GeneratorAction(tower, {"v": VarPoly.const(field, field.one())}, "a"),
+            GeneratorAction(tower, {"w": VarPoly.const(field, field.one())}, "b")]
     with pytest.raises(DomainError, match="negative power"):
         oracle_run(tower, gens, precision=64)
 
 
 def test_step_exponents_are_limited():
     field = F2
-    v_step = TowerStep("v", vp_var(field, "x", -1))
+    v_step = TowerStep("v", VarPoly.var(field, "x", -1))
 
     def tower(e):
-        return TowerSpec(field, 1, (v_step, TowerStep("w", vp_add(
-            vp_var(field, "x", -3), vp_var(field, "v", e)))))
+        return TowerSpec(field, 1, (v_step, TowerStep(
+            "w", VarPoly.var(field, "x", -3) + VarPoly.var(field, "v", e))))
     ok = tower(STEP_EXPONENT_CAP)
-    GeneratorAction(ok, {"w": vp_var(field, "v", STEP_EXPONENT_CAP)})
+    GeneratorAction(ok, {"w": VarPoly.var(field, "v", STEP_EXPONENT_CAP)})
     for e in (STEP_EXPONENT_CAP + 1, -STEP_EXPONENT_CAP - 1):
         with pytest.raises(DomainError, match="exceeds the limit"):
             tower(e)
     with pytest.raises(DomainError, match="exceeds the limit"):
-        GeneratorAction(ok, {"w": vp_var(field, "v", STEP_EXPONENT_CAP + 1)})
+        GeneratorAction(ok, {"w": VarPoly.var(field, "v", STEP_EXPONENT_CAP + 1)})
     # the base coordinate is no step variable
-    TowerSpec(field, 1, (TowerStep("v", vp_var(field, "x", -1001)),))
+    TowerSpec(field, 1, (TowerStep("v", VarPoly.var(field, "x", -1001)),))
 
 
 def ea2_tower(p, j1, j2):
@@ -140,9 +139,9 @@ def ea2_tower(p, j1, j2):
     shifts by 1."""
     field = field_create(p, 1)
     tower = TowerSpec(field, 1, (
-        TowerStep("v", vp_var(field, "x", -j1)),
-        TowerStep("w", vp_scale(vp_var(field, "x", -j2), -field.one()))))
-    one = vp_const(field, field.one())
+        TowerStep("v", VarPoly.var(field, "x", -j1)),
+        TowerStep("w", -VarPoly.var(field, "x", -j2))))
+    one = VarPoly.const(field, field.one())
     return tower, [GeneratorAction(tower, {"v": one}, "s"),
                    GeneratorAction(tower, {"w": one}, "t")]
 
@@ -172,12 +171,12 @@ def test_two_step_tower_jumps():
     field = F4
     z3 = root_of_unity(field, 3)
     tower = TowerSpec(field, 1, (
-        TowerStep("v", vp_var(field, "x", -1)),
-        TowerStep("w", vp_var(field, "v")),
+        TowerStep("v", VarPoly.var(field, "x", -1)),
+        TowerStep("w", VarPoly.var(field, "v")),
     ))
-    mu = GeneratorAction(tower, {"w": vp_const(field, field.one())}, name="mu")
-    tau = GeneratorAction(tower, {"v": vp_const(field, field.one()),
-                                  "w": vp_const(field, z3)}, name="tau")
+    mu = GeneratorAction(tower, {"w": VarPoly.const(field, field.one())}, name="mu")
+    tau = GeneratorAction(tower, {"v": VarPoly.const(field, field.one()),
+                                  "w": VarPoly.const(field, z3)}, name="tau")
     filt = oracle_lower_jumps(tower, [mu, tau], precision=120)
     assert filt.total_order == 4
     assert filt.breaks == ((Fraction(1), 4),)
@@ -198,10 +197,10 @@ def test_quaternion_group_closure():
     mu, tau = gens
     from ramify.tower import _compose
     minus_one = _compose(F4, mu, mu)
-    assert minus_one.images["v"] == vp_var(F4, "v")
-    assert minus_one.images["w"] == vp_var(F4, "w")
-    assert minus_one.images["y"] == vp_add(vp_var(F4, "y"),
-                                           vp_const(F4, F4.one()))
+    assert minus_one.images["v"] == VarPoly.var(F4, "v")
+    assert minus_one.images["w"] == VarPoly.var(F4, "w")
+    assert minus_one.images["y"] == (VarPoly.var(F4, "y")
+                                     + VarPoly.const(F4, F4.one()))
     tau_sq = _compose(F4, tau, tau)
     assert tau_sq.key() == minus_one.key()
 
@@ -396,9 +395,9 @@ def test_oracle_deep_f2_tower(n, precision):
     # pins the precision of n - 1 nested compositions
     field = F2
     tower = TowerSpec(field, 1, tuple(
-        TowerStep(f"v{i}", vp_var(field, "x", -(2 * i - 1)))
+        TowerStep(f"v{i}", VarPoly.var(field, "x", -(2 * i - 1)))
         for i in range(1, n + 1)))
-    gens = [GeneratorAction(tower, {f"v{i}": vp_const(field, field.one())},
+    gens = [GeneratorAction(tower, {f"v{i}": VarPoly.const(field, field.one())},
                             f"g{i}") for i in range(1, n + 1)]
     run = oracle_run(tower, gens, precision=4096)
     jumps = jumps_with_multiplicity(run.filtration)
@@ -411,10 +410,10 @@ def test_group_closed_once_per_oracle_run(monkeypatch):
     # (Z/2)^2 with upper jumps 3 and 35 (lower 3 and 3 + 2*32 = 67) retries
     # twice, up to working precision 128
     field = F2
-    tower = TowerSpec(field, 1, (TowerStep("v", vp_var(field, "x", -3)),
-                                 TowerStep("w", vp_var(field, "x", -35))))
-    gens = [GeneratorAction(tower, {"v": vp_const(field, field.one())}, "a"),
-            GeneratorAction(tower, {"w": vp_const(field, field.one())}, "b")]
+    tower = TowerSpec(field, 1, (TowerStep("v", VarPoly.var(field, "x", -3)),
+                                 TowerStep("w", VarPoly.var(field, "x", -35))))
+    gens = [GeneratorAction(tower, {"v": VarPoly.const(field, field.one())}, "a"),
+            GeneratorAction(tower, {"w": VarPoly.const(field, field.one())}, "b")]
     calls = []
 
     def counting(*args):
@@ -434,7 +433,7 @@ def test_a_generator_that_breaks_its_step_is_refused_before_any_expansion(
     # the generator check is exact, so it runs before the first attempt
     # expands the tower; a generator that preserves the step does expand it
     field = F2
-    tower = TowerSpec(field, 1, (TowerStep("v", vp_var(field, "x", -3)),))
+    tower = TowerSpec(field, 1, (TowerStep("v", VarPoly.var(field, "x", -3)),))
     calls = []
     expand = tower_module._expand_tower
 
@@ -443,13 +442,13 @@ def test_a_generator_that_breaks_its_step_is_refused_before_any_expansion(
         return expand(*args)
 
     monkeypatch.setattr(tower_module, "_expand_tower", counting)
-    bad = GeneratorAction(tower, {"v": vp_var(field, "x")}, "g")
+    bad = GeneratorAction(tower, {"v": VarPoly.var(field, "x")}, "g")
     with pytest.raises(DomainError,
                        match="generator g does not preserve the equation of "
                              "step v"):
         oracle_run(tower, [bad], precision=200)
     assert calls == []
-    good = GeneratorAction(tower, {"v": vp_const(field, field.one())}, "t")
+    good = GeneratorAction(tower, {"v": VarPoly.const(field, field.one())}, "t")
     assert jumps_with_multiplicity(
         oracle_run(tower, [good], precision=200).filtration) == [3]
     assert len(calls) == 1
@@ -460,14 +459,14 @@ def test_a_shift_outside_f_p_is_refused_before_any_expansion(monkeypatch):
     # constant, and y -> y + v + w preserves every step equation; once the
     # steps below y are no field, each may carry more than p shifts
     field = F2
-    tower = TowerSpec(field, 1, (TowerStep("v", vp_var(field, "x", -1)),
-                                 TowerStep("w", vp_var(field, "x", -1)),
-                                 TowerStep("y", vp_var(field, "x", -3))))
-    one = vp_const(field, field.one())
+    tower = TowerSpec(field, 1, (TowerStep("v", VarPoly.var(field, "x", -1)),
+                                 TowerStep("w", VarPoly.var(field, "x", -1)),
+                                 TowerStep("y", VarPoly.var(field, "x", -3))))
+    one = VarPoly.const(field, field.one())
     gens = [GeneratorAction(tower, {"v": one}, "a"),
             GeneratorAction(tower, {"w": one}, "b"),
-            GeneratorAction(tower, {"y": vp_add(vp_var(field, "v"),
-                                                vp_var(field, "w"))}, "c")]
+            GeneratorAction(tower, {"y": VarPoly.var(field, "v")
+                                    + VarPoly.var(field, "w")}, "c")]
     calls = []
     monkeypatch.setattr(tower_module, "_expand_tower",
                         lambda *args: calls.append(args))
@@ -487,58 +486,81 @@ def var_polys(field, lo, hi):
                      st.integers(lo, hi))
     terms = st.lists(st.tuples(exps, st.integers(1, field.q - 1)), max_size=4)
 
-    def build(terms):
-        out = {}
-        for es, c in terms:
-            k = tuple(sorted((var, e) for var, e in zip("xvw", es) if e))
-            out = vp_add(out, {k: field.from_index(c)})
-        return out
-    return terms.map(build)
+    return terms.map(lambda terms: VarPoly(field, [
+        (zip("xvw", es), field.from_index(c)) for es, c in terms]))
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.data())
-def test_vp_subst_matches_the_per_monomial_substitution(data):
+def test_subst_matches_the_per_monomial_substitution(data):
     # images for the step variables only: x stays, negative powers included
     field = data.draw(st.sampled_from([F2, field_create(3, 1), F4]))
     a = data.draw(var_polys(field, 0, 4))
     images = {"v": data.draw(var_polys(field, 0, 2)),
               "w": data.draw(var_polys(field, 0, 2))}
-    assert vp_subst(field, a, images) == subst_per_monomial(
-        field, a, {**images, "x": vp_var(field, "x")})
+    assert a.subst(images) == subst_per_monomial(
+        field, a, {**images, "x": VarPoly.var(field, "x")})
 
 
-def test_vp_subst_computes_each_power_once(monkeypatch):
+def test_subst_computes_each_power_once(monkeypatch):
     field = F2
     calls = []
-    power = tower_module.vp_pow
+    power = VarPoly.__pow__
 
-    def counting(field, a, n):
+    def counting(a, n):
         calls.append(n)
-        return power(field, a, n)
+        return power(a, n)
 
-    monkeypatch.setattr(tower_module, "vp_pow", counting)
-    v2, w = vp_var(field, "v", 2), vp_var(field, "w")
-    x_inv = vp_var(field, "x", -1)
-    a = vp_add(vp_add(v2, vp_mul(v2, x_inv)), vp_add(vp_mul(v2, w), w))
-    images = {"v": vp_add(vp_var(field, "v"), x_inv),
-              "w": vp_add(w, vp_const(field, field.one()))}
-    out = vp_subst(field, a, images)
+    v2, w = VarPoly.var(field, "v", 2), VarPoly.var(field, "w")
+    x_inv = VarPoly.var(field, "x", -1)
+    a = v2 + v2 * x_inv + v2 * w + w
+    images = {"v": VarPoly.var(field, "v") + x_inv,
+              "w": w + VarPoly.const(field, field.one())}
+    monkeypatch.setattr(VarPoly, "__pow__", counting)
+    out = a.subst(images)
+    monkeypatch.undo()
     assert sorted(calls) == [1, 2]
     assert out == subst_per_monomial(field, a,
-                                     {**images, "x": vp_var(field, "x")})
+                                     {**images, "x": VarPoly.var(field, "x")})
 
 
 @pytest.mark.parametrize("shift", [0, 1])
-def test_vp_subst_refuses_a_negative_power_of_a_mapped_variable(shift):
+def test_subst_refuses_a_negative_power_of_a_mapped_variable(shift):
     # v -> v is refused too: no image map holds a variable it fixes
     field = F2
-    img = vp_add(vp_var(field, "v"), vp_const(field, field.from_index(shift)))
+    img = VarPoly.var(field, "v") + VarPoly.const(field, field.from_index(shift))
     with pytest.raises(DomainError):
-        vp_subst(field, vp_var(field, "v", -1), {"v": img})
+        VarPoly.var(field, "v", -1).subst({"v": img})
     # an unmapped variable keeps its negative power
-    assert vp_subst(field, vp_var(field, "x", -1), {"v": img}) == \
-        vp_var(field, "x", -1)
+    x_inv = VarPoly.var(field, "x", -1)
+    assert x_inv.subst({"v": img}) == x_inv
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_varpoly_frobenius_hash_and_generator_keys(data):
+    # termwise Frobenius is the p-th power; equal polynomials hash equal
+    # however their terms were ordered; and two elements' keys are equal
+    # exactly when their images' terms are, which the sift's commutation
+    # test and the per-coset chart images rely on
+    field = data.draw(st.sampled_from([F2, field_create(3, 1), F4]))
+    polys = var_polys(field, 0, 2)
+    a = data.draw(polys)
+    assert a.frobenius_power(1) == a ** field.p
+    rebuilt = VarPoly(field, reversed(list(a.terms.items())))
+    assert rebuilt == a and hash(rebuilt) == hash(a)
+    pool = [data.draw(polys) for _ in range(2)]
+
+    def element():
+        images = {var: data.draw(st.sampled_from(pool)) for var in "vw"}
+        # a copy with its own term order, built apart from the pool's
+        return tower_module.GeneratorAction._raw({
+            var: VarPoly(field, reversed(list(img.terms.items())))
+            for var, img in images.items()})
+    g, h = element(), element()
+    same = all(g.images[var].terms == h.images[var].terms for var in "vw")
+    assert (g.key() == h.key()) == same
+    assert len({g.key(), h.key()}) == (1 if same else 2)
 
 
 # -- uniformizer images, once per coset ------------------------------------------
@@ -562,9 +584,9 @@ def elementary_2_cubed_tower():
     # by the shifts by 1
     field = F2
     tower = TowerSpec(field, 1, tuple(
-        TowerStep(var, vp_var(field, "x", -j))
+        TowerStep(var, VarPoly.var(field, "x", -j))
         for var, j in (("v", 1), ("w", 3), ("y", 7))))
-    one = vp_const(field, field.one())
+    one = VarPoly.const(field, field.one())
     return tower, [GeneratorAction(tower, {var: one}, var) for var in "vwy"]
 
 
@@ -594,10 +616,10 @@ def test_shared_images_equal_the_per_element_walk(tower, gens):
 
 
 def counted_chart_evaluations(monkeypatch):
-    """A one-element list counting the chart evaluations (vp_eval calls
-    inside _uniformizer_image) from now on."""
+    """A one-element list counting the chart evaluations (VarPoly.eval
+    calls inside _uniformizer_image) from now on."""
     count, depth = [0], [0]
-    image, evaluate = tower_module._uniformizer_image, tower_module.vp_eval
+    image, evaluate = tower_module._uniformizer_image, VarPoly.eval
 
     def counted_image(*args):
         depth[0] += 1
@@ -610,7 +632,7 @@ def counted_chart_evaluations(monkeypatch):
         count[0] += depth[0] > 0
         return evaluate(*args)
     monkeypatch.setattr(tower_module, "_uniformizer_image", counted_image)
-    monkeypatch.setattr(tower_module, "vp_eval", counted_eval)
+    monkeypatch.setattr(VarPoly, "eval", counted_eval)
     return count
 
 
@@ -647,9 +669,9 @@ def budget_towers():
     for p, j1, j2 in EA2_SHAPES:
         field = field_create(p, 1)
         tower = TowerSpec(field, 1, (
-            TowerStep("v", vp_var(field, "x", -j1)),
-            TowerStep("w", vp_var(field, "x", -j2))))
-        one = vp_const(field, field.one())
+            TowerStep("v", VarPoly.var(field, "x", -j1)),
+            TowerStep("w", VarPoly.var(field, "x", -j2))))
+        one = VarPoly.const(field, field.one())
         yield tower, [GeneratorAction(tower, {"v": one}, "s"),
                       GeneratorAction(tower, {"w": one}, "t")]
     for field, i1, i2, top in [(F4, 2, 3, 3), (F16, 2, 3, 3), (F16, 2, 1, 5)]:
@@ -675,6 +697,23 @@ def test_oracle_kernel_products_stay_within_budget(monkeypatch):
     assert calls[0] <= 2036
 
 
+@pytest.mark.parametrize("tower,gens", [
+    pytest.param(*ea2_tower(*shape), id=f"ea2-{shape}") for shape in EA2_SHAPES]
+    + [pytest.param(*elementary_2_cubed_tower(), id="(Z/2)^3")])
+def test_a_sift_its_elements_fill_forms_no_power(monkeypatch, tower, gens):
+    # one generator per step, each moving its own step first and with its
+    # own lower jump: both sifts keep every element as it comes and stop
+    # there, so neither composes, nor forms a p-th power of a kept element
+    composed, powers = [], []
+    compose, power = tower_module._compose, tower_module.power
+    monkeypatch.setattr(tower_module, "_compose",
+                        lambda *args: composed.append(args) or compose(*args))
+    monkeypatch.setattr(tower_module, "power",
+                        lambda *args: powers.append(args) or power(*args))
+    oracle_run(tower, gens, precision=256)
+    assert powers == [] and composed == []
+
+
 # -- the sift against the whole group --------------------------------------------
 
 @st.composite
@@ -697,16 +736,13 @@ def elementary_abelian_towers(draw):
     unit = st.integers(1, p - 1).map(field.element)
     changes, steps = [], []
     for i, var in enumerate(names):
-        change = {}
+        change = VarPoly.zero(field)
         for _ in range(draw(st.integers(0, 2)) if i else 0):
-            k = tuple(sorted([(draw(st.sampled_from(names[:i])),
-                               draw(st.integers(1, 2)))]
-                             + [("x", 1)] * draw(st.integers(0, 1))))
-            change = vp_add(change, {k: draw(unit)})
-        frob = {tuple((v, e * p) for v, e in k): c  # c^p = c in F_p
-                for k, c in change.items()}
-        rhs = vp_add(vp_scale(vp_var(field, "x", -js[i]), draw(unit)),
-                     vp_add(frob, vp_scale(change, -field.one())))
+            k = [(draw(st.sampled_from(names[:i])), draw(st.integers(1, 2)))]
+            k += [("x", 1)] * draw(st.integers(0, 1))
+            change += VarPoly(field, {tuple(k): draw(unit)})
+        rhs = (VarPoly.var(field, "x", -js[i]).scale(draw(unit))
+               + change.frobenius_power(1) - change)
         changes.append(change)
         steps.append(TowerStep(var, rhs))
     tower = TowerSpec(field, 1, tuple(steps))
@@ -714,10 +750,9 @@ def elementary_abelian_towers(draw):
     def action(e, name):
         shifts, images = {}, {}
         for var, change, e_i in zip(names, changes, e):
-            shifts[var] = vp_add(vp_const(field, field.element(e_i)), vp_add(
-                vp_subst(field, change, images),
-                vp_scale(change, -field.one())))
-            images[var] = vp_add(vp_var(field, var), shifts[var])
+            shifts[var] = (VarPoly.const(field, field.element(e_i))
+                           + change.subst(images) - change)
+            images[var] = VarPoly.var(field, var) + shifts[var]
         return GeneratorAction(tower, shifts, name)
     digit = st.integers(0, p - 1)
     vectors = draw(st.lists(st.lists(digit, min_size=n, max_size=n),
