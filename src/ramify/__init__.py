@@ -1,11 +1,13 @@
 """Exact ramification invariants for wildly ramified covers of curve germs.
 
 Modules:
+  errors   -- exception types and the one reader of malformed documents
   gf       -- small finite fields F_{p^a}, deterministic moduli, Frobenius roots
   laurent  -- exact Laurent polynomials, p-power decomposition, prime-to-p degree
   ascover  -- degree-q cover data: standard form, conductor, isomorphism, s_iota
   ramfilt  -- ramification filtrations, Herbrand transition, reduction
-  moduli   -- dimension counts and bounds for equiramified deformation spaces
+  moduli   -- dimension counts, bounds and the exact rules for equiramified
+              deformation spaces
   series   -- truncated Laurent series with exact precision tracking
   tower    -- degree-p towers, the valuation oracle, genus/p-rank, the
               quaternion family
@@ -21,7 +23,7 @@ from .ramfilt import (RamFiltration, ReducedFiltration, herbrand_phi,
                       herbrand_psi, jumps_with_multiplicity, last_piece_s_iota,
                       lower_to_upper, reduce, upper_to_lower, validate)
 from .moduli import (DimensionReport, dim_abelian, dim_bounds, dim_ordinary,
-                     dim_reducible, n_count)
+                     dimension, n_count)
 from .series import TruncatedSeries
 from .tower import (FiberReport, GeneratorAction, OracleRun, TowerSpec,
                     TowerStep, evaluate_quaternion_fiber, genus_rh,
@@ -36,7 +38,7 @@ __all__ = [
     "PrecisionError", "RamFiltration", "ReducedFiltration", "SchemaError",
     "TowerSpec", "TowerStep", "TruncatedSeries", "check_equivariance",
     "conductor", "degree_over_prime", "dim_abelian", "dim_bounds",
-    "dim_ordinary", "dim_reducible", "evaluate_quaternion_fiber",
+    "dim_ordinary", "dimension", "evaluate_quaternion_fiber",
     "field_create", "genus_rh", "herbrand_phi", "herbrand_psi",
     "is_connected", "is_isomorphic", "jumps_with_multiplicity",
     "last_piece_s_iota", "lower_to_upper", "modify_cover", "n_count",

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import DomainError, SchemaError, json_int
+from .errors import DomainError, json_int, reading
 from .gf import (FieldElement, degree_over_prime, field_create, json_element,
                  p_adic, p_power_exponent)
 from .laurent import LaurentPoly, accumulate, prime_to_p_degree
@@ -195,7 +195,7 @@ def modify_cover(q: int, r_phi: LaurentPoly, r_alpha: LaurentPoly, m: int,
 
 
 def cover_from_json(obj) -> ASCover:
-    try:
+    with reading("malformed cover document: "):
         field = field_create(json_int(obj["field"]["p"]),
                              json_int(obj["field"]["a"]))
         r = LaurentPoly.from_json(field, obj["r"])
@@ -203,8 +203,3 @@ def cover_from_json(obj) -> ASCover:
         zel = json_element(field, z) if z is not None else None
         return ASCover(q=json_int(obj["q"]), r=r, m=json_int(obj.get("m", 1)),
                        z=zel)
-    except DomainError:
-        raise  # a well-formed document with invalid content
-    except (KeyError, TypeError, ValueError, ZeroDivisionError,
-            IndexError) as exc:
-        raise SchemaError(f"malformed cover document: {exc}") from exc

@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import ascover, moduli, ramfilt, tower
-from .errors import DomainError, SchemaError, json_int
+from .errors import DomainError, SchemaError, json_int, reading
 from .gf import field_create, p_power_exponent
 from .laurent import LaurentPoly, prime_to_p_degree
 from .ramfilt import RamFiltration, ReducedFiltration
@@ -170,43 +170,16 @@ def cmd_dimension(doc) -> dict:
     kind = structure.get("kind", "general")
     if kind not in ("general", "abelian", "reducible", "ordinary"):
         raise SchemaError(f"unknown structure kind {kind!r}")
-    reduced = None
-    if "pieces" in doc:
-        reduced = ReducedFiltration.from_json(doc)
-    exact = None
-    rule = None
+    reduced = ReducedFiltration.from_json(doc) if "pieces" in doc else None
+    abelian = None
     if kind == "abelian":
-        try:
+        with reading("abelian structure needs p and factors: "):
             p = json_int(structure["p"])
             factors = [[json_int(j) for j in f] for f in structure["factors"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"abelian structure needs p and factors: {exc}")
-        exact = moduli.dim_abelian(p, factors)
-        rule = "abelian"
-        if reduced is None:
-            # one piece of order p per jump of every cyclic factor
-            pieces = tuple((p, Fraction(j), 1)
-                           for f in factors for j in sorted(f))
-            reduced = ReducedFiltration(1, tuple(sorted(pieces, key=lambda t: t[1])))
-    if reduced is None:
+        abelian = (p, factors)
+    elif reduced is None:
         raise SchemaError("dimension document needs pieces (or an abelian structure)")
-    report = moduli.dim_bounds(reduced)
-    if kind == "reducible":
-        # dim_reducible's sum of per-piece counts is the upper bound
-        exact = report.upper_bound
-        rule = "reducible"
-    elif kind == "ordinary":
-        p = reduced.p
-        e = sum(p_power_exponent(q, p) for q, _, _ in reduced.pieces)
-        exact = moduli.dim_ordinary(p, e, reduced.tame)
-        rule = "ordinary"
-        if exact != report.upper_bound:
-            raise DomainError("ordinary formula disagrees with the piece sum; "
-                              "the datum is not ordinary")
-    if exact is not None:
-        report = moduli.DimensionReport(report.n_list, report.lower_bound,
-                                        report.upper_bound, exact, rule)
-    return report.to_json()
+    return moduli.dimension(kind, reduced, abelian).to_json()
 
 
 def cmd_verify(doc, precision: int) -> dict:

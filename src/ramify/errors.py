@@ -1,4 +1,4 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the document reader."""
 
 from fractions import Fraction
 
@@ -41,14 +41,36 @@ def json_str(x) -> str:
     raise SchemaError(f"expected a string, got {x!r}")
 
 
+class reading:
+    """A block that reads a document: what a malformed shape raises inside
+    it becomes a SchemaError, with prefix in front of the raised message.
+
+    A DomainError (well-formed content that is invalid) passes unchanged.  A
+    SchemaError from a nested reader is wrapped too, so the outer prefix
+    comes before the inner one.
+    """
+
+    __slots__ = ("prefix",)
+    MALFORMED = (KeyError, TypeError, ValueError, AttributeError, IndexError,
+                 ZeroDivisionError)
+
+    def __init__(self, prefix: str = ""):
+        self.prefix = prefix
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        if isinstance(exc, self.MALFORMED) and not isinstance(exc, DomainError):
+            raise SchemaError(f"{self.prefix}{exc}") from exc
+
+
 def json_frac(x) -> Fraction:
     """num/den from a JSON pair [num, den] of integers; SchemaError for any
     other shape and for a zero denominator."""
-    try:
+    with reading():
         num, den = x
         return Fraction(json_int(num), json_int(den))
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(str(exc)) from exc
 
 
 class PrecisionError(DomainError):

@@ -154,9 +154,6 @@ class LaurentPoly(SparsePoly):
     def coeff(self, e: int) -> FieldElement:
         return self.terms.get(e, self.field.zero())
 
-    def exponents(self) -> list[int]:
-        return sorted(self.terms)
-
     def min_exponent(self) -> int:
         if not self.terms:
             raise DomainError("zero Laurent polynomial has no exponents")

@@ -10,7 +10,8 @@ one factor per irreducible piece of the reduced filtration.  The deepest
 piece gives the lower bound for the moduli dimension, the sum over pieces the
 upper bound; the sum is exact for products of irreducible pieces (reducible
 case), and for abelian p-groups the exact value is the jump sum
-sigma - floor(sigma/p).  Conductors sigma are exact rationals throughout.
+sigma - floor(sigma/p); dimension applies the rule a structure kind fixes.
+Conductors sigma are exact rationals throughout.
 """
 
 from __future__ import annotations
@@ -108,42 +109,51 @@ def dim_bounds(reduced: ReducedFiltration) -> DimensionReport:
     if sum(floor(Fraction(q, p) * m * sigma)
            for q, sigma, _ in reduced.pieces) > WALK_CAP:
         raise DomainError(f"the counts would walk past {WALK_CAP} integers")
-    ns = []
-    for q, sigma, si in reduced.pieces:
-        n = n_count(q, m, si, sigma, p)
-        if m == 1 and q == p:
-            # closed form agrees with the enumeration when the piece is Z/p
-            assert n == floor(sigma) - floor(sigma / p)
-        ns.append(n)
+    ns = [n_count(q, m, si, sigma, p) for q, sigma, si in reduced.pieces]
     return DimensionReport(tuple(ns), ns[-1], sum(ns))
-
-
-def dim_reducible(pieces, m: int) -> int:
-    """Exact dimension when the group is a product of irreducible pieces.
-
-    pieces: iterable of (q_i, s_iota_i, sigma_i).  The upper bound of
-    dim_bounds is attained, so the answer is the plain sum of counts.
-    """
-    return sum(n_count(q, m, si, sigma) for q, si, sigma in pieces)
-
-
-def multiplicative_order(p: int, m: int) -> int:
-    """ord of p in (Z/m)^*; equals [F_p(zeta_m) : F_p]."""
-    if m == 1:
-        return 1
-    if gcd(p, m) != 1:
-        raise DomainError(f"{p} and {m} are not coprime")
-    c, val = 1, p % m
-    while val != 1:
-        val = (val * p) % m
-        c += 1
-    return c
 
 
 def dim_ordinary(p: int, e: int, m: int) -> int:
     """Exact dimension e/c in the ordinary case, c = ord of p mod m; c | e
-    iff p^e = 1 mod m, tested first so that c is searched for within e."""
-    if m >= 1 and gcd(p, m) == 1 and (e < 1 or pow(p, e, m) != 1 % m):
+    iff p^e = 1 mod m, tested first so that c is searched for among the
+    divisors of e."""
+    if m < 1:
+        raise DomainError(f"tame degree {m} must be positive")
+    if gcd(p, m) != 1:
+        raise DomainError(f"{p} and {m} are not coprime")
+    if e < 1 or pow(p, e, m) != 1 % m:
         raise DomainError(f"inconsistent ordinary datum: the order of {p} "
                           f"mod {m} does not divide e = {e}")
-    return e // multiplicative_order(p, m)
+    return e // next(c for c in range(1, e + 1)
+                     if e % c == 0 and pow(p, c, m) == 1 % m)
+
+
+def dimension(kind: str, reduced: ReducedFiltration | None,
+              abelian: tuple[int, list[list[int]]] | None = None
+              ) -> DimensionReport:
+    """dim_bounds(reduced) with the exact dimension the structure kind fixes,
+    named as its rule: none for "general"; for "abelian", dim_abelian of
+    abelian = (p, each cyclic factor's jumps), over one piece of order p per
+    jump when reduced is None; for "reducible", the upper bound; for
+    "ordinary", dim_ordinary, which must equal the upper bound."""
+    exact = None
+    if kind == "abelian":
+        p, factors = abelian
+        exact = dim_abelian(p, factors)
+        if reduced is None:
+            reduced = ReducedFiltration(1, tuple(sorted(
+                (p, Fraction(j), 1) for f in factors for j in f)))
+    report = dim_bounds(reduced)
+    if kind == "reducible":
+        exact = report.upper_bound
+    elif kind == "ordinary":
+        p = reduced.p
+        e = sum(p_power_exponent(q, p) for q, _, _ in reduced.pieces)
+        exact = dim_ordinary(p, e, reduced.tame)
+        if exact != report.upper_bound:
+            raise DomainError("ordinary formula disagrees with the piece sum; "
+                              "the datum is not ordinary")
+    if exact is None:
+        return report
+    return DimensionReport(report.n_list, report.lower_bound,
+                           report.upper_bound, exact, kind)

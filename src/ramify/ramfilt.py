@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import prod
 
-from .errors import DomainError, SchemaError, json_frac, json_int, json_str
+from .errors import DomainError, json_frac, json_int, json_str, reading
 from .gf import p_adic, prime_factors
 
 LOWER = "lower"
@@ -85,13 +85,11 @@ class RamFiltration:
 
     @classmethod
     def from_json(cls, obj) -> "RamFiltration":
-        try:
+        with reading("malformed filtration document: "):
             breaks = tuple((json_frac((n, d)), json_int(o))
                            for n, d, o in obj["breaks"])
             fields = (json_int(obj["total_order"]), json_int(obj["tame"]),
                       json_str(obj["numbering"]), breaks)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"malformed filtration document: {exc}") from exc
         return cls(*fields)
 
 
@@ -140,14 +138,12 @@ class ReducedFiltration:
 
     @classmethod
     def from_json(cls, obj) -> "ReducedFiltration":
-        try:
+        with reading("malformed reduced filtration: "):
             pieces = []
             for pc in obj["pieces"]:
                 pieces.append((json_int(pc["q"]), json_frac(pc["sigma"]),
                                json_int(pc["s_iota"])))
             tame = json_int(obj["tame"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"malformed reduced filtration: {exc}") from exc
         return cls(tame, tuple(pieces))
 
 

@@ -45,8 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (DomainError, PrecisionError, SchemaError, json_int,
-                     json_str)
+from .errors import DomainError, PrecisionError, json_int, json_str, reading
 from .gf import (Field, FieldElement, field_create, json_element, power,
                  root_of_unity)
 from .laurent import SparsePoly, accumulate
@@ -150,15 +149,11 @@ class VarPoly(SparsePoly):
     @classmethod
     def from_json(cls, field: Field, expr) -> "VarPoly":
         terms = {}
-        try:
+        with reading("malformed expression: "):
             for coeffs, exps in expr:
                 c = json_element(field, coeffs)
                 k = cls._key((str(v), json_int(e)) for v, e in exps.items())
                 accumulate(terms, [(k, c)])
-        except DomainError:
-            raise  # a well-formed expression with invalid content
-        except (TypeError, ValueError, KeyError, AttributeError) as exc:
-            raise SchemaError(f"malformed expression: {exc}") from exc
         return cls._make(field, terms)
 
 
@@ -871,7 +866,7 @@ def evaluate_quaternion_fiber(a1: FieldElement, a2: FieldElement,
 # JSON ingestion.
 
 def tower_from_json(obj) -> tuple[TowerSpec, list[GeneratorAction]]:
-    try:
+    with reading("malformed tower document: "):
         field = field_create(json_int(obj["field"]["p"]),
                              json_int(obj["field"]["a"]))
         steps = tuple(TowerStep(json_str(s["var"]), VarPoly.from_json(field, s["rhs"]))
@@ -884,7 +879,3 @@ def tower_from_json(obj) -> tuple[TowerSpec, list[GeneratorAction]]:
             gens.append(GeneratorAction(tower, shifts,
                                         name=json_str(g.get("name", f"g{i}"))))
         return tower, gens
-    except DomainError:
-        raise  # a well-formed document with invalid content
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise SchemaError(f"malformed tower document: {exc}") from exc

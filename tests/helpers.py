@@ -4,7 +4,8 @@ form, the units of a subfield, |I_t| of a filtration, the inverse of
 laurent.p_power_decompose, the rescanning reduction that the closed-form
 ascover.standard_form_poly replaced, the per-monomial substitution that
 tower.VarPoly.subst replaced, and the per-break Herbrand, quotient, validation
-and reduction code that ramfilt's one-pass walks replaced."""
+and reduction code that ramfilt's one-pass walks replaced, and the order of p
+mod m by repeated multiplication."""
 
 from __future__ import annotations
 
@@ -288,3 +289,13 @@ def ref_reduce(filt: RamFiltration, piece_sizes: list[list[int]],
     return ReducedFiltration(filt.tame,
                              tuple((q, sigma, si)
                                    for (q, sigma), si in zip(pieces, s_iotas)))
+
+
+def multiplicative_order(p: int, m: int) -> int:
+    """The order of p in (Z/m)^*, m >= 1 and prime to p, by repeated
+    multiplication: [F_p(zeta_m) : F_p]."""
+    c, val = 1, p % m
+    while val != 1 % m:
+        val = val * p % m
+        c += 1
+    return c

@@ -9,14 +9,15 @@ import random
 import time
 from fractions import Fraction
 
-from ramify import (ASCover, LaurentPoly, conductor, dim_abelian, dim_bounds,
-                    dim_ordinary, dim_reducible, evaluate_quaternion_fiber,
-                    field_create, genus_rh, is_isomorphic,
-                    jumps_with_multiplicity, lower_to_upper, modify_cover,
-                    n_count, oracle_run, p_rank_ds, quaternion_tower, reduce,
-                    root_of_unity)
-from ramify.moduli import multiplicative_order
+from ramify import (ASCover, LaurentPoly, ReducedFiltration, conductor,
+                    dim_abelian, dim_bounds, dim_ordinary,
+                    evaluate_quaternion_fiber, field_create, genus_rh,
+                    is_isomorphic, jumps_with_multiplicity, lower_to_upper,
+                    modify_cover, n_count, oracle_run, p_rank_ds,
+                    quaternion_tower, reduce, root_of_unity)
 from ramify.tower import GeneratorAction, TowerSpec, TowerStep, VarPoly
+
+from helpers import multiplicative_order
 
 F4 = field_create(2, 2)
 F16 = field_create(2, 4)
@@ -123,9 +124,10 @@ def test_criterion_4_dimension_formulas():
                 continue
             c = multiplicative_order(p, m)
             for e in range(c, 7, c):
-                pieces = [(p ** c, 1, Fraction(1, m))] * (e // c)
+                red = ReducedFiltration(
+                    m, ((p ** c, Fraction(1, m), 1),) * (e // c))
                 assert dim_ordinary(p, e, m) == e // c
-                assert dim_reducible(pieces, m) == e // c
+                assert dim_bounds(red).upper_bound == e // c
     _report(4, "abelian p^(e-1), the sigma - floor(sigma/p) count, and the "
                "ordinary e/c sweep", t0, 10)
 

@@ -468,6 +468,35 @@ def test_malformed_field_is_a_schema_error(tmp_path, capsys, args, doc):
     assert err == ""
 
 
+@pytest.mark.parametrize("args,doc,message", [
+    (["standard-form"], {k: v for k, v in COVER.items() if k != "r"},
+     "malformed cover document: 'r'"),
+    (["verify"], {k: v for k, v in TOWER.items() if k != "steps"},
+     "malformed tower document: 'steps'"),
+    (["verify"], dict(TOWER, steps=[{"var": "v", "rhs": [[[1], 5]]}]),
+     "malformed tower document: malformed expression: "
+     "'int' object has no attribute 'items'"),
+    (["jumps", "--direction", "to-upper"],
+     dict(FILTRATION, breaks=[[1, 8], [3, 1, 2]]),
+     "malformed filtration document: "
+     "not enough values to unpack (expected 3, got 2)"),
+    (["dimension"], dict(PIECES, pieces=[{"q": 2, "sigma": [1, 1]}]),
+     "malformed reduced filtration: 's_iota'"),
+    (["dimension"], dict(PIECES, structure={"kind": "abelian", "p": 2}),
+     "abelian structure needs p and factors: 'factors'"),
+    (["dimension"],
+     dict(PIECES, pieces=[{"q": 2, "sigma": [1, 0], "s_iota": 1}]),
+     "malformed reduced filtration: Fraction(1, 0)"),
+], ids=["cover", "tower", "expression", "filtration", "reduced-filtration",
+        "abelian-structure", "zero-denominator"])
+def test_each_reader_names_what_is_malformed(tmp_path, args, doc, message):
+    # the reader's prefix, then the message of what the shape raised; a
+    # nested reader's prefix follows its outer one
+    code, res = run(tmp_path, args, doc)
+    assert code == 2
+    assert res == {"error": {"code": 2, "type": "schema", "message": message}}
+
+
 def test_json_int_accepts_only_integers():
     assert json_int(-3) == -3
     for x in (1.0, 1.5, True, False, "1", None, [1]):

@@ -1,15 +1,16 @@
 """Dimension counts: the piece count, bounds, and the exact formulas."""
 
 from fractions import Fraction
-from math import gcd
+from math import floor, gcd
 
 import pytest
 
 from ramify import (DimensionReport, DomainError, ReducedFiltration,
-                    dim_abelian, dim_bounds, dim_ordinary, dim_reducible,
+                    dim_abelian, dim_bounds, dim_ordinary, dimension,
                     field_create, n_count, root_of_unity)
 from ramify.gf import degree_over_prime
-from ramify.moduli import multiplicative_order
+
+from helpers import multiplicative_order
 
 
 def n_count_brute(q, m, s_iota, sigma, window=500):
@@ -45,9 +46,16 @@ def test_n_count_against_wide_window():
 
 
 def test_n_count_closed_form_small_sigma():
+    # one piece Z/p at m = 1 counts the l <= sigma prime to p, integral or
+    # fractional sigma alike
     for p in (2, 3, 5, 7):
         for sigma in range(1, 51):
             assert n_count(p, 1, 1, Fraction(sigma)) == sigma - sigma // p
+        for den in (2, 3, 7):
+            for num in range(1, 151):
+                sigma = Fraction(num, den)
+                assert n_count(p, 1, 1, sigma) == \
+                    floor(sigma) - floor(sigma / p)
 
 
 def test_n_count_monotone_in_sigma():
@@ -123,13 +131,17 @@ def test_dim_bounds_contain_abelian_value():
 
 
 def test_dim_reducible_one_piece():
-    assert dim_reducible([(4, 1, Fraction(5, 3))], 3) == \
-        n_count(4, 3, 1, Fraction(5, 3))
+    red = ReducedFiltration(3, ((4, Fraction(5, 3), 1),))
+    assert dim_bounds(red).upper_bound == n_count(4, 3, 1, Fraction(5, 3))
+    assert dimension("reducible", red).exact == dim_bounds(red).upper_bound
 
 
 def test_dim_reducible_ordinary_data():
     # all jumps 1/m with s_iota = 1 count 1 per piece
-    assert dim_reducible([(4, 1, Fraction(1, 3))] * 2, 3) == 2
+    red = ReducedFiltration(3, ((4, Fraction(1, 3), 1),) * 2)
+    assert dim_bounds(red).upper_bound == 2
+    assert dimension("reducible", red).to_json() == {
+        "n": [1, 1], "lower": 1, "upper": 2, "exact": 2, "rule": "reducible"}
 
 
 def test_dim_ordinary():
@@ -139,6 +151,17 @@ def test_dim_ordinary():
         dim_ordinary(2, 3, 3)  # c = 2 does not divide 3
     with pytest.raises(DomainError, match="does not divide e = 1"):
         dim_ordinary(2, 1, 1000000007)  # refused without searching for c
+    with pytest.raises(DomainError, match="2 and 6 are not coprime"):
+        dim_ordinary(2, 2, 6)
+
+
+@pytest.mark.parametrize("m", [0, -1, -3])
+def test_dim_ordinary_refuses_a_tame_degree_below_one(m):
+    # refused at once: no order of p exists mod m < 1
+    for p, e in [(2, 2), (3, 2), (5, 4)]:
+        with pytest.raises(DomainError,
+                           match=f"tame degree {m} must be positive"):
+            dim_ordinary(p, e, m)
 
 
 def test_ordinary_consistency_sweep():
@@ -149,8 +172,10 @@ def test_ordinary_consistency_sweep():
             c = multiplicative_order(p, m)
             for e in range(c, 7, c):
                 r = e // c
-                pieces = [(p ** c, 1, Fraction(1, m))] * r
-                assert dim_ordinary(p, e, m) == dim_reducible(pieces, m) == r
+                red = ReducedFiltration(m, ((p ** c, Fraction(1, m), 1),) * r)
+                assert dim_ordinary(p, e, m) == r
+                assert dim_bounds(red).upper_bound == r
+                assert dimension("ordinary", red).exact == r
 
 
 def test_multiplicative_order_matches_field_degree():

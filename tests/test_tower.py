@@ -840,6 +840,42 @@ def test_sifted_filtration_equals_the_whole_group_on_quaternion_towers(case):
     assert_sift_matches_the_whole_group(*case)
 
 
+def heisenberg_tower(p, a, b):
+    """v^p - v = x^-a, w^p - w = x^-b, y^p - y = v x^-b, with s: v -> v + 1,
+    y -> y + w and t: w -> w + 1.  s^p = t^p = 1, and st and ts differ on y
+    by 1: the group is the Heisenberg group of order p^3 (the dihedral group
+    of order 8 at p = 2), and s and t fill a sequence of it only through
+    their commutator."""
+    field = field_create(p, 1)
+    rhs = {"v": VarPoly.var(field, "x", -a), "w": VarPoly.var(field, "x", -b),
+           "y": VarPoly.var(field, "v") * VarPoly.var(field, "x", -b)}
+    tower = TowerSpec(field, 1, tuple(TowerStep(var, rhs[var])
+                                      for var in "vwy"))
+    one = VarPoly.const(field, field.one())
+    s = GeneratorAction(tower, {"v": one, "y": VarPoly.var(field, "w")}, "s")
+    return tower, [s, GeneratorAction(tower, {"w": one}, "t")]
+
+
+@pytest.mark.parametrize("p,a,b,jumps", [
+    (2, 1, 3, [1, 5, 9]), (3, 1, 2, [1, 4, 13]), (5, 1, 2, [1, 6, 31]),
+    (3, 2, 1, [1, 4, 13]), (2, 3, 5, [3, 7, 19])])
+def test_sift_fills_a_nonabelian_group_through_a_commutator(monkeypatch, p, a,
+                                                           b, jumps):
+    # the sift keeps s and t, their p-th powers sift to 1, and only the
+    # commutator, the one word it forms with an inverse, fills the sequence
+    tower, gens = heisenberg_tower(p, a, b)
+    inverted = []
+    inverse = tower_module._inverse
+    monkeypatch.setattr(tower_module, "_inverse",
+                        lambda *args: inverted.append(args) or inverse(*args))
+    run = oracle_run(tower, gens, precision=256)
+    assert inverted
+    assert jumps_with_multiplicity(run.filtration) == jumps == \
+        herbrand_lower_jumps(p, run.pole_orders)
+    assert run.filtration == chart_walk.lower_filtration(tower, gens,
+                                                         run.precision)
+
+
 def test_oracle_precision_cap_exhausted():
     tower, gens = single_step_tower(2, 31)
     with pytest.raises(DomainError, match="precision cap"):
