@@ -22,8 +22,7 @@ from .ascover import (ASCover, check_equivariance, conductor, is_connected,
 from .ramfilt import (RamFiltration, ReducedFiltration, herbrand_phi,
                       herbrand_psi, jumps_with_multiplicity, last_piece_s_iota,
                       lower_to_upper, reduce, upper_to_lower, validate)
-from .moduli import (DimensionReport, dim_abelian, dim_bounds, dim_ordinary,
-                     dimension, n_count)
+from .moduli import DimensionReport, dim_bounds, dim_ordinary, dimension, n_count
 from .series import TruncatedSeries
 from .tower import (FiberReport, GeneratorAction, OracleRun, TowerSpec,
                     TowerStep, evaluate_quaternion_fiber, genus_rh,
@@ -37,8 +36,8 @@ __all__ = [
     "FiberReport", "GeneratorAction", "LaurentPoly", "OracleRun",
     "PrecisionError", "RamFiltration", "ReducedFiltration", "SchemaError",
     "TowerSpec", "TowerStep", "TruncatedSeries", "check_equivariance",
-    "conductor", "degree_over_prime", "dim_abelian", "dim_bounds",
-    "dim_ordinary", "dimension", "evaluate_quaternion_fiber",
+    "conductor", "degree_over_prime", "dim_bounds", "dim_ordinary",
+    "dimension", "evaluate_quaternion_fiber",
     "field_create", "genus_rh", "herbrand_phi", "herbrand_psi",
     "is_connected", "is_isomorphic", "jumps_with_multiplicity",
     "last_piece_s_iota", "lower_to_upper", "modify_cover", "n_count",

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .errors import DomainError, json_int, reading
 from .gf import (FieldElement, degree_over_prime, field_create, json_element,
@@ -89,9 +88,7 @@ def conductor(cover: ASCover) -> int:
     sf = standard_form(cover)
     if not sf:
         raise DomainError("disconnected cover, conductor undefined")
-    s = prime_to_p_degree(sf)
-    assert s >= 1 and s % cover.field.p != 0
-    return s
+    return prime_to_p_degree(sf)
 
 
 def is_isomorphic(c1: ASCover, c2: ASCover) -> tuple[bool, FieldElement | None]:
@@ -123,9 +120,7 @@ def is_isomorphic(c1: ASCover, c2: ASCover) -> tuple[bool, FieldElement | None]:
 def s_iota(q: int, m: int, z: FieldElement) -> int:
     """The unique s in [1, m] with zeta_m^s = z, for the canonical zeta_m.
 
-    Verifies the two structural facts of a valid datum: gcd(m, s) equals
-    m / ord(z) (the kernel size of the conjugation action) and z generates
-    F_q over F_p (irreducibility of the action).
+    Verifies that z generates F_q over F_p (irreducibility of the action).
     """
     from .gf import root_of_unity
 
@@ -145,7 +140,6 @@ def s_iota(q: int, m: int, z: FieldElement) -> int:
         power = power * zeta
     if s is None:
         raise DomainError("ord(z) does not divide m")
-    assert gcd(m, s) == m // z.multiplicative_order()
     if degree_over_prime(z) != b:
         raise DomainError("action not irreducible: [F_p(z):F_p] != a")
     return s

@@ -304,12 +304,7 @@ class FieldElement:
         o = self._check(other)
         if o is None:
             return NotImplemented
-        F = self.field
-        p = F.p
-        if p == 2:
-            return FieldElement(F, tuple(map(xor, self.coeffs, o.coeffs)))
-        return FieldElement(F, tuple(
-            [(x - y) % p for x, y in zip(self.coeffs, o.coeffs)]))
+        return self + -o
 
     def __neg__(self):
         p = self.field.p

@@ -8,9 +8,10 @@ The building block is the count
 
 one factor per irreducible piece of the reduced filtration.  The deepest
 piece gives the lower bound for the moduli dimension, the sum over pieces the
-upper bound; the sum is exact for products of irreducible pieces (reducible
-case), and for abelian p-groups the exact value is the jump sum
-sigma - floor(sigma/p); dimension applies the rule a structure kind fixes.
+upper bound.  Every exact value dimension reports is that upper bound: for
+products of irreducible pieces (reducible case), for abelian p-groups (class
+field theory; one piece of order p per jump, the jump sum
+sigma - floor(sigma/p)), and for ordinary data, where e/c must agree.
 Conductors sigma are exact rationals throughout.
 """
 
@@ -32,18 +33,22 @@ WALK_CAP = 500_000
 
 @dataclass(frozen=True)
 class DimensionReport:
+    """The per-piece counts and the rule that makes the upper bound exact."""
+
     n_list: tuple[int, ...]
-    lower_bound: int
-    upper_bound: int
-    exact: int | None = None
     rule: str | None = None
 
-    def __post_init__(self):
-        if self.lower_bound > self.upper_bound:
-            raise DomainError("lower bound exceeds upper bound")
-        if self.exact is not None and not (
-                self.lower_bound <= self.exact <= self.upper_bound):
-            raise DomainError("exact dimension outside the proven bounds")
+    @property
+    def lower_bound(self) -> int:
+        return self.n_list[-1]
+
+    @property
+    def upper_bound(self) -> int:
+        return sum(self.n_list)
+
+    @property
+    def exact(self) -> int | None:
+        return None if self.rule is None else self.upper_bound
 
     def to_json(self):
         return {"n": list(self.n_list), "lower": self.lower_bound,
@@ -85,23 +90,6 @@ def n_count(q: int, m: int, s_iota: int, sigma, p: int | None = None) -> int:
     return count
 
 
-def dim_abelian(p: int, factor_jumps: list[list[int]]) -> int:
-    """Exact dimension for an abelian p-group: sum of sigma - floor(sigma/p).
-
-    factor_jumps lists the ascending integral upper jumps of each cyclic
-    factor; every list must satisfy the cyclic jump constraint.
-    """
-    if prime_factors(p) != [p]:
-        raise DomainError(f"abelian p = {p} is not prime")
-    total = 0
-    for jumps in factor_jumps:
-        bad = schmid_violations(p, jumps)
-        if bad:
-            raise DomainError("; ".join(bad))
-        total += sum(s - s // p for s in jumps)
-    return total
-
-
 def dim_bounds(reduced: ReducedFiltration) -> DimensionReport:
     """Per-piece counts n_i, with bounds [n_r, sum n_i] for the dimension."""
     m = reduced.tame
@@ -110,7 +98,7 @@ def dim_bounds(reduced: ReducedFiltration) -> DimensionReport:
            for q, sigma, _ in reduced.pieces) > WALK_CAP:
         raise DomainError(f"the counts would walk past {WALK_CAP} integers")
     ns = [n_count(q, m, si, sigma, p) for q, sigma, si in reduced.pieces]
-    return DimensionReport(tuple(ns), ns[-1], sum(ns))
+    return DimensionReport(tuple(ns))
 
 
 def dim_ordinary(p: int, e: int, m: int) -> int:
@@ -131,29 +119,31 @@ def dim_ordinary(p: int, e: int, m: int) -> int:
 def dimension(kind: str, reduced: ReducedFiltration | None,
               abelian: tuple[int, list[list[int]]] | None = None
               ) -> DimensionReport:
-    """dim_bounds(reduced) with the exact dimension the structure kind fixes,
-    named as its rule: none for "general"; for "abelian", dim_abelian of
-    abelian = (p, each cyclic factor's jumps), over one piece of order p per
-    jump when reduced is None; for "reducible", the upper bound; for
-    "ordinary", dim_ordinary, which must equal the upper bound."""
-    exact = None
+    """dim_bounds(reduced), with the upper bound exact under the rule the
+    structure kind names: none for "general"; "reducible"; "abelian", whose
+    abelian = (p, each cyclic factor's jumps) fixes the filtration, tame part
+    1 and one piece (p, sigma, 1) per jump, which reduced must equal when
+    given; "ordinary", where dim_ordinary must equal the upper bound."""
     if kind == "abelian":
         p, factors = abelian
-        exact = dim_abelian(p, factors)
+        if prime_factors(p) != [p]:
+            raise DomainError(f"abelian p = {p} is not prime")
+        for jumps in factors:
+            bad = schmid_violations(p, jumps)
+            if bad:
+                raise DomainError("; ".join(bad))
+        pieces = tuple(sorted((p, Fraction(j), 1) for f in factors for j in f))
         if reduced is None:
-            reduced = ReducedFiltration(1, tuple(sorted(
-                (p, Fraction(j), 1) for f in factors for j in f)))
+            reduced = ReducedFiltration(1, pieces)
+        elif (reduced.tame, reduced.pieces) != (1, pieces):
+            raise DomainError(
+                f"the pieces disagree with the abelian factors, which fix "
+                f"tame part 1 and one piece (q = {p}, s_iota = 1) per jump")
     report = dim_bounds(reduced)
-    if kind == "reducible":
-        exact = report.upper_bound
-    elif kind == "ordinary":
+    if kind == "ordinary":
         p = reduced.p
         e = sum(p_power_exponent(q, p) for q, _, _ in reduced.pieces)
-        exact = dim_ordinary(p, e, reduced.tame)
-        if exact != report.upper_bound:
+        if dim_ordinary(p, e, reduced.tame) != report.upper_bound:
             raise DomainError("ordinary formula disagrees with the piece sum; "
                               "the datum is not ordinary")
-    if exact is None:
-        return report
-    return DimensionReport(report.n_list, report.lower_bound,
-                           report.upper_bound, exact, kind)
+    return report if kind == "general" else DimensionReport(report.n_list, kind)

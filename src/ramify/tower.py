@@ -670,10 +670,9 @@ def _oracle_attempt(tower, pcgs, work):
         if v is None:
             raise PrecisionError(
                 f"val(g(T) - T) not determined for {g.name or 'an element'}")
-        if v < 2:
-            raise DomainError(
-                "a group element moves the uniformizer with valuation < 2; "
-                "the tower is not totally wildly ramified as declared")
+        # v >= 2: close_group showed G is a p-group and every step is totally
+        # ramified, so G = G_1 (Serre, Local Fields IV §2).  A level <= 0
+        # would still be refused, as a jump <= 0, by RamFiltration.
         return v - 1, diff.leading().coeffs
 
     levels = [level for level, _ in _sift(tower, pcgs, lead)]

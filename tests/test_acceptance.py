@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 
 from ramify import (ASCover, LaurentPoly, ReducedFiltration, conductor,
-                    dim_abelian, dim_bounds, dim_ordinary,
+                    dim_bounds, dim_ordinary, dimension,
                     evaluate_quaternion_fiber, field_create, genus_rh,
                     is_isomorphic, jumps_with_multiplicity, lower_to_upper,
                     modify_cover, n_count, oracle_run, p_rank_ds,
@@ -111,7 +111,8 @@ def test_criterion_4_dimension_formulas():
     for p in (2, 3, 5):
         for e in range(1, 5):
             jumps = [p ** i for i in range(e)]
-            assert dim_abelian(p, [jumps]) == p ** (e - 1)
+            assert dimension("abelian", None, (p, [jumps])).exact == \
+                p ** (e - 1)
     for p in (2, 3, 5):
         for sigma in range(1, 51):
             by_enumeration = sum(

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -284,6 +285,8 @@ def test_conductor_congruence_random_equivariant():
     for q, m, z, s, field in data:
         p = field.p
         assert s_iota(q, m, z) == s
+        # the conjugation action's kernel has order m / ord(z)
+        assert gcd(m, s) == m // z.multiplicative_order()
         for _ in range(25):
             terms = {}
             while len(terms) < 3:

@@ -160,6 +160,40 @@ def test_dimension_abelian_minimal(tmp_path):
     assert res["exact"] == 4 and res["rule"] == "abelian"
 
 
+def abelian_doc(p, factors, tame, sigmas, q=None):
+    return {"structure": {"kind": "abelian", "p": p, "factors": factors},
+            "tame": tame, "pieces": [{"q": q or p, "sigma": [s, 1],
+                                      "s_iota": 1} for s in sigmas]}
+
+
+@pytest.mark.parametrize("doc", [
+    abelian_doc(3, [[1, 4]], 1, [1, 7], q=2),  # order-2 pieces under Z/9
+    abelian_doc(2, [[1, 3]], 1, [1, 5]),  # a jump 5 where the factor has 3
+    abelian_doc(2, [[1]], 3, [1]),  # tame part 3
+], ids=["z9-over-order-2-pieces", "z4-jump-5-for-3", "tame-3"])
+def test_dimension_refuses_pieces_the_abelian_factors_do_not_fix(tmp_path,
+                                                                 doc):
+    code, res = run(tmp_path, ["dimension"], doc)
+    assert code == 1
+    p = doc["structure"]["p"]
+    assert res == {"error": {"code": 1, "type": "domain", "message":
+                             "the pieces disagree with the abelian factors, "
+                             "which fix tame part 1 and one piece "
+                             f"(q = {p}, s_iota = 1) per jump"}}
+
+
+def test_dimension_abelian_with_its_own_pieces_keeps_its_bytes(tmp_path):
+    # listing the pieces the factors fix changes nothing
+    expected = ('{\n  "exact": 3,\n  "lower": 2,\n  "n": [\n    1,\n    2\n'
+                '  ],\n  "rule": "abelian",\n  "upper": 3\n}\n')
+    for doc in (abelian_doc(2, [[1, 3]], 1, [1, 3]),
+                {"structure": {"kind": "abelian", "p": 2,
+                               "factors": [[1, 3]]}}):
+        code, _ = run(tmp_path, ["dimension"], doc)
+        assert code == 0
+        assert (tmp_path / "out.json").read_text() == expected
+
+
 def test_dimension_ordinary(tmp_path):
     doc = {"tame": 3, "structure": {"kind": "ordinary"},
            "pieces": [{"q": 4, "sigma": [1, 3], "s_iota": 1}]}

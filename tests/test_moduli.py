@@ -6,8 +6,8 @@ from math import floor, gcd
 import pytest
 
 from ramify import (DimensionReport, DomainError, ReducedFiltration,
-                    dim_abelian, dim_bounds, dim_ordinary, dimension,
-                    field_create, n_count, root_of_unity)
+                    dim_bounds, dim_ordinary, dimension, field_create,
+                    n_count, root_of_unity)
 from ramify.gf import degree_over_prime
 
 from helpers import multiplicative_order
@@ -79,8 +79,12 @@ def test_n_count_checks_the_prime_it_is_given():
     assert n_count(16, 1, 1, 3, 2) == n_count(16, 1, 1, 3) == 8
 
 
+def abelian_exact(p, factors):
+    return dimension("abelian", None, (p, factors)).exact
+
+
 def test_dim_abelian_single_factor():
-    assert dim_abelian(2, [[1]]) == 1
+    assert abelian_exact(2, [[1]]) == 1
 
 
 def test_dim_abelian_minimal_tower():
@@ -88,24 +92,52 @@ def test_dim_abelian_minimal_tower():
     for p in (2, 3, 5):
         for e in range(1, 5):
             jumps = [p ** i for i in range(e)]
-            assert dim_abelian(p, [jumps]) == p ** (e - 1)
+            assert abelian_exact(p, [jumps]) == p ** (e - 1)
 
 
 def test_dim_abelian_z4_jumps_1_3():
-    assert dim_abelian(2, [[1, 3]]) == (1 - 0) + (3 - 1)
+    assert abelian_exact(2, [[1, 3]]) == (1 - 0) + (3 - 1)
 
 
 def test_dim_abelian_matches_piecewise_counts():
-    for p, jumps in [(2, [1, 3]), (2, [1, 2]), (3, [1, 3, 11]), (5, [2, 10])]:
+    # the upper bound of one piece of order p per jump, which is the class
+    # field theory value sum of sigma - floor(sigma/p)
+    for p, factors in [(2, [[1, 3]]), (2, [[1, 2]]), (3, [[1, 3, 11]]),
+                       (5, [[2, 10]]), (3, [[1, 4], [2]])]:
+        jumps = [s for f in factors for s in f]
         expected = sum(n_count(p, 1, 1, Fraction(s)) for s in jumps)
-        assert dim_abelian(p, [jumps]) == expected
+        assert abelian_exact(p, factors) == expected
+        assert expected == sum(s - s // p for s in jumps)
 
 
 def test_dim_abelian_rejects_bad_jumps():
-    with pytest.raises(DomainError):
-        dim_abelian(2, [[1, 3, 5]])  # 5 < 2*3 and odd is fine... 5 > 6 fails
-    with pytest.raises(DomainError):
-        dim_abelian(2, [[2]])  # first jump divisible by p
+    with pytest.raises(DomainError, match=r"\(3, 5\) violate"):
+        abelian_exact(2, [[1, 3, 5]])  # 5 < 2*3
+    with pytest.raises(DomainError, match="divisible by p"):
+        abelian_exact(2, [[2]])  # first jump divisible by p
+
+
+def abelian_pieces(p, sigmas, tame=1):
+    return ReducedFiltration(tame, tuple((p, Fraction(s), 1) for s in sigmas))
+
+
+def test_abelian_pieces_must_be_the_factors_pieces():
+    # the abelian factors fix tame part 1 and one piece (p, sigma, 1) per
+    # jump: pieces that are those keep the report, any others are refused
+    msg = ("the pieces disagree with the abelian factors, which fix tame "
+           "part 1 and one piece")
+    for p, factors, listed in [
+            (3, [[1, 4]], abelian_pieces(2, [1, 7])),  # order 2 under Z/9
+            (2, [[1, 3]], abelian_pieces(2, [1, 5])),  # jump 5, not 3
+            (2, [[1, 3]], abelian_pieces(2, [1])),  # a jump left out
+            (2, [[1]], abelian_pieces(2, [1], tame=3)),  # tame part 3
+            (2, [[1], [1]], abelian_pieces(4, [1]))]:  # Z/4 is not (Z/2)^2
+        with pytest.raises(DomainError, match=msg):
+            dimension("abelian", listed, (p, factors))
+    for p, factors in [(2, [[1, 3]]), (3, [[1, 4]]), (2, [[3], [1, 2]])]:
+        listed = abelian_pieces(p, sorted(j for f in factors for j in f))
+        assert dimension("abelian", listed, (p, factors)) == \
+            dimension("abelian", None, (p, factors))
 
 
 def test_dim_bounds_quaternion():
@@ -126,14 +158,17 @@ def test_dim_bounds_contain_abelian_value():
     # Z/4 with upper jumps (1, 2): pieces (2,1) and (2,2)
     red = ReducedFiltration(1, ((2, Fraction(1), 1), (2, Fraction(2), 1)))
     rep = dim_bounds(red)
-    exact = dim_abelian(2, [[1, 2]])
-    assert rep.lower_bound <= exact <= rep.upper_bound
+    exact = abelian_exact(2, [[1, 2]])
+    assert rep.lower_bound <= exact == rep.upper_bound == 2
 
 
 def test_dim_reducible_one_piece():
     red = ReducedFiltration(3, ((4, Fraction(5, 3), 1),))
-    assert dim_bounds(red).upper_bound == n_count(4, 3, 1, Fraction(5, 3))
-    assert dimension("reducible", red).exact == dim_bounds(red).upper_bound
+    n = n_count(4, 3, 1, Fraction(5, 3))
+    assert dim_bounds(red) == DimensionReport((n,))
+    assert dimension("reducible", red) == DimensionReport((n,), "reducible")
+    assert dimension("reducible", red).to_json() == {
+        "n": [n], "lower": n, "upper": n, "exact": n, "rule": "reducible"}
 
 
 def test_dim_reducible_ordinary_data():
@@ -188,12 +223,13 @@ def test_multiplicative_order_matches_field_degree():
 
 
 def test_report_invariants():
-    with pytest.raises(DomainError):
-        DimensionReport((1,), 2, 1)
-    with pytest.raises(DomainError):
-        DimensionReport((1, 1), 1, 2, exact=3, rule="nope")
-    rep = DimensionReport((1, 2), 2, 3, exact=3, rule="reducible")
-    assert rep.to_json()["exact"] == 3
+    # a report is its counts and its rule: the bounds and the exact value
+    # are read off them
+    assert DimensionReport((1, 2)).to_json() == {
+        "n": [1, 2], "lower": 2, "upper": 3, "exact": None, "rule": None}
+    assert DimensionReport((2, 0, 1), "abelian").to_json() == {
+        "n": [2, 0, 1], "lower": 1, "upper": 3, "exact": 3,
+        "rule": "abelian"}
 
 
 def test_dim_bounds_z4_upper_jumps_1_3():
@@ -203,4 +239,4 @@ def test_dim_bounds_z4_upper_jumps_1_3():
     rep = dim_bounds(red)
     assert rep.n_list == (1, 2)
     assert (rep.lower_bound, rep.upper_bound) == (2, 3)
-    assert rep.lower_bound <= dim_abelian(2, [[1, 3]]) <= rep.upper_bound
+    assert rep.lower_bound <= abelian_exact(2, [[1, 3]]) <= rep.upper_bound

@@ -615,6 +615,17 @@ def test_shared_images_equal_the_per_element_walk(tower, gens):
                                                          run.precision)
 
 
+@pytest.mark.parametrize("tower,gens", IMAGE_TOWERS)
+def test_an_attempt_skips_the_identity_in_its_sequence(tower, gens):
+    # an attempt's lead gives the identity no level, so the sift passes it
+    # over and the filtration is the one without it
+    pcgs = close_group(tower, gens)
+    ident = tower_module._identity(tower)
+    plain = tower_module._oracle_attempt(tower, pcgs, 256)
+    padded = tower_module._oracle_attempt(tower, [ident] + pcgs, 256)
+    assert padded.filtration == plain.filtration
+
+
 def counted_chart_evaluations(monkeypatch):
     """A one-element list counting the chart evaluations (VarPoly.eval
     calls inside _uniformizer_image) from now on."""
