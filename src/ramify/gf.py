@@ -363,17 +363,6 @@ class FieldElement:
             raise DomainError("sqrt is only provided in characteristic 2")
         return self.pth_root()
 
-    def multiplicative_order(self) -> int:
-        if not self:
-            raise DomainError("order of zero")
-        n = self.field.q - 1
-        for r in prime_factors(n):
-            n = p_adic(n, r)[1]  # then the least n r^i with x^(n r^i) = 1
-            y = self ** n
-            while y != self.field.one():
-                y, n = y ** r, n * r
-        return n
-
     def __bool__(self):
         return any(self.coeffs)
 

@@ -28,28 +28,37 @@ the relative precision of a nonzero series,
 Coefficients are exact finite-field elements; there is no rounding anywhere,
 only honest truncation.
 
-Storage is dense, one byte string per F_p component.  A series over F_{p^a}
-keeps a valuation `val` and a tuple `comps` of a byte strings of one length:
-byte k of comps[i] is digit i (the coefficient of z^i in the power basis of
-gf) of the coefficient of T^(val + k).  A prime above 256 needs d > 1 bytes
-per digit, little-endian.  Valuation and trimming are lstrip and rstrip of
-zero bytes.  `terms` is a read-only {exponent: FieldElement} view, built on
-first use.
+Storage is dense.  A series keeps a valuation `val` and a tuple `comps` of
+byte strings of one length; byte k of each belongs to the coefficient of
+T^(val + k).  Over F_4, F_8 and F_16 (p = 2, 1 < a <= 4; the bit layout)
+`comps` is one string, and bit i of byte k is digit i (the coefficient of
+z^i in the power basis of gf).  Over every other field it holds one string
+per F_p component: byte k of comps[i] is digit i, and a prime above 256
+needs d > 1 bytes per digit, little-endian.  The two layouts coincide over
+a prime field.  The ring's codec (encode, decode, digits) alone reads
+digits.  Valuation and trimming are lstrip and rstrip of zero bytes.
+`terms` is a read-only {exponent: FieldElement} view, built on first use.
 
 All coefficient arithmetic runs through one kernel, _Ring, on such tuples:
 
-- A product is a Kronecker substitution.  The components are widened into
-  one strided buffer, every coefficient spread over 2a - 1 slots of w bytes,
-  one per power of z in a product of two elements, with w large enough that
-  no sum of slot products spills into its neighbour.  The two buffers are
-  multiplied as Python ints by CPython's big-integer product.  Byte b of
-  slot s of the result, weighted by 256^b and folded from z^s into z^0 ..
-  z^(a-1) by the field's modulus, is a multiplication by a constant mod p:
-  one `bytes.translate` table.  The reducer sums the translated strings of
-  each component as ints (XOR for p = 2) and takes one more translate mod p.
+- A product is a Kronecker substitution.  The coefficients are widened into
+  one strided buffer, every coefficient spread over 2a - 1 slots of w
+  bytes, one per power of z in a product of two elements, with w large
+  enough that no sum of slot products spills into its neighbour.  The two
+  buffers are multiplied as Python ints by CPython's big-integer product.
+  Byte b of slot s of the result, weighted by 256^b and folded from z^s
+  into z^0 .. z^(a-1) by the field's modulus, is a multiplication by a
+  constant mod p: one `bytes.translate` table.  The reducer sums the
+  translated strings of each component as ints (XOR for p = 2) and takes
+  one more translate mod p.  The bit layout needs no table per slot: one
+  multiplication spreads each coefficient byte's bits to its first a slots,
+  and after the product one AND keeps each slot's parity, one
+  multiplication gathers a lane's 2a - 1 parities into one byte, and one
+  translate folds that byte by the modulus (see _Ring).
 - A sum adds the components as ints and takes one translate (XOR for p = 2).
   Negation is one translate per component, and a constant multiple one
-  translate per pair of components and a sum.
+  translate per pair of components and a sum; in the bit layout it is one
+  translate.
 - Inverses are Newton iteration on the product, doubling the number of known
   coefficients per step from the longest prefix known exactly: 1/u_0 and
   the zeros up to the first nonconstant term of u, or a longer inverse
@@ -97,22 +106,50 @@ def _width(bound: int) -> int:
 class _Ring:
     """Arithmetic on component tuples of one field.
 
-    A tuple x holds a byte strings of n d-byte digits each and stands for
-    sum x_k T^k, x_k the element whose digit i is digit k of x[i];
-    coefficients past its end are zero.  Every method returns a tuple of
-    exactly the length asked for.
+    A tuple x stands for sum x_k T^k; coefficients past its end are zero.
+    Over F_(2^a) with 1 < a <= 4 (the bit layout) x is one byte string, and
+    bit i of byte k is digit i of x_k.  Over every other field x holds a
+    byte strings of n d-byte digits each, and digit k of x[i] is digit i of
+    x_k.  Every method returns a tuple of exactly the length asked for.
+
+    The bit layout packs a coefficient into a lane of m = 2a - 1 slots of w
+    bytes.  Both moves between a byte and its lane are one multiplication by
+    a sum of powers of two, and neither carries: every shifted bit lands on
+    a position of its own.  The spread multiplies the bytes at the lane
+    starts by sum_(i<a) 2^(i(8w-1)): bit i of lane k goes to 8 st k + i +
+    j(8w-1) for j < a, and i - i' = (j' - j)(8w - 1) has no solution but
+    i = i', j = j' while a - 1 < 8w - 1.  The highest copy, 8w(a - 1), stays
+    in the lane, and the copy j = i is bit 0 of slot i, which the mask
+    keeps.  The gather multiplies the slot parities (bit 0 of slot u = m k +
+    s at 8wu) by sum_(t<m) 2^(K - t(8w-1)), K = 8w(m - 1): copy t lands on
+    8w(u + m - 1) - t(8w - 1), and two copies meet only if 8w divides
+    t - t', |t - t'| <= m - 1 < 8.  Bits 0 .. 7 of the last slot of lane k,
+    8w(mk + m - 1) + b, take only the copies with 8w(u - mk - t) = b - t,
+    that is u = mk + t and b = t: that byte holds the m parities of lane k.
     """
 
     __slots__ = ("field", "p", "a", "m", "d", "bound", "empty", "one", "mod",
-                 "_tables", "_plans", "_scalars")
+                 "bits", "_digs", "_byte", "_fold", "_masks", "_tables",
+                 "_plans", "_scalars")
 
     def __init__(self, field: Field):
         self.field = field
-        self.p, self.a, self.m = field.p, field.a, 2 * field.a - 1
+        p, a = field.p, field.a
+        self.p, self.a, self.m = p, a, 2 * a - 1
         # a product slot sums at most a products of two digits per term
-        self.bound = field.a * (field.p - 1) ** 2
-        self.d = _width(field.p - 1)
-        self.empty = (b"",) * field.a
+        self.bound = a * (p - 1) ** 2
+        self.d = _width(p - 1)
+        self.bits = p == 2 and 1 < a <= 4
+        if self.bits:
+            self._digs = [tuple(b >> i & 1 for i in range(a))
+                          for b in range(1 << a)]
+            self._byte = {c: b for b, c in enumerate(self._digs)}
+            # slot parities z^s -> the byte of their sum folded by the modulus
+            self._fold = self.encode(
+                [field.reduce([b >> s & 1 for s in range(self.m)])
+                 for b in range(1 << self.m)])[0].ljust(256, b"\0")
+            self._masks = {}  # (w, slots) -> (lanes, multiplier, mask)
+        self.empty = (b"",) if self.bits else (b"",) * a
         self.one = self.element(field.one().coeffs)
         self._tables = {}  # c -> the translate table x -> c x mod p
         self.mod = self.table(1)
@@ -135,35 +172,47 @@ class _Ring:
         return tuple(map(b"".join, zip(*xs)))
 
     def zeros(self, n: int) -> tuple:
-        return (bytes(n * self.d),) * self.a
+        return (bytes(n * self.d),) * len(self.empty)
 
     def pad(self, x, n: int) -> tuple:
         """x with zeros appended up to n coefficients."""
         short = n * self.d - len(x[0])
         return tuple(c + bytes(short) for c in x) if short > 0 else x
 
+    # -- the codec: coefficients as digit tuples ---------------------------------
+
+    def encode(self, coeffs) -> tuple:
+        """The tuple of a list of coefficients, each given by its digits."""
+        if self.bits:
+            return (bytes(map(self._byte.__getitem__, coeffs)),)
+        if not coeffs:
+            return self.empty
+        cols, d = zip(*coeffs), self.d
+        if d == 1:
+            return tuple(map(bytes, cols))
+        return tuple(b"".join(v.to_bytes(d, "little") for v in col)
+                     for col in cols)
+
+    def decode(self, x) -> list:
+        """The digits of each coefficient of x."""
+        if self.bits:
+            return list(map(self._digs.__getitem__, x[0]))
+        d = self.d
+        if d > 1:
+            x = [[int.from_bytes(c[k:k + d], "little")
+                  for k in range(0, len(c), d)] for c in x]
+        return list(zip(*x))
+
     def element(self, digits) -> tuple:
         """The one-coefficient tuple of an element's digits."""
-        return tuple([c.to_bytes(self.d, "little") for c in digits])
+        return self.encode([digits])
 
     def digits(self, x, k: int) -> tuple:
         """The digits of coefficient k."""
+        if self.bits:
+            return self._digs[x[0][k]]
         d = self.d
         return tuple(int.from_bytes(c[k * d:(k + 1) * d], "little") for c in x)
-
-    def encode(self, column) -> bytes:
-        """One component from its digits."""
-        if self.d == 1:
-            return bytes(column)
-        return b"".join(v.to_bytes(self.d, "little") for v in column)
-
-    def decode(self, comp: bytes):
-        """The digits of one component (iterating bytes gives them at d = 1)."""
-        d = self.d
-        if d == 1:
-            return comp
-        return [int.from_bytes(comp[k:k + d], "little")
-                for k in range(0, len(comp), d)]
 
     # -- the reducer -------------------------------------------------------------
 
@@ -217,11 +266,33 @@ class _Ring:
         self._plans[key] = plan
         return plan
 
+    def _lanes(self, w: int, slots: int, n: int) -> tuple:
+        """For n lanes of m w-byte slots (bit layout): the multiplier of the
+        spread (slots = a) or the gather (slots = m), and the mask of bit 0
+        of slots 0 .. slots - 1 of each lane.  Kept per (w, slots) at the
+        most lanes asked for, of which fewer are a right shift."""
+        top, mult, mask = self._masks.get((w, slots), (0, 0, 0))
+        if top < n:
+            k, top, m = 8 * w - 1, max(n, 2 * top), self.m
+            mult = sum(1 << i * k for i in range(slots)) if slots < m \
+                else sum(1 << 8 * w * (m - 1) - t * k for t in range(m))
+            lane = (b"\1" + bytes(w - 1)) * slots + bytes((self.m - slots) * w)
+            mask = int.from_bytes(lane * top, "little")
+            self._masks[w, slots] = top, mult, mask
+        return mult, mask >> 8 * self.m * w * (top - n)
+
     def reduce(self, v: int, w: int, st: int, n: int, lo: int = 0) -> tuple:
         """Coefficients lo up to n of v, each a block of st bytes that holds
         st // w slots of w bytes, slot s standing for z^s."""
         if n <= lo:
             return self.empty
+        if self.bits:  # the gather (see the class docstring), then the fold
+            if lo:
+                v >>= 8 * st * lo
+            n -= lo
+            mult, mask = self._lanes(w, self.m, n)
+            raw = ((v & mask) * mult).to_bytes((n + 1) * st, "little")
+            return (raw[st - w:n * st:st].translate(self._fold),)
         size, start = n * st, lo * st
         raw = v.to_bytes(max(size, (v.bit_length() + 7) >> 3), "little")
         plan = self._plans.get((w, st)) or self._plan(w, st)
@@ -238,8 +309,8 @@ class _Ring:
         m, field = st // w, self.field
         slots = [int.from_bytes(raw[k:k + w], "little")
                  for k in range(start, size, w)]
-        elems = [field.reduce(slots[k:k + m]) for k in range(0, len(slots), m)]
-        return tuple(map(self.encode, zip(*elems)))
+        return self.encode([field.reduce(slots[k:k + m])
+                            for k in range(0, len(slots), m)])
 
     def product(self, px: int, py: int, w: int, st: int, n: int,
                 lo: int = 0) -> tuple:
@@ -249,8 +320,14 @@ class _Ring:
 
     def pack(self, x, w: int, st: int) -> int:
         """x as one int: digit i of coefficient k in the w-byte slot at byte
-        k st + i w."""
+        k st + i w; the bit layout takes st = (2a - 1) w."""
         d = self.d
+        if self.bits:  # the bytes at the lane starts, then the spread
+            n = len(x[0])
+            buf = bytearray(n * st)
+            buf[::st] = x[0]
+            mult, mask = self._lanes(w, self.a, n)
+            return int.from_bytes(buf, "little") * mult & mask
         if st == d:  # one slot of one digit: the component is the layout
             return int.from_bytes(x[0], "little")
         buf = bytearray(len(x[0]) // d * st)
@@ -302,18 +379,26 @@ class _Ring:
                                    (0, 1), n)
                       for u, v in zip(x, y)])
 
-    def _scalar(self, c: tuple) -> list:
+    def _scalar(self, c: tuple):
         """For each digit j of c * x, the (component, table) pairs it sums:
         component i times digit j of c z^i, no table for a factor 1 since
-        the digits of x are residues already.  Kept per c; the memo is
-        emptied when full, so a long run over a large field stays bounded."""
+        the digits of x are residues already; in the bit layout, the one
+        table of c * x.  Kept per c; the memo is emptied when full, so a
+        long run over a large field stays bounded."""
         plan = self._scalars.get(c)
         if plan is None:
             field, a = self.field, self.a
             cols = [field.reduce((0,) * i + c) for i in range(a)]
-            plan = [[(i, None if col[j] == 1 else self.table(col[j]))
-                     for i, col in enumerate(cols) if col[j]]
-                    for j in range(a)]
+            if self.bits:  # b -> c b: c z^i summed over the bits i of b
+                plan = bytearray(256)
+                for i, col in enumerate(cols):
+                    for b in range(1 << a):
+                        if b >> i & 1:
+                            plan[b] ^= self._byte[col]
+            else:
+                plan = [[(i, None if col[j] == 1 else self.table(col[j]))
+                         for i, col in enumerate(cols) if col[j]]
+                        for j in range(a)]
             if len(self._scalars) >= _SCALARS:
                 self._scalars.clear()
             self._scalars[c] = plan
@@ -321,6 +406,8 @@ class _Ring:
 
     def scale(self, x, c: tuple) -> tuple:
         """c * x for the element with digits c."""
+        if self.bits:
+            return (x[0].translate(self._scalar(c)),)
         if not self.exact(self.a):
             return self.mul(x, self.element(c), self.length(x))
         out = []
@@ -339,16 +426,20 @@ class _Ring:
     def weigh(self, x, ks) -> tuple:
         """x with coefficient k times the integer ks[k % len(ks)]: one
         translate per residue class, or per digit for digits wider than a
-        byte."""
+        byte.  In the bit layout an odd weight keeps its class and an even
+        one zeros it."""
         p, r = self.p, len(ks)
         if self.d > 1:
-            return tuple(self.encode([v * ks[k % r] % p for k, v in
-                                      enumerate(self.decode(c))]) for c in x)
+            return self.encode([tuple(v * ks[k % r] % p for v in c)
+                                for k, c in enumerate(self.decode(x))])
         out = []
         for c in x:
             buf = bytearray(len(c))
             for i, k in enumerate(ks):
-                buf[i::r] = c[i::r].translate(self.table(k % p))
+                if not self.bits:
+                    buf[i::r] = c[i::r].translate(self.table(k % p))
+                elif k & 1:
+                    buf[i::r] = c[i::r]
             out.append(bytes(buf))
         return tuple(out)
 
@@ -454,12 +545,10 @@ class TruncatedSeries:
                     clean[int(e)] = c.coeffs
         ring = _ring(field)
         val = min(clean, default=prec)
-        cols = [[0] * (max(clean, default=val - 1) - val + 1)
-                for _ in range(field.a)]
+        coeffs = [field.zero().coeffs] * (max(clean, default=val - 1) - val + 1)
         for e, digits in clean.items():
-            for col, v in zip(cols, digits):
-                col[e - val] = v
-        self._set(ring, val, tuple(map(ring.encode, cols)), prec)
+            coeffs[e - val] = digits
+        self._set(ring, val, ring.encode(coeffs), prec)
 
     def _set(self, ring: _Ring, val: int, comps: tuple, prec: int):
         """Store comps from T^val, dropping zeros at both ends and
@@ -519,10 +608,10 @@ class TruncatedSeries:
         """The nonzero terms as a read-only {exponent: FieldElement} map."""
         if self._terms is None:
             field, val = self.field, self.val
-            digits = zip(*map(self._ring.decode, self.comps))
             self._terms = MappingProxyType(
                 {val + k: FieldElement(field, c)
-                 for k, c in enumerate(digits) if any(c)})
+                 for k, c in enumerate(self._ring.decode(self.comps))
+                 if any(c)})
         return self._terms
 
     def valuation(self) -> int | None:
@@ -576,8 +665,11 @@ class TruncatedSeries:
         return NotImplemented
 
     def scale(self, c: FieldElement) -> "TruncatedSeries":
+        """c self; self itself for c = 1, as self ** 1 is self."""
         if c.field != self.field:
             raise DomainError("elements of different fields")
+        if c.coeffs == self.field.one().coeffs:
+            return self
         comps = self._ring.scale(self.comps, c.coeffs)
         return TruncatedSeries._make(self._ring, self.val, comps, self.prec)
 

@@ -4,8 +4,9 @@ form, the units of a subfield, |I_t| of a filtration, the inverse of
 laurent.p_power_decompose, the rescanning reduction that the closed-form
 ascover.standard_form_poly replaced, the per-monomial substitution that
 tower.VarPoly.subst replaced, and the per-break Herbrand, quotient, validation
-and reduction code that ramfilt's one-pass walks replaced, and the order of p
-mod m by repeated multiplication."""
+and reduction code that ramfilt's one-pass walks replaced, the order of p
+mod m by repeated multiplication, and the multiplicative order of a field
+element."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from fractions import Fraction
 
 from ramify.errors import DomainError, json_int
 from ramify.gf import (Field, FieldElement, field_create, json_element,
-                       p_adic, p_power_exponent)
+                       p_adic, p_power_exponent, prime_factors)
 from ramify.laurent import LaurentPoly, accumulate
 from ramify.ramfilt import (LOWER, UPPER, RamFiltration, ReducedFiltration,
                             schmid_violations)
@@ -299,3 +300,17 @@ def multiplicative_order(p: int, m: int) -> int:
         val = val * p % m
         c += 1
     return c
+
+
+def element_order(x: FieldElement) -> int:
+    """The multiplicative order of a nonzero x: from q - 1, each prime r
+    divided out and multiplied back until x^n = 1."""
+    if not x:
+        raise DomainError("order of zero")
+    n, one = x.field.q - 1, x.field.one()
+    for r in prime_factors(n):
+        n = p_adic(n, r)[1]  # then the least n r^i with x^(n r^i) = 1
+        y = x ** n
+        while y != one:
+            y, n = y ** r, n * r
+    return n

@@ -2,10 +2,11 @@
 
 Every operation must give the same terms and the same precision as the
 dict-of-FieldElement code in dict_series.py.  The fields cover the prime
-fields F_2, F_3, F_5, the extensions F_4, F_9, F_16, F_{2^16} (above the
-log-table cap, 31 slots per element), F_65521 (two bytes per digit) and
-F_251, where a sum of two residues no longer fits a byte, so products and
-sums take the reducer's per-slot mod-p branch.
+fields F_2, F_3, F_5, the extensions F_4, F_8, F_16 (one byte per
+coefficient, a bit per digit), F_9, F_{2^16} (above the log-table cap, 31
+slots per element), F_65521 (two bytes per digit) and F_251, where a sum of
+two residues no longer fits a byte, so products and sums take the reducer's
+per-slot mod-p branch.
 """
 
 import random
@@ -26,8 +27,8 @@ from dict_series import DictSeries
 from helpers import index_of
 
 FIELDS = [field_create(p, a) for p, a in
-          [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 4), (2, 16), (65521, 1),
-           (251, 1)]]
+          [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 4), (2, 3), (2, 16),
+           (65521, 1), (251, 1)]]
 
 
 @st.composite
@@ -177,22 +178,78 @@ def test_full_slots_match_reference():
 
 
 def test_index_component_round_trip():
-    """Element indices to components and back, directly and through the
-    strided slot layout at widths from one digit to nine bytes, with and
-    without the 2a - 1 product slots."""
+    """Element indices to a tuple and back through the ring's codec, and
+    through the strided slot layout at widths from one digit to nine bytes,
+    with and without the 2a - 1 product slots.  The bit layout packs only
+    into the 2a - 1 slots of a product, which its gather reads."""
     rng = random.Random(5)
     for field in FIELDS:
         ring = _ring(field)
         idx = [0] + [rng.randrange(field.q) for _ in range(40)] + [field.q - 1]
-        digits = [field.from_index(i).coeffs for i in idx]
-        comps = tuple(map(ring.encode, zip(*digits)))
-        back = [index_of(FieldElement(field, t))
-                for t in zip(*map(ring.decode, comps))]
+        comps = ring.encode([field.from_index(i).coeffs for i in idx])
+        back = [index_of(FieldElement(field, t)) for t in ring.decode(comps)]
         assert back == idx
+        assert [ring.digits(comps, k) for k in range(len(idx))] == \
+            [field.from_index(i).coeffs for i in idx]
         for w in range(ring.d, 10):
-            for st in (field.a * w, (2 * field.a - 1) * w):
+            sts = ((2 * field.a - 1) * w,) if ring.bits else \
+                (field.a * w, (2 * field.a - 1) * w)
+            for st in sts:
                 assert ring.reduce(ring.pack(comps, w, st), w, st,
                                    len(idx)) == comps
+
+
+def bits_of(v: int) -> list:
+    return [i for i in range(v.bit_length()) if v >> i & 1]
+
+
+@pytest.mark.parametrize("a", [2, 3, 4])
+@pytest.mark.parametrize("w", [1, 2, 3, 4])
+def test_spread_and_gather_move_every_bit_to_a_position_of_its_own(a, w):
+    """The two multiplications of the bit layout carry nowhere: over three
+    adjacent lanes, the shifted copies that the ring's multipliers make of
+    each bit land on distinct positions, so each product is the OR of its
+    copies.  The spread's mask keeps the copy of bit i of lane n at bit 0 of
+    slot i of lane n, and the byte the gather reads, the first of each
+    lane's last slot, holds exactly that lane's 2a - 1 parities, slot s at
+    bit s."""
+    ring = _ring(field_create(2, a))
+    m = 2 * a - 1
+    lane = 8 * m * w
+    spread, keep = ring._lanes(w, a, 3)
+    copies = {}
+    for n in range(3):
+        for i in range(a):  # bit i of the byte at the start of lane n
+            for e in bits_of(spread):
+                copies.setdefault(lane * n + i + e, []).append((n, i))
+    assert all(len(v) == 1 for v in copies.values())
+    assert {pos: v[0] for pos, v in copies.items() if keep >> pos & 1} == \
+        {lane * n + 8 * w * i: (n, i) for n in range(3) for i in range(a)}
+    gather, parity = ring._lanes(w, m, 3)
+    assert bits_of(parity) == [8 * w * u for u in range(3 * m)]
+    copies = {}
+    for u in range(3 * m):  # the parity of slot u
+        for e in bits_of(gather):
+            copies.setdefault(8 * w * u + e, []).append(u)
+    assert all(len(v) == 1 for v in copies.values())
+    for n in range(3):
+        read = lane * n + 8 * w * (m - 1)
+        assert [copies.get(read + b) for b in range(8)] == \
+            [[m * n + b] if b < m else None for b in range(8)]
+
+
+def test_small_characteristic_two_series_have_one_component():
+    """Over F_4, F_8 and F_16 a series is one byte string of coefficient
+    bytes; F_(2^16), F_9 and the prime fields keep a component per digit."""
+    for (p, a), comps in [((2, 2), 1), ((2, 3), 1), ((2, 4), 1), ((2, 16), 16),
+                          ((3, 2), 2), ((2, 1), 1), ((5, 1), 1)]:
+        field = field_create(p, a)
+        top = field.from_index(field.q - 1)
+        s = TruncatedSeries(field, {0: top, 3: field.one()}, 10)
+        assert len(s.comps) == comps
+        assert _ring(field).bits == (p == 2 and 1 < a <= 4)
+        if comps == 1 and a > 1:
+            assert s.comps == (bytes([field.q - 1, 0, 0, 1]),)
 
 
 def test_dense_product_over_f_2_16_matches_reference():
@@ -235,7 +292,7 @@ def check_unit(f, j, prec):
 @given(st.data())
 def test_solve_unit_matches_fixed_point_iteration(data):
     """The unit of one tower step, against the plain iteration at modulus."""
-    field = data.draw(st.sampled_from(FIELDS[:6]))
+    field = data.draw(st.sampled_from(FIELDS[:7]))
     p = field.p
     j = data.draw(st.integers(1, 9).filter(lambda j: j % p))
     f_prec = data.draw(st.integers(1, 12))

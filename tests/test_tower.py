@@ -13,7 +13,7 @@ from ramify import (DomainError, RamFiltration, TowerSpec, field_create,
                     root_of_unity)
 from ramify import tower as tower_module
 from ramify.laurent import LaurentPoly
-from ramify.series import _Ring
+from ramify.series import TruncatedSeries, _Ring
 from ramify.tower import (STEP_EXPONENT_CAP, GeneratorAction, TowerStep,
                           VarPoly, close_group, herbrand_lower_jumps,
                           quaternion_fiber_ratio)
@@ -962,3 +962,17 @@ def test_fiber_closed_form_matches_pipeline(field):
                 assert rep.stage == stage
                 assert rep.top_jump == top
                 assert rep.leading == leading
+
+
+@pytest.mark.parametrize("p,a", [(2, 1), (2, 4), (3, 2)])
+def test_a_bare_variable_evaluates_to_its_own_series(p, a):
+    """v at env is env["v"] itself: v^1 is the series and a multiple by one
+    returns it, so the inverse and powers it keeps come along."""
+    field = field_create(p, a)
+    v = TruncatedSeries(field, {-1: field.from_index(field.q - 1),
+                                2: field.one()}, 12)
+    env = {"v": v, "x": TruncatedSeries.monomial(field, 1, 12)}
+    assert VarPoly.var(field, "v").eval(env, 12) is v
+    assert v.scale(field.one()) is v
+    if field.q > 2:
+        assert v.scale(field.from_index(field.q - 1)) is not v
