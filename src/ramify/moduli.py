@@ -62,8 +62,9 @@ def n_count(q: int, m: int, s_iota: int, sigma, p: int | None = None) -> int:
     The prime of q is factored out of p when given (dim_bounds passes its
     ReducedFiltration's), else out of q; a p that q is no power of is refused.
     Any qualifying l has gcd(l, q) <= q/p (since q does not divide l), so
-    l <= (q/p) * m * sigma bounds the search; the bound is asserted sharp by
-    construction of the loop.
+    l <= (q/p) * m * sigma bounds the search, and the walk stops there;
+    dim_bounds refuses a document whose walks would pass WALK_CAP integers
+    in all before any of them starts.
     """
     sigma = Fraction(sigma)
     primes = prime_factors(q if p is None else p)

@@ -53,15 +53,16 @@ from .ramfilt import LOWER, RamFiltration
 from .series import TruncatedSeries, compose
 
 # The largest |exponent| of a step variable in a right-hand side or a shift,
-# a desk-scale bound on what the generator check and the sift by steps
+# a desk-scale bound on what the normal form and the generator check
 # expand.  At p = 2, 3, 5 and e = 500, `verify` (precision 200 and 4096,
-# worst of 3 runs on a 2-vCPU host) answered or refused in at most 0.25 s
+# worst of 3 runs on a 2-vCPU host) answered or refused in at most 0.26 s
 # on: a shift by v^e; v^e in a right-hand side; the shift v^(e-p) (x v^p -
 # x v - 1), zero in the field, with and without + 1; and the shift (v+1)^k -
-# v^k that w^p - w = v^(kp) - v^k + x^-7 needs (e = kp).  The exact
-# generator check of the first two takes most of that; the sift composes a
-# handful of elements where the closure composed all p^n.  At e = 1000 the
-# worst took 0.7 s.
+# v^k that w^p - w = v^(kp) - v^k + x^-7 needs (e = kp).  The last is the
+# slowest, about half of it in the generator check, which reduces the
+# right-hand side at the images, of degree kp in v, one exponent at a time;
+# a shift by v^e is reduced once, when its element is built (0.02 s over
+# F_5).  At e = 1000 the worst took 0.8 s.
 STEP_EXPONENT_CAP = 500
 
 
@@ -190,7 +191,8 @@ class TowerSpec:
 
     def __post_init__(self):
         if self.m < 1 or self.m % self.field.p == 0:
-            raise DomainError("tame degree must be positive and prime to p")
+            raise DomainError(f"tame degree {self.m} must be positive and "
+                              f"prime to {self.field.p}")
         known = {"x"}
         for step in self.steps:
             if step.var in known:
@@ -199,6 +201,11 @@ class TowerSpec:
             extra = step.rhs.variables() - known
             if extra:
                 raise DomainError(f"step {step.var} uses undeclared {_names(extra)}")
+            negative = next((var for k in step.rhs.terms for var, e in k
+                             if var != "x" and e < 0), None)
+            if negative is not None:  # reduce needs nonnegative powers
+                raise DomainError(f"step {step.var} has a negative power of "
+                                  f"the step variable {negative}")
             known.add(step.var)
 
     @property
@@ -209,16 +216,43 @@ class TowerSpec:
     def total_order(self) -> int:
         return self.m * self.wild_order
 
+    def reduce(self, a: VarPoly) -> VarPoly:
+        """The normal form of a: every step variable to an exponent below p,
+        by var^p = var + rhs from the top variable down.  An rhs holds only
+        earlier variables, so reducing one variable never raises a later
+        one.  The result is a sum of Laurent polynomials in x times products
+        of step variables with exponents in [0, p), and those products are a
+        basis of the tower's function field over that of x, since every step
+        is monic of degree p: two polynomials with nonnegative step powers
+        are equal in the field iff their normal forms are."""
+        field, p = self.field, self.field.p
+        if all(e < p for k in a.terms for var, e in k if var != "x"):
+            return a
+        zero, mono_mul = VarPoly.zero(field), VarPoly._mono_mul
+        for step in reversed(self.steps):
+            parts = _split(a, step.var)
+            for e in range(max(parts, default=0), p - 1, -1):
+                c = parts.pop(e, None)
+                if c:  # var^e = var^(e-p+1) + var^(e-p) rhs
+                    parts[e - p + 1] = parts.get(e - p + 1, zero) + c
+                    parts[e - p] = parts.get(e - p, zero) + c * step.rhs
+            a = VarPoly._make(field, {
+                mono_mul(k, ((step.var, e),)): co
+                for e, c in parts.items() for k, co in c.terms.items()})
+        return a
+
 
 class GeneratorAction:
     """An automorphism given by var -> var + shift, shifts in earlier variables.
 
-    images maps the step variables, in tower order, to their images; the
-    base coordinate x is fixed and has none."""
+    images maps the step variables, in tower order, to their images in the
+    tower's normal form (TowerSpec.reduce); the base coordinate x is fixed
+    and has none."""
 
     def __init__(self, tower: TowerSpec, shifts: dict[str, VarPoly],
                  name: str = ""):
         self.name = name
+        self.tower = tower
         field = tower.field
         order = ["x"] + [s.var for s in tower.steps]
         images = {}
@@ -238,44 +272,45 @@ class GeneratorAction:
         unknown = set(shifts) - set(order)
         if unknown:
             raise DomainError(f"shifts for undeclared variables {_names(unknown)}")
-        self.images = images
+        self.images = {var: tower.reduce(img) for var, img in images.items()}
 
     @classmethod
-    def _raw(cls, images, name=""):
+    def _raw(cls, tower, images, name=""):
         obj = cls.__new__(cls)
+        obj.tower = tower
         obj.images = images
         obj.name = name
         return obj
 
     def key(self):
         """The images in tower order, so key()[:k] keys the restriction to
-        the first k step variables."""
+        the first k step variables; normal forms, so two elements are equal
+        in the function field iff their keys are."""
         return tuple(self.images.values())
 
 
-def _compose(field: Field, g: GeneratorAction, h: GeneratorAction,
-             steps=()) -> GeneratorAction:
-    """(g o h)(var) = g(h(var)), each image reduced by the equations of
-    steps (see _reduce)."""
-    images = {var: _reduce(field, img.subst(g.images), steps)
+def _compose(g: GeneratorAction, h: GeneratorAction) -> GeneratorAction:
+    """(g o h)(var) = g(h(var)), in normal form."""
+    images = {var: g.tower.reduce(img.subst(g.images))
               for var, img in h.images.items()}
-    return GeneratorAction._raw(images, name=f"{g.name}*{h.name}")
+    return GeneratorAction._raw(g.tower, images, name=f"{g.name}*{h.name}")
 
 
 def _identity(tower: TowerSpec) -> GeneratorAction:
     images = {s.var: VarPoly.var(tower.field, s.var) for s in tower.steps}
-    return GeneratorAction._raw(images, name="1")
+    return GeneratorAction._raw(tower, images, name="1")
 
 
-def _inverse(field: Field, g: GeneratorAction, steps=()) -> GeneratorAction:
+def _inverse(g: GeneratorAction) -> GeneratorAction:
     """g^-1, exact and triangular: g maps var to var + s with s in earlier
     variables, so g^-1(var) = var - g^-1(s), reduced, from the images of the
     earlier variables already inverted."""
+    tower = g.tower
     images = {}
     for var, img in g.images.items():
-        v = VarPoly.var(field, var)
-        images[var] = _reduce(field, v - (img - v).subst(images), steps)
-    return GeneratorAction._raw(images, name=f"{g.name}^-1")
+        v = VarPoly.var(tower.field, var)
+        images[var] = tower.reduce(v - (img - v).subst(images))
+    return GeneratorAction._raw(tower, images, name=f"{g.name}^-1")
 
 
 def _sift(tower: TowerSpec, elements, lead) -> list[tuple[int, GeneratorAction]]:
@@ -298,8 +333,7 @@ def _sift(tower: TowerSpec, elements, lead) -> list[tuple[int, GeneratorAction]]
     the sequence short of one element per step, and the sift stops at that
     many: the group has order at most p^(#steps) (see close_group).
     """
-    field, n = tower.field, len(tower.steps)
-    p, steps = field.p, tower.steps
+    p, n = tower.field.p, len(tower.steps)
     # level -> [(column, vector, kept q, [q^-1, q^-2, ...] as needed)]
     rows: dict[int, list] = {}
     kept = []
@@ -307,11 +341,11 @@ def _sift(tower: TowerSpec, elements, lead) -> list[tuple[int, GeneratorAction]]
     def words():
         yield from elements
         for i, (_, q) in enumerate(kept):  # kept grows while this runs
-            yield power(q, p, lambda a, b: _compose(field, a, b, steps))
+            yield power(q, p, _compose)
             for _, r in kept[:i]:
-                qr, rq = _compose(field, q, r, steps), _compose(field, r, q, steps)
+                qr, rq = _compose(q, r), _compose(r, q)
                 if qr.key() != rq.key():
-                    yield _compose(field, qr, _inverse(field, rq, steps), steps)
+                    yield _compose(qr, _inverse(rq))
 
     for g in words():
         found = lead(g)
@@ -322,11 +356,10 @@ def _sift(tower: TowerSpec, elements, lead) -> list[tuple[int, GeneratorAction]]
                 a = vec[col] * pow(row[col], -1, p) % p
                 if a:
                     if not inverses:
-                        inverses.append(_inverse(field, q, steps))
+                        inverses.append(_inverse(q))
                     while len(inverses) < a:
-                        inverses.append(_compose(field, inverses[0],
-                                                 inverses[-1], steps))
-                    g = _compose(field, g, inverses[a - 1], steps)
+                        inverses.append(_compose(inverses[0], inverses[-1]))
+                    g = _compose(g, inverses[a - 1])
                     vec = tuple((x - a * y) % p for x, y in zip(vec, row))
             if any(vec):
                 col = next(i for i, x in enumerate(vec) if x)
@@ -339,14 +372,14 @@ def _sift(tower: TowerSpec, elements, lead) -> list[tuple[int, GeneratorAction]]
     return kept
 
 
-def _step_lead(field: Field, g: GeneratorAction):
+def _step_lead(g: GeneratorAction):
     """The first step g moves and its shift there, for the sift by steps.
 
     g fixes the variables below var and maps var to var + s, so s^p - s =
     rhs(g vars) - rhs = 0: s is in F_p when the steps below var form a
     field, and a non-constant s shows they do not."""
     for level, (var, img) in enumerate(g.images.items()):
-        shift = img - VarPoly.var(field, var)
+        shift = img - VarPoly.var(g.tower.field, var)
         if shift:
             c = shift.terms.get(())
             if len(shift.terms) > 1 or c is None or any(c.coeffs[1:]):
@@ -366,17 +399,13 @@ def close_group(tower: TowerSpec, generators) -> list[GeneratorAction]:
     lead of such an element is its shift of the next one, a constant in F_p
     (see _step_lead).  Each quotient is at most F_p, so the sequence has at
     most one element per step and |G| <= p^(#steps); a shorter one is a
-    smaller group, refused.  Elements are compared on their images reduced
-    by the step equations, so a composition that is the identity in the
-    function field counts as the identity."""
-    field, steps = tower.field, tower.steps
-    reduced = [GeneratorAction._raw({var: _reduce(field, img, steps)
-                                     for var, img in g.images.items()}, g.name)
-               for g in generators]
-    seq = _sift(tower, reduced, lambda g: _step_lead(field, g))
+    smaller group, refused.  Elements are compared on their images in
+    normal form, so a composition that is the identity in the function
+    field counts as the identity."""
+    seq = _sift(tower, generators, _step_lead)
     if len(seq) != len(tower.steps):
         raise DomainError(
-            f"generators produce a group of order {field.p ** len(seq)}, "
+            f"generators produce a group of order {tower.field.p ** len(seq)}, "
             f"expected {tower.wild_order}")
     return [g for _, g in seq]
 
@@ -506,8 +535,8 @@ def _expand_tower(tower: TowerSpec, prec: int):
     return env, charts
 
 
-def _uniformizer_image(g: GeneratorAction, env, charts, field: Field,
-                       prec: int, images: dict) -> TruncatedSeries:
+def _uniformizer_image(g: GeneratorAction, env, charts, prec: int,
+                       images: dict) -> TruncatedSeries:
     """The series of g(T) for the top uniformizer T, following the charts.
 
     Chart k builds T_k^g, the image of the uniformizer of the field K_k of
@@ -546,54 +575,21 @@ def _split(a: VarPoly, var: str) -> dict[int, VarPoly]:
     return {e: VarPoly._make(a.field, terms) for e, terms in out.items()}
 
 
-def _reduce(field: Field, a: VarPoly, steps) -> VarPoly:
-    """a with every step variable to an exponent below p, by var^p = var +
-    rhs from the top variable down: an rhs holds only earlier variables, so
-    reducing one variable never raises a later one.  The result is a sum of
-    Laurent polynomials in x times products of step variables with exponents
-    in [0, p), and those products are a basis of the tower's function field
-    over that of x, since every step has degree p."""
-    p = field.p
-    if all(e < p for k in a.terms for var, e in k if var != "x"):
-        return a
-    zero, mono_mul = VarPoly.zero(field), VarPoly._mono_mul
-    for step in reversed(steps):
-        parts = _split(a, step.var)
-        for e in range(max(parts, default=0), p - 1, -1):
-            c = parts.pop(e, None)
-            if c:  # var^e = var^(e-p+1) + var^(e-p) rhs
-                parts[e - p + 1] = parts.get(e - p + 1, zero) + c
-                parts[e - p] = parts.get(e - p, zero) + c * step.rhs
-        a = VarPoly._make(field, {
-            mono_mul(k, ((step.var, e),)): co
-            for e, c in parts.items() for k, co in c.terms.items()})
-    return a
-
-
 def _check_generators(tower: TowerSpec, generators):
     """Each generator must preserve every step equation, exactly.
 
     g maps var to var + s, so g(var)^p - g(var) = rhs + s^p - s, and g
     preserves var^p - var = rhs iff D = s^p - s - (rhs(g vars) - rhs) is 0
-    in the function field of the tower, that is iff D reduces to 0 (see
-    _reduce).  s^p is the Frobenius of s, term by term.  The reduction needs
-    nonnegative powers of the step variables, so a right-hand side with a
-    negative one is refused.
+    in the function field of the tower, that is iff D's normal form is 0
+    (see TowerSpec.reduce).  s^p is the Frobenius of s, term by term; s is
+    in normal form, so the step exponents of s^p stay below p^2.
     """
-    field = tower.field
-    for step in tower.steps:
-        for k in step.rhs.terms:
-            for var, e in k:
-                if var != "x" and e < 0:
-                    raise DomainError(
-                        f"step {step.var} has a negative power of the step "
-                        f"variable {var}")
     for g in generators:
         for step in tower.steps:
-            shift = g.images[step.var] - VarPoly.var(field, step.var)
+            shift = g.images[step.var] - VarPoly.var(tower.field, step.var)
             d = (shift.frobenius_power(1) + step.rhs
                  - (shift + step.rhs.subst(g.images)))
-            if _reduce(field, d, tower.steps):
+            if tower.reduce(d):
                 raise DomainError(
                     f"generator {g.name or '?'} does not preserve the "
                     f"equation of step {step.var}")
@@ -656,7 +652,7 @@ def _oracle_attempt(tower, pcgs, work):
     ident = _identity(tower)
     ident_key = ident.key()
     images = {}  # T_k^g per coset of K_k, for this attempt only
-    t_series = _uniformizer_image(ident, env, charts, field, work_prec, images)
+    t_series = _uniformizer_image(ident, env, charts, work_prec, images)
     check = t_series - TruncatedSeries.monomial(field, 1, t_series.prec)
     if not check.is_zero_to_precision():
         raise PrecisionError("identity does not reproduce the uniformizer")
@@ -664,8 +660,7 @@ def _oracle_attempt(tower, pcgs, work):
     def lead(g):
         if g.key() == ident_key:
             return None
-        diff = _uniformizer_image(g, env, charts, field, work_prec,
-                                  images) - t_series
+        diff = _uniformizer_image(g, env, charts, work_prec, images) - t_series
         v = diff.valuation()
         if v is None:
             raise PrecisionError(

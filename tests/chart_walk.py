@@ -22,7 +22,6 @@ def closure(tower, generators):
     """Every element of the group the generators make, the identity first.
     Elements are keyed on their reduced images, so two compositions that
     agree in the function field are one element."""
-    field = tower.field
     ident = _identity(tower)
     seen = {ident.key(): ident}
     frontier = [ident]
@@ -30,7 +29,7 @@ def closure(tower, generators):
         fresh = []
         for a in frontier:
             for g in generators:
-                c = _compose(field, g, a, tower.steps)
+                c = _compose(g, a)
                 if c.key() not in seen:
                     seen[c.key()] = c
                     fresh.append(c)

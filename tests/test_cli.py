@@ -286,9 +286,10 @@ def test_verify_refuses_a_shift_that_breaks_its_step(tmp_path, p, c):
 
 
 def test_verify_refuses_a_step_exponent_past_the_limit_at_once(tmp_path):
-    # the refusal comes before any work: without the limit, the exact
-    # generator check alone of a shift by v^e over F_5 takes 0.03 s at
-    # e = 124 and about 5 s at e = 3124 (2-vCPU host)
+    # the refusal comes before any work: without the limit, this document
+    # with a shift by v^e over F_5 is refused in 0.007 s at e = 124 and
+    # 0.37 s at e = 3124 (2-vCPU host), nearly all of it in reducing v^e to
+    # the normal form once, when its element is built
     doc = ea2_doc(5, [[[1], {"x": -3}]], [[[1], {"v": 3124}]])
     t0 = time.perf_counter()
     code, res = run(tmp_path, ["verify", "--precision", "256"], doc)
@@ -603,6 +604,12 @@ def f4_cover(q, z):
      "the base coordinate cannot be shifted"),
     (["verify"], two_step_tower({"u": ONE}),
      "shifts for undeclared variables {'u'}"),
+    (["verify"], dict(TOWER, m=4), "tame degree 4 must be positive and prime "
+                                   "to 2"),
+    # refused when the tower is read, before generators are looked for
+    (["verify"], {"field": {"p": 2, "a": 1}, "m": 1, "steps": [
+        STEP_V, {"var": "w", "rhs": [[[1], {"x": -3}], [[1], {"v": -1}]]}]},
+     "step w has a negative power of the step variable v"),
     # the only route into VarPoly.eval's bare-constant branch
     (["verify"], dict(TOWER, steps=[{"var": "v", "rhs": ONE}]),
      "step is not totally ramified: right-hand side has no pole after "
@@ -610,7 +617,8 @@ def f4_cover(q, z):
 ], ids=["null-z-with-tame-part", "z-outside-f-q", "z-not-generating-f-q",
         "duplicate-step-variable", "undeclared-rhs-variable",
         "shift-uses-later-variable", "negative-shift-exponent", "shift-of-x",
-        "shift-of-undeclared-variable", "constant-rhs"])
+        "shift-of-undeclared-variable", "tame-degree-divisible-by-p",
+        "negative-step-power-without-generators", "constant-rhs"])
 def test_refusals_name_their_cause(tmp_path, capsys, args, doc, message):
     inp = tmp_path / "in.json"
     inp.write_text(json.dumps(doc))

@@ -106,14 +106,16 @@ def test_generator_check_reduces_modulo_the_step_equations():
 
 
 def test_generator_check_refuses_negative_step_powers():
+    # the normal form needs nonnegative powers of the step variables, so
+    # the tower itself refuses a right-hand side with a negative one,
+    # before any generator is built on it
     field = F2
-    tower = TowerSpec(field, 1, (
-        TowerStep("v", VarPoly.var(field, "x", -1)),
-        TowerStep("w", VarPoly.var(field, "x", -3) + VarPoly.var(field, "v", -1))))
-    gens = [GeneratorAction(tower, {"v": VarPoly.const(field, field.one())}, "a"),
-            GeneratorAction(tower, {"w": VarPoly.const(field, field.one())}, "b")]
-    with pytest.raises(DomainError, match="negative power"):
-        oracle_run(tower, gens, precision=64)
+    with pytest.raises(DomainError, match="step w has a negative power of "
+                                          "the step variable v"):
+        TowerSpec(field, 1, (
+            TowerStep("v", VarPoly.var(field, "x", -1)),
+            TowerStep("w", VarPoly.var(field, "x", -3)
+                      + VarPoly.var(field, "v", -1))))
 
 
 def test_step_exponents_are_limited():
@@ -196,12 +198,12 @@ def test_quaternion_group_closure():
     # the closure size; verify [-1] explicitly: it fixes v, w and shifts y by 1
     mu, tau = gens
     from ramify.tower import _compose
-    minus_one = _compose(F4, mu, mu)
+    minus_one = _compose(mu, mu)
     assert minus_one.images["v"] == VarPoly.var(F4, "v")
     assert minus_one.images["w"] == VarPoly.var(F4, "w")
     assert minus_one.images["y"] == (VarPoly.var(F4, "y")
                                      + VarPoly.const(F4, F4.one()))
-    tau_sq = _compose(F4, tau, tau)
+    tau_sq = _compose(tau, tau)
     assert tau_sq.key() == minus_one.key()
 
 
@@ -554,7 +556,7 @@ def test_varpoly_frobenius_hash_and_generator_keys(data):
     def element():
         images = {var: data.draw(st.sampled_from(pool)) for var in "vw"}
         # a copy with its own term order, built apart from the pool's
-        return tower_module.GeneratorAction._raw({
+        return tower_module.GeneratorAction._raw(None, {
             var: VarPoly(field, reversed(list(img.terms.items())))
             for var, img in images.items()})
     g, h = element(), element()
@@ -606,8 +608,8 @@ def test_shared_images_equal_the_per_element_walk(tower, gens):
     env, charts = tower_module._expand_tower(tower, run.precision)
     prec = min(s.prec for s in env.values())
     images = {}
-    shared = [tower_module._uniformizer_image(g, env, charts, tower.field,
-                                              prec, images) for g in group]
+    shared = [tower_module._uniformizer_image(g, env, charts, prec, images)
+              for g in group]
     reference = chart_walk.element_images(tower, group, run.precision)
     assert [(s.val, s.comps, s.prec) for s in shared] == \
         [(s.val, s.comps, s.prec) for s in reference]
@@ -728,9 +730,11 @@ def test_a_sift_its_elements_fill_forms_no_power(monkeypatch, tower, gens):
 # -- the sift against the whole group --------------------------------------------
 
 @st.composite
-def elementary_abelian_towers(draw):
+def elementary_abelian_towers(draw, padded=False):
     """(Z/p)^n, n = 2 or 3, in changed coordinates, and a drawn generator
-    set, redundant, dependent or short of the group.
+    set, redundant, dependent or short of the group.  With padded, the
+    same elements follow, each shift of a later variable plus a drawn
+    c x^k v^i (v^p - v - rhs_v), which is 0 in the function field.
 
     The plain tower V_i^p - V_i = c_i x^-j_i, with distinct j_i prime to p,
     is a field with the shifts V -> V + e for e in F_p^n.  Its coordinates
@@ -758,12 +762,14 @@ def elementary_abelian_towers(draw):
         steps.append(TowerStep(var, rhs))
     tower = TowerSpec(field, 1, tuple(steps))
 
-    def action(e, name):
+    def action(e, name, pad=None):
         shifts, images = {}, {}
         for var, change, e_i in zip(names, changes, e):
             shifts[var] = (VarPoly.const(field, field.element(e_i))
                            + change.subst(images) - change)
             images[var] = VarPoly.var(field, var) + shifts[var]
+        for var, zero in (pad or {}).items():
+            shifts[var] += zero
         return GeneratorAction(tower, shifts, name)
     digit = st.integers(0, p - 1)
     vectors = draw(st.lists(st.lists(digit, min_size=n, max_size=n),
@@ -775,7 +781,18 @@ def elementary_abelian_towers(draw):
                  for i in range(n)]
         vectors = draw(st.permutations(basis + vectors))
     gens = [action(e, f"g{i}") for i, e in enumerate(vectors)]
-    return tower, gens, _rank_mod_p(vectors, p)
+    if not padded:
+        return tower, gens, _rank_mod_p(vectors, p)
+    v = VarPoly.var(field, names[0])
+    zero = v ** p - v - steps[0].rhs
+    same = []
+    for i, e in enumerate(vectors):
+        pad = {var: VarPoly(field, {
+            ((names[0], draw(st.integers(0, p + 1))),
+             ("x", draw(st.integers(js[0], js[0] + 2)))):
+            field.element(draw(digit))}) * zero for var in names[1:]}
+        same.append(action(e, f"g{i}", pad))
+    return tower, gens, _rank_mod_p(vectors, p), same
 
 
 def _rank_mod_p(rows, p):
@@ -803,10 +820,8 @@ def quaternion_towers(draw):
     params = draw(st.tuples(element, element, element).filter(
         lambda a: evaluate_quaternion_fiber(*a).connected))
     tower, (mu, tau) = quaternion_tower(field, *params)
-    steps = tower.steps
-    pool = [mu, tau, tower_module._compose(field, mu, tau, steps),
-            tower_module._compose(field, tau, mu, steps),
-            tower_module._compose(field, mu, mu, steps)]
+    pool = [mu, tau, tower_module._compose(mu, tau),
+            tower_module._compose(tau, mu), tower_module._compose(mu, mu)]
     gens = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
     order = len(chart_walk.closure(tower, gens))
     return tower, gens, order.bit_length() - 1
@@ -849,6 +864,97 @@ def test_sifted_filtration_equals_the_whole_group_on_abelian_towers(case):
 @given(quaternion_towers())
 def test_sifted_filtration_equals_the_whole_group_on_quaternion_towers(case):
     assert_sift_matches_the_whole_group(*case)
+
+
+# -- the normal form -------------------------------------------------------------
+
+def in_normal_form(tower, g):
+    """Every step variable of g's images to an exponent below p."""
+    return all(e < tower.field.p for img in g.images.values()
+               for k in img.terms for var, e in k if var != "x")
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_a_shift_is_reduced_when_its_element_is_built(k):
+    # over F_5 with v^5 = v + x^-3, v^(5^k) = v + x^-3 + x^-15 + ... +
+    # x^-(3*5^(k-1)): the element keeps that normal form as its image
+    tower, _ = ea2_tower(5, 3, 8)
+    field = tower.field
+    g = GeneratorAction(tower, {"w": VarPoly.var(field, "v", 5 ** k)}, "g")
+    expected = VarPoly.var(field, "w") + VarPoly.var(field, "v")
+    for i in range(k):
+        expected += VarPoly.var(field, "x", -3 * 5 ** i)
+    assert g.images["w"] == expected
+    assert in_normal_form(tower, g)
+    big = GeneratorAction(tower, {"w": VarPoly.var(field, "v",
+                                                   STEP_EXPONENT_CAP)})
+    assert in_normal_form(tower, big)
+
+
+def oracle_outcome(tower, gens):
+    try:
+        return oracle_run(tower, gens, precision=1024)
+    except DomainError as exc:
+        return str(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(elementary_abelian_towers(padded=True))
+def test_drawn_generators_are_in_normal_form(case):
+    # shifts that differ by 0 in the function field give one element: the
+    # same images, in normal form, and the same answer or refusal
+    tower, gens, _, padded = case
+    for g, same in zip(gens, padded):
+        assert in_normal_form(tower, same)
+        assert same.images == g.images
+    assert oracle_outcome(tower, padded) == oracle_outcome(tower, gens)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_a_shift_plus_zero_in_the_field_is_the_same_element(data):
+    # c x^k v^i (v^p - v - rhs_v) is 0 in the function field: added to a
+    # shift of w, it changes neither the element's images nor the oracle's
+    # filtration, answering precision and pole orders
+    p, j1, j2 = data.draw(st.sampled_from(EA2_SHAPES))
+    tower, gens = ea2_tower(p, j1, j2)
+    field = tower.field
+    v = VarPoly.var(field, "v")
+    c = field.element(data.draw(st.integers(1, p - 1)))
+    k, i = data.draw(st.integers(j1, j1 + 3)), data.draw(st.integers(0, 12))
+    zero = (VarPoly(field, {(("v", i), ("x", k)): c})
+            * (v ** p - v - tower.steps[0].rhs))
+    one = VarPoly.const(field, field.one())
+    shifts = [{"v": one, "w": zero}, {"w": one + zero}]
+    at = data.draw(st.sampled_from([0, 1]))
+    changed = list(gens)
+    changed[at] = GeneratorAction(tower, shifts[at], gens[at].name)
+    assert changed[at].images == gens[at].images
+    assert in_normal_form(tower, changed[at])
+    assert oracle_run(tower, changed, precision=256) == \
+        oracle_run(tower, gens, precision=256)
+
+
+def test_the_generator_check_reduces_no_frobenius_image_of_a_high_power(
+        monkeypatch):
+    # a count, not a timing: the shift v^500 over F_5 is reduced when its
+    # element is built, so the check reduces s^p - s - ... for s in normal
+    # form, step exponents below p^2.  Reduced in the check alone, it handed
+    # v^2500 to the reduction, which steps down one exponent at a time
+    tower, _ = ea2_tower(5, 3, 8)
+    g = GeneratorAction(tower, {"w": VarPoly.var(tower.field, "v", 500)}, "g")
+    seen = []
+    reduce = TowerSpec.reduce
+
+    def recording(self, a):
+        seen.append(max((e for k in a.terms for var, e in k if var != "x"),
+                        default=0))
+        return reduce(self, a)
+    monkeypatch.setattr(TowerSpec, "reduce", recording)
+    with pytest.raises(DomainError, match="generator g does not preserve the "
+                                          "equation of step w"):
+        tower_module._check_generators(tower, [g])
+    assert seen and max(seen) < 5 ** 2
 
 
 def heisenberg_tower(p, a, b):
@@ -919,11 +1025,11 @@ def test_quaternion_defining_relation():
     # mu * tau = [-1] * tau * mu, composed as automorphisms
     from ramify.tower import _compose
     tower, (mu, tau) = quaternion_tower(F4)
-    minus_one = _compose(F4, mu, mu)
-    lhs = _compose(F4, mu, tau)
-    rhs = _compose(F4, minus_one, _compose(F4, tau, mu))
+    minus_one = _compose(mu, mu)
+    lhs = _compose(mu, tau)
+    rhs = _compose(minus_one, _compose(tau, mu))
     assert lhs.key() == rhs.key()
-    assert lhs.key() != _compose(F4, tau, mu).key()  # genuinely non-abelian
+    assert lhs.key() != _compose(tau, mu).key()  # genuinely non-abelian
 
 
 def test_quaternion_fibers_construct_few_checked_polynomials(monkeypatch):
