@@ -26,8 +26,7 @@ from .moduli import DimensionReport, dim_bounds, dim_ordinary, dimension, n_coun
 from .series import TruncatedSeries
 from .tower import (FiberReport, GeneratorAction, OracleRun, TowerSpec,
                     TowerStep, evaluate_quaternion_fiber, genus_rh,
-                    oracle_lower_jumps, oracle_run, p_rank_ds,
-                    quaternion_tower)
+                    oracle_run, p_rank_ds, quaternion_tower)
 
 __version__ = "0.1.0"
 
@@ -41,7 +40,7 @@ __all__ = [
     "field_create", "genus_rh", "herbrand_phi", "herbrand_psi",
     "is_connected", "is_isomorphic", "jumps_with_multiplicity",
     "last_piece_s_iota", "lower_to_upper", "modify_cover", "n_count",
-    "oracle_lower_jumps", "oracle_run", "p_power_decompose", "p_rank_ds",
+    "oracle_run", "p_power_decompose", "p_rank_ds",
     "prime_to_p_degree", "quaternion_tower", "reduce",
     "root_of_unity", "s_iota", "standard_form", "upper_to_lower", "validate",
 ]

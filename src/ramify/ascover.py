@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, json_int, reading
-from .gf import (FieldElement, degree_over_prime, field_create, json_element,
-                 p_adic, p_power_exponent)
+from .gf import (FieldElement, check_tame, degree_over_prime, field_create,
+                 json_element, p_adic, p_power_exponent)
 from .laurent import LaurentPoly, accumulate, prime_to_p_degree
 
 
@@ -42,8 +42,7 @@ class ASCover:
         b = p_power_exponent(self.q, F.p)  # q a power of char(F)
         if F.a % b != 0:
             raise DomainError(f"F_{self.q} does not embed in the coefficient field F_{F.q}")
-        if self.m < 1 or self.m % F.p == 0:
-            raise DomainError(f"tame degree {self.m} must be positive and prime to {F.p}")
+        check_tame(self.m, F.p)
         if self.m == 1:
             if self.z is not None:
                 raise DomainError("z is only part of the datum when m > 1")
@@ -125,8 +124,7 @@ def s_iota(q: int, m: int, z: FieldElement) -> int:
     from .gf import root_of_unity
 
     F = z.field
-    if m < 1 or m % F.p == 0:
-        raise DomainError(f"tame degree {m} must be positive and prime to {F.p}")
+    check_tame(m, F.p)
     b = p_power_exponent(q, F.p)
     if not z:
         raise DomainError("z must be a unit")

@@ -337,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
-    output = getattr(ns, "output", "-")
+    output = ns.output  # every subcommand defines --output
     try:
         if ns.cmd == "standard-form":
             result = cmd_standard_form(_read_document(ns.input))
@@ -347,10 +347,8 @@ def main(argv=None) -> int:
             result = cmd_dimension(_read_document(ns.input))
         elif ns.cmd == "verify":
             result = cmd_verify(_read_document(ns.input), ns.precision)
-        elif ns.cmd == "quaternion-demo":
+        else:  # quaternion-demo: argparse requires one of the five commands
             result = cmd_quaternion_demo(ns.field_size, ns.sweep)
-        else:  # pragma: no cover
-            raise SchemaError(f"unknown command {ns.cmd}")
     except SchemaError as exc:
         code, result = 2, _error(2, "schema", str(exc))
     except DomainError as exc:

@@ -87,22 +87,16 @@ def _pmod(a, mod, p):
     return _ptrim(a[:dm])
 
 
-def _pdivides(d, a, p):
-    # does monic d divide a over F_p?
-    return not _pmod(a, d, p)
-
-
 def _is_irreducible(poly, p):
     """Trial division by every monic polynomial of degree <= deg/2."""
     deg = len(poly) - 1
-    if deg <= 0:
-        return False
+    # deg >= 1: the one caller passes monic candidates of degree a >= 1
     if deg == 1:
         return True
     for d in range(1, deg // 2 + 1):
         for idx in range(p ** d):
             cand = _digits(idx, p, d) + (1,)
-            if _pdivides(cand, poly, p):
+            if not _pmod(poly, cand, p):
                 return False
     return True
 
@@ -121,6 +115,12 @@ def _smallest_irreducible(p, a):
         if _is_irreducible(cand, p):
             return cand
     raise AssertionError("no irreducible polynomial found")  # unreachable
+
+
+def check_tame(m: int, p: int) -> None:
+    """DomainError unless the tame degree m is positive and prime to p."""
+    if m < 1 or m % p == 0:
+        raise DomainError(f"tame degree {m} must be positive and prime to {p}")
 
 
 def power(x, n: int, mul):

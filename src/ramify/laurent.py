@@ -90,19 +90,12 @@ class SparsePoly:
         return self._make(self.field, {k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, FieldElement):
-            return self.scale(other)
         if not self._same_ring(other):
             return NotImplemented
         mono_mul = self._mono_mul
         return self._make(self.field, accumulate({}, (
             (mono_mul(k1, k2), c1 * c2) for k1, c1 in self.terms.items()
             for k2, c2 in other.terms.items())))
-
-    def __rmul__(self, other):
-        if isinstance(other, FieldElement):
-            return self.scale(other)
-        return NotImplemented
 
     def __pow__(self, n: int):
         if n < 0:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import floor, gcd
 
 from .errors import DomainError
-from .gf import p_power_exponent, prime_factors
+from .gf import check_tame, p_power_exponent, prime_factors
 from .ramfilt import ReducedFiltration, schmid_violations
 
 # The most integers dim_bounds lets n_count walk for one document, summed over
@@ -72,8 +72,7 @@ def n_count(q: int, m: int, s_iota: int, sigma, p: int | None = None) -> int:
         raise DomainError(f"{q if p is None else p} is not a prime power")
     p = primes[0]
     p_power_exponent(q, p)  # DomainError unless q = p^b, b >= 1
-    if m < 1 or m % p == 0:
-        raise DomainError(f"tame degree {m} must be positive and prime to {p}")
+    check_tame(m, p)
     if not 1 <= s_iota <= m:
         raise DomainError(f"s_iota = {s_iota} outside [1, {m}]")
     if sigma <= 0:

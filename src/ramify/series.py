@@ -312,12 +312,6 @@ class _Ring:
         return self.encode([field.reduce(slots[k:k + m])
                             for k in range(0, len(slots), m)])
 
-    def product(self, px: int, py: int, w: int, st: int, n: int,
-                lo: int = 0) -> tuple:
-        """Coefficients lo up to n of the product of two packed operands: the
-        one big-integer product of the kernel."""
-        return self.reduce(px * py, w, st, n, lo)
-
     def pack(self, x, w: int, st: int) -> int:
         """x as one int: digit i of coefficient k in the w-byte slot at byte
         k st + i w; the bit layout takes st = (2a - 1) w."""
@@ -361,8 +355,8 @@ class _Ring:
         w = _width(short * self.bound)
         st = self.m * w
         px = self.pack(x, w, st)
-        return self.product(px, px if square else self.pack(y, w, st),
-                            w, st, n)
+        return self.reduce(px * (px if square else self.pack(y, w, st)),
+                           w, st, n)
 
     def add(self, x, sx: int, y, sy: int, n: int) -> tuple:
         """The first n coefficients of T^sx x + T^sy y (sx, sy >= 0)."""
@@ -494,8 +488,8 @@ class _Ring:
                 w = _width(k * self.bound)
                 st = self.m * w
                 pu, pg = self.pack(neg_u, w, st), self.pack(g, w, st)
-            e = self.product(pu & ((1 << 8 * st * k2) - 1), pg, w, st, k2, k)
-            step = self.product(pg, self.pack(e, w, st), w, st, k2 - k)
+            e = self.reduce((pu & ((1 << 8 * st * k2) - 1)) * pg, w, st, k2, k)
+            step = self.reduce(pg * self.pack(e, w, st), w, st, k2 - k)
             g = self.cat(g, step)
             pg += self.pack(step, w, st) << 8 * st * k
             k = k2
@@ -649,8 +643,6 @@ class TruncatedSeries:
                                      self._ring.neg(self.comps), self.prec)
 
     def __mul__(self, other):
-        if isinstance(other, FieldElement):
-            return self.scale(other)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check(other)
@@ -658,11 +650,6 @@ class TruncatedSeries:
         val = self.val + other.val
         comps = self._ring.mul(self.comps, other.comps, prec - val)
         return TruncatedSeries._make(self._ring, val, comps, prec)
-
-    def __rmul__(self, other):
-        if isinstance(other, FieldElement):
-            return self.scale(other)
-        return NotImplemented
 
     def scale(self, c: FieldElement) -> "TruncatedSeries":
         """c self; self itself for c = 1, as self ** 1 is self."""

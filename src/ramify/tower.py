@@ -46,8 +46,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, PrecisionError, json_int, json_str, reading
-from .gf import (Field, FieldElement, field_create, json_element, power,
-                 root_of_unity)
+from .gf import (Field, FieldElement, check_tame, field_create, json_element,
+                 power, root_of_unity)
 from .laurent import SparsePoly, accumulate
 from .ramfilt import LOWER, RamFiltration
 from .series import TruncatedSeries, compose
@@ -190,9 +190,7 @@ class TowerSpec:
     steps: tuple[TowerStep, ...]
 
     def __post_init__(self):
-        if self.m < 1 or self.m % self.field.p == 0:
-            raise DomainError(f"tame degree {self.m} must be positive and "
-                              f"prime to {self.field.p}")
+        check_tame(self.m, self.field.p)
         known = {"x"}
         for step in self.steps:
             if step.var in known:
@@ -473,10 +471,9 @@ def _solve_unit(f: TruncatedSeries, j: int, alpha: int, beta: int,
     across passes.
     """
     p = f.field.p
-    cap = min(prec, p * f.prec + j * p)
-    if cap < 1:
-        raise PrecisionError("no usable precision left for the step solve")
-    return f.step_unit(alpha, beta, cap)
+    # cap >= 1: _peel leaves val(f) = -j < f.prec, so p f.prec + jp >= p, and
+    # a working precision below 1 is refused before, by eval or _peel
+    return f.step_unit(alpha, beta, min(prec, p * f.prec + j * p))
 
 
 @dataclass(frozen=True)
@@ -675,11 +672,6 @@ def _oracle_attempt(tower, pcgs, work):
                    for j in sorted(set(levels)))
     filt = RamFiltration(tower.total_order, tower.m, LOWER, breaks)
     return OracleRun(filt, work, pole_orders)
-
-
-def oracle_lower_jumps(tower: TowerSpec, generators,
-                       precision: int = 200) -> RamFiltration:
-    return oracle_run(tower, generators, precision).filtration
 
 
 def herbrand_lower_jumps(p: int, conductors) -> list[int]:

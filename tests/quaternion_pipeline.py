@@ -17,8 +17,7 @@ from ramify import ascover
 from ramify.ascover import standard_form_poly
 from ramify.laurent import LaurentPoly, prime_to_p_degree
 from ramify.ramfilt import jumps_with_multiplicity
-from ramify.tower import (evaluate_quaternion_fiber, oracle_lower_jumps,
-                          quaternion_tower)
+from ramify.tower import evaluate_quaternion_fiber, oracle_run, quaternion_tower
 
 
 def fiber(a1, a2, a3):
@@ -51,7 +50,7 @@ def fiber(a1, a2, a3):
 def oracle_jumps(field, a1=None, a2=None, a3=None, precision: int = 200):
     """Oracle jumps of one quaternion fiber (with multiplicity)."""
     tower, gens = quaternion_tower(field, a1, a2, a3)
-    filt = oracle_lower_jumps(tower, gens, precision)
+    filt = oracle_run(tower, gens, precision).filtration
     return [int(j) for j in jumps_with_multiplicity(filt)]
 
 

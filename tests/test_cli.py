@@ -614,11 +614,14 @@ def f4_cover(q, z):
     (["verify"], dict(TOWER, steps=[{"var": "v", "rhs": ONE}]),
      "step is not totally ramified: right-hand side has no pole after "
      "reduction"),
+    (["verify"], {k: v for k, v in TOWER.items() if k != "generators"},
+     "wild steps declared but no generators supplied"),
 ], ids=["null-z-with-tame-part", "z-outside-f-q", "z-not-generating-f-q",
         "duplicate-step-variable", "undeclared-rhs-variable",
         "shift-uses-later-variable", "negative-shift-exponent", "shift-of-x",
         "shift-of-undeclared-variable", "tame-degree-divisible-by-p",
-        "negative-step-power-without-generators", "constant-rhs"])
+        "negative-step-power-without-generators", "constant-rhs",
+        "steps-without-generators"])
 def test_refusals_name_their_cause(tmp_path, capsys, args, doc, message):
     inp = tmp_path / "in.json"
     inp.write_text(json.dumps(doc))
@@ -628,6 +631,27 @@ def test_refusals_name_their_cause(tmp_path, capsys, args, doc, message):
     assert json.loads(out)["error"] == {"code": 1, "type": "domain",
                                         "message": message}
     assert err == ""
+
+
+def schema_error(capsys, argv) -> str:
+    """The message of the schema error main answers argv with."""
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and err == ""
+    error = json.loads(out)["error"]
+    assert error["code"] == 2 and error["type"] == "schema"
+    return error["message"]
+
+
+def test_an_unreadable_input_is_a_schema_error(tmp_path, capsys):
+    missing = str(tmp_path / "missing" / "x.json")
+    message = schema_error(capsys, ["verify", "--input", missing])
+    assert message.startswith("cannot read input: ") and missing in message
+
+
+def test_quaternion_demo_refuses_an_unsupported_field_size(capsys):
+    assert schema_error(capsys, ["quaternion-demo", "--field-size", "3"]) \
+        == "field size must be one of 2, 4, 16"
 
 
 def test_name_sets_print_the_same_under_every_hash_seed(tmp_path):

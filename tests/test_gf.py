@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramify import DomainError, degree_over_prime, field_create, root_of_unity
-from ramify.gf import ORDER_CAP, p_adic, prime_factors
+from ramify.gf import ORDER_CAP, Field, p_adic, prime_factors
 
 from helpers import TEST_FIELDS, element_from_json, element_order, subfield_units
 
@@ -156,6 +156,17 @@ def test_arithmetic_beyond_table_cap():
     assert (x * y) * y.inverse() == x
     assert x.pth_root().frobenius() == x
     assert x ** F.q == x
+
+
+def test_root_of_unity_past_the_table_cap():
+    # F_65521 builds no tables, so its generator is searched for on the
+    # first root asked of it; a fresh field, as field_create's may have one
+    F = Field(65521, 1)
+    assert F._gen is None
+    zeta = root_of_unity(F, 8)
+    assert F._gen is not None
+    assert element_order(zeta) == 8
+    assert element_order(F.multiplicative_generator()) == F.q - 1
 
 
 # F_{2^13} is past the log-table cap, so it runs the polynomial path

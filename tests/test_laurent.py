@@ -32,6 +32,18 @@ def test_ring_basics():
     assert a * LaurentPoly.zero(F4) == LaurentPoly.zero(F4)
 
 
+@pytest.mark.parametrize("poly", [
+    LaurentPoly(F4, {-1: F4.one()}), VarPoly.var(F4, "v")],
+    ids=["laurent", "varpoly"])
+def test_a_field_element_multiplies_a_polynomial_only_by_scale(poly):
+    z = gen(F4)
+    assert poly.scale(z).terms == {k: z for k in poly.terms}
+    with pytest.raises(TypeError):
+        poly * z
+    with pytest.raises(TypeError):
+        z * poly
+
+
 def test_mixed_pole_decomposition_p5():
     # x^-2 + x^-(3*25): the p-free slots are x^-2 at t=0 and x^-3 at t=2
     r = lp(F5, {-2: 1, -75: 1})

@@ -87,3 +87,11 @@ def test_scale():
     z = gen(F4)
     a = ts(F4, {0: 1}, 4).scale(z)
     assert a.terms == {0: z}
+
+
+def test_a_field_element_multiplies_a_series_only_by_scale():
+    z, a = gen(F4), ts(F4, {0: 1}, 4)
+    with pytest.raises(TypeError):
+        a * z
+    with pytest.raises(TypeError):
+        z * a

@@ -328,22 +328,22 @@ def test_solve_unit_matches_fixed_point_iteration_at_cap_256(p, j, tail, cap):
 def test_unit_solve_kernel_products_stay_bounded(p, a, j, monkeypatch):
     """Operation count, not time: the Newton lift of a dense step at cap 256
     takes at most 1000 kernel products (the coefficient-per-pass lift it
-    replaced took 37214, 3105 and 7735 on these shapes).  _Ring.product is
-    the one big-integer product of the kernel: series products, powers and
-    Newton inverses all end in it."""
+    replaced took 37214, 3105 and 7735 on these shapes).  Series products,
+    powers and Newton inverses all end in one big-integer product, which
+    _Ring.reduce reads; over these fields a sum takes no reduce."""
     calls = []
-    product = _Ring.product
+    reduce = _Ring.reduce
 
-    def counting(self, px, py, w, st, n, lo=0):
+    def counting(self, v, w, st, n, lo=0):
         calls.append(n)
-        return product(self, px, py, w, st, n, lo)
+        return reduce(self, v, w, st, n, lo)
 
     field = field_create(p, a)
     rng = random.Random(p * 100 + j)
     f = TruncatedSeries(field, {e: field.from_index(rng.randrange(1, field.q))
                                 for e in range(-j, 256)}, 256)
     alpha, beta = _uniformizer_exponents(p, j)
-    monkeypatch.setattr(_Ring, "product", counting)
+    monkeypatch.setattr(_Ring, "reduce", counting)
     s = _solve_unit(f, j, alpha, beta, 256)
     assert s.prec == 256
     assert len(calls) <= 1000

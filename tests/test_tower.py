@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from ramify import (DomainError, RamFiltration, TowerSpec, field_create,
                     evaluate_quaternion_fiber, genus_rh, jumps_with_multiplicity,
-                    oracle_lower_jumps, oracle_run, p_rank_ds, quaternion_tower,
-                    root_of_unity)
+                    oracle_run, p_rank_ds, quaternion_tower, root_of_unity)
 from ramify import tower as tower_module
 from ramify.laurent import LaurentPoly
 from ramify.series import TruncatedSeries, _Ring
@@ -39,7 +38,7 @@ def single_step_tower(p, j, a=1):
 @pytest.mark.parametrize("p,j", [(2, 1), (2, 3), (2, 5), (3, 2), (3, 4), (5, 3)])
 def test_oracle_single_step(p, j):
     tower, gens = single_step_tower(p, j)
-    filt = oracle_lower_jumps(tower, gens, precision=120)
+    filt = oracle_run(tower, gens, 120).filtration
     assert filt.breaks == ((Fraction(j), p),)
     assert filt.total_order == p
     assert jumps_with_multiplicity(filt) == [j]
@@ -50,7 +49,7 @@ def test_oracle_reduces_p_divisible_pole():
     field = F2
     tower = TowerSpec(field, 1, (TowerStep("v", VarPoly.var(field, "x", -2)),))
     gen = GeneratorAction(tower, {"v": VarPoly.const(field, field.one())})
-    filt = oracle_lower_jumps(tower, [gen], precision=100)
+    filt = oracle_run(tower, [gen], 100).filtration
     assert jumps_with_multiplicity(filt) == [1]
 
 
@@ -59,12 +58,12 @@ def test_oracle_unramified_step_rejected():
     tower = TowerSpec(field, 1, (TowerStep("v", VarPoly.var(field, "x", 1)),))
     gen = GeneratorAction(tower, {"v": VarPoly.const(field, field.one())})
     with pytest.raises(DomainError, match="totally ramified"):
-        oracle_lower_jumps(tower, [gen], precision=64)
+        oracle_run(tower, [gen], 64)
 
 
 def test_oracle_tame_only():
     tower = TowerSpec(F4, 3, ())
-    filt = oracle_lower_jumps(tower, [], precision=32)
+    filt = oracle_run(tower, [], 32).filtration
     assert filt.breaks == ()
     assert filt.total_order == 3 and filt.tame == 3
 
@@ -79,7 +78,7 @@ def test_oracle_wrong_group_order():
     ))
     mu = GeneratorAction(tower, {"w": VarPoly.const(field, field.one())})
     with pytest.raises(DomainError, match="order"):
-        oracle_lower_jumps(tower, [mu], precision=64)
+        oracle_run(tower, [mu], 64)
 
 
 def test_oracle_rejects_non_automorphism():
@@ -87,7 +86,7 @@ def test_oracle_rejects_non_automorphism():
     tower = TowerSpec(field, 1, (TowerStep("v", VarPoly.var(field, "x", -1)),))
     bad = GeneratorAction(tower, {"v": VarPoly.var(field, "x")})  # v -> v + x
     with pytest.raises(DomainError, match="preserve"):
-        oracle_lower_jumps(tower, [bad], precision=64)
+        oracle_run(tower, [bad], 64)
 
 
 def test_generator_check_reduces_modulo_the_step_equations():
@@ -179,7 +178,7 @@ def test_two_step_tower_jumps():
     mu = GeneratorAction(tower, {"w": VarPoly.const(field, field.one())}, name="mu")
     tau = GeneratorAction(tower, {"v": VarPoly.const(field, field.one()),
                                   "w": VarPoly.const(field, z3)}, name="tau")
-    filt = oracle_lower_jumps(tower, [mu, tau], precision=120)
+    filt = oracle_run(tower, [mu, tau], 120).filtration
     assert filt.total_order == 4
     assert filt.breaks == ((Fraction(1), 4),)
     assert jumps_with_multiplicity(filt) == [1, 1]
@@ -224,7 +223,7 @@ def test_quaternion_deformed_fiber_oracle():
     a3 = F16.from_index(11)
     assert a1 != one16
     tower, gens = quaternion_tower(F16, a1=a1, a3=a3)
-    filt = oracle_lower_jumps(tower, gens, precision=200)
+    filt = oracle_run(tower, gens, 200).filtration
     assert jumps_with_multiplicity(filt) == [1, 1, 3]
 
 
@@ -347,7 +346,7 @@ def test_fiber_oracle_cross_check():
     rep = evaluate_quaternion_fiber(F16.zero(), a2, F16.zero())
     assert rep.connected and rep.top_jump == 5 and rep.genus == 2
     tower, gens = quaternion_tower(F16, a2=a2)
-    filt = oracle_lower_jumps(tower, gens, precision=200)
+    filt = oracle_run(tower, gens, 200).filtration
     assert jumps_with_multiplicity(filt) == [1, 1, 5]
     assert genus_rh(8, filt) == 2
 
@@ -695,16 +694,17 @@ def budget_towers():
 
 def test_oracle_kernel_products_stay_within_budget(monkeypatch):
     # operation count, not time: the oracle at precision 256 on the towers
-    # above takes 2036 kernel products (_Ring.product, the one big-integer
-    # product), 3146 when every Newton iteration of the series kernel
-    # started from one coefficient rather than the prefix it knows exactly
+    # above takes 2036 kernel products, 3146 when every Newton iteration of
+    # the series kernel started from one coefficient rather than the prefix
+    # it knows exactly.  _Ring.reduce reads each big-integer product once;
+    # over these fields a sum takes no reduce, so its calls are the products
     calls = [0]
-    product = _Ring.product
+    reduce = _Ring.reduce
 
     def counting(self, *args):
         calls[0] += 1
-        return product(self, *args)
-    monkeypatch.setattr(_Ring, "product", counting)
+        return reduce(self, *args)
+    monkeypatch.setattr(_Ring, "reduce", counting)
     for tower, gens in budget_towers():
         oracle_run(tower, gens, precision=256)
     assert calls[0] <= 2036
@@ -996,7 +996,7 @@ def test_sift_fills_a_nonabelian_group_through_a_commutator(monkeypatch, p, a,
 def test_oracle_precision_cap_exhausted():
     tower, gens = single_step_tower(2, 31)
     with pytest.raises(DomainError, match="precision cap"):
-        oracle_lower_jumps(tower, gens, precision=16)
+        oracle_run(tower, gens, 16)
 
 
 def test_rh_consistency_oracle_vs_analytic():
