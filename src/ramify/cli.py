@@ -149,10 +149,8 @@ def cmd_jumps(doc, direction: str) -> dict:
                           f"past the limit {JUMPS_BITS_CAP}")
     if direction == "to-upper":
         converted = ramfilt.lower_to_upper(filt)
-    elif direction == "to-lower":
+    else:  # to-lower: --direction takes argparse choices of these two
         converted = ramfilt.upper_to_lower(filt)
-    else:
-        raise SchemaError(f"unknown direction {direction}")
     return {
         "filtration": converted.to_json(),
         "jumps_with_multiplicity":

@@ -110,11 +110,10 @@ def _digits(n, p, width):
 
 
 def _smallest_irreducible(p, a):
-    for idx in range(p ** a):
-        cand = _digits(idx, p, a) + (1,)
-        if _is_irreducible(cand, p):
-            return cand
-    raise AssertionError("no irreducible polynomial found")  # unreachable
+    # a monic irreducible of every degree exists over F_p; an exhausted
+    # search would raise StopIteration
+    cands = (_digits(idx, p, a) + (1,) for idx in range(p ** a))
+    return next(c for c in cands if _is_irreducible(c, p))
 
 
 def check_tame(m: int, p: int) -> None:
@@ -244,11 +243,10 @@ class Field:
         """Coefficient tuple of the smallest multiplicative generator."""
         n = self.q - 1
         rads = prime_factors(n)
-        for idx in range(1, self.q):
-            c = _digits(idx, self.p, self.a)
-            if all(self._pow_coeffs(c, n // r) != self.one().coeffs for r in rads):
-                return c
-        raise AssertionError("cyclic group without generator")  # unreachable
+        # F_q^* is cyclic; an exhausted search would raise StopIteration
+        cands = (_digits(idx, self.p, self.a) for idx in range(1, self.q))
+        return next(c for c in cands if all(
+            self._pow_coeffs(c, n // r) != self.one().coeffs for r in rads))
 
     def _pow_coeffs(self, c, k):
         if k == 0:

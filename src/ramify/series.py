@@ -28,18 +28,18 @@ the relative precision of a nonzero series,
 Coefficients are exact finite-field elements; there is no rounding anywhere,
 only honest truncation.
 
-Storage is dense.  A series keeps a valuation `val` and a tuple `comps` of
-byte strings of one length; byte k of each belongs to the coefficient of
+Storage is dense.  A series keeps a valuation `val` and one byte string
+`data` of fixed-width records: record k, r bytes, is the coefficient of
 T^(val + k).  Over F_4, F_8 and F_16 (p = 2, 1 < a <= 4; the bit layout)
-`comps` is one string, and bit i of byte k is digit i (the coefficient of
-z^i in the power basis of gf).  Over every other field it holds one string
-per F_p component: byte k of comps[i] is digit i, and a prime above 256
-needs d > 1 bytes per digit, little-endian.  The two layouts coincide over
-a prime field.  The ring's codec (encode, decode, digits) alone reads
-digits.  Valuation and trimming are lstrip and rstrip of zero bytes.
-`terms` is a read-only {exponent: FieldElement} view, built on first use.
+r = 1, and bit i of the byte is digit i (the coefficient of z^i in the
+power basis of gf).  Over every other field r = a d: digit i of record k
+is the d bytes at (k a + i) d, little-endian, and d > 1 only for a prime
+above 256.  The ring's codec (encode, decode, digits) alone reads digits.
+A coefficient is zero when its record is, so valuation and trimming are an
+lstrip and an rstrip of zero bytes.  `terms` is a read-only {exponent:
+FieldElement} view, built on first use.
 
-All coefficient arithmetic runs through one kernel, _Ring, on such tuples:
+All coefficient arithmetic runs through one kernel, _Ring, on such strings:
 
 - A product is a Kronecker substitution.  The coefficients are widened into
   one strided buffer, every coefficient spread over 2a - 1 slots of w
@@ -49,16 +49,17 @@ All coefficient arithmetic runs through one kernel, _Ring, on such tuples:
   Byte b of slot s of the result, weighted by 256^b and folded from z^s
   into z^0 .. z^(a-1) by the field's modulus, is a multiplication by a
   constant mod p: one `bytes.translate` table.  The reducer sums the
-  translated strings of each component as ints (XOR for p = 2) and takes
-  one more translate mod p.  The bit layout needs no table per slot: one
-  multiplication spreads each coefficient byte's bits to its first a slots,
-  and after the product one AND keeps each slot's parity, one
-  multiplication gathers a lane's 2a - 1 parities into one byte, and one
-  translate folds that byte by the modulus (see _Ring).
-- A sum adds the components as ints and takes one translate (XOR for p = 2).
-  Negation is one translate per component, and a constant multiple one
-  translate per pair of components and a sum; in the bit layout it is one
-  translate.
+  translated strings of each digit as ints (XOR for p = 2), takes one more
+  translate mod p, and for a > 1 interleaves the a digit strings into
+  records.  The bit layout needs no table per slot: one multiplication
+  spreads each coefficient byte's bits to its first a slots, and after the
+  product one AND keeps each slot's parity, one multiplication gathers a
+  lane's 2a - 1 parities into one byte, and one translate folds that byte
+  by the modulus (see _Ring).
+- A sum adds the two strings as ints and takes one translate (XOR for
+  p = 2).  Negation is one translate for one-byte digits.  A constant
+  multiple is one translate for one-byte records, and a product by the
+  constant's record otherwise.
 - Inverses are Newton iteration on the product, doubling the number of known
   coefficients per step from the longest prefix known exactly: 1/u_0 and
   the zeros up to the first nonconstant term of u, or a longer inverse
@@ -70,7 +71,7 @@ below 256: always for p = 2 (XOR), otherwise while (p - 1) times the number
 of residues summed is below 256, which every field of the tower workloads
 meets.  Past that -- large primes, such as F_251 and F_65521 in the tests --
 the reducer reads each slot as an integer and reduces it with Field.reduce,
-and sums and constant multiples go through the same packing and reducer.
+and sums go through the same packing and reducer.
 Each ring builds its tables on first use.
 
 Series never change once built, so each keeps its inverse and every power
@@ -88,14 +89,11 @@ precision of f, is what Newton iteration gives.
 from __future__ import annotations
 
 from functools import cache
+from itertools import chain
 from types import MappingProxyType
 
 from .errors import DomainError, PrecisionError
 from .gf import Field, FieldElement, power
-
-
-# scalar plans a ring keeps (see _Ring._scalar)
-_SCALARS = 1 << 10
 
 
 def _width(bound: int) -> int:
@@ -104,13 +102,13 @@ def _width(bound: int) -> int:
 
 
 class _Ring:
-    """Arithmetic on component tuples of one field.
+    """Arithmetic on record strings of one field.
 
-    A tuple x stands for sum x_k T^k; coefficients past its end are zero.
-    Over F_(2^a) with 1 < a <= 4 (the bit layout) x is one byte string, and
-    bit i of byte k is digit i of x_k.  Over every other field x holds a
-    byte strings of n d-byte digits each, and digit k of x[i] is digit i of
-    x_k.  Every method returns a tuple of exactly the length asked for.
+    A byte string x of n records of r bytes stands for sum x_k T^k, k < n;
+    coefficients past its end are zero.  Over F_(2^a) with 1 < a <= 4 (the
+    bit layout) r = 1 and bit i of byte k is digit i of x_k.  Over every
+    other field r = a d, and digit i of x_k is the d bytes at (k a + i) d.
+    Every method returns exactly the number of records asked for.
 
     The bit layout packs a coefficient into a lane of m = 2a - 1 slots of w
     bytes.  Both moves between a byte and its lane are one multiplication by
@@ -128,7 +126,7 @@ class _Ring:
     that is u = mk + t and b = t: that byte holds the m parities of lane k.
     """
 
-    __slots__ = ("field", "p", "a", "m", "d", "bound", "empty", "one", "mod",
+    __slots__ = ("field", "p", "a", "m", "d", "r", "bound", "one", "mod",
                  "bits", "_digs", "_byte", "_fold", "_masks", "_tables",
                  "_plans", "_scalars")
 
@@ -140,6 +138,7 @@ class _Ring:
         self.bound = a * (p - 1) ** 2
         self.d = _width(p - 1)
         self.bits = p == 2 and 1 < a <= 4
+        self.r = 1 if self.bits else a * self.d
         if self.bits:
             self._digs = [tuple(b >> i & 1 for i in range(a))
                           for b in range(1 << a)]
@@ -147,72 +146,41 @@ class _Ring:
             # slot parities z^s -> the byte of their sum folded by the modulus
             self._fold = self.encode(
                 [field.reduce([b >> s & 1 for s in range(self.m)])
-                 for b in range(1 << self.m)])[0].ljust(256, b"\0")
+                 for b in range(1 << self.m)]).ljust(256, b"\0")
             self._masks = {}  # (w, slots) -> (lanes, multiplier, mask)
-        self.empty = (b"",) if self.bits else (b"",) * a
-        self.one = self.element(field.one().coeffs)
+            self._scalars = {}  # c -> the translate table x -> c x
+        self.one = self.encode([field.one().coeffs])
         self._tables = {}  # c -> the translate table x -> c x mod p
         self.mod = self.table(1)
         self._plans = {}   # (w, st) -> reduction plan, None past the tables
-        self._scalars = {}  # c -> how a multiple c x sums the components
-
-    # -- layout ------------------------------------------------------------------
-
-    def length(self, x) -> int:
-        return len(x[0]) // self.d
-
-    def cut(self, x, lo: int, hi: int | None = None) -> tuple:
-        """Coefficients lo up to hi (the end when hi is None)."""
-        d = self.d
-        if hi is None:
-            return tuple([c[lo * d:] for c in x])
-        return tuple([c[lo * d:hi * d] for c in x])
-
-    def cat(self, *xs) -> tuple:
-        return tuple(map(b"".join, zip(*xs)))
-
-    def zeros(self, n: int) -> tuple:
-        return (bytes(n * self.d),) * len(self.empty)
-
-    def pad(self, x, n: int) -> tuple:
-        """x with zeros appended up to n coefficients."""
-        short = n * self.d - len(x[0])
-        return tuple(c + bytes(short) for c in x) if short > 0 else x
 
     # -- the codec: coefficients as digit tuples ---------------------------------
 
-    def encode(self, coeffs) -> tuple:
-        """The tuple of a list of coefficients, each given by its digits."""
+    def encode(self, coeffs) -> bytes:
+        """The records of a list of coefficients, each given by its digits."""
         if self.bits:
-            return (bytes(map(self._byte.__getitem__, coeffs)),)
-        if not coeffs:
-            return self.empty
-        cols, d = zip(*coeffs), self.d
+            return bytes(map(self._byte.__getitem__, coeffs))
+        d = self.d
         if d == 1:
-            return tuple(map(bytes, cols))
-        return tuple(b"".join(v.to_bytes(d, "little") for v in col)
-                     for col in cols)
+            return bytes(chain.from_iterable(coeffs))
+        return b"".join([v.to_bytes(d, "little") for c in coeffs for v in c])
 
-    def decode(self, x) -> list:
+    def decode(self, x: bytes) -> list:
         """The digits of each coefficient of x."""
         if self.bits:
-            return list(map(self._digs.__getitem__, x[0]))
+            return list(map(self._digs.__getitem__, x))
         d = self.d
         if d > 1:
-            x = [[int.from_bytes(c[k:k + d], "little")
-                  for k in range(0, len(c), d)] for c in x]
-        return list(zip(*x))
+            x = [int.from_bytes(x[k:k + d], "little")
+                 for k in range(0, len(x), d)]
+        return list(zip(*[iter(x)] * self.a))
 
-    def element(self, digits) -> tuple:
-        """The one-coefficient tuple of an element's digits."""
-        return self.encode([digits])
-
-    def digits(self, x, k: int) -> tuple:
+    def digits(self, x: bytes, k: int) -> tuple:
         """The digits of coefficient k."""
         if self.bits:
-            return self._digs[x[0][k]]
-        d = self.d
-        return tuple(int.from_bytes(c[k * d:(k + 1) * d], "little") for c in x)
+            return self._digs[x[k]]
+        r = self.r
+        return self.decode(x[k * r:(k + 1) * r])[0]
 
     # -- the reducer -------------------------------------------------------------
 
@@ -229,8 +197,8 @@ class _Ring:
         return self.d == 1 and (self.p == 2 or terms * (self.p - 1) < 256)
 
     def combine(self, ints, picks, n: int) -> bytes:
-        """The n digits of the sum mod p of the ints picked (their bytes are
-        residues), for exact(len(picks))."""
+        """The n one-byte digits of the sum mod p of the ints picked (their
+        bytes are residues), for exact(len(picks))."""
         acc = 0
         if self.p == 2:
             for k in picks:
@@ -281,29 +249,36 @@ class _Ring:
             self._masks[w, slots] = top, mult, mask
         return mult, mask >> 8 * self.m * w * (top - n)
 
-    def reduce(self, v: int, w: int, st: int, n: int, lo: int = 0) -> tuple:
+    def reduce(self, v: int, w: int, st: int, n: int, lo: int = 0) -> bytes:
         """Coefficients lo up to n of v, each a block of st bytes that holds
         st // w slots of w bytes, slot s standing for z^s."""
         if n <= lo:
-            return self.empty
+            return b""
         if self.bits:  # the gather (see the class docstring), then the fold
             if lo:
                 v >>= 8 * st * lo
             n -= lo
             mult, mask = self._lanes(w, self.m, n)
             raw = ((v & mask) * mult).to_bytes((n + 1) * st, "little")
-            return (raw[st - w:n * st:st].translate(self._fold),)
+            return raw[st - w:n * st:st].translate(self._fold)
         size, start = n * st, lo * st
         raw = v.to_bytes(max(size, (v.bit_length() + 7) >> 3), "little")
         plan = self._plans.get((w, st)) or self._plan(w, st)
         if plan:
             tables, parts, cols = plan
             if len(parts) == 1:  # one digit from one byte of one slot
-                return (raw[start + parts[0][0]:size:st].translate(tables[0]),)
+                return raw[start + parts[0][0]:size:st].translate(tables[0])
             tr = [raw.translate(t) for t in tables]
             ints = [int.from_bytes(tr[i][start + off:size:st], "little")
                     for off, i in parts]
-            return tuple([self.combine(ints, col, n - lo) for col in cols])
+            digits = [self.combine(ints, col, n - lo) for col in cols]
+            a = self.a
+            if a == 1:
+                return digits[0]
+            out = bytearray(a * (n - lo))  # digit i of each record
+            for i, col in enumerate(digits):
+                out[i::a] = col
+            return bytes(out)
         # past the tables: each slot as an integer, each block mod the
         # modulus and p
         m, field = st // w, self.field
@@ -312,144 +287,115 @@ class _Ring:
         return self.encode([field.reduce(slots[k:k + m])
                             for k in range(0, len(slots), m)])
 
-    def pack(self, x, w: int, st: int) -> int:
+    def pack(self, x: bytes, w: int, st: int) -> int:
         """x as one int: digit i of coefficient k in the w-byte slot at byte
         k st + i w; the bit layout takes st = (2a - 1) w."""
-        d = self.d
         if self.bits:  # the bytes at the lane starts, then the spread
-            n = len(x[0])
+            n = len(x)
             buf = bytearray(n * st)
-            buf[::st] = x[0]
+            buf[::st] = x
             mult, mask = self._lanes(w, self.a, n)
             return int.from_bytes(buf, "little") * mult & mask
-        if st == d:  # one slot of one digit: the component is the layout
-            return int.from_bytes(x[0], "little")
-        buf = bytearray(len(x[0]) // d * st)
-        for i, c in enumerate(x):
+        d, r = self.d, self.r
+        if st == r and w == d:  # a slot per digit: the records are the layout
+            return int.from_bytes(x, "little")
+        buf = bytearray(len(x) // r * st)
+        for i in range(self.a):
             for b in range(d):
-                buf[i * w + b::st] = c[b::d]
+                buf[i * w + b::st] = x[i * d + b::r]
         return int.from_bytes(buf, "little")
 
     # -- arithmetic --------------------------------------------------------------
 
-    def mul(self, x, y, n: int) -> tuple:
+    def mul(self, x: bytes, y: bytes, n: int) -> bytes:
         """The first n coefficients of x * y."""
         if n <= 0:
-            return self.empty
-        d = self.d
-        size = n * d
+            return b""
+        r = self.r
+        size = n * r
         square = x is y
-        if len(x[0]) > size:
-            x = tuple([c[:size] for c in x])
-        if square:
-            y = x
-        elif len(y[0]) > size:
-            y = tuple([c[:size] for c in y])
-        short = min(len(x[0]), len(y[0])) // d
-        if not short:
-            return self.zeros(n)
-        if short == 1 and self.exact(self.a):  # a constant factor: no product
-            if len(x[0]) == d:
+        x = x[:size]
+        y = x if square else y[:size]
+        short = min(len(x), len(y)) // r
+        if short == 1 and r == 1:  # a constant factor: one translate
+            if len(x) == 1:
                 x, y = y, x
-            return self.pad(self.scale(x, self.digits(y, 0)), n)
+            return self.scale(x, self.digits(y, 0)).ljust(size, b"\0")
         w = _width(short * self.bound)
         st = self.m * w
         px = self.pack(x, w, st)
         return self.reduce(px * (px if square else self.pack(y, w, st)),
                            w, st, n)
 
-    def add(self, x, sx: int, y, sy: int, n: int) -> tuple:
+    def add(self, x: bytes, sx: int, y: bytes, sy: int, n: int) -> bytes:
         """The first n coefficients of T^sx x + T^sy y (sx, sy >= 0)."""
-        x = self.cut(x, 0, max(n - sx, 0))
-        y = self.cut(y, 0, max(n - sy, 0))
+        r = self.r
+        x, y = x[:max(n - sx, 0) * r], y[:max(n - sy, 0) * r]
         if not self.exact(2):
             w = _width(2 * (self.p - 1))
             st = self.a * w
             v = (self.pack(x, w, st) << 8 * st * sx) \
                 + (self.pack(y, w, st) << 8 * st * sy)
             return self.reduce(v, w, st, n)
-        return tuple([self.combine((int.from_bytes(u, "little") << 8 * sx,
-                                    int.from_bytes(v, "little") << 8 * sy),
-                                   (0, 1), n)
-                      for u, v in zip(x, y)])
+        return self.combine((int.from_bytes(x, "little") << 8 * r * sx,
+                             int.from_bytes(y, "little") << 8 * r * sy),
+                            (0, 1), n * r)
 
-    def _scalar(self, c: tuple):
-        """For each digit j of c * x, the (component, table) pairs it sums:
-        component i times digit j of c z^i, no table for a factor 1 since
-        the digits of x are residues already; in the bit layout, the one
-        table of c * x.  Kept per c; the memo is emptied when full, so a
-        long run over a large field stays bounded."""
-        plan = self._scalars.get(c)
-        if plan is None:
-            field, a = self.field, self.a
-            cols = [field.reduce((0,) * i + c) for i in range(a)]
-            if self.bits:  # b -> c b: c z^i summed over the bits i of b
-                plan = bytearray(256)
-                for i, col in enumerate(cols):
-                    for b in range(1 << a):
-                        if b >> i & 1:
-                            plan[b] ^= self._byte[col]
-            else:
-                plan = [[(i, None if col[j] == 1 else self.table(col[j]))
-                         for i, col in enumerate(cols) if col[j]]
-                        for j in range(a)]
-            if len(self._scalars) >= _SCALARS:
-                self._scalars.clear()
-            self._scalars[c] = plan
-        return plan
+    def scale(self, x: bytes, c: tuple) -> bytes:
+        """c * x for the element with digits c: one translate for one-byte
+        records, a product by the record of c for longer ones.  In the bit
+        layout the table maps b to c z^i summed over the bits i of b, and
+        each c keeps its table."""
+        if self.r > 1:
+            return self.mul(x, self.encode([c]), len(x) // self.r)
+        if not self.bits:
+            return x.translate(self.table(c[0]))
+        t = self._scalars.get(c)
+        if t is None:
+            t = bytearray(256)
+            for i in range(self.a):
+                ci = self._byte[self.field.reduce((0,) * i + c)]
+                for b in range(1 << self.a):
+                    if b >> i & 1:
+                        t[b] ^= ci
+            t = self._scalars[c] = bytes(t)
+        return x.translate(t)
 
-    def scale(self, x, c: tuple) -> tuple:
-        """c * x for the element with digits c."""
-        if self.bits:
-            return (x[0].translate(self._scalar(c)),)
-        if not self.exact(self.a):
-            return self.mul(x, self.element(c), self.length(x))
-        out = []
-        for col in self._scalar(c):
-            strs = [x[i] if t is None else x[i].translate(t) for i, t in col]
-            out.append(strs[0] if len(strs) == 1 else self.combine(
-                [int.from_bytes(v, "little") for v in strs], range(len(strs)),
-                len(x[0])))
-        return tuple(out)
-
-    def neg(self, x) -> tuple:
+    def neg(self, x: bytes) -> bytes:
+        """-x: one translate for one-byte digits."""
         if self.p == 2:
             return x
+        if self.d == 1:
+            return x.translate(self.table(self.p - 1))
         return self.scale(x, (self.p - 1,) + (0,) * (self.a - 1))
 
-    def weigh(self, x, ks) -> tuple:
+    def weigh(self, x: bytes, ks) -> bytes:
         """x with coefficient k times the integer ks[k % len(ks)]: one
-        translate per residue class, or per digit for digits wider than a
-        byte.  In the bit layout an odd weight keeps its class and an even
-        one zeros it."""
-        p, r = self.p, len(ks)
+        translate per byte of a record in each residue class, or per digit
+        for digits wider than a byte.  In the bit layout an odd weight keeps
+        its class and an even one zeros it."""
+        p, r, span = self.p, self.r, len(ks) * self.r
         if self.d > 1:
-            return self.encode([tuple(v * ks[k % r] % p for v in c)
+            return self.encode([tuple(v * ks[k % len(ks)] % p for v in c)
                                 for k, c in enumerate(self.decode(x))])
-        out = []
-        for c in x:
-            buf = bytearray(len(c))
-            for i, k in enumerate(ks):
-                if not self.bits:
-                    buf[i::r] = c[i::r].translate(self.table(k % p))
-                elif k & 1:
-                    buf[i::r] = c[i::r]
-            out.append(bytes(buf))
-        return tuple(out)
+        buf = bytearray(len(x))
+        for j in range(span):
+            k = ks[j // r]
+            if not self.bits:
+                buf[j::span] = x[j::span].translate(self.table(k % p))
+            elif k & 1:
+                buf[j::span] = x[j::span]
+        return bytes(buf)
 
-    def tail_val(self, x, n: int) -> int:
+    def tail_val(self, x: bytes, n: int) -> int:
         """The valuation of x - x_0, the index of the first nonzero
-        coefficient past 0, or n when none is below n: one lstrip per
-        component."""
-        d, v = self.d, n
-        for c in x:
-            rest = c[d:n * d]
-            tail = rest.lstrip(b"\0")
-            if tail:
-                v = min(v, 1 + (len(rest) - len(tail)) // d)
-        return v
+        coefficient past 0, or n when none is below n: one lstrip."""
+        r = self.r
+        rest = x[r:n * r]
+        tail = rest.lstrip(b"\0")
+        return 1 + (len(rest) - len(tail)) // r if tail else n
 
-    def inverse(self, u, n: int, g=None) -> tuple:
+    def inverse(self, u: bytes, n: int, g: bytes | None = None) -> bytes:
         """The first n coefficients of 1/u, for u_0 != 0, by Newton; g, when
         given, is 1/u mod T^k for some k >= 1, and the steps start from it.
 
@@ -465,21 +411,22 @@ class _Ring:
         zeros: a constant u takes no product.  Newton from any exact prefix
         reaches the one truncation 1/u mod T^n.  While g is that constant,
         e is 1/u_0 times coefficients k to 2k of -u, and the first step is
-        two constant multiples.
+        one constant multiple, by 1/u_0^2.
         """
+        r = self.r
         v = self.tail_val(u, n)
-        if g is None or self.length(g) < v:
+        if g is None or len(g) < v * r:
             c = (self.digits(g, 0) if g is not None else
                  FieldElement(self.field, self.digits(u, 0)).inverse().coeffs)
-            g = self.pad(self.element(c), min(v, n))
-        k = self.length(g)
+            g = self.encode([c]).ljust(min(v, n) * r, b"\0")
+        k = len(g) // r
         if k >= n:
-            return self.cut(g, 0, n)
-        neg_u = self.neg(self.cut(u, 0, n))
+            return g[:n * r]
+        neg_u = self.neg(u[:n * r])
         if k <= v:  # g = 1/u_0 mod T^k
-            c, k2 = self.digits(g, 0), min(2 * k, n)
-            g = self.cat(g, self.scale(self.scale(
-                self.pad(self.cut(neg_u, k, k2), k2 - k), c), c))
+            c, k2 = FieldElement(self.field, self.digits(g, 0)), min(2 * k, n)
+            g += self.scale(neg_u[k * r:k2 * r].ljust((k2 - k) * r, b"\0"),
+                            (c * c).coeffs)
             k = k2
         w = 0
         while k < n:
@@ -490,33 +437,35 @@ class _Ring:
                 pu, pg = self.pack(neg_u, w, st), self.pack(g, w, st)
             e = self.reduce((pu & ((1 << 8 * st * k2) - 1)) * pg, w, st, k2, k)
             step = self.reduce(pg * self.pack(e, w, st), w, st, k2 - k)
-            g = self.cat(g, step)
+            g += step
             pg += self.pack(step, w, st) << 8 * st * k
             k = k2
         return g
 
-    def power(self, x, e: int, n: int) -> tuple:
+    def power(self, x: bytes, e: int, n: int) -> bytes:
         """The first n coefficients of x^e for e >= 0 and x_0 != 0, by
         square-and-multiply at the fixed length n, started from the first
         factor."""
         if n <= 0:
-            return self.empty
+            return b""
+        size = n * self.r
         if e == 0:
-            return self.pad(self.one, n)
-        return self.pad(power(self.cut(x, 0, n), e,
-                              lambda u, v: self.mul(u, v, n)), n)
+            return self.one.ljust(size, b"\0")
+        return power(x[:size], e, lambda u, v: self.mul(u, v, n)).ljust(
+            size, b"\0")
 
-    def subst(self, x, sigma, gap: int, n: int) -> tuple:
+    def subst(self, x: bytes, sigma: bytes, gap: int, n: int) -> bytes:
         """The first n >= 1 coefficients of sum x_k (T^gap sigma)^k, for x
         nonempty and gap >= 1, by Horner: the partial sum that
         (T^gap sigma)^k multiplies is needed only mod T^(n - gap k)."""
-        top = min(self.length(x), -(-n // gap)) - 1
-        acc = self.cut(x, top, top + 1)
-        fill = self.zeros(gap - 1)
+        r = self.r
+        top = min(len(x) // r, -(-n // gap)) - 1
+        acc = x[top * r:(top + 1) * r]
+        fill = bytes((gap - 1) * r)
         for k in range(top - 1, -1, -1):
-            acc = self.cat(self.cut(x, k, k + 1), fill,
-                           self.mul(sigma, acc, n - gap * (k + 1)))
-        return self.pad(acc, n)
+            acc = b"".join((x[k * r:(k + 1) * r], fill,
+                            self.mul(sigma, acc, n - gap * (k + 1))))
+        return acc.ljust(n * r, b"\0")
 
 
 @cache
@@ -527,7 +476,7 @@ def _ring(field: Field) -> _Ring:
 
 
 class TruncatedSeries:
-    __slots__ = ("field", "val", "comps", "prec", "_ring", "_terms", "_pows",
+    __slots__ = ("field", "val", "data", "prec", "_ring", "_terms", "_pows",
                  "_inv")
 
     def __init__(self, field: Field, terms, prec: int):
@@ -544,56 +493,42 @@ class TruncatedSeries:
             coeffs[e - val] = digits
         self._set(ring, val, ring.encode(coeffs), prec)
 
-    def _set(self, ring: _Ring, val: int, comps: tuple, prec: int):
-        """Store comps from T^val, dropping zeros at both ends and
-        everything at or past prec."""
-        d = ring.d
-        if len(comps[0]) > (prec - val) * d:
-            comps = ring.cut(comps, 0, max(prec - val, 0))
-        # a nonzero end byte in some component is a nonzero end digit
-        x = comps[0]
-        if len(comps) == 1:
-            lead, tail = x and x[0], x and x[-1]
-        else:
-            lead = x and any([c[0] for c in comps])
-            tail = x and any([c[-1] for c in comps])
-        if lead:
-            lo = 0
-        else:
-            lo = min([len(c) - len(c.lstrip(b"\0")) for c in comps]) // d
-        if tail:
-            hi = len(x) // d
-        else:
-            hi = -(-max([len(c.rstrip(b"\0")) for c in comps]) // d)
+    def _set(self, ring: _Ring, val: int, data: bytes, prec: int):
+        """Store the records of data from T^val, dropping zero records at
+        both ends and everything at or past prec."""
+        r = ring.r
+        if len(data) > (prec - val) * r:
+            data = data[:max(prec - val, 0) * r]
         self.field = ring.field
         self._ring = ring
         self.prec = prec
-        if lo >= hi:
-            self.val, self.comps = prec, ring.empty
-        else:
-            self.val = val + lo
-            self.comps = (ring.cut(comps, lo, hi)
-                          if lo or hi * d < len(comps[0]) else comps)
+        if data and data[0] and data[-1]:  # both end records are nonzero
+            self.val, self.data = val, data
+        else:  # a record is zero when all its bytes are
+            lo = (len(data) - len(data.lstrip(b"\0"))) // r
+            hi = -(-len(data.rstrip(b"\0")) // r)
+            self.val, self.data = ((prec, b"") if lo >= hi else
+                                   (val + lo, data[lo * r:hi * r]))
         self._terms = None
         self._pows = {}
         self._inv = None
 
     @classmethod
-    def _make(cls, ring: _Ring, val: int, comps: tuple, prec: int):
+    def _make(cls, ring: _Ring, val: int, data: bytes, prec: int):
         obj = cls.__new__(cls)
-        obj._set(ring, val, comps, prec)
+        obj._set(ring, val, data, prec)
         return obj
 
     @classmethod
     def zero(cls, field: Field, prec: int):
         ring = _ring(field)
-        return cls._make(ring, prec, ring.empty, prec)
+        return cls._make(ring, prec, b"", prec)
 
     @classmethod
     def monomial(cls, field: Field, exp: int, prec: int, coeff=None):
         c = field.one() if coeff is None else coeff
         ring = _ring(field)
-        return cls._make(ring, exp, ring.element(c.coeffs), prec)
+        return cls._make(ring, exp, ring.encode([c.coeffs]), prec)
 
     # -- structure -------------------------------------------------------------
 
@@ -604,20 +539,20 @@ class TruncatedSeries:
             field, val = self.field, self.val
             self._terms = MappingProxyType(
                 {val + k: FieldElement(field, c)
-                 for k, c in enumerate(self._ring.decode(self.comps))
+                 for k, c in enumerate(self._ring.decode(self.data))
                  if any(c)})
         return self._terms
 
     def valuation(self) -> int | None:
         """Exact valuation, or None when the series is 0 + O(T^prec)."""
-        return self.val if self.comps[0] else None
+        return self.val if self.data else None
 
     def is_zero_to_precision(self) -> bool:
-        return not self.comps[0]
+        return not self.data
 
     def leading(self) -> FieldElement:
         """The coefficient of T^val, for a series not zero to precision."""
-        return FieldElement(self.field, self._ring.digits(self.comps, 0))
+        return FieldElement(self.field, self._ring.digits(self.data, 0))
 
     # -- arithmetic --------------------------------------------------------------
 
@@ -631,16 +566,16 @@ class TruncatedSeries:
         self._check(other)
         prec = min(self.prec, other.prec)
         val = min(self.val, other.val)
-        comps = self._ring.add(self.comps, self.val - val,
-                               other.comps, other.val - val, prec - val)
-        return TruncatedSeries._make(self._ring, val, comps, prec)
+        data = self._ring.add(self.data, self.val - val,
+                              other.data, other.val - val, prec - val)
+        return TruncatedSeries._make(self._ring, val, data, prec)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
         return TruncatedSeries._make(self._ring, self.val,
-                                     self._ring.neg(self.comps), self.prec)
+                                     self._ring.neg(self.data), self.prec)
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -648,8 +583,8 @@ class TruncatedSeries:
         self._check(other)
         prec = min(self.prec + other.val, other.prec + self.val)
         val = self.val + other.val
-        comps = self._ring.mul(self.comps, other.comps, prec - val)
-        return TruncatedSeries._make(self._ring, val, comps, prec)
+        data = self._ring.mul(self.data, other.data, prec - val)
+        return TruncatedSeries._make(self._ring, val, data, prec)
 
     def scale(self, c: FieldElement) -> "TruncatedSeries":
         """c self; self itself for c = 1, as self ** 1 is self."""
@@ -657,13 +592,13 @@ class TruncatedSeries:
             raise DomainError("elements of different fields")
         if c.coeffs == self.field.one().coeffs:
             return self
-        comps = self._ring.scale(self.comps, c.coeffs)
-        return TruncatedSeries._make(self._ring, self.val, comps, self.prec)
+        data = self._ring.scale(self.data, c.coeffs)
+        return TruncatedSeries._make(self._ring, self.val, data, self.prec)
 
     def shift(self, k: int) -> "TruncatedSeries":
         """T^k self: an exact monomial factor moves valuation and precision
         by k and needs no product."""
-        return TruncatedSeries._make(self._ring, self.val + k, self.comps,
+        return TruncatedSeries._make(self._ring, self.val + k, self.data,
                                      self.prec + k)
 
     def inverse(self) -> "TruncatedSeries":
@@ -677,8 +612,8 @@ class TruncatedSeries:
             v = self.valuation()
             if v is None:
                 raise PrecisionError("cannot invert an (apparent) zero series")
-            comps = self._ring.inverse(self.comps, self.prec - v)
-            self._inv = TruncatedSeries._make(self._ring, -v, comps,
+            data = self._ring.inverse(self.data, self.prec - v)
+            self._inv = TruncatedSeries._make(self._ring, -v, data,
                                               self.prec - 2 * v)
         return self._inv
 
@@ -686,7 +621,7 @@ class TruncatedSeries:
         """self + O(T^prec): self when prec is not below its precision."""
         if prec >= self.prec:
             return self
-        return TruncatedSeries._make(self._ring, self.val, self.comps, prec)
+        return TruncatedSeries._make(self._ring, self.val, self.data, prec)
 
     def keep_inverse(self, inv: "TruncatedSeries") -> "TruncatedSeries":
         """self, keeping inv, an inverse known in closed form, for inverse()
@@ -722,8 +657,8 @@ class TruncatedSeries:
         else:
             val = n * self.val
             rel = self.prec - self.val
-            comps = ring.power(self.comps, n, rel)
-            out = TruncatedSeries._make(ring, val, comps, val + rel)
+            data = ring.power(self.data, n, rel)
+            out = TruncatedSeries._make(ring, val, data, val + rel)
         self._pows[n] = out
         return out
 
@@ -761,35 +696,35 @@ class TruncatedSeries:
         (see _Ring.inverse).
         """
         ring, field = self._ring, self.field
-        p, j = ring.p, -self.val
+        p, r, j = ring.p, ring.r, -self.val
         # coefficient i of u is that of t^i; terms with p*i >= cap cannot
         # reach T^cap through tau.
         top = -(-cap // p)
-        u = ring.cut(self.comps, 0, top)
+        u = self.data[:top * r]
         v_g = ring.tail_val(u, top)
         constant = v_g == top  # p v_g >= cap as well
         if constant:
-            u = ring.cut(u, 0, 1)
-        h = ring.weigh(u, [1 + beta * i for i in range(min(p, ring.length(u)))])
+            u = u[:r]
+        h = ring.weigh(u, [1 + beta * i for i in range(min(p, len(u) // r))])
         shift, e = j * (p - 1), alpha * (p - 1)
         k = e % p  # the integer factor of the middle term of F'
         k_digits = field.element(k).coeffs
         n = min(shift, p * v_g, cap)
-        s = ring.inverse(ring.cut(u, 0, 1), n)  # 1/c mod T^n
+        s = ring.inverse(u[:r], n)  # 1/c mod T^n
         d_inv = None  # 1/F'(s) from the last pass, exact to its length
         s_inv = None  # 1/s from the last pass, exact mod T^n of this s
         while n < cap:
             n2 = min(2 * n, cap)
             m = n2 - n
             if constant:
-                sigma = ring.empty  # subst reads no sigma for a constant
+                sigma = b""  # subst reads no sigma for a constant
             elif beta >= 0:
                 sigma = ring.power(s, beta, n2 - p)
             elif n2 > p:
                 s_inv = ring.inverse(s, n2 - p, s_inv)
                 sigma = ring.power(s_inv, -beta, n2 - p)
             else:
-                sigma = ring.empty
+                sigma = b""
             f_s = ring.mul(s, ring.subst(u, sigma, p, n2), n2)
             if n2 > shift:
                 if k:  # s^e = s^(e-1) s
@@ -800,19 +735,19 @@ class TruncatedSeries:
                 f_s = ring.add(f_s, 0, s_e, shift, n2)
             d_s = ring.subst(h, sigma, p, m)
             if k and m > shift:
-                mid = ring.scale(ring.cut(low, 0, m - shift), k_digits)
+                mid = ring.scale(low[:(m - shift) * r], k_digits)
                 d_s = ring.add(d_s, 0, mid, shift, m)
             d_inv = ring.inverse(d_s, m, d_inv)
-            s = ring.cat(s, ring.mul(ring.neg(ring.cut(f_s, n)), d_inv, m))
+            s += ring.mul(ring.neg(f_s[n * r:]), d_inv, m)
             if s_inv is not None:
-                s_inv = ring.cut(s_inv, 0, n)
+                s_inv = s_inv[:n * r]
             n = n2
         unit = TruncatedSeries._make(ring, 0, s, cap)
         return unit.keep_inverse(TruncatedSeries._make(
             ring, 0, ring.inverse(s, cap, s_inv), cap))
 
     def __repr__(self):
-        if not self.comps[0]:
+        if not self.data:
             return f"O(T^{self.prec})"
         bits = [f"({c!r})T^{e}" for e, c in sorted(self.terms.items())]
         return " + ".join(bits) + f" + O(T^{self.prec})"
@@ -831,8 +766,8 @@ def compose(f: TruncatedSeries, tau: TruncatedSeries) -> TruncatedSeries:
     if f.is_zero_to_precision():
         return TruncatedSeries.zero(f.field, cap)
     ring, t_v = f._ring, tau ** f.val
-    if t_v.prec <= cap and f.comps == ring.one:
+    if t_v.prec <= cap and f.data == ring.one:
         return t_v
     rel = min(cap, t_v.prec) - t_v.val
-    comps = ring.mul(ring.subst(f.comps, tau.comps, vt, rel), t_v.comps, rel)
-    return TruncatedSeries._make(ring, t_v.val, comps, t_v.val + rel)
+    data = ring.mul(ring.subst(f.data, tau.data, vt, rel), t_v.data, rel)
+    return TruncatedSeries._make(ring, t_v.val, data, t_v.val + rel)

@@ -1,12 +1,13 @@
-"""The byte-component series kernel against the dict reference, term for term.
+"""The byte-record series kernel against the dict reference, term for term.
 
 Every operation must give the same terms and the same precision as the
 dict-of-FieldElement code in dict_series.py.  The fields cover the prime
 fields F_2, F_3, F_5, the extensions F_4, F_8, F_16 (one byte per
-coefficient, a bit per digit), F_9, F_{2^16} (above the log-table cap, 31
-slots per element), F_65521 (two bytes per digit) and F_251, where a sum of
-two residues no longer fits a byte, so products and sums take the reducer's
-per-slot mod-p branch.
+coefficient, a bit per digit), F_9 and F_27 (records of 2 and 3 one-byte
+digits), F_{2^16} (above the log-table cap, 31 slots per element),
+F_65521 (two bytes per digit), F_(257^2) (records of two two-byte digits)
+and F_251, where a sum of two residues no longer fits a byte, so products
+and sums take the reducer's per-slot mod-p branch.
 """
 
 import random
@@ -28,7 +29,7 @@ from helpers import index_of
 
 FIELDS = [field_create(p, a) for p, a in
           [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 4), (2, 3), (2, 16),
-           (65521, 1), (251, 1)]]
+           (65521, 1), (251, 1), (3, 3), (257, 2)]]
 
 
 @st.composite
@@ -178,7 +179,7 @@ def test_full_slots_match_reference():
 
 
 def test_index_component_round_trip():
-    """Element indices to a tuple and back through the ring's codec, and
+    """Element indices to records and back through the ring's codec, and
     through the strided slot layout at widths from one digit to nine bytes,
     with and without the 2a - 1 product slots.  The bit layout packs only
     into the 2a - 1 slots of a product, which its gather reads."""
@@ -186,17 +187,18 @@ def test_index_component_round_trip():
     for field in FIELDS:
         ring = _ring(field)
         idx = [0] + [rng.randrange(field.q) for _ in range(40)] + [field.q - 1]
-        comps = ring.encode([field.from_index(i).coeffs for i in idx])
-        back = [index_of(FieldElement(field, t)) for t in ring.decode(comps)]
+        data = ring.encode([field.from_index(i).coeffs for i in idx])
+        assert len(data) == len(idx) * ring.r
+        back = [index_of(FieldElement(field, t)) for t in ring.decode(data)]
         assert back == idx
-        assert [ring.digits(comps, k) for k in range(len(idx))] == \
+        assert [ring.digits(data, k) for k in range(len(idx))] == \
             [field.from_index(i).coeffs for i in idx]
         for w in range(ring.d, 10):
             sts = ((2 * field.a - 1) * w,) if ring.bits else \
                 (field.a * w, (2 * field.a - 1) * w)
             for st in sts:
-                assert ring.reduce(ring.pack(comps, w, st), w, st,
-                                   len(idx)) == comps
+                assert ring.reduce(ring.pack(data, w, st), w, st,
+                                   len(idx)) == data
 
 
 def bits_of(v: int) -> list:
@@ -238,18 +240,26 @@ def test_spread_and_gather_move_every_bit_to_a_position_of_its_own(a, w):
             [[m * n + b] if b < m else None for b in range(8)]
 
 
-def test_small_characteristic_two_series_have_one_component():
-    """Over F_4, F_8 and F_16 a series is one byte string of coefficient
-    bytes; F_(2^16), F_9 and the prime fields keep a component per digit."""
-    for (p, a), comps in [((2, 2), 1), ((2, 3), 1), ((2, 4), 1), ((2, 16), 16),
-                          ((3, 2), 2), ((2, 1), 1), ((5, 1), 1)]:
+def test_a_series_is_one_string_of_fixed_width_records():
+    """A series is one byte string of r-byte records, the coefficient of
+    T^(val + k) in record k.  Over F_4, F_8 and F_16 r = 1 and bit i of the
+    byte is digit i; otherwise r = a d, and digit i of record k is the d
+    little-endian bytes at (k a + i) d."""
+    for p, a, r in [(2, 1, 1), (5, 1, 1), (2, 2, 1), (2, 3, 1), (2, 4, 1),
+                    (3, 2, 2), (3, 3, 3), (2, 16, 16), (257, 1, 2),
+                    (257, 2, 4)]:
         field = field_create(p, a)
-        top = field.from_index(field.q - 1)
-        s = TruncatedSeries(field, {0: top, 3: field.one()}, 10)
-        assert len(s.comps) == comps
-        assert _ring(field).bits == (p == 2 and 1 < a <= 4)
-        if comps == 1 and a > 1:
-            assert s.comps == (bytes([field.q - 1, 0, 0, 1]),)
+        ring = _ring(field)
+        assert (ring.bits, ring.r) == (p == 2 and 1 < a <= 4, r)
+        top = field.from_index(field.q - 1)  # every digit p - 1
+        s = TruncatedSeries(field, {-1: top, 2: field.one()}, 10)
+        if ring.bits:
+            record = [field.q - 1]
+        else:
+            record = [(p - 1) >> 8 * b & 255 for b in range(ring.d)] * a
+        zero, unit = [0] * r, [1] + [0] * (r - 1)
+        assert (s.val, s.prec) == (-1, 10)
+        assert s.data == bytes(record + zero + zero + unit)
 
 
 def test_dense_product_over_f_2_16_matches_reference():
@@ -360,10 +370,10 @@ def test_inverse_from_a_known_prefix_matches_a_fresh_one(data):
     ring = _ring(field)
     u = data.draw(series(field, max_prec=200, vals=(0, 0)))
     n = data.draw(st.integers(1, 200))
-    fresh = ring.inverse(u.comps, n)
+    fresh = ring.inverse(u.data, n)
     k = data.draw(st.integers(1, n + 3))
-    start = ring.inverse(u.comps, k)
-    assert ring.inverse(u.comps, n, start) == fresh
+    start = ring.inverse(u.data, k)
+    assert ring.inverse(u.data, n, start) == fresh
 
 
 @settings(max_examples=40, deadline=None)
@@ -392,8 +402,8 @@ def test_solve_unit_with_carried_inverses_matches_fresh_ones_per_pass(data):
         mp.setattr(_Ring, "inverse", fresh)
         reference = _solve_unit(f, j, alpha, beta, cap)
     s = _solve_unit(f, j, alpha, beta, cap)
-    assert (s.val, s.comps, s.prec) == \
-        (reference.val, reference.comps, reference.prec)
+    assert (s.val, s.data, s.prec) == \
+        (reference.val, reference.data, reference.prec)
     # the calls: s = 1/c mod T^n0, then per pass 1/F'(s), and 1/s for
     # beta < 0 and a nonconstant u once tau has a coefficient (n2 > p),
     # then the unit's 1/s.  The passes double from n0 = min(j(p-1), p v_g,
@@ -424,13 +434,14 @@ def newton_from_one_coefficient(ring, u, n):
     and -u g = -1 + T^k e, g + T^k g e = 1/u mod T^2k.  The kernel's
     inverse started here before it started from the longest prefix known
     exactly; Newton from any exact prefix reaches the same answer."""
-    g = ring.element(
-        FieldElement(ring.field, ring.digits(u, 0)).inverse().coeffs)
-    while (k := ring.length(g)) < n:
+    r = ring.r
+    g = ring.encode(
+        [FieldElement(ring.field, ring.digits(u, 0)).inverse().coeffs])
+    while (k := len(g) // r) < n:
         k2 = min(2 * k, n)
-        e = ring.cut(ring.mul(ring.neg(u), g, k2), k)
-        g = ring.cat(g, ring.mul(g, e, k2 - k))
-    return ring.cut(g, 0, n)
+        e = ring.mul(ring.neg(u), g, k2)[k * r:]
+        g += ring.mul(g, e, k2 - k)
+    return g[:n * r]
 
 
 def fresh_inverse(f):
@@ -438,12 +449,12 @@ def fresh_inverse(f):
     coefficient, at f's relative precision."""
     v, ring = f.valuation(), _ring(f.field)
     return TruncatedSeries._make(
-        ring, -v, newton_from_one_coefficient(ring, f.comps, f.prec - v),
+        ring, -v, newton_from_one_coefficient(ring, f.data, f.prec - v),
         f.prec - 2 * v)
 
 
 def same_series(a, b):
-    assert (a.val, a.comps, a.prec) == (b.val, b.comps, b.prec)
+    assert (a.val, a.data, a.prec) == (b.val, b.data, b.prec)
 
 
 @settings(max_examples=80, deadline=None)
@@ -451,7 +462,7 @@ def same_series(a, b):
 def test_the_step_unit_keeps_the_inverse_newton_gives(data):
     """The 1/s that step_unit hands its unit, started from the last pass's
     1/s (valid only mod T^n of that pass), equals a fresh Newton inverse in
-    valuation, components and precision.  Caps run past 2p, where the last
+    valuation, records and precision.  Caps run past 2p, where the last
     pass's inverse is longer than the part of it that holds.  j = 1, the
     case beta < 0, is drawn about half of the time."""
     field = data.draw(st.sampled_from(TOWER_FIELDS))
@@ -475,7 +486,7 @@ def test_every_inverse_the_oracle_hands_a_series_is_newtons(data):
     """On two-step towers v^p - v = c1 x^-j1, w^p - w = c2 x^-j2 over
     F_(p^a), every inverse handed over by keep_inverse -- step_unit's 1/s,
     1/tau and 1/eta in _expand_tower, and 1/y' for the image of a chart
-    with j = 1 -- equals a fresh Newton inverse in valuation, components
+    with j = 1 -- equals a fresh Newton inverse in valuation, records
     and precision."""
     field = data.draw(st.sampled_from(TOWER_FIELDS))
     p = field.p
@@ -550,7 +561,7 @@ def test_inverse_from_the_known_prefix_is_newton_from_one_coefficient(data):
     lead = field.from_index(data.draw(st.integers(1, field.q - 1)))
     # empty, and so u constant, when its precision is not past v
     w = data.draw(series(field, max_prec=n + 8, max_terms=40, vals=(v, v)))
-    u = TruncatedSeries(field, {0: lead, **w.terms}, n + 8).comps
+    u = TruncatedSeries(field, {0: lead, **w.terms}, n + 8).data
     k = data.draw(st.one_of(st.none(), st.integers(1, n + 3)))
     seed = None if k is None else newton_from_one_coefficient(ring, u, k)
     assert ring.inverse(u, n, seed) == newton_from_one_coefficient(ring, u, n)

@@ -610,8 +610,8 @@ def test_shared_images_equal_the_per_element_walk(tower, gens):
     shared = [tower_module._uniformizer_image(g, env, charts, prec, images)
               for g in group]
     reference = chart_walk.element_images(tower, group, run.precision)
-    assert [(s.val, s.comps, s.prec) for s in shared] == \
-        [(s.val, s.comps, s.prec) for s in reference]
+    assert [(s.val, s.data, s.prec) for s in shared] == \
+        [(s.val, s.data, s.prec) for s in reference]
     assert run.filtration == chart_walk.lower_filtration(tower, gens,
                                                          run.precision)
 
@@ -997,6 +997,47 @@ def test_oracle_precision_cap_exhausted():
     tower, gens = single_step_tower(2, 31)
     with pytest.raises(DomainError, match="precision cap"):
         oracle_run(tower, gens, 16)
+
+
+def first_call_corrupted(monkeypatch, name, corrupt):
+    """Replace tower.<name> by a wrapper that hands its first result through
+    corrupt: the first oracle attempt sees it, and later ones do not."""
+    real, calls = getattr(tower_module, name), []
+
+    def wrapper(*args):
+        out = real(*args)
+        calls.append(name)
+        return corrupt(out, *args) if len(calls) == 1 else out
+
+    monkeypatch.setattr(tower_module, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("name,corrupt,message", [
+    # the first step's uniformizer built from (alpha + 1, beta): T^(p+1)
+    ("_uniformizer_exponents", lambda ab, p, j: (ab[0] + 1, ab[1]),
+     "uniformizer relation failed to close"),
+    # the identity's image of T off by T^2
+    ("_uniformizer_image",
+     lambda t, g, *rest: t + TruncatedSeries.monomial(t.field, 2, t.prec),
+     "identity does not reproduce the uniformizer"),
+], ids=["relation", "identity"])
+def test_an_attempt_that_fails_its_consistency_check_is_retried(
+        monkeypatch, name, corrupt, message):
+    """Each consistency check of an oracle attempt is a PrecisionError: the
+    doubling retries it, and the next attempt answers what an untouched run
+    answers; at a cap the first attempt already reaches, the run is refused
+    with the check's message."""
+    tower, gens = ea2_tower(3, 1, 2)
+    clean = oracle_run(tower, gens, precision=64)
+    assert clean.precision == 32
+    calls = first_call_corrupted(monkeypatch, name, corrupt)
+    run = oracle_run(tower, gens, precision=64)
+    assert calls and (run.filtration, run.precision) == (clean.filtration, 64)
+    calls.clear()
+    with pytest.raises(DomainError,
+                       match=f"oracle precision cap 32 exhausted: {message}"):
+        oracle_run(tower, gens, precision=32)
 
 
 def test_rh_consistency_oracle_vs_analytic():
