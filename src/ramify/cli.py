@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from . import ascover, moduli, ramfilt, tower
@@ -212,54 +213,70 @@ def cmd_quaternion_demo(field_size: int, sweep: bool) -> dict:
     elements = [field.from_index(i) for i in range(field_size)]
     zero = elements[0]
     # A row's report depends on (a1, a2) only through their ratio class
-    # (tower.quaternion_fiber_ratio, one inverse per a1 column, see
-    # _column_ratios) and not on a3, so each class is
-    # evaluated and encoded once, at its depth in the document (in
+    # (tower.quaternion_fiber_ratio, found by index for a whole a1 column,
+    # see _column_ratios) and not on a3, and its shape, the report without
+    # its parameters, is one of at most four: disconnected at V or at W, or
+    # connected with top jump 3 or 5.  Each class is evaluated once, and
+    # each shape is encoded once, at its depth in the document (in
     # "fibers"), with a NUL (which the writer's ASCII text never holds) in
     # each "a" place, and split there.  Each element's coefficient list is
-    # encoded once at its own depth (in a row's "a"); a column's head is its
-    # class text with the a1 and a2 texts spliced in, and its rows are its
-    # head, each a3 text and the class's tail.  One join makes the fibers
-    # text, so no row is a dict or a string of its own.
+    # encoded once at its own depth (in a row's "a").  The rows of one
+    # (a1, a2) are one join of the a3 texts, each between the head (the
+    # separator and the shape's text with the a1 and a2 texts spliced in)
+    # and the shape's tail, and one more join makes the fibers text, so no
+    # row is a dict or a string of its own.
     texts = [_encode(list(e.coeffs), " " * 8) for e in elements]
     a3s = texts if sweep else texts[:1]
-    classes = {}  # ratio -> (text pieces, strata flags) of its class
-    parts = []
+    classes = {}  # ratio index -> its shape's (text pieces, strata flags)
+    shapes = {}   # shape -> (text pieces, strata flags)
+    cells = []
     strata = {"disconnected": 0, "genus1": 0, "genus2": 0}
     for a1, a1_text in zip(elements, texts):
-        ratios = _column_ratios(a1, elements)
-        for a2, a2_text, ratio in zip(elements, texts, ratios):
+        for a2, a2_text, ratio in zip(elements, texts, _column_ratios(a1)):
             cls = classes.get(ratio)
             if cls is None:
-                row = tower.evaluate_quaternion_fiber(a1, a2, zero).to_json()
-                row["a"] = [_Encoded("\0")] * 3
-                cls = classes[ratio] = (
-                    _encode(row, " " * 4).split("\0"),
-                    (not row["connected"], row["genus"] == 1,
-                     row["genus"] == 2))
+                fiber = tower.evaluate_quaternion_fiber(a1, a2, zero)
+                shape = replace(fiber, params=(), leading=None)
+                cls = shapes.get(shape)
+                if cls is None:
+                    row = fiber.to_json()
+                    row["a"] = [_Encoded("\0")] * 3
+                    cls = shapes[shape] = (
+                        _encode(row, " " * 4).split("\0"),
+                        (not fiber.connected, fiber.genus == 1,
+                         fiber.genus == 2))
+                classes[ratio] = cls
             (before, mid1, mid2, tail), (disconnected, genus1, genus2) = cls
-            head = before + a1_text + mid1 + a2_text + mid2
-            for a3 in a3s:
-                parts += ",\n    ", head, a3, tail
+            head = ",\n    " + before + a1_text + mid1 + a2_text + mid2
+            cells.append(head + (tail + head).join(a3s) + tail)
             strata["disconnected"] += len(a3s) * disconnected
             strata["genus1"] += len(a3s) * genus1
             strata["genus2"] += len(a3s) * genus2
-    parts[0] = "[\n    "
-    parts.append("\n  ]")
+    cells[0] = "[" + cells[0][1:]
+    cells.append("\n  ]")
+    fibers = "".join(cells)
+    del cells  # before _Encoded copies the text: two copies at most
     family = _equiramified_family_check(field)
     return {"field": field_size, "count": field_size ** 2 * len(a3s),
-            "fibers": _Encoded("".join(parts)), "strata": strata,
-            "family": family}
+            "fibers": _Encoded(fibers), "strata": strata, "family": family}
 
 
-def _column_ratios(a1, elements) -> list:
-    """tower.quaternion_fiber_ratio(a1, a2) for each a2 in elements, with one
-    inverse for the column: a2/(a1+1) is a2 times the ratio c = 1/(a1+1) at
-    a2 = 1, and every ratio is None when c is (a1 = 1)."""
-    c = tower.quaternion_fiber_ratio(a1, a1.field.one())
+def _column_ratios(a1) -> list:
+    """The index of tower.quaternion_fiber_ratio(a1, a2) for the a2 of each
+    index, or None for every a2 when a1 = 1.  The ratio is a2 c for c =
+    1/(a1 + 1), F_2-linear in a2, whose index bits are its digits: the
+    index of a2 c is the XOR of those of z^i c over the bits i of the index
+    of a2, so the column takes one inverse and a products."""
+    field = a1.field
+    c = tower.quaternion_fiber_ratio(a1, field.one())
     if c is None:
-        return [None] * len(elements)
-    return [a2 * c for a2 in elements]
+        return [None] * field.q
+    out = [0]
+    for i in range(field.a):
+        image = field.from_index(1 << i) * c
+        bits = sum(d << k for k, d in enumerate(image.coeffs))
+        out += [k ^ bits for k in out]
+    return out
 
 
 def _equiramified_family_check(field) -> dict:

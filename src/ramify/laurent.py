@@ -46,13 +46,14 @@ class SparsePoly:
     the key of a product and _mono_pow(k, n) the key of the n-th power, and
     _key(k) normalizes a key handed to the public constructor."""
 
-    __slots__ = ("field", "terms")
+    __slots__ = ("field", "terms", "_hash")
 
     def __init__(self, field: Field, terms=None):
         self.field = field
         items = terms.items() if isinstance(terms, dict) else terms or ()
         self.terms = accumulate({}, ((self._key(k), field.element(c))
                                      for k, c in items))
+        self._hash = None
 
     @classmethod
     def _make(cls, field: Field, terms: dict):
@@ -61,6 +62,7 @@ class SparsePoly:
         obj = cls.__new__(cls)
         obj.field = field
         obj.terms = terms
+        obj._hash = None
         return obj
 
     @classmethod
@@ -125,8 +127,11 @@ class SparsePoly:
                 and self.terms == other.terms)
 
     def __hash__(self):
-        return hash((self.field, tuple(sorted(
-            (k, c.coeffs) for k, c in self.terms.items()))))
+        """Computed once: a polynomial never changes."""
+        if self._hash is None:
+            self._hash = hash((self.field, tuple(sorted(
+                (k, c.coeffs) for k, c in self.terms.items()))))
+        return self._hash
 
 
 class LaurentPoly(SparsePoly):

@@ -55,7 +55,11 @@ All coefficient arithmetic runs through one kernel, _Ring, on such strings:
   spreads each coefficient byte's bits to its first a slots, and after the
   product one AND keeps each slot's parity, one multiplication gathers a
   lane's 2a - 1 parities into one byte, and one translate folds that byte
-  by the modulus (see _Ring).
+  by the modulus (see _Ring).  Over a prime field with one-byte digits, a
+  product whose slots fit one byte (the shorter factor's length times
+  (p - 1)^2 below 256: up to 255 coefficients over F_2, 63 over F_3, 15
+  over F_5) takes the records as they are for its slots: one int product,
+  one to_bytes and one translate mod p (the one-slot product).
 - A sum adds the two strings as ints and takes one translate (XOR for
   p = 2).  Negation is one translate for one-byte digits.  A constant
   multiple is one translate for one-byte records, and a product by the
@@ -63,8 +67,12 @@ All coefficient arithmetic runs through one kernel, _Ring, on such strings:
 - Inverses are Newton iteration on the product, doubling the number of known
   coefficients per step from the longest prefix known exactly: 1/u_0 and
   the zeros up to the first nonconstant term of u, or a longer inverse
-  handed in.  Powers are square-and-multiply on it at the one length that
-  the precision rule gives.
+  handed in.  A power of a series is a product of squares at the one
+  length that the precision rule gives (see below); _Ring.power, square-
+  and-multiply, serves the raw strings of step_unit.
+- A substitution sum x_k (T^gap sigma)^k is Horner's rule, with sigma packed
+  once per slot width (once per call at the oracle's lengths) and masked to
+  each step's length.
 
 Byte tables are exact while every byte of a sum of translated strings stays
 below 256: always for p = 2 (XOR), otherwise while (p - 1) times the number
@@ -75,7 +83,11 @@ and sums go through the same packing and reducer.
 Each ring builds its tables on first use.
 
 Series never change once built, so each keeps its inverse and every power
-asked of it: a power is computed once per series.  An inverse known in
+asked of it: a power is computed once per series.  Among those powers is a
+ladder of squares, f^(2^i), each the square of the one below it, and every
+other positive power is the product of the squares at the bits of its
+exponent, so the powers asked of one series share its squares.  An inverse
+known in
 closed form is handed over by keep_inverse, and no Newton iteration runs for
 it: the step unit's 1/s, and in the tower expansion 1/tau, 1/eta and the
 inverse of a chart's image (see tower._expand_tower).  compose(T^v, tau) is
@@ -88,6 +100,7 @@ precision of f, is what Newton iteration gives.
 
 from __future__ import annotations
 
+import operator
 from functools import cache
 from itertools import chain
 from types import MappingProxyType
@@ -99,6 +112,11 @@ from .gf import Field, FieldElement, power
 def _width(bound: int) -> int:
     """Bytes that hold every integer from 0 to bound."""
     return max(1, (bound.bit_length() + 7) >> 3)
+
+
+# every big-integer product of two packed series goes through this one name,
+# so that the kernel's products can be counted where they are formed
+_product = operator.mul
 
 
 class _Ring:
@@ -124,6 +142,19 @@ class _Ring:
     t - t', |t - t'| <= m - 1 < 8.  Bits 0 .. 7 of the last slot of lane k,
     8w(mk + m - 1) + b, take only the copies with 8w(u - mk - t) = b - t,
     that is u = mk + t and b = t: that byte holds the m parities of lane k.
+    The masks are kept per w at the most lanes asked for (see _lanes), never
+    per length, and mul spreads, multiplies and gathers in one pass.
+
+    The one-slot product: over a prime field with one-byte digits (a = 1,
+    d = 1) a product whose shorter factor has `short` coefficients needs
+    slots of one byte while short * bound < 256 (short < 256 over F_2, 64
+    over F_3, 16 over F_5, 8 over F_7).  Then the records are the slots,
+    and mul takes one int product, one to_bytes and one translate mod p,
+    with no pack and no reduce.
+
+    Powers of a series come from the ladder of squares that the series
+    keeps (TruncatedSeries.__pow__), each rung one mul of the rung below by
+    itself; power, square-and-multiply at one length, serves step_unit.
     """
 
     __slots__ = ("field", "p", "a", "m", "d", "r", "bound", "one", "mod",
@@ -147,7 +178,7 @@ class _Ring:
             self._fold = self.encode(
                 [field.reduce([b >> s & 1 for s in range(self.m)])
                  for b in range(1 << self.m)]).ljust(256, b"\0")
-            self._masks = {}  # (w, slots) -> (lanes, multiplier, mask)
+            self._masks = {}  # w -> _lanes(w, n)
             self._scalars = {}  # c -> the translate table x -> c x
         self.one = self.encode([field.one().coeffs])
         self._tables = {}  # c -> the translate table x -> c x mod p
@@ -234,20 +265,25 @@ class _Ring:
         self._plans[key] = plan
         return plan
 
-    def _lanes(self, w: int, slots: int, n: int) -> tuple:
-        """For n lanes of m w-byte slots (bit layout): the multiplier of the
-        spread (slots = a) or the gather (slots = m), and the mask of bit 0
-        of slots 0 .. slots - 1 of each lane.  Kept per (w, slots) at the
-        most lanes asked for, of which fewer are a right shift."""
-        top, mult, mask = self._masks.get((w, slots), (0, 0, 0))
-        if top < n:
-            k, top, m = 8 * w - 1, max(n, 2 * top), self.m
-            mult = sum(1 << i * k for i in range(slots)) if slots < m \
-                else sum(1 << 8 * w * (m - 1) - t * k for t in range(m))
-            lane = (b"\1" + bytes(w - 1)) * slots + bytes((self.m - slots) * w)
-            mask = int.from_bytes(lane * top, "little")
-            self._masks[w, slots] = top, mult, mask
-        return mult, mask >> 8 * self.m * w * (top - n)
+    def _lanes(self, w: int, n: int) -> tuple:
+        """For at least n lanes of m w-byte slots (bit layout): the number of
+        lanes top, the multipliers of the spread and the gather, and over top
+        lanes the masks of bit 0 of slots 0 .. a - 1 (the spread keeps) and
+        of slots 0 .. m - 1 (the gather reads) of each lane.  Kept per w at
+        the most lanes asked for: an AND keeps only the lanes of its shorter
+        operand, and fewer lanes of the gather's mask are a right shift."""
+        lanes = self._masks.get(w)
+        if lanes is None or lanes[0] < n:
+            top = n if lanes is None else max(n, 2 * lanes[0])
+            a, m, k = self.a, self.m, 8 * w - 1
+            slot = b"\1" + bytes(w - 1)
+            lane = slot * a + bytes((m - a) * w)
+            lanes = self._masks[w] = (
+                top, sum(1 << i * k for i in range(a)),
+                int.from_bytes(lane * top, "little"),
+                sum(1 << 8 * w * (m - 1) - t * k for t in range(m)),
+                int.from_bytes(slot * m * top, "little"))
+        return lanes
 
     def reduce(self, v: int, w: int, st: int, n: int, lo: int = 0) -> bytes:
         """Coefficients lo up to n of v, each a block of st bytes that holds
@@ -258,9 +294,10 @@ class _Ring:
             if lo:
                 v >>= 8 * st * lo
             n -= lo
-            mult, mask = self._lanes(w, self.m, n)
-            raw = ((v & mask) * mult).to_bytes((n + 1) * st, "little")
-            return raw[st - w:n * st:st].translate(self._fold)
+            top, _, _, gather, parity = self._lanes(w, n)
+            v &= parity >> 8 * st * (top - n)
+            return (v * gather).to_bytes((n + 1) * st, "little")[
+                st - w:n * st:st].translate(self._fold)
         size, start = n * st, lo * st
         raw = v.to_bytes(max(size, (v.bit_length() + 7) >> 3), "little")
         plan = self._plans.get((w, st)) or self._plan(w, st)
@@ -294,8 +331,8 @@ class _Ring:
             n = len(x)
             buf = bytearray(n * st)
             buf[::st] = x
-            mult, mask = self._lanes(w, self.a, n)
-            return int.from_bytes(buf, "little") * mult & mask
+            _, spread, keep, _, _ = self._lanes(w, n)
+            return int.from_bytes(buf, "little") * spread & keep
         d, r = self.d, self.r
         if st == r and w == d:  # a slot per digit: the records are the layout
             return int.from_bytes(x, "little")
@@ -322,10 +359,29 @@ class _Ring:
                 x, y = y, x
             return self.scale(x, self.digits(y, 0)).ljust(size, b"\0")
         w = _width(short * self.bound)
+        if self.bits:  # the spread, the product and the gather
+            st = self.m * w
+            top, spread, keep, gather, parity = self._lanes(w, n)
+            buf = bytearray(len(x) * st)
+            buf[::st] = x
+            px = int.from_bytes(buf, "little") * spread & keep
+            if not square:
+                buf = bytearray(len(y) * st)
+                buf[::st] = y
+            v = _product(px, px if square else
+                         int.from_bytes(buf, "little") * spread & keep)
+            v &= parity >> 8 * st * (top - n)
+            return (v * gather).to_bytes((n + 1) * st, "little")[
+                st - w:n * st:st].translate(self._fold)
+        if w == r == 1:  # one one-byte slot per coefficient: the records
+            v = int.from_bytes(x, "little")
+            v = _product(v, v if square else int.from_bytes(y, "little"))
+            return v.to_bytes(max(size, len(x) + len(y)), "little")[
+                :size].translate(self.mod)
         st = self.m * w
         px = self.pack(x, w, st)
-        return self.reduce(px * (px if square else self.pack(y, w, st)),
-                           w, st, n)
+        return self.reduce(
+            _product(px, px if square else self.pack(y, w, st)), w, st, n)
 
     def add(self, x: bytes, sx: int, y: bytes, sy: int, n: int) -> bytes:
         """The first n coefficients of T^sx x + T^sy y (sx, sy >= 0)."""
@@ -435,19 +491,19 @@ class _Ring:
                 w = _width(k * self.bound)
                 st = self.m * w
                 pu, pg = self.pack(neg_u, w, st), self.pack(g, w, st)
-            e = self.reduce((pu & ((1 << 8 * st * k2) - 1)) * pg, w, st, k2, k)
-            step = self.reduce(pg * self.pack(e, w, st), w, st, k2 - k)
+            e = self.reduce(_product(pu & ((1 << 8 * st * k2) - 1), pg),
+                            w, st, k2, k)
+            step = self.reduce(_product(pg, self.pack(e, w, st)),
+                               w, st, k2 - k)
             g += step
             pg += self.pack(step, w, st) << 8 * st * k
             k = k2
         return g
 
     def power(self, x: bytes, e: int, n: int) -> bytes:
-        """The first n coefficients of x^e for e >= 0 and x_0 != 0, by
+        """The first n >= 1 coefficients of x^e for e >= 0 and x_0 != 0, by
         square-and-multiply at the fixed length n, started from the first
         factor."""
-        if n <= 0:
-            return b""
         size = n * self.r
         if e == 0:
             return self.one.ljust(size, b"\0")
@@ -457,14 +513,29 @@ class _Ring:
     def subst(self, x: bytes, sigma: bytes, gap: int, n: int) -> bytes:
         """The first n >= 1 coefficients of sum x_k (T^gap sigma)^k, for x
         nonempty and gap >= 1, by Horner: the partial sum that
-        (T^gap sigma)^k multiplies is needed only mod T^(n - gap k)."""
+        (T^gap sigma)^k multiplies is needed only mod T^(n - gap k).
+
+        The step that multiplies it forms n_k = n - gap (k + 1)
+        coefficients, and neither factor needs more, so its slots hold
+        min(len(sigma), n_k) products.  sigma, cut to the longest n_k, is
+        packed once per slot width, which grows with n_k (once per call at
+        the oracle's lengths), and each step masks it to its own n_k."""
         r = self.r
         top = min(len(x) // r, -(-n // gap)) - 1
         acc = x[top * r:(top + 1) * r]
+        sigma = sigma[:(n - gap) * r]
         fill = bytes((gap - 1) * r)
+        fits = -1  # slots of w bytes hold the sums for this many terms
         for k in range(top - 1, -1, -1):
+            nk = n - gap * (k + 1)
+            if min(len(sigma) // r, nk) > fits:
+                w = _width(min(len(sigma) // r, nk) * self.bound)
+                fits = ((1 << 8 * w) - 1) // self.bound
+                st = self.m * w
+                ps = self.pack(sigma, w, st)
+            v = _product(ps & ((1 << 8 * st * nk) - 1), self.pack(acc, w, st))
             acc = b"".join((x[k * r:(k + 1) * r], fill,
-                            self.mul(sigma, acc, n - gap * (k + 1))))
+                            self.reduce(v, w, st, nk)))
         return acc.ljust(n * r, b"\0")
 
 
@@ -479,7 +550,7 @@ class TruncatedSeries:
     __slots__ = ("field", "val", "data", "prec", "_ring", "_terms", "_pows",
                  "_inv")
 
-    def __init__(self, field: Field, terms, prec: int):
+    def __new__(cls, field: Field, terms, prec: int):
         prec = int(prec)
         clean = {}
         if terms:
@@ -491,32 +562,25 @@ class TruncatedSeries:
         coeffs = [field.zero().coeffs] * (max(clean, default=val - 1) - val + 1)
         for e, digits in clean.items():
             coeffs[e - val] = digits
-        self._set(ring, val, ring.encode(coeffs), prec)
-
-    def _set(self, ring: _Ring, val: int, data: bytes, prec: int):
-        """Store the records of data from T^val, dropping zero records at
-        both ends and everything at or past prec."""
-        r = ring.r
-        if len(data) > (prec - val) * r:
-            data = data[:max(prec - val, 0) * r]
-        self.field = ring.field
-        self._ring = ring
-        self.prec = prec
-        if data and data[0] and data[-1]:  # both end records are nonzero
-            self.val, self.data = val, data
-        else:  # a record is zero when all its bytes are
-            lo = (len(data) - len(data.lstrip(b"\0"))) // r
-            hi = -(-len(data.rstrip(b"\0")) // r)
-            self.val, self.data = ((prec, b"") if lo >= hi else
-                                   (val + lo, data[lo * r:hi * r]))
-        self._terms = None
-        self._pows = {}
-        self._inv = None
+        return cls._make(ring, val, ring.encode(coeffs), prec)
 
     @classmethod
     def _make(cls, ring: _Ring, val: int, data: bytes, prec: int):
-        obj = cls.__new__(cls)
-        obj._set(ring, val, data, prec)
+        """The series of the records of data from T^val, to precision prec:
+        zero records at both ends and everything at or past prec dropped.
+        Every series is built here."""
+        r = ring.r
+        if len(data) > (prec - val) * r:
+            data = data[:max(prec - val, 0) * r]
+        if not (data and data[0] and data[-1]):  # an end record may be zero
+            lo = (len(data) - len(data.lstrip(b"\0"))) // r
+            hi = -(-len(data.rstrip(b"\0")) // r)
+            val, data = ((prec, b"") if lo >= hi else
+                         (val + lo, data[lo * r:hi * r]))
+        obj = object.__new__(cls)
+        obj.field, obj._ring = ring.field, ring
+        obj.val, obj.data, obj.prec = val, data, prec
+        obj._terms = obj._pows = obj._inv = None
         return obj
 
     @classmethod
@@ -643,9 +707,14 @@ class TruncatedSeries:
         u, so for n >= 1 the result has valuation n v and the same relative
         precision prec - v, whatever the sign of v.  self^0 is 1 +
         O(T^prec), self^1 is self, and self^-n is (1/self)^n.  Each power is
-        computed once per series and kept on it."""
+        computed once per series and kept on it.  The squares self^(2^i) are
+        kept powers too, one ladder per series: a square is the square of
+        the rung below it, and any other power the product of the squares
+        at the bits of n, so the powers asked of a series share them."""
         if n == 1:
             return self
+        if self._pows is None:
+            self._pows = {}
         out = self._pows.get(n)
         if out is not None:
             return out
@@ -657,7 +726,16 @@ class TruncatedSeries:
         else:
             val = n * self.val
             rel = self.prec - self.val
-            data = ring.power(self.data, n, rel)
+            if n & (n - 1):
+                data = None
+                for i in range(n.bit_length()):
+                    if n >> i & 1:
+                        square = (self ** (1 << i)).data
+                        data = square if data is None else \
+                            ring.mul(data, square, rel)
+            else:
+                half = (self ** (n >> 1)).data
+                data = ring.mul(half, half, rel)
             out = TruncatedSeries._make(ring, val, data, val + rel)
         self._pows[n] = out
         return out

@@ -23,6 +23,7 @@ from ramify.gf import field_create
 from ramify.laurent import LaurentPoly
 
 import quaternion_pipeline
+from helpers import index_of
 
 QUATERNION_TOWER = {
     "field": {"p": 2, "a": 2},
@@ -1054,14 +1055,15 @@ def test_quaternion_sweep_evaluates_each_column_once(monkeypatch, size):
 
 @pytest.mark.parametrize("a", [1, 2, 3, 4], ids=["f2", "f4", "f8", "f16"])
 def test_sweep_ratio_keys_are_the_fiber_ratios(a):
-    # the sweep's class key of (a1, a2) is a2 times one inverse per a1
-    # column; it must be the ratio the fiber evaluation reads
+    # the sweep's class key of (a1, a2) is the index of a2 times one inverse
+    # per a1 column, found by index bits; it must be the index of the ratio
+    # the fiber evaluation reads
     field = field_create(2, a)
     elements = list(field.elements())
     for a1 in elements:
-        keys = cli._column_ratios(a1, elements)
-        assert keys == [tower.quaternion_fiber_ratio(a1, a2)
-                        for a2 in elements]
+        keys = cli._column_ratios(a1)
+        ratios = [tower.quaternion_fiber_ratio(a1, a2) for a2 in elements]
+        assert keys == [None if r is None else index_of(r) for r in ratios]
         assert all(key is None for key in keys) == (a1 == field.one())
         assert (None in keys) == (a1 == field.one())
 

@@ -18,7 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramify import TowerSpec, field_create, oracle_run
+from ramify import series as series_module
 from ramify.gf import FieldElement
+from ramify.laurent import accumulate
 from ramify.series import TruncatedSeries, _ring, _Ring, compose
 from ramify.tower import (GeneratorAction, TowerStep, _solve_unit,
                           _uniformizer_exponents, VarPoly)
@@ -101,11 +103,13 @@ def test_pow_matches_reference(data):
 @given(st.data())
 def test_memoized_powers_match_reference(data):
     """Powers are kept on their base: asking again returns the same object,
-    and whatever order they are asked in, each equals the dict reference."""
+    and whatever order they are asked in, each equals the dict reference.
+    Every positive power is a product of the squares on the one ladder its
+    base keeps, so a power asked later reuses the squares of earlier ones."""
     field = data.draw(st.sampled_from(FIELDS))
     a = data.draw(series(field, max_prec=80, max_terms=12))
     lo = 0 if a.is_zero_to_precision() else -4
-    exps = data.draw(st.lists(st.integers(lo, 5), min_size=1, max_size=6))
+    exps = data.draw(st.lists(st.integers(lo, 20), min_size=1, max_size=8))
     first = [a ** n for n in exps]
     for n, x in zip(exps, first):
         assert a ** n is x
@@ -124,6 +128,104 @@ def test_compose_matches_reference(data):
     if tau.is_zero_to_precision():
         return
     same(compose(f, tau), dict_series.compose(ref(f), ref(tau)))
+
+
+def one_byte_slot_limit(field) -> int:
+    """The least length of the shorter factor whose product slots take more
+    than one byte: a slot sums at most a (p - 1)^2 per coefficient of it."""
+    return 255 // (field.a * (field.p - 1) ** 2) + 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_products_on_both_sides_of_the_one_byte_slot_limit_match_reference(
+        data):
+    """The shorter factor one coefficient below the limit and at it: 63/64
+    for F_3 and F_16, 127/128 for F_4 and 15/16 for F_5.  Below it F_2 and
+    F_3 multiply their records as they are, one slot per coefficient, and
+    the bit layout spreads into one-byte slots; at it every field widens
+    its slots.  Both orders of the factors, and the square of each, with
+    factors dense in random or in full (every digit p - 1) coefficients."""
+    field = data.draw(st.sampled_from(FIELDS))
+    limit = max(2, one_byte_slot_limit(field))
+    short = data.draw(st.sampled_from([limit - 1, limit]))
+    lengths = (short, data.draw(st.integers(short, short + 16)))
+    if data.draw(st.booleans()):
+        coeff = st.just(field.from_index(field.q - 1))
+    else:
+        coeff = st.integers(1, field.q - 1).map(field.from_index)
+    a, b = (TruncatedSeries(field, {e: data.draw(coeff) for e in range(n)},
+                            sum(lengths)) for n in lengths)
+    same(a * b, ref(a) * ref(b))
+    same(b * a, ref(b) * ref(a))
+    same(a * a, ref(a) * ref(a))
+    same(b * b, ref(b) * ref(b))
+
+
+def test_one_byte_slot_limits_of_the_workload_fields():
+    assert [one_byte_slot_limit(field_create(p, a)) for p, a in
+            [(3, 1), (2, 4), (2, 2), (5, 1), (2, 1)]] == [64, 64, 128, 16, 256]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_subst_matches_reference_with_sigma_on_both_sides_of_its_length(data):
+    """_Ring.subst(x, sigma, gap, n), the sum of x_k (T^gap sigma)^k mod
+    T^n, equals Horner on coefficient dicts.  Its partial sums have at most
+    n - gap coefficients, the length subst cuts sigma to before packing it;
+    sigma is drawn shorter than that and longer."""
+    field = data.draw(st.sampled_from(FIELDS))
+    ring = _ring(field)
+    gap = data.draw(st.integers(1, 4))
+    n = data.draw(st.integers(gap + 2, 64))
+    size = data.draw(st.one_of(st.integers(1, n - gap - 1),
+                               st.integers(n - gap + 1, n - gap + 16)))
+    coeff = st.integers(0, field.q - 1).map(field.from_index)
+    xs = data.draw(st.lists(coeff, min_size=1,
+                            max_size=min(-(-n // gap) + 2, 12)))
+    sigma = data.draw(st.lists(coeff, min_size=size, max_size=size))
+    got = ring.subst(ring.encode([c.coeffs for c in xs]),
+                     ring.encode([c.coeffs for c in sigma]), gap, n)
+    tau = {gap + e: c for e, c in enumerate(sigma) if c}
+    want = {}
+    for c in reversed(xs):
+        want = dict_series._dmul(want, tau, n)
+        accumulate(want, [(0, c)])
+    assert len(got) == n * ring.r
+    assert {e: FieldElement(field, d) for e, d in enumerate(ring.decode(got))
+            if any(d)} == want
+
+
+def horner_by_products(ring, x, sigma, gap, n):
+    """sum x_k (T^gap sigma)^k mod T^n by Horner, each step one _Ring.mul,
+    which sizes its slots for its own factors."""
+    r = ring.r
+    top = min(len(x) // r, -(-n // gap)) - 1
+    acc = x[top * r:(top + 1) * r]
+    for k in range(top - 1, -1, -1):
+        acc = (x[k * r:(k + 1) * r] + bytes((gap - 1) * r)
+               + ring.mul(sigma, acc, n - gap * (k + 1)))
+    return acc.ljust(n * r, b"\0")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_subst_matches_horner_by_products_as_its_slots_widen(data):
+    """Long substitutions, whose later Horner steps need wider slots than
+    their first ones (past 15 coefficients over F_5, 63 over F_3 and F_16,
+    127 over F_4): subst repacks sigma at each new width and equals Horner
+    by products."""
+    field = data.draw(st.sampled_from(FIELDS))
+    ring = _ring(field)
+    gap = data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(gap + 1, 300))
+    coeff = st.integers(1, field.q - 1).map(field.from_index)
+    # x long enough that the first step forms at most gap coefficients
+    x, sigma = (ring.encode([c.coeffs for c in data.draw(st.lists(
+        coeff, min_size=size, max_size=size))]) for size in (
+        -(-n // gap), data.draw(st.integers(1, n + 16))))
+    assert ring.subst(x, sigma, gap, n) == \
+        horner_by_products(ring, x, sigma, gap, n)
 
 
 def refine(data, s, extra=24):
@@ -218,7 +320,9 @@ def test_spread_and_gather_move_every_bit_to_a_position_of_its_own(a, w):
     ring = _ring(field_create(2, a))
     m = 2 * a - 1
     lane = 8 * m * w
-    spread, keep = ring._lanes(w, a, 3)
+    _, spread, keep, gather, parity = ring._lanes(w, 3)
+    three = (1 << 3 * lane) - 1  # the masks cover at least three lanes
+    keep, parity = keep & three, parity & three
     copies = {}
     for n in range(3):
         for i in range(a):  # bit i of the byte at the start of lane n
@@ -227,7 +331,6 @@ def test_spread_and_gather_move_every_bit_to_a_position_of_its_own(a, w):
     assert all(len(v) == 1 for v in copies.values())
     assert {pos: v[0] for pos, v in copies.items() if keep >> pos & 1} == \
         {lane * n + 8 * w * i: (n, i) for n in range(3) for i in range(a)}
-    gather, parity = ring._lanes(w, m, 3)
     assert bits_of(parity) == [8 * w * u for u in range(3 * m)]
     copies = {}
     for u in range(3 * m):  # the parity of slot u
@@ -338,25 +441,25 @@ def test_solve_unit_matches_fixed_point_iteration_at_cap_256(p, j, tail, cap):
 def test_unit_solve_kernel_products_stay_bounded(p, a, j, monkeypatch):
     """Operation count, not time: the Newton lift of a dense step at cap 256
     takes at most 1000 kernel products (the coefficient-per-pass lift it
-    replaced took 37214, 3105 and 7735 on these shapes).  Series products,
-    powers and Newton inverses all end in one big-integer product, which
-    _Ring.reduce reads; over these fields a sum takes no reduce."""
-    calls = []
-    reduce = _Ring.reduce
+    replaced took 37214, 3105 and 7735 on these shapes; this one takes 415,
+    220 and 324).  Series products, powers, substitutions and Newton
+    inverses form every big-integer product through series._product."""
+    calls = [0]
+    product = series_module._product
 
-    def counting(self, v, w, st, n, lo=0):
-        calls.append(n)
-        return reduce(self, v, w, st, n, lo)
+    def counting(u, v):
+        calls[0] += 1
+        return product(u, v)
 
     field = field_create(p, a)
     rng = random.Random(p * 100 + j)
     f = TruncatedSeries(field, {e: field.from_index(rng.randrange(1, field.q))
                                 for e in range(-j, 256)}, 256)
     alpha, beta = _uniformizer_exponents(p, j)
-    monkeypatch.setattr(_Ring, "reduce", counting)
+    monkeypatch.setattr(series_module, "_product", counting)
     s = _solve_unit(f, j, alpha, beta, 256)
     assert s.prec == 256
-    assert len(calls) <= 1000
+    assert calls[0] <= 1000
 
 
 # F_257 takes two-byte digits
