@@ -41,7 +41,8 @@ FieldElement} view, built on first use.
 
 All coefficient arithmetic runs through one kernel, _Ring, on such strings:
 
-- A product is a Kronecker substitution.  The coefficients are widened into
+- Every product is one _Ring.mul, a Kronecker substitution: each Newton
+  step is two and each Horner step one.  The coefficients are widened into
   one strided buffer, every coefficient spread over 2a - 1 slots of w
   bytes, one per power of z in a product of two elements, with w large
   enough that no sum of slot products spills into its neighbour.  The two
@@ -64,15 +65,13 @@ All coefficient arithmetic runs through one kernel, _Ring, on such strings:
   p = 2).  Negation is one translate for one-byte digits.  A constant
   multiple is one translate for one-byte records, and a product by the
   constant's record otherwise.
-- Inverses are Newton iteration on the product, doubling the number of known
-  coefficients per step from the longest prefix known exactly: 1/u_0 and
-  the zeros up to the first nonconstant term of u, or a longer inverse
-  handed in.  A power of a series is a product of squares at the one
-  length that the precision rule gives (see below); _Ring.power, square-
-  and-multiply, serves the raw strings of step_unit.
-- A substitution sum x_k (T^gap sigma)^k is Horner's rule, with sigma packed
-  once per slot width (once per call at the oracle's lengths) and masked to
-  each step's length.
+- Inverses are Newton iteration, doubling the number of known coefficients
+  per step from the longest prefix known exactly: 1/u_0 and the zeros up to
+  the first nonconstant term of u, or a longer inverse handed in.  A power
+  of a series is a product of squares at the one length that the precision
+  rule gives (see below); _Ring.power, square-and-multiply, serves the raw
+  strings of step_unit.
+- A substitution sum x_k (T^gap sigma)^k is Horner's rule.
 
 Byte tables are exact while every byte of a sum of translated strings stays
 below 256: always for p = 2 (XOR), otherwise while (p - 1) times the number
@@ -152,8 +151,10 @@ class _Ring:
     and mul takes one int product, one to_bytes and one translate mod p,
     with no pack and no reduce.
 
-    Powers of a series come from the ladder of squares that the series
-    keeps (TruncatedSeries.__pow__), each rung one mul of the rung below by
+    mul is the one routine that multiplies two record strings; pack and
+    reduce serve its general path and add's for large primes.  Powers of a
+    series come from the ladder of squares that the series keeps
+    (TruncatedSeries.__pow__), each rung one mul of the rung below by
     itself; power, square-and-multiply at one length, serves step_unit.
     """
 
@@ -285,34 +286,24 @@ class _Ring:
                 int.from_bytes(slot * m * top, "little"))
         return lanes
 
-    def reduce(self, v: int, w: int, st: int, n: int, lo: int = 0) -> bytes:
-        """Coefficients lo up to n of v, each a block of st bytes that holds
+    def reduce(self, v: int, w: int, st: int, n: int) -> bytes:
+        """The first n coefficients of v, each a block of st bytes that holds
         st // w slots of w bytes, slot s standing for z^s."""
-        if n <= lo:
-            return b""
-        if self.bits:  # the gather (see the class docstring), then the fold
-            if lo:
-                v >>= 8 * st * lo
-            n -= lo
-            top, _, _, gather, parity = self._lanes(w, n)
-            v &= parity >> 8 * st * (top - n)
-            return (v * gather).to_bytes((n + 1) * st, "little")[
-                st - w:n * st:st].translate(self._fold)
-        size, start = n * st, lo * st
+        size = n * st
         raw = v.to_bytes(max(size, (v.bit_length() + 7) >> 3), "little")
         plan = self._plans.get((w, st)) or self._plan(w, st)
         if plan:
             tables, parts, cols = plan
             if len(parts) == 1:  # one digit from one byte of one slot
-                return raw[start + parts[0][0]:size:st].translate(tables[0])
+                return raw[parts[0][0]:size:st].translate(tables[0])
             tr = [raw.translate(t) for t in tables]
-            ints = [int.from_bytes(tr[i][start + off:size:st], "little")
+            ints = [int.from_bytes(tr[i][off:size:st], "little")
                     for off, i in parts]
-            digits = [self.combine(ints, col, n - lo) for col in cols]
+            digits = [self.combine(ints, col, n) for col in cols]
             a = self.a
             if a == 1:
                 return digits[0]
-            out = bytearray(a * (n - lo))  # digit i of each record
+            out = bytearray(a * n)  # digit i of each record
             for i, col in enumerate(digits):
                 out[i::a] = col
             return bytes(out)
@@ -320,22 +311,14 @@ class _Ring:
         # modulus and p
         m, field = st // w, self.field
         slots = [int.from_bytes(raw[k:k + w], "little")
-                 for k in range(start, size, w)]
+                 for k in range(0, size, w)]
         return self.encode([field.reduce(slots[k:k + m])
                             for k in range(0, len(slots), m)])
 
     def pack(self, x: bytes, w: int, st: int) -> int:
         """x as one int: digit i of coefficient k in the w-byte slot at byte
-        k st + i w; the bit layout takes st = (2a - 1) w."""
-        if self.bits:  # the bytes at the lane starts, then the spread
-            n = len(x)
-            buf = bytearray(n * st)
-            buf[::st] = x
-            _, spread, keep, _, _ = self._lanes(w, n)
-            return int.from_bytes(buf, "little") * spread & keep
+        k st + i w."""
         d, r = self.d, self.r
-        if st == r and w == d:  # a slot per digit: the records are the layout
-            return int.from_bytes(x, "little")
         buf = bytearray(len(x) // r * st)
         for i in range(self.a):
             for b in range(d):
@@ -456,9 +439,8 @@ class _Ring:
         given, is 1/u mod T^k for some k >= 1, and the steps start from it.
 
         With g = 1/u mod T^k, -u g = -1 + T^k e, and g + T^k g e = 1/u mod
-        T^2k, so each step is two products.  Both have a factor of at most k
-        coefficients, which sets the slot width; -u is packed once per
-        width, and g stays packed as it grows.
+        T^2k, so each step is two muls, each with a factor of at most k
+        coefficients.
 
         The steps start from the longest prefix known exactly.  With v the
         index of the first nonzero coefficient of u past 0 (v = n for
@@ -484,19 +466,10 @@ class _Ring:
             g += self.scale(neg_u[k * r:k2 * r].ljust((k2 - k) * r, b"\0"),
                             (c * c).coeffs)
             k = k2
-        w = 0
         while k < n:
             k2 = min(2 * k, n)
-            if _width(k * self.bound) != w:  # both products have factors <= k
-                w = _width(k * self.bound)
-                st = self.m * w
-                pu, pg = self.pack(neg_u, w, st), self.pack(g, w, st)
-            e = self.reduce(_product(pu & ((1 << 8 * st * k2) - 1), pg),
-                            w, st, k2, k)
-            step = self.reduce(_product(pg, self.pack(e, w, st)),
-                               w, st, k2 - k)
-            g += step
-            pg += self.pack(step, w, st) << 8 * st * k
+            e = self.mul(neg_u, g, k2)[k * r:]
+            g += self.mul(g, e, k2 - k)
             k = k2
         return g
 
@@ -513,29 +486,16 @@ class _Ring:
     def subst(self, x: bytes, sigma: bytes, gap: int, n: int) -> bytes:
         """The first n >= 1 coefficients of sum x_k (T^gap sigma)^k, for x
         nonempty and gap >= 1, by Horner: the partial sum that
-        (T^gap sigma)^k multiplies is needed only mod T^(n - gap k).
-
-        The step that multiplies it forms n_k = n - gap (k + 1)
-        coefficients, and neither factor needs more, so its slots hold
-        min(len(sigma), n_k) products.  sigma, cut to the longest n_k, is
-        packed once per slot width, which grows with n_k (once per call at
-        the oracle's lengths), and each step masks it to its own n_k."""
+        (T^gap sigma)^k multiplies is needed only mod T^(n - gap k), so the
+        step that multiplies it is one mul to n - gap (k + 1)
+        coefficients."""
         r = self.r
         top = min(len(x) // r, -(-n // gap)) - 1
         acc = x[top * r:(top + 1) * r]
-        sigma = sigma[:(n - gap) * r]
         fill = bytes((gap - 1) * r)
-        fits = -1  # slots of w bytes hold the sums for this many terms
         for k in range(top - 1, -1, -1):
-            nk = n - gap * (k + 1)
-            if min(len(sigma) // r, nk) > fits:
-                w = _width(min(len(sigma) // r, nk) * self.bound)
-                fits = ((1 << 8 * w) - 1) // self.bound
-                st = self.m * w
-                ps = self.pack(sigma, w, st)
-            v = _product(ps & ((1 << 8 * st * nk) - 1), self.pack(acc, w, st))
             acc = b"".join((x[k * r:(k + 1) * r], fill,
-                            self.reduce(v, w, st, nk)))
+                            self.mul(sigma, acc, n - gap * (k + 1))))
         return acc.ljust(n * r, b"\0")
 
 
@@ -624,18 +584,25 @@ class TruncatedSeries:
         if other._ring is not self._ring:
             raise DomainError("series over different fields")
 
-    def __add__(self, other):
+    def _plus(self, other, negate: bool):
+        """self + other, or self - other when negate: -other is one string
+        for the sum, never a series of its own."""
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check(other)
+        ring = self._ring
         prec = min(self.prec, other.prec)
         val = min(self.val, other.val)
-        data = self._ring.add(self.data, self.val - val,
-                              other.data, other.val - val, prec - val)
-        return TruncatedSeries._make(self._ring, val, data, prec)
+        data = ring.add(self.data, self.val - val,
+                        ring.neg(other.data) if negate else other.data,
+                        other.val - val, prec - val)
+        return TruncatedSeries._make(ring, val, data, prec)
+
+    def __add__(self, other):
+        return self._plus(other, False)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._plus(other, True)
 
     def __neg__(self):
         return TruncatedSeries._make(self._ring, self.val,

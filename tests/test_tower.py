@@ -695,7 +695,7 @@ def budget_towers():
 
 def test_oracle_kernel_products_stay_within_budget(monkeypatch):
     # operation count, not time: the oracle at precision 256 on the towers
-    # above takes 2006 kernel products, 3146 when every Newton iteration of
+    # above takes 1881 kernel products, 3146 when every Newton iteration of
     # the series kernel started from one coefficient rather than the prefix
     # it knows exactly.  Every big-integer product of two packed series is
     # formed through series._product, which counts them all
