@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 from . import ascover, moduli, ramfilt, tower
@@ -58,62 +57,68 @@ def _read_document(path: str):
         raise SchemaError(f"invalid JSON: {exc}") from exc
 
 
-class _Encoded(str):
-    """JSON text that _encode writes as is: the text of a value encoded at
-    the depth where it is written."""
+class _Encoded(tuple):
+    """JSON text that _encode writes as is: the pieces of a value's text,
+    encoded at the depth where it is written."""
 
 
-def _encode(obj, indent: str) -> str:
-    """The text json.dumps(obj, sort_keys=True, indent=2) writes for obj,
-    each line after the first indented by `indent` more; json.dumps with an
-    indent runs its pure-Python encoder.  An _Encoded value is written as
-    is.  A type besides that, dict (str keys), list, tuple, str, int, bool
-    and None raises TypeError.  Each container is one join of its
-    separators, key texts and values, so a value's text is copied once, into
-    its container's."""
+def _encode(obj, indent: str, out: list) -> None:
+    """Append to `out` the pieces of the text json.dumps(obj,
+    sort_keys=True, indent=2) writes for obj, each line after the first
+    indented by `indent` more; json.dumps with an indent runs its
+    pure-Python encoder.  The pieces of an _Encoded value are appended as
+    they are.  A type besides that, dict (str keys), list, tuple, str, int,
+    bool and None raises TypeError.  No container is joined: a piece is a
+    scalar's text, or a bracket or separator with its line's indent (and,
+    in an object, the next key's text), so a value's text is never copied
+    into its container's.  The text is the pieces in order."""
     kind = type(obj)
     if kind is str:
-        return _escape(obj)
-    if kind is int:
-        return int.__repr__(obj)
-    if kind is _Encoded:
-        return obj
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    inner = indent + "  "
-    sep = ",\n" + inner
-    if kind is dict:
-        parts = [x for k in sorted(obj)
-                 for x in (sep, _escape(k) + ": ", _encode(obj[k], inner))]
-        brackets = "{}"
+        out.append(_escape(obj))
+    elif kind is int:
+        out.append(int.__repr__(obj))
+    elif kind is _Encoded:
+        out += obj
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif kind is dict:
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for k in sorted(obj):
+            out.append(sep + _escape(k) + ": ")
+            _encode(obj[k], inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}" if obj else "{}")
     elif kind is list or kind is tuple:
-        parts = [x for v in obj for x in (sep, _encode(v, inner))]
-        brackets = "[]"
+        inner = indent + "  "
+        sep = "[\n" + inner
+        for v in obj:
+            out.append(sep)
+            _encode(v, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "]" if obj else "[]")
     else:
         raise TypeError(
             f"Object of type {kind.__name__} is not JSON serializable")
-    if not parts:
-        return brackets
-    parts[0] = brackets[0] + "\n" + inner
-    parts.append("\n" + indent + brackets[1])
-    return "".join(parts)
 
 
 def _write_document(obj, path: str) -> None:
-    text = _encode(obj, "")
+    # every piece is made before the first write, so a value that cannot be
+    # encoded writes nothing
+    pieces = []
+    _encode(obj, "", pieces)
+    pieces.append("\n")
     if path == "-":
-        sys.stdout.write(text)
-        sys.stdout.write("\n")
+        sys.stdout.writelines(pieces)
         sys.stdout.flush()  # a closed pipe shows here, not at exit
     else:
         try:
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-                fh.write("\n")
+                fh.writelines(pieces)
         except OSError as exc:
             raise SchemaError(f"cannot write output: {exc}") from exc
 
@@ -212,53 +217,63 @@ def cmd_quaternion_demo(field_size: int, sweep: bool) -> dict:
     field = field_create(2, p_power_exponent(field_size, 2))
     elements = [field.from_index(i) for i in range(field_size)]
     zero = elements[0]
-    # A row's report depends on (a1, a2) only through their ratio class
+
+    def text(obj, indent):
+        out = []
+        _encode(obj, indent, out)
+        return "".join(out)
+
+    # A row's report depends on (a1, a2) only through their ratio
     # (tower.quaternion_fiber_ratio, found by index for a whole a1 column,
     # see _column_ratios) and not on a3, and its shape, the report without
-    # its parameters, is one of at most four: disconnected at V or at W, or
-    # connected with top jump 3 or 5.  Each class is evaluated once, and
-    # each shape is encoded once, at its depth in the document (in
-    # "fibers"), with a NUL (which the writer's ASCII text never holds) in
-    # each "a" place, and split there.  Each element's coefficient list is
-    # encoded once at its own depth (in a row's "a").  The rows of one
-    # (a1, a2) are one join of the a3 texts, each between the head (the
-    # separator and the shape's text with the a1 and a2 texts spliced in)
-    # and the shape's tail, and one more join makes the fibers text, so no
-    # row is a dict or a string of its own.
-    texts = [_encode(list(e.coeffs), " " * 8) for e in elements]
+    # its parameters, follows from tower.quaternion_fiber_shape of that
+    # ratio: one of at most four.  The first fiber of each shape is
+    # evaluated, and its row is encoded once, at its depth in the document
+    # (in "fibers"), with a NUL (which the writer's ASCII text never holds)
+    # in each "a" place, and split there.  Each element's coefficient list
+    # is encoded once at its own depth (in a row's "a").  The rows of one
+    # (a1, a2) are pieces: the shape's text up to a3 with the a1 and a2
+    # texts spliced in (the head), then each a3 text, with the shape's tail
+    # and the head again between two rows, and the tail after the last.  No
+    # row is a dict or a string of its own, and the fibers text is never
+    # joined.
+    texts = [text(list(e.coeffs), " " * 8) for e in elements]
     a3s = texts if sweep else texts[:1]
+    rows = [None] * (2 * len(a3s))  # the pieces of one (a1, a2) but the tail
+    rows[1::2] = a3s
     classes = {}  # ratio index -> its shape's (text pieces, strata flags)
     shapes = {}   # shape -> (text pieces, strata flags)
-    cells = []
+    pieces = []
     strata = {"disconnected": 0, "genus1": 0, "genus2": 0}
     for a1, a1_text in zip(elements, texts):
         for a2, a2_text, ratio in zip(elements, texts, _column_ratios(a1)):
             cls = classes.get(ratio)
             if cls is None:
-                fiber = tower.evaluate_quaternion_fiber(a1, a2, zero)
-                shape = replace(fiber, params=(), leading=None)
+                shape = tower.quaternion_fiber_shape(
+                    None if ratio is None else field.from_index(ratio))
                 cls = shapes.get(shape)
                 if cls is None:
+                    fiber = tower.evaluate_quaternion_fiber(a1, a2, zero)
                     row = fiber.to_json()
-                    row["a"] = [_Encoded("\0")] * 3
+                    row["a"] = [_Encoded(("\0",))] * 3
                     cls = shapes[shape] = (
-                        _encode(row, " " * 4).split("\0"),
+                        text(row, " " * 4).split("\0"),
                         (not fiber.connected, fiber.genus == 1,
                          fiber.genus == 2))
                 classes[ratio] = cls
             (before, mid1, mid2, tail), (disconnected, genus1, genus2) = cls
             head = ",\n    " + before + a1_text + mid1 + a2_text + mid2
-            cells.append(head + (tail + head).join(a3s) + tail)
+            rows[::2] = [head] + [tail + head] * (len(a3s) - 1)
+            pieces += rows
+            pieces.append(tail)
             strata["disconnected"] += len(a3s) * disconnected
             strata["genus1"] += len(a3s) * genus1
             strata["genus2"] += len(a3s) * genus2
-    cells[0] = "[" + cells[0][1:]
-    cells.append("\n  ]")
-    fibers = "".join(cells)
-    del cells  # before _Encoded copies the text: two copies at most
+    pieces[0] = "[" + pieces[0][1:]
+    pieces.append("\n  ]")
     family = _equiramified_family_check(field)
     return {"field": field_size, "count": field_size ** 2 * len(a3s),
-            "fibers": _Encoded(fibers), "strata": strata, "family": family}
+            "fibers": _Encoded(pieces), "strata": strata, "family": family}
 
 
 def _column_ratios(a1) -> list:

@@ -804,6 +804,26 @@ def quaternion_fiber_ratio(a1: FieldElement, a2: FieldElement):
     return a2 / a1_plus_1
 
 
+def quaternion_fiber_shape(ratio) -> tuple:
+    """(stage, top jump) of every fiber whose `quaternion_fiber_ratio` is
+    `ratio`: ("V", None) when ratio is None, ("W", None) when
+    ratio^2 + ratio + 1 = 0, else (None, 3) when ratio is 0 or 1 and
+    (None, 5) otherwise.  The rest of a fiber's report apart from `params`
+    and `leading` follows from these two.  In the closed form of
+    `evaluate_quaternion_fiber`, c1^2 = ratio and squaring is a field
+    automorphism in characteristic 2, so c2 = 1 + c1 + c1^2 vanishes iff
+    ratio^2 + ratio + 1 does, and the pole-order-5 coefficient c3^2 c4
+    vanishes iff c1 = 0 (c3 = 0) or c1 = c2 (c4 = 0, that is c1^2 = 1).
+    So there are at most four shapes: two over F_2, three over F_4 and
+    four over F_16."""
+    if ratio is None:
+        return "V", None
+    one = ratio.field.one()
+    if not ratio * ratio + ratio + one:
+        return "W", None
+    return None, 3 if not ratio or ratio == one else 5
+
+
 def evaluate_quaternion_fiber(a1: FieldElement, a2: FieldElement,
                               a3: FieldElement) -> FiberReport:
     """Connectedness, top jump and genus of one fiber of the family.
@@ -815,10 +835,11 @@ def evaluate_quaternion_fiber(a1: FieldElement, a2: FieldElement,
     uniformizer of the normalized middle step has a standard form whose
     leading terms sit at pole orders 5 and 3 with coefficients c3^2 c4 and
     c4^3 + c3^(3/2), so the top jump is 5 when c3 c4 != 0 and 3 otherwise.
-    No step of this reads a3, and a1 and a2 are read only through
-    `quaternion_fiber_ratio(a1, a2)`: the report depends on its parameters
-    only through that value, apart from `params` (the CLI evaluates one
-    fiber per ratio class and writes the rest from its text).
+    The stage and the top jump are read off the ratio by
+    `quaternion_fiber_shape`, which holds that rule.  No step of this reads
+    a3, and a1 and a2 are read only through `quaternion_fiber_ratio(a1,
+    a2)`: the report depends on its parameters only through that value,
+    apart from `params`.
     The pipeline itself (Laurent polynomials reduced to standard form) is the
     test oracle in tests/quaternion_pipeline.py.
     """
@@ -829,18 +850,15 @@ def evaluate_quaternion_fiber(a1: FieldElement, a2: FieldElement,
         raise DomainError("parameters from different fields")
     params = (a1, a2, a3)
     ratio = quaternion_fiber_ratio(a1, a2)
-    if ratio is None:
-        return FiberReport(params, connected=False, stage="V")
+    stage, top = quaternion_fiber_shape(ratio)
+    if stage is not None:
+        return FiberReport(params, connected=False, stage=stage)
     one = field.one()
     c1 = ratio.sqrt()
-    c2 = one + c1 + c1 * c1
-    if not c2:
-        return FiberReport(params, connected=False, stage="W")
-    c3 = c1 / c2
+    c3 = c1 / (one + c1 + c1 * c1)
     c4 = one + c3
     lead5 = c3 * c3 * c4
     lead3 = c4 ** 3 + (c3 ** 3).sqrt()
-    top = 5 if lead5 else 3
     filt = RamFiltration(8, 1, LOWER, ((Fraction(1), 8), (Fraction(top), 2)))
     genus = genus_rh(8, filt)
     return FiberReport(params, connected=True, top_jump=top,

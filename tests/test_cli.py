@@ -1041,15 +1041,21 @@ def test_family_check_takes_one_standard_form_per_parameter(monkeypatch):
 
 @pytest.mark.parametrize("size", [2, 4, 16])
 def test_quaternion_sweep_evaluates_each_column_once(monkeypatch, size):
-    calls = {"evaluate_quaternion_fiber": 0, "standard_form": 0}
+    calls = {"evaluate_quaternion_fiber": 0, "quaternion_fiber_shape": 0,
+             "standard_form": 0}
     _count_calls(monkeypatch, calls, tower, "evaluate_quaternion_fiber")
     _count_calls(monkeypatch, calls, ascover, "standard_form")
+    _count_calls(monkeypatch, calls, tower, "quaternion_fiber_shape")
     res = cli.cmd_quaternion_demo(size, True)
     assert res["count"] == size ** 3
-    # q + 1 ratio classes a2/(a1 + 1) in the sweep (one per ratio in F_q and
-    # the a1 = 1 column), then the one family fiber; q - 1 v-covers and q
-    # top modifiers
-    assert calls == {"evaluate_quaternion_fiber": size + 2,
+    # one shape per ratio class a2/(a1 + 1) (one per ratio in F_q and the
+    # a1 = 1 column) and one in each evaluation; the first fiber of each
+    # shape is evaluated (V and top jump 3 over F_2, W too over F_4, top
+    # jump 5 too over F_16), then the one family fiber; q - 1 v-covers and
+    # q top modifiers
+    shapes = {2: 2, 4: 3, 16: 4}[size]
+    assert calls == {"evaluate_quaternion_fiber": shapes + 1,
+                     "quaternion_fiber_shape": size + 1 + shapes + 1,
                      "standard_form": 2 * size - 1}
 
 
@@ -1073,9 +1079,10 @@ def test_quaternion_sweep_takes_one_ratio_per_column(monkeypatch, size):
     calls = {"quaternion_fiber_ratio": 0}
     _count_calls(monkeypatch, calls, tower, "quaternion_fiber_ratio")
     cli.cmd_quaternion_demo(size, True)
-    # one per a1 column for its inverse, then one in each of the q + 2
-    # evaluations (q + 1 classes and the family fiber)
-    assert calls == {"quaternion_fiber_ratio": 2 * size + 2}
+    # one per a1 column for its inverse, then one in each evaluation: the
+    # first fiber of each shape and the family fiber
+    shapes = {2: 2, 4: 3, 16: 4}[size]
+    assert calls == {"quaternion_fiber_ratio": size + shapes + 1}
 
 
 @pytest.mark.parametrize("size,sweep", sorted(QUATERNION_DEMO_SHA256),
@@ -1119,10 +1126,17 @@ _JSON = st.recursive(_LEAVES, lambda inner: st.one_of(
     st.dictionaries(_KEYS, inner, max_size=5)), max_leaves=40)
 
 
+def encoded(obj) -> str:
+    """The text of the pieces cli._encode appends for obj at depth 0."""
+    out = []
+    cli._encode(obj, "", out)
+    return "".join(out)
+
+
 @settings(max_examples=300, deadline=None)
 @given(_JSON)
 def test_encode_writes_what_json_dumps_writes(obj):
-    assert cli._encode(obj, "") == json.dumps(obj, sort_keys=True, indent=2)
+    assert encoded(obj) == json.dumps(obj, sort_keys=True, indent=2)
 
 
 # documents that place the same int lists and tuples at several positions
@@ -1143,58 +1157,62 @@ def _aliased_json(draw):
 @settings(max_examples=300, deadline=None)
 @given(_aliased_json())
 def test_encode_writes_shared_leaves_as_json_dumps_does(obj):
-    assert cli._encode(obj, "") == json.dumps(obj, sort_keys=True, indent=2)
+    assert encoded(obj) == json.dumps(obj, sort_keys=True, indent=2)
 
 
 def test_encode_keeps_no_leaf_text_from_an_earlier_call():
     leaf = [1, 2]
     doc = {"a": leaf, "b": [leaf, {"c": leaf}], "d": (leaf, leaf)}
-    assert cli._encode(doc, "") == json.dumps(doc, sort_keys=True, indent=2)
+    assert encoded(doc) == json.dumps(doc, sort_keys=True, indent=2)
     leaf.append(3)
-    assert cli._encode(doc, "") == json.dumps(doc, sort_keys=True, indent=2)
-    assert cli._encode(doc, "").count("3") == 5
+    assert encoded(doc) == json.dumps(doc, sort_keys=True, indent=2)
+    assert encoded(doc).count("3") == 5
 
 
 # a value from _JSON placed at a random depth among random siblings, once as
-# it is and once as the text json.dumps writes for it at that depth
+# it is and once as the text json.dumps writes for it at that depth, in
+# pieces of one line each
 @st.composite
 def _placed_json(draw):
     plain = draw(_JSON)
     depth = draw(st.integers(min_value=0, max_value=4))
     text = json.dumps(plain, sort_keys=True, indent=2)
-    encoded = cli._Encoded(text.replace("\n", "\n" + "  " * depth))
+    pieces = cli._Encoded(text.replace("\n", "\n" + "  " * depth)
+                          .splitlines(keepends=True))
     for _ in range(depth):
         siblings = draw(st.lists(_JSON, max_size=2))
         if draw(st.booleans()):
             i = draw(st.integers(min_value=0, max_value=len(siblings)))
             plain = siblings[:i] + [plain] + siblings[i:]
-            encoded = siblings[:i] + [encoded] + siblings[i:]
+            pieces = siblings[:i] + [pieces] + siblings[i:]
         else:
             key = draw(_KEYS)
             others = dict(zip(draw(st.lists(_KEYS, max_size=2)), siblings))
             others.pop(key, None)
             plain = {**others, key: plain}
-            encoded = {**others, key: encoded}
-    return plain, encoded
+            pieces = {**others, key: pieces}
+    return plain, pieces
 
 
 @settings(max_examples=300, deadline=None)
 @given(_placed_json())
 def test_encode_writes_a_pre_encoded_value_as_is(docs):
-    plain, encoded = docs
-    assert cli._encode(encoded, "") == json.dumps(plain, sort_keys=True,
-                                                  indent=2)
+    plain, pieces = docs
+    assert encoded(pieces) == json.dumps(plain, sort_keys=True, indent=2)
 
 
-def test_encode_peak_memory_stays_near_twice_the_text():
+def test_writing_the_sweep_peaks_below_half_its_length(tmp_path):
+    path = tmp_path / "out.json"
     tracemalloc.start()
     try:
-        text = cli._encode(cli.cmd_quaternion_demo(16, True), "")
+        assert main(["quaternion-demo", "--field-size", "16", "--sweep",
+                     "--output", str(path)]) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the sweep's fibers text and the document's text, each made once
-    assert peak < 2.5 * len(text)
+    # the document is written piece by piece and never held as one string,
+    # which alone would take its whole length
+    assert peak <= 0.5 * path.stat().st_size
 
 
 @pytest.mark.parametrize("obj", [Fraction(1, 2), 0.5, {1: 2}, {"a": [1, 0.5]},
@@ -1203,7 +1221,20 @@ def test_encode_peak_memory_stays_near_twice_the_text():
                               "mixed-keys", "bool-key"])
 def test_encode_refuses_what_the_cli_never_emits(obj):
     with pytest.raises(TypeError):
-        cli._encode(obj, "")
+        cli._encode(obj, "", [])
+
+
+def test_a_document_that_cannot_be_encoded_writes_nothing(tmp_path, capsys):
+    # the Fraction comes after pieces that encode, and still nothing of the
+    # document is written, to standard output or to a file
+    doc = {"a": list(range(100)), "b": [1, Fraction(1, 2)], "c": 3}
+    with pytest.raises(TypeError):
+        cli._write_document(doc, "-")
+    assert capsys.readouterr().out == ""
+    path = tmp_path / "out.json"
+    with pytest.raises(TypeError):
+        cli._write_document(doc, str(path))
+    assert not path.exists()
 
 
 def test_error_document_with_non_ascii_input_matches_json_dumps(tmp_path,

@@ -16,7 +16,7 @@ from ramify.laurent import LaurentPoly
 from ramify.series import TruncatedSeries
 from ramify.tower import (STEP_EXPONENT_CAP, GeneratorAction, TowerStep,
                           VarPoly, close_group, herbrand_lower_jumps,
-                          quaternion_fiber_ratio)
+                          quaternion_fiber_ratio, quaternion_fiber_shape)
 
 import chart_walk
 import quaternion_pipeline
@@ -372,6 +372,26 @@ def test_fiber_report_depends_only_on_its_ratio_class(a):
     assert reps[None].stage == "V"
     assert (sum(rep.stage == "W" for rep in reps.values())
             == (2 if a % 2 == 0 else 0))
+
+
+@pytest.mark.parametrize("field", [F2, F4, F16], ids=["f2", "f4", "f16"])
+def test_fiber_shape_fixes_the_report_without_params_and_leading(field):
+    # the shape rule of the ratio gives the fiber's stage and top jump, and
+    # these fix its report without params and leading: 2, 3 and 4 shapes
+    # over F_2, F_4 and F_16.  The top jump is 5 exactly when the leading
+    # coefficient at pole order 5 is nonzero.
+    zero = field.zero()
+    shapes = {}
+    for a1 in field.elements():
+        for a2 in field.elements():
+            rep = evaluate_quaternion_fiber(a1, a2, zero)
+            shape = quaternion_fiber_shape(quaternion_fiber_ratio(a1, a2))
+            assert shape == (rep.stage, rep.top_jump)
+            bare = replace(rep, params=(), leading=None)
+            assert shapes.setdefault(shape, bare) == bare
+            if rep.connected:
+                assert (rep.top_jump == 5) == bool(rep.leading[0])
+    assert len(shapes) == {2: 2, 4: 3, 16: 4}[field.q]
 
 
 def test_fiber_ratio_refuses_odd_characteristic():
