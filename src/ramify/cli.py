@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import ascover, moduli, ramfilt, tower
 from .errors import DomainError, SchemaError, json_int, reading
 from .gf import field_create, p_power_exponent
-from .laurent import LaurentPoly, prime_to_p_degree
+from .laurent import prime_to_p_degree
 from .ramfilt import RamFiltration, ReducedFiltration
 
 _escape = json.encoder.encode_basestring_ascii
@@ -295,29 +295,17 @@ def _column_ratios(a1) -> list:
 
 
 def _equiramified_family_check(field) -> dict:
-    """The a2 = 0 two-parameter family: all fibers have jumps (1,1,3), and
-    the varying steps (the first step cover and the top-step modifier, both
-    covers of the base germ) distinguish every pair of fibers.  Every fiber
-    has a1 != 1 and a2 = 0, so ratio 0 (tower.quaternion_fiber_ratio): one
-    fiber, (0, 0, 0), is evaluated for all of them.  A fiber's key pairs a
-    form from its a1 with one from its a3, so the keys are a product set,
-    all distinct iff its size is the number of fibers."""
-    one = field.one()
-    zero = field.zero()
-    # a1 = 1 is the disconnected column, not a deformation of the base fiber
-    a1s = [a1 for a1 in field.elements() if a1 != one]
-    rep = tower.evaluate_quaternion_fiber(zero, zero, zero)
-    # q = 2 and F_2^* = {1}: two such covers are isomorphic exactly when
-    # their standard forms are equal
-    v_forms = {ascover.standard_form(
-        ascover.ASCover(2, LaurentPoly(field, {-1: one + a1}))) for a1 in a1s}
-    top_forms = {ascover.standard_form(
-        ascover.ASCover(2, LaurentPoly(field, {-1: a3})))
-        for a3 in field.elements()}
-    size = len(a1s) * field.q
-    all_jumps = rep.connected and rep.jumps == (1, 1, 3)
-    return {"size": size, "all_jumps_1_1_3": all_jumps,
-            "pairwise_distinct": len(v_forms) * len(top_forms) == size}
+    """The a2 = 0 family from its closed form: its (q - 1) q fibers (a1 = 1
+    is the disconnected column) all have ratio 0 (tower.quaternion_fiber_ratio),
+    so they share one shape.  The covers that vary, the first step y^2 - y =
+    (1 + a1) x^-1 and the top-step modifier y^2 - y = a3 x^-1, have q = 2 and
+    F_2^* = {1}, and each is its own standard form (pole order 1 is prime to
+    2): fiber (a1, a3) has the key (1 + a1, a3), and no two keys are equal.
+    The fiber-by-fiber enumeration is the test oracle in
+    tests/quaternion_pipeline.py."""
+    shape = tower.quaternion_fiber_shape(field.zero())
+    return {"size": (field.q - 1) * field.q,
+            "all_jumps_1_1_3": shape == (None, 3), "pairwise_distinct": True}
 
 
 # ---------------------------------------------------------------------------

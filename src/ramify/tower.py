@@ -844,8 +844,6 @@ def evaluate_quaternion_fiber(a1: FieldElement, a2: FieldElement,
     test oracle in tests/quaternion_pipeline.py.
     """
     field = a1.field
-    if field.p != 2:
-        raise DomainError("characteristic 2 required")
     if a2.field != field or a3.field != field:
         raise DomainError("parameters from different fields")
     params = (a1, a2, a3)

@@ -1,4 +1,5 @@
-"""Small helpers that only the tests use: the fields the tests build, the
+"""Small helpers that only the tests use: the (Z/p)^2 tower shapes of the
+benchmark's oracle-towers workload, the fields the tests build, the
 generator z of a field, an element's index, elements read from their JSON
 form, the units of a subfield, |I_t| of a filtration, the inverse of
 laurent.p_power_decompose, the rescanning reduction that the closed-form
@@ -19,6 +20,13 @@ from ramify.laurent import LaurentPoly, accumulate
 from ramify.ramfilt import (LOWER, UPPER, RamFiltration, ReducedFiltration,
                             schmid_violations)
 from ramify.tower import VarPoly
+
+# the (p, j1, j2) shapes of the benchmark's oracle-towers workload
+EA2_SHAPES = [
+    (2, 1, 3), (2, 3, 7), (2, 5, 9), (2, 7, 11),
+    (3, 1, 2), (3, 2, 5), (3, 1, 7), (3, 4, 11), (3, 1, 10),
+    (5, 2, 3), (5, 1, 6), (5, 3, 8), (5, 8, 9),
+]
 
 # every field the tests build, with and without discrete-log tables
 TEST_FIELDS = [field_create(p, a) for p, a in [

@@ -23,7 +23,7 @@ from ramify.gf import field_create
 from ramify.laurent import LaurentPoly
 
 import quaternion_pipeline
-from helpers import index_of
+from helpers import EA2_SHAPES, index_of
 
 QUATERNION_TOWER = {
     "field": {"p": 2, "a": 2},
@@ -379,6 +379,33 @@ def test_verify_herbrand_route_in_both_step_orders(tmp_path, first, second):
     assert code == 0
     assert res["oracle_jumps"] == [1, 5] == res["analytic_jumps"]
     assert res["agree"] is True
+
+
+@pytest.mark.parametrize("p,j1,j2", EA2_SHAPES)
+def test_abelian_chain_through_the_commands_attains_the_upper_bound(
+        tmp_path, p, j1, j2):
+    # the paper's last claim on a filtration `verify` computed: the (Z/p)^2
+    # tower v^p - v = x^-j1, w^p - w = -x^-j2 has integral upper jumps u
+    # (Hasse-Arf), its abelian dimension is the upper bound
+    # sum (u - floor(u/p)), and it counts as its pieces of order p do
+    doc = {"field": {"p": p, "a": 1}, "m": 1,
+           "steps": [{"var": "v", "rhs": [[[1], {"x": -j1}]]},
+                     {"var": "w", "rhs": [[[p - 1], {"x": -j2}]]}],
+           "generators": [{"name": "s", "shifts": {"v": [[[1], {}]]}},
+                          {"name": "t", "shifts": {"w": [[[1], {}]]}}]}
+    code, verified = run(tmp_path, ["verify", "--precision", "1024"], doc)
+    assert code == 0 and verified["agree"] is True
+    code, converted = run(tmp_path, ["jumps", "--direction", "to-upper"],
+                          verified["filtration"])
+    assert code == 0 and converted["violations"] == []
+    assert all(d == 1 for _, d in converted["jumps_with_multiplicity"])
+    upper = [u for u, _ in converted["jumps_with_multiplicity"]]
+    code, abelian = run(tmp_path, ["dimension"], {"structure": {
+        "kind": "abelian", "p": p, "factors": [[u] for u in upper]}})
+    assert code == 0 and abelian["exact"] == sum(u - u // p for u in upper)
+    code, pieces = run(tmp_path, ["dimension"], {"tame": 1, "pieces": [
+        {"q": p, "sigma": [u, 1], "s_iota": 1} for u in upper]})
+    assert code == 0 and pieces["n"] == abelian["n"]
 
 
 def test_verify_herbrand_route_on_a_top5_quaternion_fiber(tmp_path):
@@ -1028,15 +1055,15 @@ def _count_calls(monkeypatch, calls, module, name):
     monkeypatch.setattr(module, name, wrapper)
 
 
-def test_family_check_takes_one_standard_form_per_parameter(monkeypatch):
+def test_family_check_takes_no_standard_form_or_isomorphism(monkeypatch):
     calls = {"standard_form": 0, "is_isomorphic": 0}
     _count_calls(monkeypatch, calls, ascover, "standard_form")
     _count_calls(monkeypatch, calls, ascover, "is_isomorphic")
     family = cli._equiramified_family_check(field_create(2, 4))
     assert family == {"size": 240, "all_jumps_1_1_3": True,
                       "pairwise_distinct": True}
-    # one v-cover per a1 != 1 and one top modifier per a3, not two per fiber
-    assert calls == {"standard_form": 15 + 16, "is_isomorphic": 0}
+    # the block is read off its closed form, not off the fibers' covers
+    assert calls == {"standard_form": 0, "is_isomorphic": 0}
 
 
 @pytest.mark.parametrize("size", [2, 4, 16])
@@ -1051,12 +1078,11 @@ def test_quaternion_sweep_evaluates_each_column_once(monkeypatch, size):
     # one shape per ratio class a2/(a1 + 1) (one per ratio in F_q and the
     # a1 = 1 column) and one in each evaluation; the first fiber of each
     # shape is evaluated (V and top jump 3 over F_2, W too over F_4, top
-    # jump 5 too over F_16), then the one family fiber; q - 1 v-covers and
-    # q top modifiers
+    # jump 5 too over F_16); the family block reads the shape of ratio 0
     shapes = {2: 2, 4: 3, 16: 4}[size]
-    assert calls == {"evaluate_quaternion_fiber": shapes + 1,
+    assert calls == {"evaluate_quaternion_fiber": shapes,
                      "quaternion_fiber_shape": size + 1 + shapes + 1,
-                     "standard_form": 2 * size - 1}
+                     "standard_form": 0}
 
 
 @pytest.mark.parametrize("a", [1, 2, 3, 4], ids=["f2", "f4", "f8", "f16"])
@@ -1079,10 +1105,10 @@ def test_quaternion_sweep_takes_one_ratio_per_column(monkeypatch, size):
     calls = {"quaternion_fiber_ratio": 0}
     _count_calls(monkeypatch, calls, tower, "quaternion_fiber_ratio")
     cli.cmd_quaternion_demo(size, True)
-    # one per a1 column for its inverse, then one in each evaluation: the
-    # first fiber of each shape and the family fiber
+    # one per a1 column for its inverse, then one in the evaluation of the
+    # first fiber of each shape
     shapes = {2: 2, 4: 3, 16: 4}[size]
-    assert calls == {"quaternion_fiber_ratio": size + shapes + 1}
+    assert calls == {"quaternion_fiber_ratio": size + shapes}
 
 
 @pytest.mark.parametrize("size,sweep", sorted(QUATERNION_DEMO_SHA256),
@@ -1104,11 +1130,11 @@ def test_quaternion_demo_matches_fiber_by_fiber(tmp_path, size, sweep):
 
 
 def test_family_check_reports_isomorphic_fibers(monkeypatch):
-    # with every standard form equal, all fibers share one key
+    # with every standard form equal, all fibers of the oracle's enumeration
+    # share one key
     field = field_create(2, 2)
     monkeypatch.setattr(ascover, "standard_form",
                         lambda cover: LaurentPoly.zero(field))
-    assert cli._equiramified_family_check(field)["pairwise_distinct"] is False
     assert quaternion_pipeline.family_check(field)["pairwise_distinct"] is False
 
 

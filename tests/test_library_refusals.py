@@ -53,6 +53,9 @@ REFUSALS = [
     # ramfilt
     ("unknown-numbering", lambda: filtration("middle"),
      "numbering must be 'lower' or 'upper'"),
+    ("break-order-below-2",
+     lambda: RamFiltration(2, 1, LOWER, ((Fraction(1), 1),)),
+     "break orders must be at least 2"),
     ("break-orders-increase",
      lambda: filtration(LOWER, (1, 2), (2, 4), total=8),
      "break orders must strictly decrease"),
@@ -100,6 +103,16 @@ REFUSALS = [
     ("fiber-parameters-from-different-fields",
      lambda: evaluate_quaternion_fiber(F4.one(), F16.one(), F4.one()),
      "parameters from different fields"),
+    ("fiber-in-characteristic-3-from-different-fields",
+     lambda: evaluate_quaternion_fiber(F3.one(), field_create(3, 2).one(),
+                                       F3.one()),
+     "parameters from different fields"),
+    # laurent
+    ("laurent-sum-over-different-fields",
+     lambda: LaurentPoly(F2, {1: 1}) + LaurentPoly(F4, {1: 1}),
+     "polynomials over different fields"),
+    ("min-exponent-of-zero", lambda: LaurentPoly.zero(F2).min_exponent(),
+     "zero Laurent polynomial has no exponents"),
     # series
     ("series-sum-over-different-fields",
      lambda: series(F2, [0]) + series(F4, [0]),

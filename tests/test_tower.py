@@ -13,6 +13,7 @@ from ramify import (DomainError, RamFiltration, TowerSpec, field_create,
 from ramify import series as series_module
 from ramify import tower as tower_module
 from ramify.laurent import LaurentPoly
+from ramify.ramfilt import lower_to_upper, validate
 from ramify.series import TruncatedSeries
 from ramify.tower import (STEP_EXPONENT_CAP, GeneratorAction, TowerStep,
                           VarPoly, close_group, herbrand_lower_jumps,
@@ -20,7 +21,7 @@ from ramify.tower import (STEP_EXPONENT_CAP, GeneratorAction, TowerStep,
 
 import chart_walk
 import quaternion_pipeline
-from helpers import subst_per_monomial
+from helpers import EA2_SHAPES, subst_per_monomial
 
 F2 = field_create(2, 1)
 F4 = field_create(2, 2)
@@ -587,14 +588,6 @@ def test_varpoly_frobenius_hash_and_generator_keys(data):
 
 # -- uniformizer images, once per coset ------------------------------------------
 
-# the (p, j1, j2) shapes of the benchmark's oracle-towers workload
-EA2_SHAPES = [
-    (2, 1, 3), (2, 3, 7), (2, 5, 9), (2, 7, 11),
-    (3, 1, 2), (3, 2, 5), (3, 1, 7), (3, 4, 11), (3, 1, 10),
-    (5, 2, 3), (5, 1, 6), (5, 3, 8), (5, 8, 9),
-]
-
-
 def quaternion_f4_fiber():
     a1, a2, a3 = (F4.from_index(i) for i in (2, 3, 2))
     assert evaluate_quaternion_fiber(a1, a2, a3).connected
@@ -870,6 +863,7 @@ def assert_sift_matches_the_whole_group(tower, gens, rank):
                                                          run.precision)
     assert jumps_with_multiplicity(run.filtration) == \
         herbrand_lower_jumps(p, run.pole_orders)
+    return run
 
 
 @settings(max_examples=60, deadline=None)
@@ -877,8 +871,57 @@ def assert_sift_matches_the_whole_group(tower, gens, rank):
 def test_sifted_filtration_equals_the_whole_group_on_abelian_towers(case):
     # the filtration read off a sifted sequence is the one the jumps of
     # every element give, at the precision the oracle answers at; a set
-    # short of the group is refused before the tower is expanded
-    assert_sift_matches_the_whole_group(*case)
+    # short of the group is refused before the tower is expanded.  An
+    # answer's upper jumps are integers (Hasse-Arf)
+    run = assert_sift_matches_the_whole_group(*case)
+    if run is not None:
+        assert validate(run.filtration, abelian=True) == []
+
+
+def test_hasse_arf_refuses_the_quaternion_filtration():
+    # lower jumps 1, 1, 3 have the upper jump 3/2: the check above is not
+    # vacuous on a non-abelian answer
+    run = oracle_run(*quaternion_tower(F4), precision=1024)
+    assert jumps_with_multiplicity(run.filtration) == [1, 1, 3]
+    assert validate(run.filtration, abelian=True) == [
+        "abelian filtration has non-integral upper jump 3/2"]
+
+
+def witt_tower(p, a, b):
+    """The cyclic Z/p^2 tower F(v, w) - (v, w) = (x^-a, x^-b) in the Witt
+    vectors of length 2, for p = 2 and 3, in components: v^p - v = x^-a, and
+    w^p - w = x^-b plus the carry terms of the Witt difference.  Its
+    generator adds (1, 0): v -> v + 1, and w -> w plus the carry of that
+    sum."""
+    field = field_create(p, 1)
+    x_a, x_b = VarPoly.var(field, "x", -a), VarPoly.var(field, "x", -b)
+    v = VarPoly.var(field, "v")
+    if p == 2:
+        rhs, carry = x_b + x_a * v, v
+    else:
+        rhs = x_b - v * v * x_a - v * x_a * x_a
+        carry = -(v * v) - v
+    tower = TowerSpec(field, 1, (TowerStep("v", x_a), TowerStep("w", rhs)))
+    shift = GeneratorAction(tower, {"v": VarPoly.const(field, field.one()),
+                                    "w": carry}, "s")
+    return tower, [shift]
+
+
+WITT_SHAPES = ([(2, a, b) for a in (1, 3, 5) for b in range(1, 14, 2)]
+               + [(3, a, b) for a in (1, 2, 4)
+                  for b in (1, 2, 4, 5, 7, 8, 13)])
+
+
+@pytest.mark.parametrize("p,a,b", WITT_SHAPES)
+def test_cyclic_witt_towers_have_schmids_upper_jumps(p, a, b):
+    # Schmid: the upper jumps of the cyclic Z/p^2 extension of the Witt
+    # vector (x^-a, x^-b), p prime to a and b, are a and max(p a, b)
+    run = oracle_run(*witt_tower(p, a, b), 1024)
+    upper = lower_to_upper(run.filtration)
+    assert jumps_with_multiplicity(upper) == [a, max(p * a, b)]
+    assert validate(run.filtration, cyclic=True) == []
+    assert herbrand_lower_jumps(p, run.pole_orders) == \
+        jumps_with_multiplicity(run.filtration)
 
 
 @settings(max_examples=25, deadline=None)
