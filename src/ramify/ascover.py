@@ -19,7 +19,7 @@ the sum of their roots as the root of their sum, and one pass is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import DomainError, json_int, reading
@@ -28,33 +28,35 @@ from .gf import (FieldElement, check_tame, degree_over_prime, field_create,
 from .laurent import LaurentPoly, accumulate, prime_to_p_degree
 
 
-@dataclass(frozen=True)
-class ASCover:
-    """v^q - v = r(x), with optional tame action scalar z (present iff m > 1)."""
+class ASCover(namedtuple("ASCover", "q r m z", defaults=(1, None))):
+    """v^q - v = r(x), with optional tame action scalar z (present iff m > 1):
+    q an int, r a LaurentPoly, m an int and z a FieldElement or None."""
 
-    q: int
-    r: LaurentPoly
-    m: int = 1
-    z: FieldElement | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        F = self.r.field
-        b = p_power_exponent(self.q, F.p)  # q a power of char(F)
+    def __new__(cls, q, r, m=1, z=None):
+        F = r.field
+        b = p_power_exponent(q, F.p)  # q a power of char(F)
         if F.a % b != 0:
-            raise DomainError(f"F_{self.q} does not embed in the coefficient field F_{F.q}")
-        check_tame(self.m, F.p)
-        if self.m == 1:
-            if self.z is not None:
+            raise DomainError(f"F_{q} does not embed in the coefficient field F_{F.q}")
+        check_tame(m, F.p)
+        if m == 1:
+            if z is not None:
                 raise DomainError("z is only part of the datum when m > 1")
         else:
-            if self.z is None:
+            if z is None:
                 raise DomainError("m > 1 requires the action scalar z")
-            if self.z.field != F:
+            if z.field != F:
                 raise DomainError("z must live in the coefficient field")
-            if not self.z or self.z ** self.q != self.z:
+            if not z or z ** q != z:
                 raise DomainError("z must lie in F_q^*")
-            if degree_over_prime(self.z) != b:
+            if degree_over_prime(z) != b:
                 raise DomainError("action not irreducible: [F_p(z):F_p] != a")
+        return super().__new__(cls, q, r, m, z)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)  # _replace builds through _make: checked too
 
     @property
     def field(self):

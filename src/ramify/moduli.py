@@ -12,12 +12,13 @@ upper bound.  Every exact value dimension reports is that upper bound: for
 products of irreducible pieces (reducible case), for abelian p-groups (class
 field theory; one piece of order p per jump, the jump sum
 sigma - floor(sigma/p)), and for ordinary data, where e/c must agree.
-Conductors sigma are exact rationals throughout.
+Conductors sigma are exact rationals throughout.  n_count enumerates: it
+walks the one residue class l = s_iota (mod m) up to (q/p) m sigma.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import floor, gcd
 
@@ -26,17 +27,18 @@ from .gf import check_tame, p_power_exponent, prime_factors
 from .ramfilt import ReducedFiltration, schmid_violations
 
 # The most integers dim_bounds lets n_count walk for one document, summed over
-# its pieces: floor((q/p) m sigma) each.  The walk costs 2-4 us per integer,
-# so a document at the limit answers within about 2 s.
+# its pieces: floor((q/p) m sigma) each, of which the walk visits the 1 in m
+# of the residue class of s_iota, about 1 us each.  So m = 1 documents are
+# the slowest: one at the limit answers within about half a second.
 WALK_CAP = 500_000
 
 
-@dataclass(frozen=True)
-class DimensionReport:
-    """The per-piece counts and the rule that makes the upper bound exact."""
+class DimensionReport(namedtuple("DimensionReport", "n_list rule",
+                                 defaults=(None,))):
+    """The per-piece counts n_list (a tuple of ints) and the rule that makes
+    the upper bound exact (a str, or None)."""
 
-    n_list: tuple[int, ...]
-    rule: str | None = None
+    __slots__ = ()
 
     @property
     def lower_bound(self) -> int:
@@ -62,9 +64,11 @@ def n_count(q: int, m: int, s_iota: int, sigma, p: int | None = None) -> int:
     The prime of q is factored out of p when given (dim_bounds passes its
     ReducedFiltration's), else out of q; a p that q is no power of is refused.
     Any qualifying l has gcd(l, q) <= q/p (since q does not divide l), so
-    l <= (q/p) * m * sigma bounds the search, and the walk stops there;
-    dim_bounds refuses a document whose walks would pass WALK_CAP integers
-    in all before any of them starts.
+    l <= (q/p) * m * sigma bounds the search, and the walk stops there; it
+    steps by m from s_iota, the only residue class that can count, and
+    makes the definition's two other tests on each l.  dim_bounds refuses a
+    document whose walks would pass WALK_CAP integers in all (counting every
+    integer up to each bound, not only the class) before any of them starts.
     """
     sigma = Fraction(sigma)
     primes = prime_factors(q if p is None else p)
@@ -77,16 +81,11 @@ def n_count(q: int, m: int, s_iota: int, sigma, p: int | None = None) -> int:
         raise DomainError(f"s_iota = {s_iota} outside [1, {m}]")
     if sigma <= 0:
         raise DomainError("sigma must be positive")
-    bound = floor(Fraction(q, p) * m * sigma)
+    limit = m * sigma
     count = 0
-    for ell in range(1, bound + 1):
-        if ell % q == 0:
-            continue
-        if Fraction(ell, gcd(ell, q)) > m * sigma:
-            continue
-        if (ell - s_iota) % m != 0:
-            continue
-        count += 1
+    for ell in range(s_iota, floor(Fraction(q, p) * limit) + 1, m):
+        if ell % q and Fraction(ell, gcd(ell, q)) <= limit:
+            count += 1
     return count
 
 

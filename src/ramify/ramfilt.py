@@ -13,7 +13,7 @@ must round-trip exactly through the Herbrand transition functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import prod
@@ -29,20 +29,18 @@ def _as_fraction(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-@dataclass(frozen=True)
-class RamFiltration:
-    total_order: int
-    tame: int
-    numbering: str
-    breaks: tuple[tuple[Fraction, int], ...]
+class RamFiltration(namedtuple("RamFiltration",
+                               "total_order tame numbering breaks")):
+    """total_order and tame are ints, numbering is LOWER or UPPER, and
+    breaks is a tuple of (jump, order) with Fraction jumps.  An instance
+    keeps a dict, where wild_primes is cached."""
 
-    def __post_init__(self):
-        if self.numbering not in (LOWER, UPPER):
+    def __new__(cls, total_order, tame, numbering, breaks):
+        if numbering not in (LOWER, UPPER):
             raise DomainError(f"numbering must be '{LOWER}' or '{UPPER}'")
-        if self.total_order < 1 or self.tame < 1:
+        if total_order < 1 or tame < 1:
             raise DomainError("orders must be positive")
-        brk = tuple((_as_fraction(j), int(o)) for j, o in self.breaks)
-        object.__setattr__(self, "breaks", brk)
+        brk = tuple((_as_fraction(j), int(o)) for j, o in breaks)
         prev = Fraction(0)
         prev_o = None
         for j, o in brk:
@@ -53,6 +51,14 @@ class RamFiltration:
             if prev_o is not None and o >= prev_o:
                 raise DomainError("break orders must strictly decrease")
             prev, prev_o = j, o
+        return super().__new__(cls, total_order, tame, numbering, brk)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)  # _replace builds through _make: checked too
+
+    def __setattr__(self, name, value):  # the dict is for the cache only
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def wild_order(self) -> int:
@@ -93,24 +99,20 @@ class RamFiltration:
         return cls(*fields)
 
 
-@dataclass(frozen=True)
-class ReducedFiltration:
+class ReducedFiltration(namedtuple("ReducedFiltration", "tame pieces")):
     """Jump data refined so that every piece is an irreducible tame module.
 
-    pieces: ascending list of (q_i, upper jump, s_iota_i) with q_i the order
-    of the i-th irreducible piece.  The piece orders are factored once: the
-    first by trial division, which finds the prime p, and every other by
-    dividing out p.
+    tame: the tame part m, an int.  pieces: ascending tuple of (q_i, upper
+    jump, s_iota_i) with q_i the order of the i-th irreducible piece and a
+    Fraction jump.  The piece orders are factored once: the first by trial
+    division, which finds the prime p, and every other by dividing out p.
+    An instance keeps a dict, where p is set.
     """
 
-    tame: int
-    pieces: tuple[tuple[int, Fraction, int], ...]
-
-    def __post_init__(self):
-        if self.tame < 1:
+    def __new__(cls, tame, pieces):
+        if tame < 1:
             raise DomainError("tame part must be positive")
-        pieces = tuple((int(q), _as_fraction(s), int(si)) for q, s, si in self.pieces)
-        object.__setattr__(self, "pieces", pieces)
+        pieces = tuple((int(q), _as_fraction(s), int(si)) for q, s, si in pieces)
         if not pieces:
             raise DomainError("a reduced filtration needs at least one piece")
         primes = prime_factors(pieces[0][0])
@@ -123,13 +125,22 @@ class ReducedFiltration:
                 raise DomainError("jumps must be positive")
             if prev is not None and sigma < prev:
                 raise DomainError("reduced jumps must ascend weakly")
-            if not 1 <= si <= self.tame:
+            if not 1 <= si <= tame:
                 raise DomainError("s_iota out of range [1, m]")
             one_prime = one_prime and p_adic(q, primes[0])[1] == 1
             prev = sigma
         if not one_prime:
             raise DomainError("piece orders must be powers of one prime")
+        self = super().__new__(cls, tame, pieces)
         object.__setattr__(self, "p", primes[0])  # the prime of every q_i
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)  # _replace builds through _make: checked too
+
+    def __setattr__(self, name, value):  # p is set once, by __new__
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def to_json(self):
         return {"tame": self.tame,

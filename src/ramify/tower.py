@@ -42,7 +42,7 @@ gamma = 0 test cases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import DomainError, PrecisionError, json_int, json_str, reading
@@ -175,24 +175,22 @@ def _names(names) -> str:
 # ---------------------------------------------------------------------------
 # Tower data.
 
-@dataclass(frozen=True)
-class TowerStep:
-    var: str
-    rhs: VarPoly  # right-hand side of  var^p - var = rhs
+class TowerStep(namedtuple("TowerStep", "var rhs")):
+    """The step var^p - var = rhs: var a str, rhs a VarPoly."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TowerSpec:
-    """Degree-p steps over the germ coordinate x (tame base step u = x^m)."""
+class TowerSpec(namedtuple("TowerSpec", "field m steps")):
+    """Degree-p steps over the germ coordinate x (tame base step u = x^m):
+    field a Field, m an int and steps a tuple of TowerStep."""
 
-    field: Field
-    m: int
-    steps: tuple[TowerStep, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_tame(self.m, self.field.p)
+    def __new__(cls, field, m, steps):
+        check_tame(m, field.p)
         known = {"x"}
-        for step in self.steps:
+        for step in steps:
             if step.var in known:
                 raise DomainError(f"duplicate variable {step.var}")
             _check_step_exponents(step.rhs, f"step {step.var}")
@@ -205,6 +203,11 @@ class TowerSpec:
                 raise DomainError(f"step {step.var} has a negative power of "
                                   f"the step variable {negative}")
             known.add(step.var)
+        return super().__new__(cls, field, m, steps)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)  # _replace builds through _make: checked too
 
     @property
     def wild_order(self) -> int:
@@ -476,16 +479,13 @@ def _solve_unit(f: TruncatedSeries, j: int, alpha: int, beta: int,
     return f.step_unit(alpha, beta, min(prec, p * f.prec + j * p))
 
 
-@dataclass(frozen=True)
-class _StepChart:
+class _StepChart(namedtuple("_StepChart", "var pole_order alpha beta peel")):
     """How one step's uniformizer was built: T_new = T_old^alpha * y'^beta
     with y' = y - D(T_old) for the exact peel correction D (empty when no
-    pole was peeled)."""
-    var: str
-    pole_order: int
-    alpha: int
-    beta: int
-    peel: tuple  # ((exponent, coefficient), ...) in T_old units
+    pole was peeled), held in peel as ((exponent, coefficient), ...) in
+    T_old units."""
+
+    __slots__ = ()
 
 
 def _expand_tower(tower: TowerSpec, prec: int):
@@ -592,11 +592,11 @@ def _check_generators(tower: TowerSpec, generators):
                     f"equation of step {step.var}")
 
 
-@dataclass(frozen=True)
-class OracleRun:
-    filtration: RamFiltration
-    precision: int
-    pole_orders: tuple[int, ...]  # the step conductors, bottom step first
+class OracleRun(namedtuple("OracleRun", "filtration precision pole_orders")):
+    """The oracle's RamFiltration, the working precision that answered, and
+    pole_orders, the step conductors, bottom step first."""
+
+    __slots__ = ()
 
 
 def oracle_run(tower: TowerSpec, generators, precision: int = 200) -> OracleRun:
@@ -738,15 +738,15 @@ def p_rank_ds(p_part_order: int, base_p_rank: int,
 # ---------------------------------------------------------------------------
 # The order-8 quaternion family in characteristic 2.
 
-@dataclass(frozen=True)
-class FiberReport:
-    params: tuple
-    connected: bool
-    stage: str | None = None
-    top_jump: int | None = None
-    jumps: tuple | None = None
-    genus: int | None = None
-    leading: tuple | None = None
+class FiberReport(namedtuple(
+        "FiberReport", "params connected stage top_jump jumps genus leading",
+        defaults=(None,) * 5)):
+    """One fiber of the quaternion family: its parameters (a tuple), whether
+    it is connected, and else None: the stage where it splits (a str), its
+    top jump and genus (ints), its jumps and its leading coefficients
+    (tuples)."""
+
+    __slots__ = ()
 
     def to_json(self):
         return {

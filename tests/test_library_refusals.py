@@ -1,20 +1,22 @@
 """Refusals of the library called directly, each pinned by its exact
 message.  Most sit behind the CLI's own checks, where no document reaches
-them."""
+them.  The record types are frozen, and _replace refuses what their
+constructors refuse."""
 
 from fractions import Fraction
 
 import pytest
 
-from ramify import (ASCover, DomainError, RamFiltration, ReducedFiltration,
-                    TruncatedSeries, evaluate_quaternion_fiber, field_create,
-                    genus_rh, is_isomorphic, last_piece_s_iota, modify_cover,
-                    n_count, p_rank_ds, quaternion_tower, reduce,
+from ramify import (ASCover, DimensionReport, DomainError, RamFiltration,
+                    ReducedFiltration, TowerSpec, TruncatedSeries,
+                    evaluate_quaternion_fiber, field_create, genus_rh,
+                    is_isomorphic, last_piece_s_iota, modify_cover, n_count,
+                    oracle_run, p_rank_ds, quaternion_tower, reduce,
                     root_of_unity, s_iota)
 from ramify.laurent import LaurentPoly
 from ramify.ramfilt import LOWER, UPPER
 from ramify.series import compose
-from ramify.tower import VarPoly
+from ramify.tower import VarPoly, _StepChart
 
 F2, F3, F4, F16 = (field_create(2, 1), field_create(3, 1), field_create(2, 2),
                    field_create(2, 4))
@@ -34,6 +36,8 @@ def filtration(numbering, *breaks, total=2):
 
 REFUSALS = [
     # ascover
+    ("replace-m-without-z", lambda: ASCover(2, pole(F4))._replace(m=3),
+     "m > 1 requires the action scalar z"),
     ("z-outside-the-coefficient-field",
      lambda: ASCover(4, pole(F4), 3, F16.from_index(2)),
      "z must live in the coefficient field"),
@@ -53,6 +57,9 @@ REFUSALS = [
     # ramfilt
     ("unknown-numbering", lambda: filtration("middle"),
      "numbering must be 'lower' or 'upper'"),
+    ("replace-unknown-numbering",
+     lambda: filtration(LOWER)._replace(numbering="middle"),
+     "numbering must be 'lower' or 'upper'"),
     ("break-order-below-2",
      lambda: RamFiltration(2, 1, LOWER, ((Fraction(1), 1),)),
      "break orders must be at least 2"),
@@ -60,6 +67,9 @@ REFUSALS = [
      lambda: filtration(LOWER, (1, 2), (2, 4), total=8),
      "break orders must strictly decrease"),
     ("reduced-tame-part-zero", lambda: ReducedFiltration(0, ()),
+     "tame part must be positive"),
+    ("replace-reduced-tame-part-zero",
+     lambda: ReducedFiltration(1, ((2, 1, 1),))._replace(tame=0),
      "tame part must be positive"),
     ("reduced-without-pieces", lambda: ReducedFiltration(1, ()),
      "a reduced filtration needs at least one piece"),
@@ -84,6 +94,9 @@ REFUSALS = [
     ("n-count-prime-not-a-prime-power", lambda: n_count(4, 1, 1, 3, p=6),
      "6 is not a prime power"),
     # tower
+    ("replace-tower-tame-degree-divisible-by-p",
+     lambda: TowerSpec(F2, 1, ())._replace(m=2),
+     "tame degree 2 must be positive and prime to 2"),
     ("eval-of-an-unknown-variable",
      lambda: VarPoly.var(F2, "w").eval({"x": series(F2, [1])}, 8),
      "unknown variable w"),
@@ -139,3 +152,33 @@ def test_every_library_refusal_names_its_cause(call, message):
     with pytest.raises(DomainError) as info:
         call()
     assert str(info.value) == message
+
+
+# one instance of each record type
+RECORDS = {
+    "ASCover": lambda: ASCover(2, pole(F2)),
+    "DimensionReport": lambda: DimensionReport((1, 2), "abelian"),
+    "RamFiltration": lambda: filtration(LOWER, (1, 2)),
+    "ReducedFiltration": lambda: ReducedFiltration(3, ((4, Fraction(1, 3), 2),)),
+    "TowerStep": lambda: quaternion_tower(F4)[0].steps[0],
+    "TowerSpec": lambda: quaternion_tower(F4)[0],
+    "_StepChart": lambda: _StepChart("v", 1, 1, 0, ()),
+    "OracleRun": lambda: oracle_run(TowerSpec(F2, 1, ()), []),
+    "FiberReport": lambda: evaluate_quaternion_fiber(*[F4.zero()] * 3),
+}
+
+
+@pytest.mark.parametrize("build", RECORDS.values(), ids=RECORDS)
+def test_records_are_frozen_tuples_of_their_fields(build):
+    record = build()
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], record[0])
+    with pytest.raises(AttributeError):
+        record.p = 2  # nor does any other name take a value
+    copy = record._replace()
+    assert type(copy) is type(record) and copy == record == tuple(record)
+
+
+def test_replace_finds_the_prime_of_a_reduced_filtration():
+    reduced = ReducedFiltration(1, ((2, 1, 1),))._replace(pieces=((9, 2, 1),))
+    assert reduced.p == 3

@@ -8,23 +8,38 @@ import pytest
 from ramify import (DimensionReport, DomainError, ReducedFiltration,
                     dim_bounds, dim_ordinary, dimension, field_create,
                     n_count, root_of_unity)
-from ramify.gf import degree_over_prime
+from ramify.gf import degree_over_prime, p_power_exponent, prime_factors
 
 from helpers import multiplicative_order
 
 
 def n_count_brute(q, m, s_iota, sigma, window=500):
-    """Independent enumeration over a wide window, no derived bound."""
-    out = 0
-    for ell in range(1, window):
-        if ell % q == 0:
-            continue
-        if Fraction(ell, gcd(ell, q)) > m * Fraction(sigma):
-            continue
-        if (ell - s_iota) % m != 0:
-            continue
-        out += 1
-    return out
+    """Independent enumeration over a wide window, no derived bound; the
+    test l / gcd(l, q) <= m sigma is made on integers."""
+    limit = m * Fraction(sigma)
+    num, den = limit.numerator, limit.denominator
+    return sum(1 for ell in range(1, window)
+               if (ell - s_iota) % m == 0 and ell % q
+               and ell * den <= gcd(ell, q) * num)
+
+
+def n_count_closed(q, m, s_iota, sigma):
+    """The count in closed form.  Write l = p^k u with k < b (q = p^b) and p
+    not dividing u; then l / gcd(l, q) = u, so n sums, over k < b, the
+    u <= floor(m sigma) prime to p with u = s_iota p^-k (mod m): two
+    arithmetic-progression counts per k."""
+    p = prime_factors(q)[0]
+    top = floor(m * Fraction(sigma))
+
+    def progression(n, r):  # #{1 <= u <= n : u = r (mod m)}
+        r %= m
+        return (n - r) // m + (r != 0)
+
+    total = 0
+    for k in range(p_power_exponent(q, p)):
+        r = s_iota * pow(p, -k, m)
+        total += progression(top, r) - progression(top // p, r * pow(p, -1, m))
+    return total
 
 
 def test_n_count_unit_conductor():
@@ -43,6 +58,23 @@ def test_n_count_against_wide_window():
              (8, 7, 5, Fraction(12, 7)), (3, 2, 1, Fraction(9))]
     for q, m, s, sigma in cases:
         assert n_count(q, m, s, sigma) == n_count_brute(q, m, s, sigma)
+
+
+def test_n_count_against_its_closed_form_and_the_enumeration():
+    # every m <= 13 prime to p and every s_iota, for q = p, p^2, p^3; the
+    # enumeration's window q m sigma bounds l without the factor 1/p
+    sigmas = [Fraction(2), Fraction(3, 2), Fraction(5, 3), Fraction(6, 7)]
+    for p in (2, 3, 5, 7):
+        for q in (p, p ** 2, p ** 3):
+            for m in (m for m in range(1, 14) if m % p):
+                for s in range(1, m + 1):
+                    for sigma in sigmas:
+                        n = n_count(q, m, s, sigma)
+                        assert n == n_count_closed(q, m, s, sigma), \
+                            (q, m, s, sigma)
+                        assert n == n_count_brute(
+                            q, m, s, sigma, floor(q * m * sigma) + 1), \
+                            (q, m, s, sigma)
 
 
 def test_n_count_closed_form_small_sigma():

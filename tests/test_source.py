@@ -1,6 +1,8 @@
 """Checks on the package source itself."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import ramify
@@ -36,3 +38,13 @@ def test_the_tame_degree_rule_is_written_once():
              if isinstance(node, ast.JoinedStr) and _template(node)
              == "tame degree {} must be positive and prime to {}"]
     assert len(found) == 1 and found[0].startswith("gf.py:")
+
+
+def test_the_cli_loads_neither_dataclasses_nor_inspect():
+    # together they cost every fresh process about 15 ms; -S keeps the
+    # imports of site's .pth files out of sys.modules
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import ramify.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code, str(SRC.parent)],
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout == "[]\n"

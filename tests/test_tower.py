@@ -1,6 +1,5 @@
 """The valuation oracle, genus/p-rank formulas, and the quaternion family."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -366,8 +365,8 @@ def test_fiber_report_depends_only_on_its_ratio_class(a):
             ratio = quaternion_fiber_ratio(a1, a2)
             assert (ratio is None) == (a1 == one)
             for a3 in field.elements():
-                rep = replace(evaluate_quaternion_fiber(a1, a2, a3),
-                              params=None)
+                rep = evaluate_quaternion_fiber(a1, a2, a3)._replace(
+                    params=None)
                 assert reps.setdefault(ratio, rep) == rep
     assert len(reps) == field.q + 1
     assert reps[None].stage == "V"
@@ -388,7 +387,7 @@ def test_fiber_shape_fixes_the_report_without_params_and_leading(field):
             rep = evaluate_quaternion_fiber(a1, a2, zero)
             shape = quaternion_fiber_shape(quaternion_fiber_ratio(a1, a2))
             assert shape == (rep.stage, rep.top_jump)
-            bare = replace(rep, params=(), leading=None)
+            bare = rep._replace(params=(), leading=None)
             assert shapes.setdefault(shape, bare) == bare
             if rep.connected:
                 assert (rep.top_jump == 5) == bool(rep.leading[0])
