@@ -13,23 +13,25 @@ products of irreducible pieces (reducible case), for abelian p-groups (class
 field theory; one piece of order p per jump, the jump sum
 sigma - floor(sigma/p)), and for ordinary data, where e/c must agree.
 Conductors sigma are exact rationals throughout.  n_count enumerates: it
-walks the one residue class l = s_iota (mod m) up to (q/p) m sigma.
+walks the one residue class l = s_iota (mod m) up to (q/p) m sigma, and with
+sigma = num/den tests l den <= gcd(l, q) m num in integers.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import floor, gcd
+from math import gcd
 
 from .errors import DomainError
 from .gf import check_tame, p_power_exponent, prime_factors
 from .ramfilt import ReducedFiltration, schmid_violations
 
-# The most integers dim_bounds lets n_count walk for one document, summed over
-# its pieces: floor((q/p) m sigma) each, of which the walk visits the 1 in m
-# of the residue class of s_iota, about 1 us each.  So m = 1 documents are
-# the slowest: one at the limit answers within about half a second.
+# The most integers n_count walks for one piece, and dim_bounds for one
+# document summed over its pieces: floor((q/p) m sigma) each (_walk_length),
+# of which the walk visits the 1 in m of the residue class of s_iota, about
+# 0.1 us each.  So m = 1 documents are the slowest: one at the limit answers
+# within about a tenth of a second.
 WALK_CAP = 500_000
 
 
@@ -58,6 +60,16 @@ class DimensionReport(namedtuple("DimensionReport", "n_list rule",
                 "rule": self.rule}
 
 
+def _walk_length(p: int, m: int, pieces) -> int:
+    """floor((q/p) m sigma) summed over the pieces (q, sigma, s_iota), in
+    integers: how far the walks of n_count go.  Refused past WALK_CAP."""
+    length = sum(q * m * sigma.numerator // (p * sigma.denominator)
+                 for q, sigma, _ in pieces)
+    if length > WALK_CAP:
+        raise DomainError(f"the counts would walk past {WALK_CAP} integers")
+    return length
+
+
 def n_count(q: int, m: int, s_iota: int, sigma, p: int | None = None) -> int:
     """Exact cardinality of the moduli coordinate set, by enumeration.
 
@@ -66,9 +78,11 @@ def n_count(q: int, m: int, s_iota: int, sigma, p: int | None = None) -> int:
     Any qualifying l has gcd(l, q) <= q/p (since q does not divide l), so
     l <= (q/p) * m * sigma bounds the search, and the walk stops there; it
     steps by m from s_iota, the only residue class that can count, and
-    makes the definition's two other tests on each l.  dim_bounds refuses a
-    document whose walks would pass WALK_CAP integers in all (counting every
-    integer up to each bound, not only the class) before any of them starts.
+    makes the definition's two other tests on each l, the bound as
+    l * den <= gcd(l, q) * m * num with sigma = num/den.  A walk whose bound
+    passes WALK_CAP (counting every integer up to it, not only the class) is
+    refused before it starts; dim_bounds refuses a document whose walks would
+    pass it in all before any of them starts.
     """
     sigma = Fraction(sigma)
     primes = prime_factors(q if p is None else p)
@@ -81,10 +95,11 @@ def n_count(q: int, m: int, s_iota: int, sigma, p: int | None = None) -> int:
         raise DomainError(f"s_iota = {s_iota} outside [1, {m}]")
     if sigma <= 0:
         raise DomainError("sigma must be positive")
-    limit = m * sigma
+    end = _walk_length(p, m, [(q, sigma, s_iota)])
+    den, bound = sigma.denominator, m * sigma.numerator
     count = 0
-    for ell in range(s_iota, floor(Fraction(q, p) * limit) + 1, m):
-        if ell % q and Fraction(ell, gcd(ell, q)) <= limit:
+    for ell in range(s_iota, end + 1, m):
+        if ell % q and ell * den <= gcd(ell, q) * bound:
             count += 1
     return count
 
@@ -93,9 +108,7 @@ def dim_bounds(reduced: ReducedFiltration) -> DimensionReport:
     """Per-piece counts n_i, with bounds [n_r, sum n_i] for the dimension."""
     m = reduced.tame
     p = reduced.p
-    if sum(floor(Fraction(q, p) * m * sigma)
-           for q, sigma, _ in reduced.pieces) > WALK_CAP:
-        raise DomainError(f"the counts would walk past {WALK_CAP} integers")
+    _walk_length(p, m, reduced.pieces)  # refused past WALK_CAP in all
     ns = [n_count(q, m, si, sigma, p) for q, sigma, si in reduced.pieces]
     return DimensionReport(tuple(ns))
 

@@ -790,14 +790,16 @@ def test_dimension_abelian_p_must_be_prime(tmp_path, p):
 
 
 def test_dimension_walk_limit_is_inclusive(tmp_path, monkeypatch):
-    # (q/p) m sigma = 2 * 1 * 5 = 10 integers
-    doc = dict(PIECES, pieces=[{"q": 4, "sigma": [5, 1], "s_iota": 1}])
-    monkeypatch.setattr(moduli, "WALK_CAP", 10)
-    assert run(tmp_path, ["dimension"], doc)[0] == 0
-    monkeypatch.setattr(moduli, "WALK_CAP", 9)
-    code, res = run(tmp_path, ["dimension"], doc)
-    assert code == 1
-    assert "walk past 9 integers" in res["error"]["message"]
+    # (q/p) m sigma = 2 * 1 * 5 = 10 integers; at sigma = 10/3 the walk is
+    # floor(20/3) = 6 integers, neither 7 nor 20/3
+    for sigma, walk in [([5, 1], 10), ([10, 3], 6)]:
+        doc = dict(PIECES, pieces=[{"q": 4, "sigma": sigma, "s_iota": 1}])
+        monkeypatch.setattr(moduli, "WALK_CAP", walk)
+        assert run(tmp_path, ["dimension"], doc)[0] == 0
+        monkeypatch.setattr(moduli, "WALK_CAP", walk - 1)
+        code, res = run(tmp_path, ["dimension"], doc)
+        assert code == 1
+        assert f"walk past {walk - 1} integers" in res["error"]["message"]
 
 
 def test_jumps_document_past_the_integer_limit_is_refused(tmp_path, capsys):

@@ -4,7 +4,7 @@ answers or refuses with an error object, never a traceback.
 Integers are drawn either small or huge (|n| >= 10^12), so every documented
 limit is crossed.  The band in between holds documents that are accepted
 and cost up to the limits (a `dimension` walk of 500,000 integers takes
-about 2 s); it is left out to keep the property fast, not because it fails.
+about 0.05 s); it is left out to keep the property fast, not because it fails.
 """
 
 import contextlib

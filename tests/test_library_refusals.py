@@ -93,6 +93,8 @@ REFUSALS = [
     # moduli
     ("n-count-prime-not-a-prime-power", lambda: n_count(4, 1, 1, 3, p=6),
      "6 is not a prime power"),
+    ("n-count-walk-past-the-cap", lambda: n_count(2, 1, 1, 10 ** 9),
+     "the counts would walk past 500000 integers"),
     # tower
     ("replace-tower-tame-degree-divisible-by-p",
      lambda: TowerSpec(F2, 1, ())._replace(m=2),
@@ -152,6 +154,14 @@ def test_every_library_refusal_names_its_cause(call, message):
     with pytest.raises(DomainError) as info:
         call()
     assert str(info.value) == message
+
+
+def test_n_count_walks_up_to_its_cap():
+    # (q/p) m sigma = 2 * 250000 = 500,000 integers, exactly the cap; one
+    # more integer is refused like the walk of 10^9 above
+    assert n_count(4, 1, 1, 250000) == 250000
+    with pytest.raises(DomainError, match="walk past 500000 integers"):
+        n_count(4, 1, 1, Fraction(500001, 2))
 
 
 # one instance of each record type

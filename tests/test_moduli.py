@@ -4,11 +4,14 @@ from fractions import Fraction
 from math import floor, gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ramify import (DimensionReport, DomainError, ReducedFiltration,
                     dim_bounds, dim_ordinary, dimension, field_create,
                     n_count, root_of_unity)
 from ramify.gf import degree_over_prime, p_power_exponent, prime_factors
+from ramify.moduli import WALK_CAP
 
 from helpers import multiplicative_order
 
@@ -75,6 +78,63 @@ def test_n_count_against_its_closed_form_and_the_enumeration():
                         assert n == n_count_brute(
                             q, m, s, sigma, floor(q * m * sigma) + 1), \
                             (q, m, s, sigma)
+
+
+def test_n_count_on_the_bound_with_a_fractional_sigma():
+    # q = 4, m = 3, sigma = 5/3: l / gcd(l, 4) = m sigma = 5 exactly at l = 5
+    # (s_iota = 2) and at l = 10 (s_iota = 1), the last l of the walk; both
+    # count, and both drop out for any smaller sigma
+    sigma = Fraction(5, 3)
+    assert n_count(4, 3, 2, sigma) == 2  # l in {2, 5}
+    assert n_count(4, 3, 1, sigma) == 2  # l in {1, 10}
+    below = sigma - Fraction(1, 3000)
+    assert n_count(4, 3, 2, below) == 1
+    assert n_count(4, 3, 1, below) == 1
+    for s in (1, 2, 3):
+        for sg in (sigma, below):
+            assert n_count(4, 3, s, sg) == n_count_closed(4, 3, s, sg) == \
+                n_count_brute(4, 3, s, sg)
+
+
+def test_n_count_takes_sigma_as_an_int_or_a_fraction():
+    for q, m, s, sigma in [(4, 3, 1, 2), (9, 4, 3, 7), (2, 1, 1, 1000)]:
+        n = n_count(q, m, s, sigma)
+        assert n == n_count(q, m, s, Fraction(sigma)) == \
+            n_count_closed(q, m, s, sigma)
+    # numerator and denominator far past a machine word: m sigma lies just
+    # above, on, or just below an integer
+    big = 10 ** 30
+    for q, m, s, sigma in [(4, 3, 3, Fraction(big + 1, big)),
+                           (4, 3, 3, Fraction(3 * big, 3 * big)),
+                           (27, 5, 2, Fraction(40 * big - 1, big)),
+                           (25, 7, 4, Fraction(2 ** 89 - 1, 2 ** 80 - 1))]:
+        assert n_count(q, m, s, sigma) == n_count_closed(q, m, s, sigma), \
+            (q, m, s, sigma)
+
+
+@st.composite
+def _count_case(draw):
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    q = p ** draw(st.integers(1, 3))
+    m = draw(st.integers(1, 30).filter(lambda m: m % p))
+    s = draw(st.integers(1, m))
+    sigma = Fraction(draw(st.integers(1, 10 ** 4)), draw(st.integers(1, 50)))
+    return q, m, s, sigma
+
+
+@settings(max_examples=200, deadline=None)
+@given(_count_case())
+@example((343, 30, 17, Fraction(10 ** 4)))  # a walk of 14,700,000: refused
+@example((49, 29, 28, Fraction(9999, 29)))  # 69,993 integers, 2,413 visited
+def test_n_count_equals_its_closed_form(case):
+    # a walk past the cap is refused, every other one counts what the closed
+    # form counts
+    q, m, s, sigma = case
+    if floor(Fraction(q, prime_factors(q)[0]) * m * sigma) > WALK_CAP:
+        with pytest.raises(DomainError, match=f"walk past {WALK_CAP}"):
+            n_count(q, m, s, sigma)
+    else:
+        assert n_count(q, m, s, sigma) == n_count_closed(q, m, s, sigma)
 
 
 def test_n_count_closed_form_small_sigma():
