@@ -22,13 +22,13 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import DomainError, json_int, reading
+from .errors import Checked, DomainError, json_int, reading
 from .gf import (FieldElement, check_tame, degree_over_prime, field_create,
-                 json_element, p_adic, p_power_exponent)
+                 json_element, p_adic, p_power_exponent, root_of_unity)
 from .laurent import LaurentPoly, accumulate, prime_to_p_degree
 
 
-class ASCover(namedtuple("ASCover", "q r m z", defaults=(1, None))):
+class ASCover(Checked, namedtuple("ASCover", "q r m z", defaults=(1, None))):
     """v^q - v = r(x), with optional tame action scalar z (present iff m > 1):
     q an int, r a LaurentPoly, m an int and z a FieldElement or None."""
 
@@ -50,17 +50,18 @@ class ASCover(namedtuple("ASCover", "q r m z", defaults=(1, None))):
                 raise DomainError("z must live in the coefficient field")
             if not z or z ** q != z:
                 raise DomainError("z must lie in F_q^*")
-            if degree_over_prime(z) != b:
-                raise DomainError("action not irreducible: [F_p(z):F_p] != a")
+            _check_irreducible(z, b)
         return super().__new__(cls, q, r, m, z)
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)  # _replace builds through _make: checked too
 
     @property
     def field(self):
         return self.r.field
+
+
+def _check_irreducible(z: FieldElement, b: int) -> None:
+    """DomainError unless z generates F_(p^b) over F_p (irreducible action)."""
+    if degree_over_prime(z) != b:
+        raise DomainError("action not irreducible: [F_p(z):F_p] != a")
 
 
 def standard_form_poly(r: LaurentPoly, q: int) -> LaurentPoly:
@@ -123,8 +124,6 @@ def s_iota(q: int, m: int, z: FieldElement) -> int:
 
     Verifies that z generates F_q over F_p (irreducibility of the action).
     """
-    from .gf import root_of_unity
-
     F = z.field
     check_tame(m, F.p)
     b = p_power_exponent(q, F.p)
@@ -140,8 +139,7 @@ def s_iota(q: int, m: int, z: FieldElement) -> int:
         power = power * zeta
     if s is None:
         raise DomainError("ord(z) does not divide m")
-    if degree_over_prime(z) != b:
-        raise DomainError("action not irreducible: [F_p(z):F_p] != a")
+    _check_irreducible(z, b)
     return s
 
 

@@ -1,4 +1,5 @@
-"""Exception types shared across the library, and the document reader."""
+"""Exception types shared across the library, the document reader, and
+Checked, the base of every record whose constructor checks its fields."""
 
 from fractions import Fraction
 
@@ -39,6 +40,20 @@ def json_str(x) -> str:
     if type(x) is str:
         return x
     raise SchemaError(f"expected a string, got {x!r}")
+
+
+class Checked:
+    """Listed before a record's namedtuple base: _replace builds through the
+    constructor's checks, and attribute assignment is refused."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)  # _replace builds through _make: checked too
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 class reading:

@@ -122,6 +122,12 @@ def check_tame(m: int, p: int) -> None:
         raise DomainError(f"tame degree {m} must be positive and prime to {p}")
 
 
+def check_field(a: Field, b: Field) -> None:
+    """DomainError unless the fields of two operands are equal."""
+    if a != b:
+        raise DomainError("elements of different fields")
+
+
 def power(x, n: int, mul):
     """x^n for n >= 1 by square-and-multiply under the product mul, started
     from the first factor (so no identity is needed); callers handle n < 1."""
@@ -283,8 +289,8 @@ class FieldElement:
     def _check(self, other):
         if not isinstance(other, FieldElement):
             return None
-        if other.field is not self.field and other.field != self.field:
-            raise DomainError("elements of different fields")
+        if other.field is not self.field:
+            check_field(other.field, self.field)
         return other
 
     def __add__(self, other):
@@ -335,17 +341,11 @@ class FieldElement:
         if F._log is not None:
             i = (F._log[self.coeffs] * k) % (F.q - 1)
             return FieldElement(F, F._exp[i])
-        if k < 0:
-            return self.inverse() ** (-k)
-        return FieldElement(F, F._pow_coeffs(self.coeffs, k))
+        return FieldElement(F, F._pow_coeffs(self.coeffs, k % (F.q - 1)))
 
     def inverse(self) -> "FieldElement":
-        if not self:
-            raise DomainError("inverse of zero")
-        return self ** (self.field.q - 2) if self.field._log is None \
-            else FieldElement(self.field,
-                              self.field._exp[(-self.field._log[self.coeffs])
-                                              % (self.field.q - 1)])
+        """The -1st power: __pow__ is the one place that refuses zero."""
+        return self ** -1
 
     def frobenius(self, k: int = 1) -> "FieldElement":
         """x^(p^k) for every integer k, by one power (Frobenius has order a)."""

@@ -199,6 +199,4 @@ def prime_to_p_degree(r: LaurentPoly) -> int:
     Positive for pole-type r, zero for constants, negative when every piece
     is supported in positive exponents.
     """
-    if not r:
-        raise DomainError("cannot decompose the zero polynomial")
-    return max(-p_adic(e, r.field.p)[1] if e else 0 for e in r.terms)
+    return max(-min(r_t.terms) for _, r_t in p_power_decompose(r))

@@ -18,7 +18,8 @@ from fractions import Fraction
 from functools import cached_property
 from math import prod
 
-from .errors import DomainError, json_frac, json_int, json_str, reading
+from .errors import (Checked, DomainError, json_frac, json_int, json_str,
+                     reading)
 from .gf import p_adic, prime_factors
 
 LOWER = "lower"
@@ -29,11 +30,11 @@ def _as_fraction(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-class RamFiltration(namedtuple("RamFiltration",
-                               "total_order tame numbering breaks")):
+class RamFiltration(Checked, namedtuple("RamFiltration",
+                                        "total_order tame numbering breaks")):
     """total_order and tame are ints, numbering is LOWER or UPPER, and
     breaks is a tuple of (jump, order) with Fraction jumps.  An instance
-    keeps a dict, where wild_primes is cached."""
+    keeps a dict for the cache of wild_primes only."""
 
     def __new__(cls, total_order, tame, numbering, breaks):
         if numbering not in (LOWER, UPPER):
@@ -52,13 +53,6 @@ class RamFiltration(namedtuple("RamFiltration",
                 raise DomainError("break orders must strictly decrease")
             prev, prev_o = j, o
         return super().__new__(cls, total_order, tame, numbering, brk)
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)  # _replace builds through _make: checked too
-
-    def __setattr__(self, name, value):  # the dict is for the cache only
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def wild_order(self) -> int:
@@ -99,14 +93,15 @@ class RamFiltration(namedtuple("RamFiltration",
         return cls(*fields)
 
 
-class ReducedFiltration(namedtuple("ReducedFiltration", "tame pieces")):
+class ReducedFiltration(Checked,
+                        namedtuple("ReducedFiltration", "tame pieces")):
     """Jump data refined so that every piece is an irreducible tame module.
 
     tame: the tame part m, an int.  pieces: ascending tuple of (q_i, upper
     jump, s_iota_i) with q_i the order of the i-th irreducible piece and a
     Fraction jump.  The piece orders are factored once: the first by trial
     division, which finds the prime p, and every other by dividing out p.
-    An instance keeps a dict, where p is set.
+    An instance keeps a dict, where __new__ sets p once.
     """
 
     def __new__(cls, tame, pieces):
@@ -134,13 +129,6 @@ class ReducedFiltration(namedtuple("ReducedFiltration", "tame pieces")):
         self = super().__new__(cls, tame, pieces)
         object.__setattr__(self, "p", primes[0])  # the prime of every q_i
         return self
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)  # _replace builds through _make: checked too
-
-    def __setattr__(self, name, value):  # p is set once, by __new__
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def to_json(self):
         return {"tame": self.tame,

@@ -105,7 +105,7 @@ from itertools import chain
 from types import MappingProxyType
 
 from .errors import DomainError, PrecisionError
-from .gf import Field, FieldElement, power
+from .gf import Field, FieldElement, check_field, power
 
 
 def _width(bound: int) -> int:
@@ -619,8 +619,8 @@ class TruncatedSeries:
 
     def scale(self, c: FieldElement) -> "TruncatedSeries":
         """c self; self itself for c = 1, as self ** 1 is self."""
-        if c.field != self.field:
-            raise DomainError("elements of different fields")
+        if c.field is not self.field:
+            check_field(c.field, self.field)
         if c.coeffs == self.field.one().coeffs:
             return self
         data = self._ring.scale(self.data, c.coeffs)

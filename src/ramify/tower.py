@@ -45,7 +45,8 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import DomainError, PrecisionError, json_int, json_str, reading
+from .errors import (Checked, DomainError, PrecisionError, json_int, json_str,
+                     reading)
 from .gf import (Field, FieldElement, check_tame, field_create, json_element,
                  power, root_of_unity)
 from .laurent import SparsePoly, accumulate
@@ -181,7 +182,7 @@ class TowerStep(namedtuple("TowerStep", "var rhs")):
     __slots__ = ()
 
 
-class TowerSpec(namedtuple("TowerSpec", "field m steps")):
+class TowerSpec(Checked, namedtuple("TowerSpec", "field m steps")):
     """Degree-p steps over the germ coordinate x (tame base step u = x^m):
     field a Field, m an int and steps a tuple of TowerStep."""
 
@@ -204,10 +205,6 @@ class TowerSpec(namedtuple("TowerSpec", "field m steps")):
                                   f"the step variable {negative}")
             known.add(step.var)
         return super().__new__(cls, field, m, steps)
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)  # _replace builds through _make: checked too
 
     @property
     def wild_order(self) -> int:
@@ -335,7 +332,7 @@ def _sift(tower: TowerSpec, elements, lead) -> list[tuple[int, GeneratorAction]]
     many: the group has order at most p^(#steps) (see close_group).
     """
     p, n = tower.field.p, len(tower.steps)
-    # level -> [(column, vector, kept q, [q^-1, q^-2, ...] as needed)]
+    # level -> [(column, vector, kept q)]
     rows: dict[int, list] = {}
     kept = []
 
@@ -353,18 +350,14 @@ def _sift(tower: TowerSpec, elements, lead) -> list[tuple[int, GeneratorAction]]
         while found is not None:
             level, vec = found
             at_level = rows.setdefault(level, [])
-            for col, row, q, inverses in at_level:
+            for col, row, q in at_level:
                 a = vec[col] * pow(row[col], -1, p) % p
                 if a:
-                    if not inverses:
-                        inverses.append(_inverse(q))
-                    while len(inverses) < a:
-                        inverses.append(_compose(inverses[0], inverses[-1]))
-                    g = _compose(g, inverses[a - 1])
+                    g = _compose(g, power(_inverse(q), a, _compose))
                     vec = tuple((x - a * y) % p for x, y in zip(vec, row))
             if any(vec):
                 col = next(i for i, x in enumerate(vec) if x)
-                at_level.append((col, vec, g, []))
+                at_level.append((col, vec, g))
                 kept.append((level, g))
                 break
             found = lead(g)

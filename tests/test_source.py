@@ -40,6 +40,25 @@ def test_the_tame_degree_rule_is_written_once():
     assert len(found) == 1 and found[0].startswith("gf.py:")
 
 
+def test_every_refusal_is_raised_in_one_place():
+    # a rule written twice can be mended in one place and missed in the
+    # other: each message, f-string values as {}, has one raise
+    sites = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and node.exc.args):
+                text = node.exc.args[0]
+                if isinstance(text, ast.JoinedStr):
+                    text = _template(text)
+                elif isinstance(text, ast.Constant) and isinstance(text.value, str):
+                    text = text.value
+                else:
+                    continue
+                sites.setdefault(text, []).append(f"{path.name}:{node.lineno}")
+    assert {text: at for text, at in sites.items() if len(at) > 1} == {}
+
+
 def test_the_cli_loads_neither_dataclasses_nor_inspect():
     # together they cost every fresh process about 15 ms; -S keeps the
     # imports of site's .pth files out of sys.modules

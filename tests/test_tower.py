@@ -886,21 +886,21 @@ def test_hasse_arf_refuses_the_quaternion_filtration():
         "abelian filtration has non-integral upper jump 3/2"]
 
 
-def witt_tower(p, a, b):
-    """The cyclic Z/p^2 tower F(v, w) - (v, w) = (x^-a, x^-b) in the Witt
-    vectors of length 2, for p = 2 and 3, in components: v^p - v = x^-a, and
-    w^p - w = x^-b plus the carry terms of the Witt difference.  Its
+def witt_tower(p, f0, f1):
+    """The cyclic Z/p^2 tower F(v, w) - (v, w) = (f0, f1) in the Witt
+    vectors of length 2, for p = 2 and 3 and f0, f1 VarPolys in x, in
+    components: v^p - v = f0, and w^p - w = f1 plus the carry terms of the
+    Witt difference, f0 v for p = 2 and -f0 v^2 - f0^2 v for p = 3.  Its
     generator adds (1, 0): v -> v + 1, and w -> w plus the carry of that
     sum."""
-    field = field_create(p, 1)
-    x_a, x_b = VarPoly.var(field, "x", -a), VarPoly.var(field, "x", -b)
+    field = f0.field
     v = VarPoly.var(field, "v")
     if p == 2:
-        rhs, carry = x_b + x_a * v, v
+        rhs, carry = f1 + f0 * v, v
     else:
-        rhs = x_b - v * v * x_a - v * x_a * x_a
+        rhs = f1 - v * v * f0 - v * f0 * f0
         carry = -(v * v) - v
-    tower = TowerSpec(field, 1, (TowerStep("v", x_a), TowerStep("w", rhs)))
+    tower = TowerSpec(field, 1, (TowerStep("v", f0), TowerStep("w", rhs)))
     shift = GeneratorAction(tower, {"v": VarPoly.const(field, field.one()),
                                     "w": carry}, "s")
     return tower, [shift]
@@ -915,12 +915,50 @@ WITT_SHAPES = ([(2, a, b) for a in (1, 3, 5) for b in range(1, 14, 2)]
 def test_cyclic_witt_towers_have_schmids_upper_jumps(p, a, b):
     # Schmid: the upper jumps of the cyclic Z/p^2 extension of the Witt
     # vector (x^-a, x^-b), p prime to a and b, are a and max(p a, b)
-    run = oracle_run(*witt_tower(p, a, b), 1024)
+    field = field_create(p, 1)
+    assert_witt_upper_jumps(p, VarPoly.var(field, "x", -a),
+                            VarPoly.var(field, "x", -b), a, b, 1024)
+
+
+def assert_witt_upper_jumps(p, f0, f1, a, b, precision):
+    run = oracle_run(*witt_tower(p, f0, f1), precision)
     upper = lower_to_upper(run.filtration)
     assert jumps_with_multiplicity(upper) == [a, max(p * a, b)]
     assert validate(run.filtration, cyclic=True) == []
     assert herbrand_lower_jumps(p, run.pole_orders) == \
         jumps_with_multiplicity(run.filtration)
+
+
+@st.composite
+def reduced_witt_vectors(draw):
+    """(p, f0, f1, a, b): f0 with 1-2 and f1 with 1-3 terms, nonzero
+    coefficients in F_p and pole orders prime to p, the largest a <= 7 in
+    f0 and b <= 25 in f1, so the Witt vector (f0, f1) is reduced."""
+    p = draw(st.sampled_from([2, 3]))
+    field = field_create(p, 1)
+
+    def poly(top, terms):
+        orders = draw(st.sets(st.sampled_from(
+            [k for k in range(1, top + 1) if k % p]), min_size=1,
+            max_size=terms))
+        f = VarPoly.zero(field)
+        for k in orders:
+            c = draw(st.integers(1, p - 1))
+            f += VarPoly.var(field, "x", -k).scale(field.element(c))
+        return f, max(orders)
+
+    f0, a = poly(7, 2)
+    f1, b = poly(25, 3)
+    return p, f0, f1, a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(reduced_witt_vectors())
+def test_drawn_witt_towers_have_thomass_upper_jumps(case):
+    # Thomas (J. Theor. Nombres Bordeaux 17, 2005): for a reduced Witt
+    # vector (f0, f1) with pole orders a and b the upper jumps are a and
+    # max(p a, b), whatever the lower terms and the coefficients
+    assert_witt_upper_jumps(*case, 4096)
 
 
 @settings(max_examples=25, deadline=None)
