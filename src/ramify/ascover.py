@@ -23,8 +23,9 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import Checked, DomainError, json_int, reading
-from .gf import (FieldElement, check_tame, degree_over_prime, field_create,
-                 json_element, p_adic, p_power_exponent, root_of_unity)
+from .gf import (FieldElement, check_field, check_tame, degree_over_prime,
+                 field_create, json_element, p_adic, p_power_exponent,
+                 root_of_unity)
 from .laurent import LaurentPoly, accumulate, prime_to_p_degree
 
 
@@ -40,14 +41,12 @@ class ASCover(Checked, namedtuple("ASCover", "q r m z", defaults=(1, None))):
         if F.a % b != 0:
             raise DomainError(f"F_{q} does not embed in the coefficient field F_{F.q}")
         check_tame(m, F.p)
-        if m == 1:
-            if z is not None:
-                raise DomainError("z is only part of the datum when m > 1")
-        else:
+        if m == 1 and z is not None:
+            raise DomainError("z is only part of the datum when m > 1")
+        if m > 1:
             if z is None:
                 raise DomainError("m > 1 requires the action scalar z")
-            if z.field != F:
-                raise DomainError("z must live in the coefficient field")
+            check_field(F, z.field)
             if not z or z ** q != z:
                 raise DomainError("z must lie in F_q^*")
             _check_irreducible(z, b)
@@ -103,8 +102,7 @@ def is_isomorphic(c1: ASCover, c2: ASCover) -> tuple[bool, FieldElement | None]:
     """
     if c1.q != c2.q:
         raise DomainError("covers of different degree")
-    if c1.field != c2.field:
-        raise DomainError("covers over different coefficient fields")
+    check_field(c1.field, c2.field)
     s1 = standard_form(c1)
     s2 = standard_form(c2)
     if not s1 and not s2:
@@ -175,15 +173,15 @@ def modify_cover(q: int, r_phi: LaurentPoly, r_alpha: LaurentPoly, m: int,
     Returns (r_phi + r_alpha, flag) where the flag reports whether the
     degree-q cover cut out by r_alpha alone has conductor at most m*sigma,
     the criterion for the deformation to be equiramified.  A trivializable
-    r_alpha (zero standard form) deforms nothing and passes vacuously.
+    r_alpha (zero standard form) deforms nothing and passes vacuously; the
+    sum, formed first, refuses an r_alpha over another field.
     """
-    if r_alpha.field != r_phi.field:
-        raise DomainError("deformation term over a different field")
+    deformed = r_phi + r_alpha
     sf = standard_form_poly(r_alpha, q)
     if not sf:
-        return r_phi + r_alpha, True
+        return deformed, True
     cond = prime_to_p_degree(sf)
-    return r_phi + r_alpha, Fraction(cond) <= Fraction(m) * Fraction(sigma)
+    return deformed, Fraction(cond) <= Fraction(m) * Fraction(sigma)
 
 
 def cover_from_json(obj) -> ASCover:

@@ -123,9 +123,9 @@ def check_tame(m: int, p: int) -> None:
 
 
 def check_field(a: Field, b: Field) -> None:
-    """DomainError unless the fields of two operands are equal."""
+    """DomainError unless the fields a and b of two operands are equal."""
     if a != b:
-        raise DomainError("elements of different fields")
+        raise DomainError(f"different fields: {a!r} and {b!r}")
 
 
 def power(x, n: int, mul):
@@ -184,10 +184,11 @@ class Field:
     # -- element construction ------------------------------------------------
 
     def element(self, coeffs) -> "FieldElement":
-        """Element from an int (prime-field shorthand) or a coefficient list."""
+        """Element from an int (prime-field shorthand), a coefficient list or
+        an element of this field: the one door into a polynomial or series."""
         if isinstance(coeffs, FieldElement):
-            if coeffs.field is not self and coeffs.field != self:
-                raise DomainError("element belongs to a different field")
+            if coeffs.field is not self:
+                check_field(self, coeffs.field)
             return coeffs
         if isinstance(coeffs, int):
             c = [0] * self.a
@@ -290,7 +291,7 @@ class FieldElement:
         if not isinstance(other, FieldElement):
             return None
         if other.field is not self.field:
-            check_field(other.field, self.field)
+            check_field(self.field, other.field)
         return other
 
     def __add__(self, other):

@@ -22,7 +22,7 @@ from __future__ import annotations
 import operator
 
 from .errors import DomainError, json_int
-from .gf import Field, FieldElement, json_element, p_adic, power
+from .gf import Field, FieldElement, check_field, json_element, p_adic, power
 
 
 def accumulate(out: dict, items) -> dict:
@@ -75,8 +75,8 @@ class SparsePoly:
         """Whether other is of this class; another field is refused."""
         if type(other) is not type(self):
             return False
-        if other.field is not self.field and other.field != self.field:
-            raise DomainError("polynomials over different fields")
+        if other.field is not self.field:
+            check_field(self.field, other.field)
         return True
 
     def __add__(self, other):

@@ -25,7 +25,7 @@ from math import gcd
 
 from .errors import DomainError
 from .gf import check_tame, p_power_exponent, prime_factors
-from .ramfilt import ReducedFiltration, schmid_violations
+from .ramfilt import ReducedFiltration, check_s_iota, schmid_violations
 
 # The most integers n_count walks for one piece, and dim_bounds for one
 # document summed over its pieces: floor((q/p) m sigma) each (_walk_length),
@@ -91,8 +91,7 @@ def n_count(q: int, m: int, s_iota: int, sigma, p: int | None = None) -> int:
     p = primes[0]
     p_power_exponent(q, p)  # DomainError unless q = p^b, b >= 1
     check_tame(m, p)
-    if not 1 <= s_iota <= m:
-        raise DomainError(f"s_iota = {s_iota} outside [1, {m}]")
+    check_s_iota(s_iota, m)
     if sigma <= 0:
         raise DomainError("sigma must be positive")
     end = _walk_length(p, m, [(q, sigma, s_iota)])
@@ -117,10 +116,7 @@ def dim_ordinary(p: int, e: int, m: int) -> int:
     """Exact dimension e/c in the ordinary case, c = ord of p mod m; c | e
     iff p^e = 1 mod m, tested first so that c is searched for among the
     divisors of e."""
-    if m < 1:
-        raise DomainError(f"tame degree {m} must be positive")
-    if gcd(p, m) != 1:
-        raise DomainError(f"{p} and {m} are not coprime")
+    check_tame(m, p)
     if e < 1 or pow(p, e, m) != 1 % m:
         raise DomainError(f"inconsistent ordinary datum: the order of {p} "
                           f"mod {m} does not divide e = {e}")

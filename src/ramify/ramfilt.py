@@ -30,6 +30,19 @@ def _as_fraction(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def check_numbering(filt: RamFiltration, numbering: str) -> None:
+    """DomainError unless filt is numbered numbering (LOWER or UPPER)."""
+    if filt.numbering != numbering:
+        raise DomainError(
+            f"the filtration is numbered {filt.numbering}, not {numbering}")
+
+
+def check_s_iota(s_iota: int, m: int) -> None:
+    """DomainError unless the tame index s_iota of a piece lies in [1, m]."""
+    if not 1 <= s_iota <= m:
+        raise DomainError(f"s_iota = {s_iota} outside [1, {m}]")
+
+
 class RamFiltration(Checked, namedtuple("RamFiltration",
                                         "total_order tame numbering breaks")):
     """total_order and tame are ints, numbering is LOWER or UPPER, and
@@ -120,8 +133,7 @@ class ReducedFiltration(Checked,
                 raise DomainError("jumps must be positive")
             if prev is not None and sigma < prev:
                 raise DomainError("reduced jumps must ascend weakly")
-            if not 1 <= si <= tame:
-                raise DomainError("s_iota out of range [1, m]")
+            check_s_iota(si, tame)
             one_prime = one_prime and p_adic(q, primes[0])[1] == 1
             prev = sigma
         if not one_prime:
@@ -173,8 +185,7 @@ def _at(breaks, rate, c: Fraction) -> Fraction:
 
 def herbrand_phi(filt: RamFiltration, c_tilde) -> Fraction:
     """phi(c) = integral_0^c dt / (I_0 : I_t); piecewise linear, exact."""
-    if filt.numbering != LOWER:
-        raise DomainError("herbrand_phi expects a lower-numbered filtration")
+    check_numbering(filt, LOWER)
     c = _as_fraction(c_tilde)
     if c < 0:
         raise DomainError("negative argument to phi")
@@ -184,8 +195,7 @@ def herbrand_phi(filt: RamFiltration, c_tilde) -> Fraction:
 
 def herbrand_psi(filt: RamFiltration, c) -> Fraction:
     """The inverse of phi: psi(c) = integral_0^c (I^0 : I^t) dt."""
-    if filt.numbering != LOWER:
-        raise DomainError("herbrand_psi expects a lower-numbered filtration")
+    check_numbering(filt, LOWER)
     cc = _as_fraction(c)
     if cc < 0:
         raise DomainError("negative argument to psi")
@@ -196,8 +206,7 @@ def herbrand_psi(filt: RamFiltration, c) -> Fraction:
 
 def lower_to_upper(filt: RamFiltration) -> RamFiltration:
     """Upper jumps sigma_i = phi(j_i) with the same order data."""
-    if filt.numbering != LOWER:
-        raise DomainError("filtration is not lower-numbered")
+    check_numbering(filt, LOWER)
     n = filt.total_order
     return RamFiltration(n, filt.tame, UPPER,
                          _corners(filt.breaks, lambda o: Fraction(o, n)))
@@ -205,8 +214,7 @@ def lower_to_upper(filt: RamFiltration) -> RamFiltration:
 
 def upper_to_lower(filt: RamFiltration) -> RamFiltration:
     """Exact inverse of lower_to_upper: lower jumps j_i = psi(sigma_i)."""
-    if filt.numbering != UPPER:
-        raise DomainError("filtration is not upper-numbered")
+    check_numbering(filt, UPPER)
     n = filt.total_order
     return RamFiltration(n, filt.tame, LOWER,
                          _corners(filt.breaks, lambda o: Fraction(n, o)))
@@ -327,8 +335,7 @@ def reduce(filt: RamFiltration, piece_sizes: list[list[int]],
     The jump is emitted once per piece.  s_iotas (one per emitted piece, in
     order) defaults to all 1, which is only permitted for tame part m = 1.
     """
-    if filt.numbering != UPPER:
-        raise DomainError("reduce expects an upper-numbered filtration")
+    check_numbering(filt, UPPER)
     if not jumps_with_multiplicity(filt):
         raise DomainError("nothing to reduce in a tame filtration")
     if len(piece_sizes) != len(filt.breaks):
@@ -357,19 +364,20 @@ def reduce(filt: RamFiltration, piece_sizes: list[list[int]],
 def last_piece_s_iota(filt: RamFiltration, last_piece_order: int) -> int:
     """s_iota of the deepest piece from the last lower jump: j_e / |P-bar| mod m.
 
-    Only the last piece admits this shortcut; it requires |P|/q_r to divide
-    the last lower jump.
+    Only the last piece admits this shortcut; it requires q_r >= 2 to divide
+    the last break order and |P-bar| = |P|/q_r to divide the last lower jump.
+    jumps_with_multiplicity checks the filtration first, as for reduce.
     """
-    if filt.numbering != LOWER:
-        raise DomainError("expects a lower-numbered filtration")
-    if not filt.breaks:
+    check_numbering(filt, LOWER)
+    if not jumps_with_multiplicity(filt):
         raise DomainError("no wild breaks")
-    j_e = filt.breaks[-1][0]
+    j_e, o_e = filt.breaks[-1]
     if j_e.denominator != 1:
         raise DomainError("last lower jump is not an integer")
-    pbar = filt.wild_order // last_piece_order
-    val = Fraction(int(j_e), pbar)
+    if last_piece_order < 2 or o_e % last_piece_order:
+        raise DomainError(f"last piece order {last_piece_order} must be at "
+                          f"least 2 and divide the last break order {o_e}")
+    val = Fraction(int(j_e) * last_piece_order, filt.wild_order)
     if val.denominator != 1:
         raise DomainError("last jump is not divisible by the quotient order")
-    m = filt.tame
-    return (int(val) - 1) % m + 1
+    return (int(val) - 1) % filt.tame + 1

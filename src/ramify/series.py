@@ -515,6 +515,7 @@ class TruncatedSeries:
         clean = {}
         if terms:
             for e, c in (terms.items() if isinstance(terms, dict) else terms):
+                c = field.element(c)
                 if e < prec and c:
                     clean[int(e)] = c.coeffs
         ring = _ring(field)
@@ -550,7 +551,7 @@ class TruncatedSeries:
 
     @classmethod
     def monomial(cls, field: Field, exp: int, prec: int, coeff=None):
-        c = field.one() if coeff is None else coeff
+        c = field.one() if coeff is None else field.element(coeff)
         ring = _ring(field)
         return cls._make(ring, exp, ring.encode([c.coeffs]), prec)
 
@@ -581,8 +582,8 @@ class TruncatedSeries:
     # -- arithmetic --------------------------------------------------------------
 
     def _check(self, other):
-        if other._ring is not self._ring:
-            raise DomainError("series over different fields")
+        if other._ring is not self._ring:  # one ring per field (_ring)
+            check_field(self.field, other.field)
 
     def _plus(self, other, negate: bool):
         """self + other, or self - other when negate: -other is one string
@@ -620,7 +621,7 @@ class TruncatedSeries:
     def scale(self, c: FieldElement) -> "TruncatedSeries":
         """c self; self itself for c = 1, as self ** 1 is self."""
         if c.field is not self.field:
-            check_field(c.field, self.field)
+            check_field(self.field, c.field)
         if c.coeffs == self.field.one().coeffs:
             return self
         data = self._ring.scale(self.data, c.coeffs)
@@ -659,6 +660,7 @@ class TruncatedSeries:
         to return with no Newton iteration.  Raises unless inv has the
         valuation -v and precision prec - 2v that inverse() gives; the
         module docstring says why a closed form cut to them is exact."""
+        self._check(inv)
         v = self.valuation()
         if v is None or inv.valuation() != -v or inv.prec != self.prec - 2 * v:
             raise ValueError(
@@ -804,6 +806,7 @@ def compose(f: TruncatedSeries, tau: TruncatedSeries) -> TruncatedSeries:
     at val(tau) * prec(f), where the unknown tail of f enters (see the
     module docstring for the precision).  For f = T^v + O(T^prec(f)) that
     is tau^v itself, the power tau keeps, when the cap does not cut it."""
+    f._check(tau)
     vt = tau.valuation()
     if vt is None or vt < 1:
         raise DomainError("composition needs a substitution of valuation >= 1")

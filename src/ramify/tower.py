@@ -47,10 +47,10 @@ from fractions import Fraction
 
 from .errors import (Checked, DomainError, PrecisionError, json_int, json_str,
                      reading)
-from .gf import (Field, FieldElement, check_tame, field_create, json_element,
-                 power, root_of_unity)
+from .gf import (Field, FieldElement, check_field, check_tame, field_create,
+                 json_element, power, root_of_unity)
 from .laurent import SparsePoly, accumulate
-from .ramfilt import LOWER, RamFiltration
+from .ramfilt import LOWER, RamFiltration, check_numbering
 from .series import TruncatedSeries, compose
 
 # The largest |exponent| of a step variable in a right-hand side or a shift,
@@ -96,7 +96,7 @@ class VarPoly(SparsePoly):
 
     @classmethod
     def const(cls, field: Field, c: FieldElement) -> "VarPoly":
-        return cls._make(field, {(): c} if c else {})
+        return cls(field, {(): c})
 
     @classmethod
     def var(cls, field: Field, name: str, exp: int = 1) -> "VarPoly":
@@ -194,6 +194,8 @@ class TowerSpec(Checked, namedtuple("TowerSpec", "field m steps")):
         for step in steps:
             if step.var in known:
                 raise DomainError(f"duplicate variable {step.var}")
+            if step.rhs.field is not field:
+                check_field(field, step.rhs.field)
             _check_step_exponents(step.rhs, f"step {step.var}")
             extra = step.rhs.variables() - known
             if extra:
@@ -689,8 +691,7 @@ def herbrand_lower_jumps(p: int, conductors) -> list[int]:
 def genus_rh(total_order: int, filt: RamFiltration) -> int:
     """Riemann-Hurwitz genus of a one-point totally ramified cover of a
     genus-0 germ: 2g - 2 = -2|I| + sum_{i>=0} (|I_i| - 1)."""
-    if filt.numbering != LOWER:
-        raise DomainError("genus needs the lower-numbered filtration")
+    check_numbering(filt, LOWER)
     if total_order != filt.total_order:
         raise DomainError("group order disagrees with the filtration")
     acc = total_order - 1
@@ -837,8 +838,8 @@ def evaluate_quaternion_fiber(a1: FieldElement, a2: FieldElement,
     test oracle in tests/quaternion_pipeline.py.
     """
     field = a1.field
-    if a2.field != field or a3.field != field:
-        raise DomainError("parameters from different fields")
+    check_field(field, a2.field)
+    check_field(field, a3.field)
     params = (a1, a2, a3)
     ratio = quaternion_fiber_ratio(a1, a2)
     stage, top = quaternion_fiber_shape(ratio)

@@ -6,8 +6,8 @@ laurent.p_power_decompose, the rescanning reduction that the closed-form
 ascover.standard_form_poly replaced, the per-monomial substitution that
 tower.VarPoly.subst replaced, and the per-break Herbrand, quotient, validation
 and reduction code that ramfilt's one-pass walks replaced, the order of p
-mod m by repeated multiplication, and the multiplicative order of a field
-element."""
+mod m by repeated multiplication, the multiplicative order of a field
+element, and the sums of Witt vector addition by the ghost recursion."""
 
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from ramify.errors import DomainError, json_int
 from ramify.gf import (Field, FieldElement, field_create, json_element,
-                       p_adic, p_power_exponent, prime_factors)
+                       p_adic, p_power_exponent, power, prime_factors)
 from ramify.laurent import LaurentPoly, accumulate
 from ramify.ramfilt import (LOWER, UPPER, RamFiltration, ReducedFiltration,
                             schmid_violations)
@@ -134,7 +134,7 @@ def subst_per_monomial(field: Field, a: VarPoly, images: dict) -> VarPoly:
 
 def ref_phi(filt: RamFiltration, c_tilde) -> Fraction:
     if filt.numbering != LOWER:
-        raise DomainError("herbrand_phi expects a lower-numbered filtration")
+        raise DomainError("the filtration is numbered upper, not lower")
     c = Fraction(c_tilde)
     if c < 0:
         raise DomainError("negative argument to phi")
@@ -151,7 +151,7 @@ def ref_phi(filt: RamFiltration, c_tilde) -> Fraction:
 
 def ref_psi(filt: RamFiltration, c) -> Fraction:
     if filt.numbering != LOWER:
-        raise DomainError("herbrand_psi expects a lower-numbered filtration")
+        raise DomainError("the filtration is numbered upper, not lower")
     cc = Fraction(c)
     if cc < 0:
         raise DomainError("negative argument to psi")
@@ -168,14 +168,14 @@ def ref_psi(filt: RamFiltration, c) -> Fraction:
 
 def ref_lower_to_upper(filt: RamFiltration) -> RamFiltration:
     if filt.numbering != LOWER:
-        raise DomainError("filtration is not lower-numbered")
+        raise DomainError("the filtration is numbered upper, not lower")
     breaks = tuple((ref_phi(filt, j), o) for j, o in filt.breaks)
     return RamFiltration(filt.total_order, filt.tame, UPPER, breaks)
 
 
 def ref_upper_to_lower(filt: RamFiltration) -> RamFiltration:
     if filt.numbering != UPPER:
-        raise DomainError("filtration is not upper-numbered")
+        raise DomainError("the filtration is numbered lower, not upper")
     total = Fraction(filt.total_order)
     breaks = []
     prev_sigma = Fraction(0)
@@ -269,7 +269,7 @@ def ref_validate(filt: RamFiltration, abelian: bool = False,
 def ref_reduce(filt: RamFiltration, piece_sizes: list[list[int]],
                s_iotas: list[int] | None = None) -> ReducedFiltration:
     if filt.numbering != UPPER:
-        raise DomainError("reduce expects an upper-numbered filtration")
+        raise DomainError("the filtration is numbered lower, not upper")
     # refuses a bad wild part, first order or quotient before anything else
     if not ref_jumps_with_multiplicity(filt):
         raise DomainError("nothing to reduce in a tame filtration")
@@ -322,3 +322,57 @@ def element_order(x: FieldElement) -> int:
         while y != one:
             y, n = y ** r, n * r
     return n
+
+
+# ---------------------------------------------------------------------------
+# Witt vectors: the sums of Witt vector addition, by the ghost recursion.
+# A polynomial over Z is a {exponent tuple: int} map in a_0 .. a_(n-1),
+# b_0 .. b_(n-1), in that order.
+
+def _zmul(f: dict, g: dict) -> dict:
+    out = {}
+    for k1, c1 in f.items():
+        for k2, c2 in g.items():
+            k = tuple(x + y for x, y in zip(k1, k2))
+            out[k] = out.get(k, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+def witt_sums(p: int, n: int) -> list[dict]:
+    """S_0 .. S_(n-1) with (a_0, ..) + (b_0, ..) = (S_0, S_1, ..) in the Witt
+    vectors of length n over F_p, coefficients reduced mod p.  The ghost
+    components w_k = sum_(j<=k) p^j x_j^(p^(k-j)) are additive (Serre, Local
+    Fields, II 6), so over Z
+        p^k S_k = sum_(j<=k) p^j (a_j^(p^(k-j)) + b_j^(p^(k-j)))
+                  - sum_(j<k) p^j S_j^(p^(k-j)),
+    and the division by p^k is exact."""
+    def var(i):
+        return {tuple(int(j == i) for j in range(2 * n)): 1}
+
+    sums = []
+    for k in range(n):
+        acc = {}
+        for j in range(k + 1):
+            for x in (var(j), var(n + j)):
+                accumulate(acc, ((m, p ** j * c) for m, c in
+                                 power(x, p ** (k - j), _zmul).items()))
+        for j, s in enumerate(sums):
+            accumulate(acc, ((m, -p ** j * c) for m, c in
+                             power(s, p ** (k - j), _zmul).items()))
+        if any(c % p ** k for c in acc.values()):
+            raise ArithmeticError(f"S_{k} is not integral")
+        sums.append({m: c // p ** k for m, c in acc.items()})
+    return [{m: c % p for m, c in s.items() if c % p} for s in sums]
+
+
+def witt_eval(field: Field, s: dict, a: list, b: list) -> VarPoly:
+    """The polynomial s of witt_sums at a_i = a[i] and b_i = b[i], VarPolys
+    over field."""
+    out = VarPoly.zero(field)
+    for m, c in s.items():
+        term = VarPoly.const(field, field.element(c))
+        for x, e in zip(a + b, m):
+            if e:
+                term = term * x ** e
+        out = out + term
+    return out

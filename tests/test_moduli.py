@@ -278,7 +278,8 @@ def test_dim_ordinary():
         dim_ordinary(2, 3, 3)  # c = 2 does not divide 3
     with pytest.raises(DomainError, match="does not divide e = 1"):
         dim_ordinary(2, 1, 1000000007)  # refused without searching for c
-    with pytest.raises(DomainError, match="2 and 6 are not coprime"):
+    with pytest.raises(DomainError,
+                       match="tame degree 6 must be positive and prime to 2"):
         dim_ordinary(2, 2, 6)
 
 

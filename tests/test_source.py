@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import ramify
 
 SRC = Path(ramify.__file__).parent
@@ -31,13 +33,54 @@ def _template(node: ast.JoinedStr) -> str:
                    for part in node.values)
 
 
-def test_the_tame_degree_rule_is_written_once():
-    found = [f"{path.name}:{node.lineno}"
-             for path in sorted(SRC.glob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text(), str(path)))
-             if isinstance(node, ast.JoinedStr) and _template(node)
-             == "tame degree {} must be positive and prime to {}"]
-    assert len(found) == 1 and found[0].startswith("gf.py:")
+def _in_functions(tree, owner=None):
+    """(name of the innermost enclosing function or None, node) for every
+    node below tree."""
+    for node in ast.iter_child_nodes(tree):
+        name = node.name if isinstance(node, ast.FunctionDef) else owner
+        yield name, node
+        yield from _in_functions(node, name)
+
+
+def _attribute(name):
+    return lambda node: isinstance(node, ast.Attribute) and node.attr == name
+
+
+# (rule, its owner as file:function, the owner's message, and the
+# comparison that decides the rule: the operators and an operand test)
+RULES = [
+    ("tame-degree", "gf.py:check_tame",
+     "tame degree {} must be positive and prime to {}", None),
+    ("field", "gf.py:check_field", "different fields: {} and {}",
+     ((ast.NotEq,), _attribute("field"))),
+    ("numbering", "ramfilt.py:check_numbering",
+     "the filtration is numbered {}, not {}",
+     ((ast.NotEq,), _attribute("numbering"))),
+    ("s-iota-range", "ramfilt.py:check_s_iota", "s_iota = {} outside [1, {}]",
+     ((ast.Lt, ast.LtE, ast.Gt, ast.GtE),
+      lambda node: isinstance(node, ast.Name) and node.id in ("s_iota", "si"))),
+]
+
+
+@pytest.mark.parametrize("owner,message,decides", [r[1:] for r in RULES],
+                         ids=[r[0] for r in RULES])
+def test_each_rule_has_one_owner(owner, message, decides):
+    # a rule written out twice can be mended in one place and missed in the
+    # other: its message is written once, in its owner, and no other
+    # function makes the comparison that decides it
+    texts, others = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for func, node in _in_functions(tree):
+            where = f"{path.name}:{func}"
+            if isinstance(node, ast.JoinedStr) and _template(node) == message:
+                texts.append(where)
+            elif (decides and isinstance(node, ast.Compare) and where != owner
+                  and any(isinstance(op, decides[0]) for op in node.ops)
+                  and any(map(decides[1], [node.left, *node.comparators]))):
+                others.add(f"{path.name}:{node.lineno}")
+    assert sorted(others) == []
+    assert texts == [owner]
 
 
 def test_every_refusal_is_raised_in_one_place():

@@ -1,6 +1,7 @@
 """The valuation oracle, genus/p-rank formulas, and the quaternion family."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,7 @@ from ramify.tower import (STEP_EXPONENT_CAP, GeneratorAction, TowerStep,
 
 import chart_walk
 import quaternion_pipeline
-from helpers import EA2_SHAPES, subst_per_monomial
+from helpers import EA2_SHAPES, subst_per_monomial, witt_eval, witt_sums
 
 F2 = field_create(2, 1)
 F4 = field_create(2, 2)
@@ -886,24 +887,43 @@ def test_hasse_arf_refuses_the_quaternion_filtration():
         "abelian filtration has non-integral upper jump 3/2"]
 
 
-def witt_tower(p, f0, f1):
-    """The cyclic Z/p^2 tower F(v, w) - (v, w) = (f0, f1) in the Witt
-    vectors of length 2, for p = 2 and 3 and f0, f1 VarPolys in x, in
-    components: v^p - v = f0, and w^p - w = f1 plus the carry terms of the
-    Witt difference, f0 v for p = 2 and -f0 v^2 - f0^2 v for p = 3.  Its
-    generator adds (1, 0): v -> v + 1, and w -> w plus the carry of that
-    sum."""
-    field = f0.field
-    v = VarPoly.var(field, "v")
-    if p == 2:
-        rhs, carry = f1 + f0 * v, v
-    else:
-        rhs = f1 - v * v * f0 - v * f0 * f0
-        carry = -(v * v) - v
-    tower = TowerSpec(field, 1, (TowerStep("v", f0), TowerStep("w", rhs)))
-    shift = GeneratorAction(tower, {"v": VarPoly.const(field, field.one()),
-                                    "w": carry}, "s")
-    return tower, [shift]
+WITT_VARS = ("v", "w", "y")
+
+
+def witt_tower(p, *f):
+    """The cyclic Z/p^n tower F(v) = v + f in the Witt vectors of length
+    n = len(f) <= 3, f a tuple of VarPolys in x over F_p, in components:
+    step i is v_i^p - v_i = S_i(v, f) - v_i, with the sums S_i of
+    helpers.witt_sums (S_i - v_i holds only v_j, j < i, reduced in the
+    tower of the earlier steps).  Its generator adds (1, 0, ..):
+    v_i -> S_i(v, (1, 0, ..))."""
+    field, n = f[0].field, len(f)
+    sums = witt_sums(p, n)
+    v = [VarPoly.var(field, name) for name in WITT_VARS[:n]]
+    unit = [VarPoly.const(field, field.one())] + [VarPoly.zero(field)] * (n - 1)
+    steps, shifts = [], {}
+    for i, name in enumerate(WITT_VARS[:n]):
+        below = TowerSpec(field, 1, tuple(steps))
+        steps.append(TowerStep(name, below.reduce(
+            witt_eval(field, sums[i], v, list(f)) - v[i])))
+        shifts[name] = witt_eval(field, sums[i], v, unit) - v[i]
+    tower = TowerSpec(field, 1, tuple(steps))
+    return tower, [GeneratorAction(tower, shifts, "s")]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_witt_sums_give_the_hand_written_carries(p):
+    # S_0 = a_0 + b_0, and S_1 carries a_0 b_0 (p = 2) or -a_0^2 b_0 -
+    # a_0 b_0^2 (p = 3), the carries the Z/p^2 towers were first built
+    # with; S_2 has 7 (p = 2) or 22 (p = 3) terms mod p
+    field = field_create(p, 1)
+    a, b = ([VarPoly.var(field, f"{x}{i}") for i in range(3)] for x in "ab")
+    s0, s1, s2 = witt_sums(p, 3)
+    assert witt_eval(field, s0, a, b) == a[0] + b[0]
+    carry = (a[0] * b[0] if p == 2
+             else -(a[0] * a[0] * b[0]) - a[0] * b[0] * b[0])
+    assert witt_eval(field, s1, a, b) == a[1] + b[1] + carry
+    assert len(s2) == {2: 7, 3: 22}[p]
 
 
 WITT_SHAPES = ([(2, a, b) for a in (1, 3, 5) for b in range(1, 14, 2)]
@@ -915,15 +935,21 @@ WITT_SHAPES = ([(2, a, b) for a in (1, 3, 5) for b in range(1, 14, 2)]
 def test_cyclic_witt_towers_have_schmids_upper_jumps(p, a, b):
     # Schmid: the upper jumps of the cyclic Z/p^2 extension of the Witt
     # vector (x^-a, x^-b), p prime to a and b, are a and max(p a, b)
+    assert_witt_upper_jumps(p, (a, b), 1024)
+
+
+def assert_witt_upper_jumps(p, tops, precision, f=None):
+    """Thomas's upper jumps u_1 = d_0 and u_i = max(p u_(i-1), d_(i-1)) for
+    the reduced Witt vector f, whose components have the pole orders tops
+    (f_i = x^-d_i when f is not given), a cyclic filtration and the
+    Herbrand route's agreement."""
     field = field_create(p, 1)
-    assert_witt_upper_jumps(p, VarPoly.var(field, "x", -a),
-                            VarPoly.var(field, "x", -b), a, b, 1024)
-
-
-def assert_witt_upper_jumps(p, f0, f1, a, b, precision):
-    run = oracle_run(*witt_tower(p, f0, f1), precision)
-    upper = lower_to_upper(run.filtration)
-    assert jumps_with_multiplicity(upper) == [a, max(p * a, b)]
+    f = f or tuple(VarPoly.var(field, "x", -d) for d in tops)
+    run = oracle_run(*witt_tower(p, *f), precision)
+    upper = [tops[0]]
+    for d in tops[1:]:
+        upper.append(max(p * upper[-1], d))
+    assert jumps_with_multiplicity(lower_to_upper(run.filtration)) == upper
     assert validate(run.filtration, cyclic=True) == []
     assert herbrand_lower_jumps(p, run.pole_orders) == \
         jumps_with_multiplicity(run.filtration)
@@ -931,7 +957,7 @@ def assert_witt_upper_jumps(p, f0, f1, a, b, precision):
 
 @st.composite
 def reduced_witt_vectors(draw):
-    """(p, f0, f1, a, b): f0 with 1-2 and f1 with 1-3 terms, nonzero
+    """(p, (a, b), (f0, f1)): f0 with 1-2 and f1 with 1-3 terms, nonzero
     coefficients in F_p and pole orders prime to p, the largest a <= 7 in
     f0 and b <= 25 in f1, so the Witt vector (f0, f1) is reduced."""
     p = draw(st.sampled_from([2, 3]))
@@ -949,7 +975,7 @@ def reduced_witt_vectors(draw):
 
     f0, a = poly(7, 2)
     f1, b = poly(25, 3)
-    return p, f0, f1, a, b
+    return p, (a, b), (f0, f1)
 
 
 @settings(max_examples=300, deadline=None)
@@ -958,7 +984,39 @@ def test_drawn_witt_towers_have_thomass_upper_jumps(case):
     # Thomas (J. Theor. Nombres Bordeaux 17, 2005): for a reduced Witt
     # vector (f0, f1) with pole orders a and b the upper jumps are a and
     # max(p a, b), whatever the lower terms and the coefficients
-    assert_witt_upper_jumps(*case, 4096)
+    p, tops, f = case
+    assert_witt_upper_jumps(p, tops, 4096, f)
+
+
+# the shapes of reduced Witt vectors (x^-d_0, x^-d_1, ..) of length 3 for
+# p = 2 and 3, and of length 2 for p = 5
+THOMAS_SHAPES = (
+    [(2, d) for d in product((1, 3, 5), (1, 3, 5, 7), (1, 3, 9, 11, 17))]
+    + [(3, d) for d in product((1, 2), (1, 2, 4, 5), (1, 5, 10, 13))]
+    + [(5, d) for d in product((1, 2, 3, 4, 6),
+                               (1, 2, 3, 4, 7, 11, 23, 29, 31))])
+
+
+@pytest.mark.parametrize("p,tops", THOMAS_SHAPES, ids=[
+    f"p{p}-d" + "-".join(map(str, tops)) for p, tops in THOMAS_SHAPES])
+def test_witt_towers_of_order_p_cubed_and_over_f5_have_thomass_upper_jumps(
+        p, tops):
+    # the generator's carries past S_1 and the sift on a cyclic group of
+    # order p^3 (Thomas, J. Theor. Nombres Bordeaux 17, 2005)
+    assert_witt_upper_jumps(p, tops, 4096)
+
+
+@pytest.mark.parametrize("p,tops,lower,precision", [
+    (2, (1, 3, 9), [1, 5, 29], 64), (3, (2, 5, 13), [2, 14, 122], 256),
+    (5, (6, 31), [6, 131], 256)])
+def test_witt_towers_answer_their_lower_jumps_at_a_pinned_precision(
+        p, tops, lower, precision):
+    # psi turns the upper jumps (1, 3, 9), (2, 6, 18) and (6, 31) into these
+    field = field_create(p, 1)
+    run = oracle_run(*witt_tower(p, *(VarPoly.var(field, "x", -d)
+                                      for d in tops)), 4096)
+    assert jumps_with_multiplicity(run.filtration) == lower
+    assert run.precision == precision
 
 
 @settings(max_examples=25, deadline=None)
